@@ -19,7 +19,7 @@ use spmv_core::{Csr, Precision, SpMv};
 use spmv_gen::{random_vector, suite, Geometry};
 use spmv_kernels::simd::SimdScalar;
 use spmv_model::timing::measure_spmv;
-use spmv_model::{rank, BlockConfig, Config, KernelProfile, MachineProfile, Model};
+use spmv_model::{rank, ArenaStats, BlockConfig, Config, KernelProfile, MachineProfile, Model};
 
 /// One baseline→compressed comparison.
 #[derive(Debug, Clone)]
@@ -88,17 +88,20 @@ fn index_bytes_per_nnz<T: SimdScalar>(config: Config, csr: &Csr<T>) -> f64 {
     (built.matrix_bytes() - built.nnz_stored() * T::BYTES) as f64 / csr.nnz().max(1) as f64
 }
 
+/// Measures and predicts one (baseline, compressed) pair of `arena`'s
+/// matrix; the matrix's pairs share the memo's structural passes.
 fn eval_pair<T: SimdScalar>(
     pair: &'static str,
     (base, comp): (Config, Config),
-    csr: &Csr<T>,
+    arena: &mut ArenaStats<'_, T>,
     x: &[T],
     machine: &MachineProfile,
     profile: &KernelProfile,
     opts: &ExpOpts,
 ) -> PairEval {
+    let csr = arena.csr();
     let time = |c: Config| measure_spmv(&c.build(csr), x, opts.min_time, opts.batches);
-    let pred = |c: Config| Model::Overlap.predict(&c.substats(csr), machine, profile);
+    let mut pred = |c: Config| Model::Overlap.predict(&arena.substats(c), machine, profile);
     PairEval {
         pair,
         base: base.to_string(),
@@ -164,18 +167,35 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> CompressionResult {
             block: BlockConfig::CsrDelta,
             imp: spmv_kernels::KernelImpl::Scalar,
         };
+        let mut arena = ArenaStats::new(csr);
         let pairs = vec![
             eval_pair(
                 "CSR -> CSR-DELTA",
                 (Config::CSR, delta),
-                csr,
+                &mut arena,
                 &x,
                 &machine,
                 &profile,
                 opts,
             ),
-            eval_pair("BCSR -> BCSR16", bcsr_pair, csr, &x, &machine, &profile, opts),
-            eval_pair("BCSD -> BCSD16", bcsd_pair, csr, &x, &machine, &profile, opts),
+            eval_pair(
+                "BCSR -> BCSR16",
+                bcsr_pair,
+                &mut arena,
+                &x,
+                &machine,
+                &profile,
+                opts,
+            ),
+            eval_pair(
+                "BCSD -> BCSD16",
+                bcsd_pair,
+                &mut arena,
+                &x,
+                &machine,
+                &profile,
+                opts,
+            ),
         ];
         per_matrix.push(MatrixCompression {
             id: *id,

@@ -23,7 +23,8 @@ use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::KernelImpl;
 use spmv_model::timing::measure_spmv;
 use spmv_model::{
-    profile_kernels, select_extended, BlockConfig, Config, MachineProfile, Model, ProfileOptions,
+    profile_kernels, select_extended, ArenaStats, BlockConfig, Config, MachineProfile, Model,
+    ProfileOptions,
 };
 use spmv_telemetry::residual::ResidualKey;
 
@@ -263,6 +264,11 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
             .map(|&(c, t, ..)| (c, t))
             .expect("non-empty");
 
+        // Structure statistics once per configuration, shared by every
+        // model and the family report below.
+        let mut arena = ArenaStats::new(csr);
+        let stats: Vec<_> = reals.iter().map(|&(c, ..)| arena.substats(c)).collect();
+
         let mut avg_norm_pred = [0.0; 3];
         let mut avg_abs_dist = [0.0; 3];
         let mut sel_norm = [0.0; 3];
@@ -271,8 +277,8 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
             // Prediction accuracy over every configuration.
             let mut norm_sum = 0.0;
             let mut dist_sum = 0.0;
-            for &(c, real, ..) in &reals {
-                let pred = model.predict(&c.substats(csr), &machine, &profile);
+            for (&(c, real, ..), st) in reals.iter().zip(&stats) {
+                let pred = model.predict(st, &machine, &profile);
                 norm_sum += pred / real;
                 dist_sum += (pred - real).abs() / real;
                 residuals.record(&residual_key(c, model), pred, real);
@@ -305,7 +311,7 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
                     label: c.to_string(),
                     index_bytes_per_nnz: idx_pn,
                     fill_bytes_per_nnz: fill_pn,
-                    predicted: Model::Overlap.predict(&c.substats(csr), &machine, &profile),
+                    predicted: Model::Overlap.predict(&arena.substats(c), &machine, &profile),
                     real,
                 });
             }

@@ -50,8 +50,9 @@ pub use decomposed::{BcsdDec, BcsrDec, Decomposed};
 pub use masked::{BcsdMasked, BcsrMasked};
 pub use sellc::{sell_sigmas, SellCSigma, SELL_SIGMA_FULL};
 pub use stats::{
-    bcsd_dec_stats, bcsd_masked_stats, bcsd_stats, bcsr_dec_stats, bcsr_masked_stats, bcsr_stats,
-    bcsr_stats_sampled, sellc_stats, vbl_stats, FormatStats,
+    bcsd_counts, bcsd_dec_stats, bcsd_masked_stats, bcsd_stats, bcsr_counts, bcsr_dec_stats,
+    bcsr_masked_stats, bcsr_stats, bcsr_stats_sampled, sell_sorted_lengths, sellc_stats,
+    sellc_stats_sorted, vbl_stats, BlockCounts, FormatStats,
 };
 pub use vbl::Vbl;
 pub use vbr::Vbr;

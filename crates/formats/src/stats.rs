@@ -5,11 +5,24 @@
 //! count (nonzeros + padding), and the working set `ws`. Materializing
 //! every candidate format just to read those numbers would cost more than
 //! the SpMV it is trying to optimize, so this module computes them
-//! directly from the CSR structure in `O(nnz)` per candidate — the same
-//! role the fill-ratio estimators play in SPARSITY/OSKI-style autotuners.
+//! directly from the CSR structure — the same role the fill-ratio
+//! estimators play in SPARSITY/OSKI-style autotuners.
 //!
-//! Every estimator is exact (not sampled) and is verified against the
-//! materialized formats by the test suite.
+//! Those numbers depend on the block geometry alone, not on the kernel
+//! implementation, index width, masking or decomposition. So there is one
+//! `O(nnz)` counting scan per geometry — [`bcsr_counts`] per BCSR shape,
+//! [`bcsd_counts`] per BCSD size — returning [`BlockCounts`], and the
+//! padded, decomposed and masked statistics of that geometry are
+//! derivations of it ([`BlockCounts::padded`], [`BlockCounts::decomposed`],
+//! [`BlockCounts::masked`]). Likewise SELL-C-σ needs only the row lengths
+//! sorted per σ window ([`sell_sorted_lengths`]), shared by every slice
+//! height. Ranking the 259-configuration extended space therefore needs
+//! 26 block scans, not one scan per configuration, when the caller keeps
+//! the per-geometry results (`spmv_model::config::ArenaStats` does).
+//!
+//! Every estimator is exact (not sampled, except
+//! [`bcsr_stats_sampled`]) and is verified against the materialized
+//! formats by the test suite.
 
 use spmv_core::{Csr, Index, MatrixShape, Scalar};
 use spmv_kernels::BlockShape;
@@ -35,9 +48,11 @@ pub struct FormatStats {
 
 impl FormatStats {
     /// Padding zeros in the main submatrix, given the source matrix's
-    /// nonzero count.
+    /// nonzero count. Saturates at zero: a sampled estimate
+    /// ([`bcsr_stats_sampled`]) can store fewer values than the matrix
+    /// has nonzeros.
     pub fn padding(&self, nnz: usize) -> usize {
-        self.stored - (nnz - self.rest_nnz)
+        self.stored.saturating_sub(nnz - self.rest_nnz)
     }
 
     /// Total values the format stores across submatrices.
@@ -46,171 +61,198 @@ impl FormatStats {
     }
 }
 
-/// Counts blocks/padding for aligned BCSR without building it.
-pub fn bcsr_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats {
-    let (r, c) = (shape.rows(), shape.cols());
-    let n_rows = csr.n_rows();
-    let n_bcols = csr.n_cols().div_ceil(c);
-    let n_brows = n_rows.div_ceil(r);
-    // Stamp array: seen[bc] == current block row marker.
-    let mut seen = vec![u32::MAX; n_bcols];
-    let mut nb = 0usize;
-    for rb in 0..n_brows {
-        let stamp = rb as u32;
-        for i in rb * r..((rb + 1) * r).min(n_rows) {
-            for &j in csr.row(i).0 {
-                let bc = j as usize / c;
-                if seen[bc] != stamp {
-                    seen[bc] = stamp;
-                    nb += 1;
-                }
-            }
+/// What one counting scan of a fixed-size block geometry (an `r x c`
+/// BCSR shape or a size-`b` BCSD diagonal) finds. Every statistic of the
+/// geometry's padded, decomposed and masked formats derives from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockCounts {
+    /// Blocks holding at least one nonzero.
+    pub nb: usize,
+    /// Blocks whose every slot holds a nonzero.
+    pub nb_full: usize,
+    /// Block rows (BCSR) or row segments (BCSD).
+    pub index_rows: usize,
+}
+
+impl BlockCounts {
+    /// Padded storage (BCSR, BCSD): every non-empty block is stored
+    /// whole, `elems` values each. `nnz` is the source matrix's.
+    pub fn padded<T: Scalar>(self, elems: usize, nnz: usize) -> FormatStats {
+        FormatStats {
+            nb: self.nb,
+            stored: self.nb * elems,
+            rest_nnz: 0,
+            index_rows: self.index_rows,
+            fill_bytes: (self.nb * elems - nnz) * T::BYTES,
         }
     }
-    FormatStats {
-        nb,
-        stored: nb * r * c,
-        rest_nnz: 0,
-        index_rows: n_brows,
-        fill_bytes: (nb * r * c - csr.nnz()) * T::BYTES,
+
+    /// Decomposed storage (BCSR-DEC, BCSD-DEC): the full blocks form the
+    /// main submatrix, every other nonzero goes to the CSR remainder.
+    pub fn decomposed(self, elems: usize, nnz: usize) -> FormatStats {
+        let covered = self.nb_full * elems;
+        FormatStats {
+            nb: self.nb_full,
+            stored: covered,
+            rest_nnz: nnz - covered,
+            index_rows: self.index_rows,
+            fill_bytes: 0,
+        }
+    }
+
+    /// Masked storage ([`crate::BcsrMasked`], [`crate::BcsdMasked`]): the
+    /// padded block structure, but the value stream holds only the `nnz`
+    /// true nonzeros (no fill bytes) plus one occupancy byte per block —
+    /// which the working-set accounting charges via `nb`.
+    pub fn masked(self, nnz: usize) -> FormatStats {
+        FormatStats {
+            nb: self.nb,
+            stored: nnz,
+            rest_nnz: 0,
+            index_rows: self.index_rows,
+            fill_bytes: 0,
+        }
     }
 }
 
-/// Statistics for masked BCSR ([`crate::BcsrMasked`]): same block
-/// structure as aligned BCSR, but the value stream holds only the `nnz`
-/// true nonzeros (no fill bytes) plus one occupancy byte per block —
-/// which the working-set accounting charges via `nb`.
-pub fn bcsr_masked_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats {
-    let st = bcsr_stats(csr, shape);
-    FormatStats {
-        nb: st.nb,
-        stored: csr.nnz(),
-        rest_nnz: 0,
-        index_rows: st.index_rows,
-        fill_bytes: 0,
+/// One counting scan over aligned `r x c` blocks: non-empty and full
+/// blocks of `shape`, without building anything.
+pub fn bcsr_counts<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> BlockCounts {
+    let n_brows = csr.n_rows().div_ceil(shape.rows());
+    let (nb, nb_full) = bcsr_scan(csr, shape, 0, 1);
+    BlockCounts {
+        nb,
+        nb_full,
+        index_rows: n_brows,
     }
+}
+
+/// `(nb, nb_full)` over the block rows `first, first + step, …` of
+/// `shape`, dispatched to a scan compiled for the block width.
+fn bcsr_scan<T: Scalar>(
+    csr: &Csr<T>,
+    shape: BlockShape,
+    first: usize,
+    step: usize,
+) -> (usize, usize) {
+    let r = shape.rows();
+    match shape.cols() {
+        1 => bcsr_scan_c::<T, 1>(csr, r, 1, first, step),
+        2 => bcsr_scan_c::<T, 2>(csr, r, 2, first, step),
+        3 => bcsr_scan_c::<T, 3>(csr, r, 3, first, step),
+        4 => bcsr_scan_c::<T, 4>(csr, r, 4, first, step),
+        5 => bcsr_scan_c::<T, 5>(csr, r, 5, first, step),
+        6 => bcsr_scan_c::<T, 6>(csr, r, 6, first, step),
+        7 => bcsr_scan_c::<T, 7>(csr, r, 7, first, step),
+        8 => bcsr_scan_c::<T, 8>(csr, r, 8, first, step),
+        c => bcsr_scan_c::<T, 0>(csr, r, c, first, step),
+    }
+}
+
+/// The BCSR counting scan. `C > 0` fixes the block width at compile
+/// time, so `j / c` divides by a constant; `C == 0` takes `c` at run
+/// time.
+///
+/// Each block column keeps its stamp (the block row that last touched
+/// it) and its nonzero count side by side in one slot. A block is full
+/// when its count ends the block row at exactly `r * c`: counting the
+/// step onto `r * c` and taking back a step past it gives that answer
+/// without a second pass over the touched blocks.
+fn bcsr_scan_c<T: Scalar, const C: usize>(
+    csr: &Csr<T>,
+    r: usize,
+    c: usize,
+    first: usize,
+    step: usize,
+) -> (usize, usize) {
+    let c = if C > 0 { C } else { c };
+    let n_rows = csr.n_rows();
+    let (row_ptr, col_ind) = (csr.row_ptr(), csr.col_ind());
+    let full = (r * c) as u32;
+    let mut slots = vec![[u32::MAX, 0u32]; csr.n_cols().div_ceil(c)];
+    let (mut nb, mut nb_full) = (0usize, 0usize);
+    for rb in (first..n_rows.div_ceil(r)).step_by(step) {
+        let stamp = rb as u32;
+        let lo = row_ptr[rb * r] as usize;
+        let hi = row_ptr[((rb + 1) * r).min(n_rows)] as usize;
+        for &j in &col_ind[lo..hi] {
+            let slot = &mut slots[j as usize / c];
+            if slot[0] != stamp {
+                *slot = [stamp, 0];
+                nb += 1;
+            }
+            slot[1] += 1;
+            nb_full += usize::from(slot[1] == full);
+            nb_full -= usize::from(slot[1] == full + 1);
+        }
+    }
+    (nb, nb_full)
+}
+
+/// One counting scan over size-`b` diagonal blocks: non-empty and full
+/// BCSD blocks, without building anything. Same slot scheme as the BCSR
+/// scan, keyed by the block's biased start column `j - t + b` (row `t`
+/// of its segment), which ranges over `[1, n_cols + b - 1]`.
+pub fn bcsd_counts<T: Scalar>(csr: &Csr<T>, b: usize) -> BlockCounts {
+    let n_rows = csr.n_rows();
+    let n_segs = n_rows.div_ceil(b);
+    let full = b as u32;
+    let mut slots = vec![[u32::MAX, 0u32]; csr.n_cols() + b];
+    let (mut nb, mut nb_full) = (0usize, 0usize);
+    for s in 0..n_segs {
+        let stamp = s as u32;
+        for i in s * b..((s + 1) * b).min(n_rows) {
+            let bias = b - (i - s * b);
+            for &j in csr.row(i).0 {
+                let slot = &mut slots[j as usize + bias];
+                if slot[0] != stamp {
+                    *slot = [stamp, 0];
+                    nb += 1;
+                }
+                slot[1] += 1;
+                nb_full += usize::from(slot[1] == full);
+                nb_full -= usize::from(slot[1] == full + 1);
+            }
+        }
+    }
+    BlockCounts {
+        nb,
+        nb_full,
+        index_rows: n_segs,
+    }
+}
+
+/// Counts blocks/padding for aligned BCSR without building it.
+pub fn bcsr_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats {
+    bcsr_counts(csr, shape).padded::<T>(shape.elems(), csr.nnz())
+}
+
+/// Statistics for masked BCSR ([`crate::BcsrMasked`]); see
+/// [`BlockCounts::masked`].
+pub fn bcsr_masked_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats {
+    bcsr_counts(csr, shape).masked(csr.nnz())
 }
 
 /// Counts full blocks and remainder for BCSR-DEC without building it.
 pub fn bcsr_dec_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats {
-    let (r, c) = (shape.rows(), shape.cols());
-    let n_rows = csr.n_rows();
-    let n_bcols = csr.n_cols().div_ceil(c);
-    let n_brows = n_rows.div_ceil(r);
-    let mut seen = vec![u32::MAX; n_bcols];
-    let mut count = vec![0u32; n_bcols];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut nb_full = 0usize;
-    for rb in 0..n_brows {
-        let stamp = rb as u32;
-        touched.clear();
-        for i in rb * r..((rb + 1) * r).min(n_rows) {
-            for &j in csr.row(i).0 {
-                let bc = j as usize / c;
-                if seen[bc] != stamp {
-                    seen[bc] = stamp;
-                    count[bc] = 0;
-                    touched.push(bc);
-                }
-                count[bc] += 1;
-            }
-        }
-        for &bc in &touched {
-            if count[bc] as usize == r * c {
-                nb_full += 1;
-            }
-        }
-    }
-    let covered = nb_full * r * c;
-    FormatStats {
-        nb: nb_full,
-        stored: covered,
-        rest_nnz: csr.nnz() - covered,
-        index_rows: n_brows,
-        fill_bytes: 0,
-    }
+    bcsr_counts(csr, shape).decomposed(shape.elems(), csr.nnz())
 }
 
 /// Counts blocks/padding for BCSD without building it.
 pub fn bcsd_stats<T: Scalar>(csr: &Csr<T>, b: usize) -> FormatStats {
-    let n_rows = csr.n_rows();
-    let n_segs = n_rows.div_ceil(b);
-    // Biased start columns range over [1, n_cols + b - 1].
-    let mut seen = vec![u32::MAX; csr.n_cols() + b];
-    let mut nb = 0usize;
-    for s in 0..n_segs {
-        let stamp = s as u32;
-        for i in s * b..((s + 1) * b).min(n_rows) {
-            let t = i - s * b;
-            for &j in csr.row(i).0 {
-                let biased = (j as i64 - t as i64 + b as i64) as usize;
-                if seen[biased] != stamp {
-                    seen[biased] = stamp;
-                    nb += 1;
-                }
-            }
-        }
-    }
-    FormatStats {
-        nb,
-        stored: nb * b,
-        rest_nnz: 0,
-        index_rows: n_segs,
-        fill_bytes: (nb * b - csr.nnz()) * T::BYTES,
-    }
+    bcsd_counts(csr, b).padded::<T>(b, csr.nnz())
 }
 
-/// Statistics for masked BCSD ([`crate::BcsdMasked`]): BCSD block
-/// structure with an `nnz`-value stream and one mask byte per block.
+/// Statistics for masked BCSD ([`crate::BcsdMasked`]); see
+/// [`BlockCounts::masked`].
 pub fn bcsd_masked_stats<T: Scalar>(csr: &Csr<T>, b: usize) -> FormatStats {
-    let st = bcsd_stats(csr, b);
-    FormatStats {
-        nb: st.nb,
-        stored: csr.nnz(),
-        rest_nnz: 0,
-        index_rows: st.index_rows,
-        fill_bytes: 0,
-    }
+    bcsd_counts(csr, b).masked(csr.nnz())
 }
 
 /// Counts full diagonal blocks and remainder for BCSD-DEC without
 /// building it.
 pub fn bcsd_dec_stats<T: Scalar>(csr: &Csr<T>, b: usize) -> FormatStats {
-    let n_rows = csr.n_rows();
-    let n_segs = n_rows.div_ceil(b);
-    let mut seen = vec![u32::MAX; csr.n_cols() + b];
-    let mut count = vec![0u32; csr.n_cols() + b];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut nb_full = 0usize;
-    for s in 0..n_segs {
-        let stamp = s as u32;
-        touched.clear();
-        for i in s * b..((s + 1) * b).min(n_rows) {
-            let t = i - s * b;
-            for &j in csr.row(i).0 {
-                let biased = (j as i64 - t as i64 + b as i64) as usize;
-                if seen[biased] != stamp {
-                    seen[biased] = stamp;
-                    count[biased] = 0;
-                    touched.push(biased);
-                }
-                count[biased] += 1;
-            }
-        }
-        for &biased in &touched {
-            if count[biased] as usize == b {
-                nb_full += 1;
-            }
-        }
-    }
-    let covered = nb_full * b;
-    FormatStats {
-        nb: nb_full,
-        stored: covered,
-        rest_nnz: csr.nnz() - covered,
-        index_rows: n_segs,
-        fill_bytes: 0,
-    }
+    bcsd_counts(csr, b).decomposed(b, csr.nnz())
 }
 
 /// Counts variable-length blocks for 1D-VBL without building it.
@@ -247,6 +289,17 @@ pub fn vbl_stats<T: Scalar>(csr: &Csr<T>) -> FormatStats {
 /// `stored = nb * c` includes padding, and `index_rows` is the slice
 /// count. Only row lengths matter, so this runs in `O(n_rows log σ)`.
 pub fn sellc_stats<T: Scalar>(csr: &Csr<T>, c: usize, sigma: usize) -> FormatStats {
+    sellc_stats_sorted::<T>(&sell_sorted_lengths(csr, sigma), c)
+}
+
+/// The row lengths of `csr`, sorted by descending length within each
+/// window of `sigma` rows ([`crate::SELL_SIGMA_FULL`] sorts globally) —
+/// everything SELL-C-σ statistics depend on, for every slice height.
+///
+/// # Panics
+///
+/// Panics if `sigma == 0`.
+pub fn sell_sorted_lengths<T: Scalar>(csr: &Csr<T>, sigma: usize) -> Vec<usize> {
     assert!(sigma > 0, "SELL sorting window must be at least 1");
     let n_rows = csr.n_rows();
     let sigma_eff = if sigma == crate::SELL_SIGMA_FULL {
@@ -259,21 +312,23 @@ pub fn sellc_stats<T: Scalar>(csr: &Csr<T>, c: usize, sigma: usize) -> FormatSta
         let w1 = (w0 + sigma_eff).min(n_rows);
         lens[w0..w1].sort_unstable_by_key(|&l| core::cmp::Reverse(l));
     }
-    let n_slices = n_rows.div_ceil(c);
-    let mut nb = 0usize;
-    for s in 0..n_slices {
-        nb += lens[s * c..((s + 1) * c).min(n_rows)]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0);
-    }
+    lens
+}
+
+/// SELL-C-σ statistics for slice height `c` from the σ-sorted row
+/// lengths of [`sell_sorted_lengths`]; see [`sellc_stats`].
+pub fn sellc_stats_sorted<T: Scalar>(lens: &[usize], c: usize) -> FormatStats {
+    let nb: usize = lens
+        .chunks(c)
+        .map(|slice| slice.iter().copied().max().unwrap_or(0))
+        .sum();
+    let nnz: usize = lens.iter().sum();
     FormatStats {
         nb,
         stored: nb * c,
         rest_nnz: 0,
-        index_rows: n_slices,
-        fill_bytes: (nb * c - csr.nnz()) * T::BYTES,
+        index_rows: lens.len().div_ceil(c),
+        fill_bytes: (nb * c - nnz) * T::BYTES,
     }
 }
 
@@ -281,13 +336,12 @@ pub fn sellc_stats<T: Scalar>(csr: &Csr<T>, c: usize, sigma: usize) -> FormatSta
 /// n_brows)` block rows are scanned (a deterministic stride starting at
 /// `seed % stride`), and the counts are scaled back up.
 ///
-/// The exact estimators above are already `O(nnz)`, but ranking the full
-/// 105-configuration space still touches every nonzero dozens of times;
-/// sampling cuts that to a constant fraction at the price of an
-/// estimate. Error is unbiased for matrices whose block structure is
-/// homogeneous across block rows (the common case for the suite), and
-/// the returned `stored` is always consistent with the returned `nb`
-/// (`stored = nb * r * c`).
+/// The exact [`bcsr_counts`] scan is already `O(nnz)` and runs once per
+/// shape however many configurations share it; sampling cuts that to a
+/// constant fraction at the price of an estimate. Error is unbiased for
+/// matrices whose block structure is homogeneous across block rows (the
+/// common case for the suite), and the returned `stored` is always
+/// consistent with the returned `nb` (`stored = nb * r * c`).
 pub fn bcsr_stats_sampled<T: Scalar>(
     csr: &Csr<T>,
     shape: BlockShape,
@@ -298,43 +352,25 @@ pub fn bcsr_stats_sampled<T: Scalar>(
         (0.0..=1.0).contains(&fraction) && fraction > 0.0,
         "sample fraction must be in (0, 1]"
     );
-    let (r, c) = (shape.rows(), shape.cols());
-    let n_rows = csr.n_rows();
-    let n_brows = n_rows.div_ceil(r);
+    let n_brows = csr.n_rows().div_ceil(shape.rows());
     if fraction >= 1.0 || n_brows == 0 {
         return bcsr_stats(csr, shape);
     }
     let stride = ((1.0 / fraction).round() as usize).max(1);
     let offset = (seed as usize) % stride;
-    let mut seen = vec![u32::MAX; csr.n_cols().div_ceil(c)];
-    let mut nb_sampled = 0usize;
-    let mut sampled = 0usize;
-    let mut rb = offset;
-    while rb < n_brows {
-        sampled += 1;
-        let stamp = rb as u32;
-        for i in rb * r..((rb + 1) * r).min(n_rows) {
-            for &j in csr.row(i).0 {
-                let bc = j as usize / c;
-                if seen[bc] != stamp {
-                    seen[bc] = stamp;
-                    nb_sampled += 1;
-                }
-            }
-        }
-        rb += stride;
-    }
+    let sampled = n_brows.saturating_sub(offset).div_ceil(stride);
     if sampled == 0 {
         return bcsr_stats(csr, shape);
     }
+    let (nb_sampled, _) = bcsr_scan(csr, shape, offset, stride);
     let nb = (nb_sampled as f64 * n_brows as f64 / sampled as f64).round() as usize;
     FormatStats {
         nb,
-        stored: nb * r * c,
+        stored: nb * shape.elems(),
         rest_nnz: 0,
         index_rows: n_brows,
         // The estimated block count can undershoot nnz; clamp at zero.
-        fill_bytes: (nb * r * c).saturating_sub(csr.nnz()) * T::BYTES,
+        fill_bytes: (nb * shape.elems()).saturating_sub(csr.nnz()) * T::BYTES,
     }
 }
 
@@ -517,6 +553,93 @@ mod tests {
         for fraction in [0.1, 0.33, 0.5] {
             let st = bcsr_stats_sampled(&csr, shape, fraction, 1);
             assert_eq!(st.stored, st.nb * shape.elems());
+        }
+    }
+
+    #[test]
+    fn sampled_padding_saturates_when_the_sample_misses_every_block() {
+        // Rows 1 and 3 full, rows 0 and 2 empty: a 1x2 sample of every
+        // other block row from row 0 sees no block at all, so the
+        // estimate stores fewer values than the matrix has nonzeros.
+        let mut coo = Coo::new(4, 8);
+        for i in [1, 3] {
+            for j in 0..8 {
+                coo.push(i, j, 1.0).unwrap();
+            }
+        }
+        let csr: Csr<f64> = Csr::from_coo(&coo);
+        let st = bcsr_stats_sampled(&csr, BlockShape::new(1, 2).unwrap(), 0.5, 0);
+        assert_eq!((st.nb, st.stored), (0, 0));
+        assert_eq!(st.padding(csr.nnz()), 0);
+        assert_eq!(st.fill_bytes, 0);
+    }
+
+    #[test]
+    fn width_specialized_scans_match_the_runtime_width_scan() {
+        for seed in [1, 2, 13] {
+            let csr = fixture(seed);
+            for shape in BlockShape::search_space() {
+                let (r, c) = (shape.rows(), shape.cols());
+                for (first, step) in [(0, 1), (1, 3)] {
+                    assert_eq!(
+                        bcsr_scan(&csr, shape, first, step),
+                        bcsr_scan_c::<f64, 0>(&csr, r, c, first, step),
+                        "shape {shape} first {first} step {step}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counts_derive_every_blocked_variant() {
+        let csr = fixture(14);
+        let nnz = csr.nnz();
+        for shape in BlockShape::search_space() {
+            let counts = bcsr_counts(&csr, shape);
+            assert!(counts.nb_full <= counts.nb);
+            assert_eq!(
+                bcsr_stats(&csr, shape),
+                counts.padded::<f64>(shape.elems(), nnz)
+            );
+            assert_eq!(
+                bcsr_dec_stats(&csr, shape),
+                counts.decomposed(shape.elems(), nnz)
+            );
+            assert_eq!(bcsr_masked_stats(&csr, shape), counts.masked(nnz));
+        }
+        for b in spmv_kernels::BCSD_SIZES {
+            let counts = bcsd_counts(&csr, b);
+            assert!(counts.nb_full <= counts.nb);
+            assert_eq!(bcsd_stats(&csr, b), counts.padded::<f64>(b, nnz));
+            assert_eq!(bcsd_dec_stats(&csr, b), counts.decomposed(b, nnz));
+            assert_eq!(bcsd_masked_stats(&csr, b), counts.masked(nnz));
+        }
+    }
+
+    #[test]
+    fn a_block_is_full_only_if_it_ends_its_row_at_exactly_r_times_c() {
+        // Unchecked input may repeat a column. A 1x2 block with three
+        // entries is not full; the counting scan takes back the step past
+        // `r * c` instead of keeping it.
+        let csr = Csr::from_raw_unchecked(2, 4, vec![0, 3, 5], vec![0, 0, 1, 2, 3], vec![1.0; 5])
+            .unwrap();
+        let counts = bcsr_counts(&csr, BlockShape::new(1, 2).unwrap());
+        assert_eq!((counts.nb, counts.nb_full), (2, 1));
+    }
+
+    #[test]
+    fn sell_stats_derive_from_sorted_lengths() {
+        let csr = fixture(15);
+        for c in spmv_kernels::SELL_HEIGHTS {
+            for sigma in crate::sell_sigmas(c) {
+                let lens = sell_sorted_lengths(&csr, sigma);
+                assert_eq!(lens.iter().sum::<usize>(), csr.nnz());
+                assert_eq!(
+                    sellc_stats(&csr, c, sigma),
+                    sellc_stats_sorted::<f64>(&lens, c)
+                );
+            }
         }
     }
 

@@ -3,10 +3,10 @@
 
 use core::fmt;
 use spmv_core::{Csr, Index, IndexWidth, MatrixShape, Scalar, SpMv, SpMvMulti};
+use spmv_formats::stats::{self, BlockCounts, FormatStats};
 use spmv_formats::{
-    bcsd_dec_stats, bcsd_masked_stats, bcsd_stats, bcsr_dec_stats, bcsr_masked_stats, bcsr_stats,
-    csr_delta_stats, sell_sigmas, sellc_stats, Bcsd, BcsdDec, BcsdMasked, Bcsr, BcsrDec,
-    BcsrMasked, CsrDelta, FormatKind, SellCSigma, SELL_SIGMA_FULL,
+    csr_delta_stats, sell_sigmas, Bcsd, BcsdDec, BcsdMasked, Bcsr, BcsrDec, BcsrMasked, CsrDelta,
+    FormatKind, SellCSigma, SELL_SIGMA_FULL,
 };
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
@@ -286,160 +286,191 @@ impl Config {
     /// Computes the per-submatrix statistics the models need, without
     /// materializing the format. The returned byte totals are exact — the
     /// test suite checks them against [`Config::build`].
+    ///
+    /// This runs the configuration's structural pass from scratch; to
+    /// compute the statistics of many configurations of one matrix, keep
+    /// an [`ArenaStats`] so configurations sharing a block geometry share
+    /// the pass.
     pub fn substats<T: Scalar>(&self, csr: &Csr<T>) -> Vec<SubStat> {
+        ArenaStats::new(csr).substats(*self)
+    }
+}
+
+/// Per-matrix memo of the structural passes behind [`Config::substats`].
+///
+/// A configuration's statistics depend on its block geometry, not on its
+/// kernel implementation, index width, masking or decomposition. An
+/// `ArenaStats` runs each structural pass the first time a configuration
+/// needs it and keeps the result for every other configuration of that
+/// geometry: one counting scan per BCSR shape or BCSD size
+/// ([`stats::bcsr_counts`], [`stats::bcsd_counts`]), one CSR-Δ encode,
+/// and one row-length sort per effective SELL window. Ranking the
+/// 259-configuration extended space then costs 26 block scans, one encode
+/// and at most six sorts instead of a pass per configuration. The
+/// statistics are the same bit for bit as a fresh pass's, whatever order
+/// the configurations are asked in.
+///
+/// [`rank`](crate::rank) and [`rank_multi`](crate::rank_multi) fill one
+/// per call; a caller ranking several models over one matrix can keep
+/// one across them.
+///
+/// ```
+/// use spmv_gen::GenSpec;
+/// use spmv_model::{ArenaStats, Config};
+///
+/// let csr = GenSpec::Stencil2d { nx: 12, ny: 12 }.build(0);
+/// let mut arena = ArenaStats::new(&csr);
+/// for config in Config::enumerate_extended(true) {
+///     assert_eq!(arena.substats(config), config.substats(&csr));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct ArenaStats<'a, T> {
+    csr: &'a Csr<T>,
+    bcsr: Vec<(BlockShape, BlockCounts)>,
+    bcsd: Vec<(usize, BlockCounts)>,
+    delta_stream: Option<usize>,
+    sell: Vec<(usize, Vec<usize>)>,
+}
+
+impl<'a, T: Scalar> ArenaStats<'a, T> {
+    /// An empty memo for `csr`; passes run on first use.
+    pub fn new(csr: &'a Csr<T>) -> Self {
+        ArenaStats {
+            csr,
+            bcsr: Vec::new(),
+            bcsd: Vec::new(),
+            delta_stream: None,
+            sell: Vec::new(),
+        }
+    }
+
+    /// The matrix the statistics describe.
+    pub fn csr(&self) -> &'a Csr<T> {
+        self.csr
+    }
+
+    /// The per-submatrix statistics of `config` — what
+    /// [`Config::substats`] returns — reusing any pass an earlier call
+    /// already ran.
+    pub fn substats(&mut self, config: Config) -> Vec<SubStat> {
+        let csr = self.csr;
+        let (n_rows, nnz) = (csr.n_rows(), csr.nnz());
         let idx = core::mem::size_of::<Index>();
-        let vecs = (csr.n_rows() + csr.n_cols()) * T::BYTES;
-        let csr_bytes =
-            |nnz: usize| nnz * (T::BYTES + idx) + (csr.n_rows() + 1) * idx;
-        let main_bytes = |stored: usize, nb: usize, index_rows: usize| {
-            stored * T::BYTES + nb * idx + (index_rows + 1) * idx
+        let narrow = IndexWidth::for_cols(csr.n_cols()).bytes();
+        let vecs = (n_rows + csr.n_cols()) * T::BYTES;
+        let key = config.kernel_key();
+        // One submatrix pass streams its arrays plus one `x` and one `y`.
+        let sub = |arrays: usize, nb: usize, key: KernelKey| SubStat {
+            ws_bytes: arrays + vecs,
+            vec_bytes: vecs,
+            nb,
+            key,
         };
-        // Narrow variants shrink only the per-block column array; the row
-        // index stays full-width.
-        let narrow_bytes = |stored: usize, nb: usize, index_rows: usize| {
-            let bw = IndexWidth::for_cols(csr.n_cols()).bytes();
-            stored * T::BYTES + nb * bw + (index_rows + 1) * idx
+        let csr_part = |nnz: usize| {
+            sub(
+                nnz * (T::BYTES + idx) + (n_rows + 1) * idx,
+                nnz,
+                KernelKey::Csr,
+            )
         };
-        match self.block {
-            BlockConfig::Csr => vec![SubStat {
-                ws_bytes: csr_bytes(csr.nnz()) + vecs,
-                vec_bytes: vecs,
-                nb: csr.nnz(),
-                key: KernelKey::Csr,
-            }],
+        // Values, a `colw`-byte column index per block and the
+        // full-width block-row pointer. Narrow variants shrink only the
+        // per-block column array.
+        let main_bytes = |st: FormatStats, colw: usize| {
+            st.stored * T::BYTES + st.nb * colw + (st.index_rows + 1) * idx
+        };
+        let padded = |counts: BlockCounts, elems: usize, colw: usize| {
+            let st = counts.padded::<T>(elems, nnz);
+            vec![sub(main_bytes(st, colw), st.nb, key)]
+        };
+        // Masked variants charge true stored-value bytes plus one
+        // occupancy byte per block and a per-row value-offset array on
+        // top of the usual index arrays.
+        let masked = |counts: BlockCounts| {
+            let st = counts.masked(nnz);
+            let arrays = main_bytes(st, idx) + st.nb + (st.index_rows + 1) * idx;
+            vec![sub(arrays, st.nb, key)]
+        };
+        let decomposed = |counts: BlockCounts, elems: usize| {
+            let st = counts.decomposed(elems, nnz);
+            vec![sub(main_bytes(st, idx), st.nb, key), csr_part(st.rest_nnz)]
+        };
+        match config.block {
+            BlockConfig::Csr => vec![csr_part(nnz)],
             BlockConfig::CsrDelta => {
-                let st = csr_delta_stats(csr);
-                vec![SubStat {
-                    ws_bytes: csr.nnz() * T::BYTES
-                        + st.stream_bytes
-                        + (csr.n_rows() + 1) * idx
-                        + vecs,
-                    vec_bytes: vecs,
-                    nb: csr.nnz(),
-                    key: self.kernel_key(),
-                }]
+                let stream = self.delta_stream_bytes();
+                vec![sub(nnz * T::BYTES + stream + (n_rows + 1) * idx, nnz, key)]
             }
+            BlockConfig::Bcsr(shape) => padded(self.bcsr_counts(shape), shape.elems(), idx),
             BlockConfig::BcsrNarrow(shape) => {
-                let st = bcsr_stats(csr, shape);
-                vec![SubStat {
-                    ws_bytes: narrow_bytes(st.stored, st.nb, st.index_rows) + vecs,
-                    vec_bytes: vecs,
-                    nb: st.nb,
-                    key: self.kernel_key(),
-                }]
+                padded(self.bcsr_counts(shape), shape.elems(), narrow)
             }
-            BlockConfig::BcsdNarrow(b) => {
-                let st = bcsd_stats(csr, b);
-                vec![SubStat {
-                    ws_bytes: narrow_bytes(st.stored, st.nb, st.index_rows) + vecs,
-                    vec_bytes: vecs,
-                    nb: st.nb,
-                    key: self.kernel_key(),
-                }]
-            }
-            BlockConfig::Bcsr(shape) => {
-                let st = bcsr_stats(csr, shape);
-                vec![SubStat {
-                    ws_bytes: main_bytes(st.stored, st.nb, st.index_rows) + vecs,
-                    vec_bytes: vecs,
-                    nb: st.nb,
-                    key: self.kernel_key(),
-                }]
-            }
-            BlockConfig::Bcsd(b) => {
-                let st = bcsd_stats(csr, b);
-                vec![SubStat {
-                    ws_bytes: main_bytes(st.stored, st.nb, st.index_rows) + vecs,
-                    vec_bytes: vecs,
-                    nb: st.nb,
-                    key: self.kernel_key(),
-                }]
-            }
-            // Masked variants charge true stored-value bytes plus one
-            // occupancy byte per block and a per-row value-offset array
-            // on top of the usual index arrays.
-            BlockConfig::BcsrMasked(shape) => {
-                let st = bcsr_masked_stats(csr, shape);
-                vec![SubStat {
-                    ws_bytes: main_bytes(st.stored, st.nb, st.index_rows)
-                        + st.nb
-                        + (st.index_rows + 1) * idx
-                        + vecs,
-                    vec_bytes: vecs,
-                    nb: st.nb,
-                    key: self.kernel_key(),
-                }]
-            }
-            BlockConfig::BcsdMasked(b) => {
-                let st = bcsd_masked_stats(csr, b);
-                vec![SubStat {
-                    ws_bytes: main_bytes(st.stored, st.nb, st.index_rows)
-                        + st.nb
-                        + (st.index_rows + 1) * idx
-                        + vecs,
-                    vec_bytes: vecs,
-                    nb: st.nb,
-                    key: self.kernel_key(),
-                }]
-            }
+            BlockConfig::BcsrMasked(shape) => masked(self.bcsr_counts(shape)),
+            BlockConfig::BcsrDec(shape) => decomposed(self.bcsr_counts(shape), shape.elems()),
+            BlockConfig::Bcsd(b) => padded(self.bcsd_counts(b), b, idx),
+            BlockConfig::BcsdNarrow(b) => padded(self.bcsd_counts(b), b, narrow),
+            BlockConfig::BcsdMasked(b) => masked(self.bcsd_counts(b)),
+            BlockConfig::BcsdDec(b) => decomposed(self.bcsd_counts(b), b),
             // SELL charges the padded value stream, one column index per
             // stored slot (narrowable), the slice pointer and per-lane
             // length arrays, and the row permutation.
             BlockConfig::SellCSigma { c, sigma } | BlockConfig::SellCSigmaNarrow { c, sigma } => {
-                let st = sellc_stats(csr, c, sigma);
-                let colw = if matches!(self.block, BlockConfig::SellCSigmaNarrow { .. }) {
-                    IndexWidth::for_cols(csr.n_cols()).bytes()
+                let st = stats::sellc_stats_sorted::<T>(self.sell_lengths(sigma), c);
+                let colw = if matches!(config.block, BlockConfig::SellCSigmaNarrow { .. }) {
+                    narrow
                 } else {
                     idx
                 };
-                vec![SubStat {
-                    ws_bytes: st.stored * T::BYTES
-                        + st.stored * colw
-                        + (st.index_rows + 1) * idx
-                        + st.index_rows * c * idx
-                        + csr.n_rows() * idx
-                        + vecs,
-                    vec_bytes: vecs,
-                    nb: st.nb,
-                    key: self.kernel_key(),
-                }]
-            }
-            BlockConfig::BcsrDec(shape) => {
-                let st = bcsr_dec_stats(csr, shape);
-                vec![
-                    SubStat {
-                        ws_bytes: main_bytes(st.stored, st.nb, st.index_rows) + vecs,
-                        vec_bytes: vecs,
-                        nb: st.nb,
-                        key: self.kernel_key(),
-                    },
-                    SubStat {
-                        ws_bytes: csr_bytes(st.rest_nnz) + vecs,
-                        vec_bytes: vecs,
-                        nb: st.rest_nnz,
-                        key: KernelKey::Csr,
-                    },
-                ]
-            }
-            BlockConfig::BcsdDec(b) => {
-                let st = bcsd_dec_stats(csr, b);
-                vec![
-                    SubStat {
-                        ws_bytes: main_bytes(st.stored, st.nb, st.index_rows) + vecs,
-                        vec_bytes: vecs,
-                        nb: st.nb,
-                        key: self.kernel_key(),
-                    },
-                    SubStat {
-                        ws_bytes: csr_bytes(st.rest_nnz) + vecs,
-                        vec_bytes: vecs,
-                        nb: st.rest_nnz,
-                        key: KernelKey::Csr,
-                    },
-                ]
+                let arrays = st.stored * T::BYTES
+                    + st.stored * colw
+                    + (st.index_rows + 1) * idx
+                    + st.index_rows * c * idx
+                    + n_rows * idx;
+                vec![sub(arrays, st.nb, key)]
             }
         }
     }
+
+    fn bcsr_counts(&mut self, shape: BlockShape) -> BlockCounts {
+        let csr = self.csr;
+        *memo(&mut self.bcsr, shape, || stats::bcsr_counts(csr, shape))
+    }
+
+    fn bcsd_counts(&mut self, b: usize) -> BlockCounts {
+        let csr = self.csr;
+        *memo(&mut self.bcsd, b, || stats::bcsd_counts(csr, b))
+    }
+
+    fn delta_stream_bytes(&mut self) -> usize {
+        let csr = self.csr;
+        *self
+            .delta_stream
+            .get_or_insert_with(|| csr_delta_stats(csr).stream_bytes)
+    }
+
+    /// σ-sorted row lengths. Every window of at least `n_rows` rows is
+    /// one global sort, so those σ share an entry.
+    fn sell_lengths(&mut self, sigma: usize) -> &[usize] {
+        let csr = self.csr;
+        let window = sigma.min(csr.n_rows().max(1));
+        memo(&mut self.sell, window, || {
+            stats::sell_sorted_lengths(csr, sigma)
+        })
+        .as_slice()
+    }
+}
+
+/// The value cached under `key`, computed by `f` on first use.
+fn memo<K: PartialEq, V>(cache: &mut Vec<(K, V)>, key: K, f: impl FnOnce() -> V) -> &V {
+    let pos = match cache.iter().position(|(k, _)| *k == key) {
+        Some(pos) => pos,
+        None => {
+            cache.push((key, f()));
+            cache.len() - 1
+        }
+    };
+    &cache[pos].1
 }
 
 impl fmt::Display for Config {
@@ -716,43 +747,27 @@ mod tests {
     }
 
     #[test]
-    fn substats_bytes_match_materialized_formats() {
+    fn arena_runs_one_pass_per_geometry_in_any_order() {
         let csr = fixture();
-        for config in Config::enumerate_extended(true) {
-            let stats = config.substats(&csr);
-            let built = config.build(&csr);
-            let ws_est: usize = stats.iter().map(|s| s.ws_bytes).sum();
-            assert_eq!(
-                ws_est,
-                built.working_set_bytes(),
-                "ws mismatch for {config}"
-            );
+        let configs = Config::enumerate_extended(true);
+        let fresh: Vec<Vec<SubStat>> = configs.iter().map(|c| c.substats(&csr)).collect();
+        let mut arena = ArenaStats::new(&csr);
+        for (config, want) in configs.iter().zip(&fresh).rev() {
+            assert_eq!(&arena.substats(*config), want, "{config}");
         }
-    }
-
-    #[test]
-    fn substats_block_counts_match_materialized_formats() {
-        let csr = fixture();
-        for config in Config::enumerate_extended(false) {
-            let stats = config.substats(&csr);
-            match config.build(&csr) {
-                BuiltFormat::Csr(m) => assert_eq!(stats[0].nb, m.nnz()),
-                BuiltFormat::CsrDelta(m) => assert_eq!(stats[0].nb, m.nnz(), "{config}"),
-                BuiltFormat::Bcsr(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-                BuiltFormat::Bcsd(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-                BuiltFormat::BcsrDec(m) => {
-                    assert_eq!(stats[0].nb, m.main().n_blocks(), "{config}");
-                    assert_eq!(stats[1].nb, m.rest().nnz(), "{config}");
-                }
-                BuiltFormat::BcsdDec(m) => {
-                    assert_eq!(stats[0].nb, m.main().n_blocks(), "{config}");
-                    assert_eq!(stats[1].nb, m.rest().nnz(), "{config}");
-                }
-                BuiltFormat::BcsrMasked(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-                BuiltFormat::BcsdMasked(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-                BuiltFormat::SellCSigma(m) => assert_eq!(stats[0].nb, m.n_blocks(), "{config}"),
-            }
+        assert_eq!(arena.bcsr.len(), BlockShape::search_space().len());
+        assert_eq!(arena.bcsd.len(), BCSD_SIZES.len());
+        assert!(arena.delta_stream.is_some());
+        // σ ∈ {1, 2, 4, 8, 64, n} on 29 rows: 64 and n are both the
+        // global sort.
+        let mut windows: Vec<usize> = arena.sell.iter().map(|(w, _)| *w).collect();
+        windows.sort_unstable();
+        assert_eq!(windows, [1, 2, 4, 8, 29]);
+        // A second round is served from the memo alone.
+        for (config, want) in configs.iter().zip(&fresh) {
+            assert_eq!(&arena.substats(*config), want, "{config}");
         }
+        assert_eq!(arena.sell.len(), 5);
     }
 
     #[test]
@@ -765,28 +780,6 @@ mod tests {
             let got = built.spmv(&x);
             for (a, g) in want.iter().zip(&got) {
                 assert!((a - g).abs() < 1e-9, "{config}");
-            }
-        }
-    }
-
-    #[test]
-    fn substats_multi_bytes_match_materialized_formats() {
-        // Matrix traffic once plus vector traffic k times must reproduce
-        // the materialized formats' working_set_bytes_multi exactly.
-        let csr = fixture();
-        for config in Config::enumerate_extended(true) {
-            let stats = config.substats(&csr);
-            let built = config.build(&csr);
-            for k in [1usize, 2, 4, 9] {
-                let est: usize = stats
-                    .iter()
-                    .map(|s| s.ws_bytes - s.vec_bytes + k * s.vec_bytes)
-                    .sum();
-                assert_eq!(
-                    est,
-                    built.working_set_bytes_multi(k),
-                    "multi ws mismatch for {config} k={k}"
-                );
             }
         }
     }

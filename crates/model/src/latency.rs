@@ -115,10 +115,11 @@ pub fn predict_overlap_lat<T: Scalar>(
     profile: &KernelProfile,
     latency: &LatencyProfile,
 ) -> f64 {
-    let base = Model::Overlap.predict(&config.substats(csr), machine, profile);
+    let stats = config.substats(csr);
+    let base = Model::Overlap.predict(&stats, machine, profile);
     // Decomposed configurations traverse x once per submatrix; the miss
     // estimate is per traversal, and `substats` has one entry each.
-    let traversals = config.substats(csr).len() as f64;
+    let traversals = stats.len() as f64;
     let misses = input_vector_miss_estimate(csr, machine, 8);
     base + traversals * misses * latency.load_latency
 }

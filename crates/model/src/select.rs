@@ -7,7 +7,7 @@
 //! different combinations … even if the predicted execution time is not
 //! very accurate" (§V-B).
 
-use crate::config::{Config, KernelKey};
+use crate::config::{ArenaStats, Config, KernelKey};
 use crate::machine::MachineProfile;
 use crate::models::Model;
 use crate::profile::{BlockTimes, KernelProfile};
@@ -47,7 +47,11 @@ pub fn candidate_configs_extended(model: Model, include_simd: bool) -> Vec<Confi
     }
 }
 
-/// Ranks `configs` for `csr` by predicted time, ascending.
+/// Ranks `configs` for `csr` by predicted time, ascending (ties keep the
+/// order of `configs`).
+///
+/// The structure statistics come from one [`ArenaStats`] per call, so
+/// configurations sharing a block geometry share its `O(nnz)` scan.
 pub fn rank<T: Scalar>(
     model: Model,
     csr: &Csr<T>,
@@ -56,11 +60,12 @@ pub fn rank<T: Scalar>(
     configs: &[Config],
 ) -> Vec<Candidate> {
     let _rank_span = spmv_telemetry::span_with("model.rank", configs.len() as u64);
+    let mut arena = ArenaStats::new(csr);
     let mut out: Vec<Candidate> = configs
         .iter()
         .map(|&config| Candidate {
             config,
-            predicted: model.predict(&config.substats(csr), machine, profile),
+            predicted: model.predict(&arena.substats(config), machine, profile),
         })
         .collect();
     out.sort_by(|a, b| a.predicted.total_cmp(&b.predicted));
@@ -193,7 +198,7 @@ pub struct MultiCandidate {
 }
 
 /// Ranks every (config, k) pair by predicted time *per vector*,
-/// ascending.
+/// ascending, with one [`ArenaStats`] per call like [`rank`].
 ///
 /// The matrix streams once per call regardless of `k`, so larger batches
 /// amortize the dominant traffic term; ranking per vector makes batched
@@ -212,9 +217,10 @@ pub fn rank_multi<T: Scalar>(
 ) -> Vec<MultiCandidate> {
     let _rank_span =
         spmv_telemetry::span_with("model.rank_multi", (configs.len() * ks.len()) as u64);
+    let mut arena = ArenaStats::new(csr);
     let mut out = Vec::with_capacity(configs.len() * ks.len());
     for &config in configs {
-        let stats = config.substats(csr);
+        let stats = arena.substats(config);
         for &k in ks {
             let predicted = model.predict_multi(&stats, k, machine, profile);
             out.push(MultiCandidate {

@@ -103,6 +103,14 @@ fn sell_shape_label(c: usize, sigma: usize) -> String {
     }
 }
 
+/// Materializes `config` for `csr` inside a `formats.build` span whose
+/// argument is the nonzeros converted. A pooled matrix converts strip by
+/// strip, so it records one span per strip, on the thread that builds it.
+fn build<T: SimdScalar>(config: Config, csr: &Csr<T>) -> BuiltFormat<T> {
+    let _span = spmv_telemetry::span_with("formats.build", csr.nnz() as u64);
+    config.build(csr)
+}
+
 /// The pool partitioning inputs for `config`: per-unit weights and the
 /// unit height strips are aligned to. SELL configurations partition on
 /// slice boundaries (units of `c` rows, weighted by the padded slice
@@ -142,8 +150,9 @@ impl<T: SimdScalar> PreparedMatrix<T> {
     /// and materializes the winner.
     ///
     /// This is the serving-side entry point to the paper's pipeline:
-    /// `select_extended` ranks every (format, block, kernel) candidate in
-    /// `O(nnz)` per candidate and the winner alone is built.
+    /// `select_extended` ranks every (format, block, kernel) candidate
+    /// from one `O(nnz)` structural scan per block geometry (26 for the
+    /// whole extended space) and the winner alone is built.
     pub fn prepare(
         csr: &Csr<T>,
         model: Model,
@@ -161,7 +170,7 @@ impl<T: SimdScalar> PreparedMatrix<T> {
             config,
             n_rows: csr.n_rows(),
             n_cols: csr.n_cols(),
-            backend: Backend::Direct(config.build(csr)),
+            backend: Backend::Direct(build(config, csr)),
             selection: None,
         }
     }
@@ -215,26 +224,8 @@ impl<T: SimdScalar> PreparedMatrix<T> {
         placement: Placement,
     ) -> Self {
         let choice = select_extended(model, csr, machine, profile, include_simd);
-        let config = choice.config;
-        let (weights, unit_height) = pool_inputs(config, csr);
-        let pool = SpmvPool::from_csr_placed(
-            csr,
-            n_threads,
-            &weights,
-            unit_height,
-            move |sub| config.build(sub),
-            placement,
-        );
-        PreparedMatrix {
-            config,
-            n_rows: csr.n_rows(),
-            n_cols: csr.n_cols(),
-            backend: Backend::Pooled(pool),
-            selection: Some(Selection {
-                model,
-                predicted: choice.predicted,
-            }),
-        }
+        Self::from_config_pooled_placed(choice.config, csr, n_threads, placement)
+            .with_selection(model, choice.predicted)
     }
 
     /// Materializes an explicit configuration on a persistent
@@ -263,7 +254,7 @@ impl<T: SimdScalar> PreparedMatrix<T> {
             n_threads,
             &weights,
             unit_height,
-            move |sub| config.build(sub),
+            move |sub| build(config, sub),
             placement,
         );
         PreparedMatrix {

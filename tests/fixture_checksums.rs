@@ -14,43 +14,30 @@
 
 #[path = "support/corpus.rs"]
 mod corpus;
+#[path = "support/fnv.rs"]
+mod fnv;
 
 use blocked_spmv::core::{Csr, MatrixShape};
 use blocked_spmv::gen::{random_vector, suite};
+use fnv::{check, Fnv};
 
-/// 64-bit FNV-1a.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xCBF2_9CE4_8422_2325)
+fn hash_csr(h: &mut Fnv, csr: &Csr<f64>) {
+    h.u64(csr.n_rows() as u64);
+    h.u64(csr.n_cols() as u64);
+    for &p in csr.row_ptr() {
+        h.u64(u64::from(p));
     }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+    for &c in csr.col_ind() {
+        h.u64(u64::from(c));
     }
-
-    fn csr(&mut self, csr: &Csr<f64>) {
-        self.u64(csr.n_rows() as u64);
-        self.u64(csr.n_cols() as u64);
-        for &p in csr.row_ptr() {
-            self.u64(u64::from(p));
-        }
-        for &c in csr.col_ind() {
-            self.u64(u64::from(c));
-        }
-        for v in csr.val() {
-            self.u64(v.to_bits());
-        }
+    for v in csr.val() {
+        h.u64(v.to_bits());
     }
 }
 
 fn csr_sum(csr: &Csr<f64>) -> u64 {
     let mut h = Fnv::new();
-    h.csr(csr);
+    hash_csr(&mut h, csr);
     h.0
 }
 
@@ -58,25 +45,9 @@ fn csr_sum(csr: &Csr<f64>) -> u64 {
 fn corpus_sum(build: impl Fn(u64) -> Csr<f64>) -> u64 {
     let mut h = Fnv::new();
     for seed in 0..corpus::SEEDS {
-        h.csr(&build(seed));
+        hash_csr(&mut h, &build(seed));
     }
     h.0
-}
-
-/// Compares `(label, got, want)` rows and, on any mismatch, fails with
-/// every row so the whole table can be inspected at once.
-fn check(rows: &[(String, u64, u64)]) {
-    let bad: Vec<_> = rows.iter().filter(|(_, got, want)| got != want).collect();
-    assert!(
-        bad.is_empty(),
-        "{} of {} checksums drifted:\n{}",
-        bad.len(),
-        rows.len(),
-        rows.iter()
-            .map(|(label, got, want)| format!("{label}: got {got:#018x}, want {want:#018x}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }
 
 /// Suite #1..#30 at scale 0.02, seed 7, in id order.

@@ -4,7 +4,11 @@
 //! time ordering, span nesting, and thread ids. Plus hand-computed
 //! checks on the prediction-residual tracker that `modeleval` feeds.
 
-use blocked_spmv::telemetry::{self, json::Value};
+use blocked_spmv::gen::GenSpec;
+use blocked_spmv::model::{KernelProfile, MachineProfile, Model};
+use blocked_spmv::parallel::PinPolicy;
+use blocked_spmv::serve::PreparedMatrix;
+use blocked_spmv::telemetry::{self, json::Value, EventKind};
 use std::sync::Mutex;
 
 /// Telemetry state is process-global; serialize tests and leave
@@ -129,6 +133,43 @@ fn exported_chrome_trace_is_schema_valid() {
     let other = doc.get("otherData").expect("otherData");
     assert_eq!(other.get("dropped").and_then(Value::as_f64), Some(0.0));
     assert!(other.get("threads").and_then(Value::as_f64).unwrap() >= 2.0);
+}
+
+#[test]
+fn prepare_spans_ranking_then_conversion() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let csr = GenSpec::Stencil2d { nx: 30, ny: 30 }.build(0);
+    let nnz = csr.nnz() as u64;
+    let (machine, profile) = (
+        MachineProfile::paper_testbed(),
+        KernelProfile::uniform(1e-9, 0.5),
+    );
+    telemetry::set_enabled(true);
+    telemetry::clear();
+    let serial = PreparedMatrix::prepare(&csr, Model::Overlap, &machine, &profile, true);
+    let pooled = PreparedMatrix::from_config_pooled(serial.config(), &csr, 2, PinPolicy::None);
+    telemetry::set_enabled(false);
+    let snap = telemetry::snapshot();
+    telemetry::clear();
+    drop(pooled);
+
+    let spans = |name: &str| -> Vec<telemetry::Event> {
+        snap.events
+            .iter()
+            .filter(|e| e.name == name && e.kind == EventKind::Span)
+            .copied()
+            .collect()
+    };
+    let rank = spans("model.rank");
+    assert_eq!(rank.len(), 1);
+    // The serial prepare converts the whole matrix once the ranking is
+    // done; the pool converts one strip per worker.
+    let builds = spans("formats.build");
+    let (whole, strips) = builds.split_first().expect("formats.build spans");
+    assert_eq!(whole.arg, nnz);
+    assert!(whole.ts_ns >= rank[0].ts_ns + rank[0].value);
+    assert_eq!(strips.len(), 2);
+    assert_eq!(strips.iter().map(|e| e.arg).sum::<u64>(), nnz);
 }
 
 #[test]
