@@ -1,6 +1,6 @@
 //! Index-compression report: regenerates `results/compression.txt` —
-//! measured index-byte reduction and measured-vs-predicted times for
-//! CSR-Δ and the narrow-index blocked formats, per suite matrix.
+//! measured index-byte reduction and measured-vs-predicted times for the
+//! narrow-index blocked formats, per suite matrix.
 
 use spmv_bench::experiments::compression;
 use spmv_bench::Args;

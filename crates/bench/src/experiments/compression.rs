@@ -1,9 +1,8 @@
 //! Index-compression experiment (`results/compression.txt`): measured
 //! and predicted effect of the compressed-index storage extension.
 //!
-//! For every suite matrix, three baseline→compressed pairs are compared:
+//! For every suite matrix, two baseline→compressed pairs are compared:
 //!
-//! * CSR → CSR-Δ (delta-encoded, run-classified column stream);
 //! * the OVERLAP-ranked best BCSR shape → its narrow-index twin;
 //! * the OVERLAP-ranked best BCSD size → its narrow-index twin.
 //!
@@ -24,7 +23,7 @@ use spmv_model::{rank, ArenaStats, BlockConfig, Config, KernelProfile, MachinePr
 /// One baseline→compressed comparison.
 #[derive(Debug, Clone)]
 pub struct PairEval {
-    /// Pair label (e.g. `CSR -> CSR-DELTA`).
+    /// Pair label (e.g. `BCSR -> BCSR16`).
     pub pair: &'static str,
     /// Baseline configuration label.
     pub base: String,
@@ -68,7 +67,7 @@ pub struct MatrixCompression {
     pub id: usize,
     /// Matrix name.
     pub name: &'static str,
-    /// The three baseline→compressed pairs.
+    /// The baseline→compressed pairs.
     pub pairs: Vec<PairEval>,
 }
 
@@ -163,21 +162,8 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> CompressionResult {
         })
         .expect("base space contains BCSD");
 
-        let delta = Config {
-            block: BlockConfig::CsrDelta,
-            imp: spmv_kernels::KernelImpl::Scalar,
-        };
         let mut arena = ArenaStats::new(csr);
         let pairs = vec![
-            eval_pair(
-                "CSR -> CSR-DELTA",
-                (Config::CSR, delta),
-                &mut arena,
-                &x,
-                &machine,
-                &profile,
-                opts,
-            ),
             eval_pair(
                 "BCSR -> BCSR16",
                 bcsr_pair,
@@ -286,7 +272,7 @@ mod tests {
         let res = run::<f64>(&opts);
         assert_eq!(res.per_matrix.len(), 2);
         for m in &res.per_matrix {
-            assert_eq!(m.pairs.len(), 3);
+            assert_eq!(m.pairs.len(), 2);
             for p in &m.pairs {
                 assert!(
                     p.comp_idx < p.base_idx,

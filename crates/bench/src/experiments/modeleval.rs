@@ -23,8 +23,7 @@ use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::KernelImpl;
 use spmv_model::timing::measure_spmv;
 use spmv_model::{
-    profile_kernels, select_extended, ArenaStats, BlockConfig, Config, MachineProfile, Model,
-    ProfileOptions,
+    profile_kernels, select_extended, ArenaStats, Config, MachineProfile, Model, ProfileOptions,
 };
 use spmv_telemetry::residual::ResidualKey;
 
@@ -72,59 +71,11 @@ pub struct CompressionStat {
     pub real: f64,
 }
 
-/// The format-family label of a block configuration: narrow-index and
-/// delta variants get their own bucket so the compression report can
-/// compare them against their full-width baselines.
-fn family(block: BlockConfig) -> &'static str {
-    match block {
-        BlockConfig::Csr => "CSR",
-        BlockConfig::CsrDelta => "CSR-DELTA",
-        BlockConfig::Bcsr(_) => "BCSR",
-        BlockConfig::BcsrNarrow(_) => "BCSR16",
-        BlockConfig::BcsrDec(_) => "BCSR-DEC",
-        BlockConfig::Bcsd(_) => "BCSD",
-        BlockConfig::BcsdNarrow(_) => "BCSD16",
-        BlockConfig::BcsdDec(_) => "BCSD-DEC",
-        BlockConfig::BcsrMasked(_) => "BCSR-MASK",
-        BlockConfig::BcsdMasked(_) => "BCSD-MASK",
-        BlockConfig::SellCSigma { .. } => "SELL",
-        BlockConfig::SellCSigmaNarrow { .. } => "SELL16",
-    }
-}
-
-/// The block-shape label of a configuration for the residual table:
-/// `-` for unblocked formats, `RxC` for the BCSR family, `bN` for BCSD
-/// diagonal sizes.
-fn shape_label(block: BlockConfig) -> String {
-    match block {
-        BlockConfig::Csr | BlockConfig::CsrDelta => "-".to_string(),
-        BlockConfig::Bcsr(s)
-        | BlockConfig::BcsrDec(s)
-        | BlockConfig::BcsrNarrow(s)
-        | BlockConfig::BcsrMasked(s) => {
-            format!("{}x{}", s.r, s.c)
-        }
-        BlockConfig::Bcsd(b)
-        | BlockConfig::BcsdDec(b)
-        | BlockConfig::BcsdNarrow(b)
-        | BlockConfig::BcsdMasked(b) => {
-            format!("b{b}")
-        }
-        BlockConfig::SellCSigma { c, sigma } | BlockConfig::SellCSigmaNarrow { c, sigma } => {
-            if sigma == spmv_formats::SELL_SIGMA_FULL {
-                format!("c{c}sn")
-            } else {
-                format!("c{c}s{sigma}")
-            }
-        }
-    }
-}
-
 /// The residual-tracker key of one (configuration, model) prediction.
 fn residual_key(c: Config, model: Model) -> ResidualKey {
     ResidualKey {
-        format: family(c.block).to_string(),
-        shape: shape_label(c.block),
+        format: c.block.family().to_string(),
+        shape: c.block.shape_label(),
         kernel: match c.imp {
             KernelImpl::Scalar => "scalar".to_string(),
             KernelImpl::Simd => "simd".to_string(),
@@ -134,9 +85,8 @@ fn residual_key(c: Config, model: Model) -> ResidualKey {
 }
 
 /// Family display order of the compression report.
-const FAMILIES: [&str; 10] = [
+const FAMILIES: [&str; 9] = [
     "CSR",
-    "CSR-DELTA",
     "BCSR",
     "BCSR16",
     "BCSR-MASK",
@@ -231,9 +181,9 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
     let ws_hint = ws.get(ws.len() / 2).copied().unwrap_or(8 << 20);
     let (machine, profile) = calibrate::<T>(ws_hint, opts);
 
-    // The extended space (index-compression configurations included) is
-    // both measured and offered to the models, so selections always have
-    // a matching measurement.
+    // The whole extended space is measured, and the models select from
+    // its candidate subset (masked configurations are measured but not
+    // offered), so selections always have a matching measurement.
     let configs = Config::enumerate_extended(true);
     let residuals = spmv_telemetry::residual::global();
     let mut per_matrix = Vec::with_capacity(matrices.len());
@@ -303,7 +253,7 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
         for fam in FAMILIES {
             let best = reals
                 .iter()
-                .filter(|(c, ..)| family(c.block) == fam)
+                .filter(|(c, ..)| c.block.family() == fam)
                 .min_by(|a, b| a.1.total_cmp(&b.1));
             if let Some(&(c, real, idx_pn, fill_pn)) = best {
                 compression.push(CompressionStat {
@@ -471,22 +421,14 @@ mod tests {
         }
         let t4 = res.table4_rows();
         assert!(t4.iter().all(|&(_, correct, off)| correct <= 2 && off >= -1e-12));
-        // Compression report: every family measured, and CSR-Δ must
-        // stream strictly fewer index bytes than CSR.
+        // Compression report: every family measured.
         for m in &res.per_matrix {
             assert_eq!(m.compression.len(), FAMILIES.len());
-            let idx_of = |fam: &str| {
-                m.compression
-                    .iter()
-                    .find(|c| c.family == fam)
-                    .map(|c| c.index_bytes_per_nnz)
-                    .expect("family present")
-            };
-            assert!(idx_of("CSR-DELTA") < idx_of("CSR"));
             // Padding-free families must report zero fill bytes.
             for c in &m.compression {
+                assert!(c.index_bytes_per_nnz > 0.0, "{}", c.family);
                 assert!(c.fill_bytes_per_nnz >= 0.0);
-                if matches!(c.family, "CSR" | "CSR-DELTA" | "BCSR-MASK" | "BCSD-MASK") {
+                if matches!(c.family, "CSR" | "BCSR-MASK" | "BCSD-MASK") {
                     assert_eq!(c.fill_bytes_per_nnz, 0.0, "{} must be padding-free", c.family);
                 }
             }

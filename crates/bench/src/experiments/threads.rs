@@ -38,7 +38,7 @@ fn unit_nnz_weights<T: spmv_core::Scalar>(csr: &Csr<T>, unit: usize) -> Vec<u64>
 /// configuration (§V-A: padded methods weigh their padding zeros too).
 fn partition_inputs<T: SimdScalar>(csr: &Csr<T>, config: Config) -> (Vec<u64>, usize) {
     match config.block {
-        BlockConfig::Csr | BlockConfig::CsrDelta => (csr_unit_weights(csr), 1),
+        BlockConfig::Csr => (csr_unit_weights(csr), 1),
         BlockConfig::Bcsr(shape) | BlockConfig::BcsrNarrow(shape) => {
             (bcsr_unit_weights(csr, shape), shape.rows())
         }

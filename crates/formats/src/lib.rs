@@ -15,14 +15,12 @@
 //! | [`BcsdMasked`] | BCSD-MASK | fixed-size diagonal blocks, occupancy masks, no padding (extension) |
 //! | [`Vbl`] | 1D-VBL | variable-size 1-D blocks, no padding |
 //! | [`Vbr`] | VBR | variable-size 2-D blocks (described in §II, not in the model study) |
-//! | [`CsrDelta`] | CSR-Δ | delta-encoded, narrow-width column indices (extension) |
 //! | [`SellCSigma`] | SELL-C-σ | sliced ELLPACK, σ-windowed row sorting, padding (extension) |
 //!
-//! As an index-compression extension beyond the paper, BCSR, BCSD, and
-//! 1D-VBL additionally offer `from_csr_narrow` constructors that store
-//! their block-column arrays at u16 width when the column space fits
-//! (see [`spmv_core::IndexWidth`]), and [`CsrDelta`] replaces CSR's
-//! `col_ind` with a run-classified byte stream of per-row column deltas.
+//! As an index-compression extension beyond the paper, BCSR, BCSD, their
+//! masked variants, 1D-VBL and SELL-C-σ additionally offer
+//! `from_csr_narrow` constructors that store their column arrays at u16
+//! width when the column space fits (see [`spmv_core::IndexWidth`]).
 //!
 //! Every format implements [`spmv_core::SpMv`] plus the accumulate variant
 //! [`SpMvAcc`] that decomposed formats need, and the multi-vector (SpMM)
@@ -34,7 +32,6 @@
 
 pub mod bcsd;
 pub mod bcsr;
-pub mod csr_delta;
 pub mod decomposed;
 pub mod masked;
 mod narrow;
@@ -45,7 +42,6 @@ pub mod vbr;
 
 pub use bcsd::Bcsd;
 pub use bcsr::Bcsr;
-pub use csr_delta::{csr_delta_stats, CsrDelta, DeltaStats};
 pub use decomposed::{BcsdDec, BcsrDec, Decomposed};
 pub use masked::{BcsdMasked, BcsrMasked};
 pub use sellc::{sell_sigmas, SellCSigma, SELL_SIGMA_FULL};
@@ -152,8 +148,6 @@ pub enum FormatKind {
     Vbl,
     /// Variable Block Row (§II extension; not part of the model study).
     Vbr,
-    /// Delta-encoded CSR (index-compression extension beyond the paper).
-    CsrDelta,
     /// SELL-C-σ: sliced ELLPACK with σ-windowed row sorting
     /// (padding-dominated extension beyond the paper).
     SellCSigma,
@@ -172,7 +166,6 @@ impl FormatKind {
             FormatKind::BcsdMasked => "BCSD-MASK",
             FormatKind::Vbl => "1D-VBL",
             FormatKind::Vbr => "VBR",
-            FormatKind::CsrDelta => "CSR-DELTA",
             FormatKind::SellCSigma => "SELL",
         }
     }

@@ -5,8 +5,8 @@ use core::fmt;
 use spmv_core::{Csr, Index, IndexWidth, MatrixShape, Scalar, SpMv, SpMvMulti};
 use spmv_formats::stats::{self, BlockCounts, FormatStats};
 use spmv_formats::{
-    csr_delta_stats, sell_sigmas, Bcsd, BcsdDec, BcsdMasked, Bcsr, BcsrDec, BcsrMasked, CsrDelta,
-    FormatKind, SellCSigma, SELL_SIGMA_FULL,
+    sell_sigmas, Bcsd, BcsdDec, BcsdMasked, Bcsr, BcsrDec, BcsrMasked, FormatKind, SellCSigma,
+    SELL_SIGMA_FULL,
 };
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
@@ -24,8 +24,6 @@ pub enum BlockConfig {
     Bcsd(usize),
     /// BCSD-DEC with the given diagonal size.
     BcsdDec(usize),
-    /// Delta-encoded CSR (index-compression extension).
-    CsrDelta,
     /// BCSR whose block-column array is stored at the narrowest index
     /// width that fits the column space (index-compression extension).
     BcsrNarrow(BlockShape),
@@ -66,11 +64,42 @@ impl BlockConfig {
             BlockConfig::BcsrDec(_) => FormatKind::BcsrDec,
             BlockConfig::Bcsd(_) | BlockConfig::BcsdNarrow(_) => FormatKind::Bcsd,
             BlockConfig::BcsdDec(_) => FormatKind::BcsdDec,
-            BlockConfig::CsrDelta => FormatKind::CsrDelta,
             BlockConfig::BcsrMasked(_) => FormatKind::BcsrMasked,
             BlockConfig::BcsdMasked(_) => FormatKind::BcsdMasked,
             BlockConfig::SellCSigma { .. } | BlockConfig::SellCSigmaNarrow { .. } => {
                 FormatKind::SellCSigma
+            }
+        }
+    }
+
+    /// The family label reports and residual keys group by: the format
+    /// kind's label, with the narrow-index variants (`BCSR16`, `BCSD16`,
+    /// `SELL16`) as families of their own.
+    pub fn family(self) -> &'static str {
+        match self {
+            BlockConfig::BcsrNarrow(_) => "BCSR16",
+            BlockConfig::BcsdNarrow(_) => "BCSD16",
+            BlockConfig::SellCSigmaNarrow { .. } => "SELL16",
+            other => other.kind().label(),
+        }
+    }
+
+    /// The block-parameter label: `-` for CSR, `RxC` for the BCSR
+    /// family, `bN` for BCSD sizes and `cCsS` for SELL (`cCsn` for the
+    /// global sort).
+    pub fn shape_label(self) -> String {
+        match self {
+            BlockConfig::Csr => "-".to_string(),
+            BlockConfig::Bcsr(s)
+            | BlockConfig::BcsrDec(s)
+            | BlockConfig::BcsrNarrow(s)
+            | BlockConfig::BcsrMasked(s) => format!("{}x{}", s.r, s.c),
+            BlockConfig::Bcsd(b)
+            | BlockConfig::BcsdDec(b)
+            | BlockConfig::BcsdNarrow(b)
+            | BlockConfig::BcsdMasked(b) => format!("b{b}"),
+            BlockConfig::SellCSigma { c, sigma } | BlockConfig::SellCSigmaNarrow { c, sigma } => {
+                format!("c{c}s{}", SigmaLabel(sigma))
             }
         }
     }
@@ -131,10 +160,15 @@ impl Config {
     }
 
     /// Enumerates the *extended* search space: everything in
-    /// [`Config::enumerate`] plus the index-compression configurations —
-    /// CSR-Δ and the narrow-index variants of every BCSR shape and BCSD
-    /// size. Kept separate from the paper's base space so the original
-    /// experiments are unchanged.
+    /// [`Config::enumerate`] plus the narrow-index variant of every BCSR
+    /// shape and BCSD size, the masked variant of each, and every
+    /// SELL-C-σ slice height and window, wide and narrow. Kept separate
+    /// from the paper's base space so the original experiments are
+    /// unchanged.
+    ///
+    /// This is the space that can be built, not the one selection ranks:
+    /// [`candidate_configs_extended`](crate::candidate_configs_extended)
+    /// leaves the masked variants out.
     pub fn enumerate_extended(include_simd: bool) -> Vec<Config> {
         let imps: &[KernelImpl] = if include_simd {
             &[KernelImpl::Scalar, KernelImpl::Simd]
@@ -142,12 +176,6 @@ impl Config {
             &[KernelImpl::Scalar]
         };
         let mut out = Config::enumerate(include_simd);
-        for &imp in imps {
-            out.push(Config {
-                block: BlockConfig::CsrDelta,
-                imp,
-            });
-        }
         for shape in BlockShape::search_space() {
             for &imp in imps {
                 out.push(Config {
@@ -215,7 +243,6 @@ impl Config {
     pub fn kernel_key(&self) -> KernelKey {
         match self.block {
             BlockConfig::Csr => KernelKey::Csr,
-            BlockConfig::CsrDelta => KernelKey::CsrDelta { imp: self.imp },
             BlockConfig::Bcsr(shape)
             | BlockConfig::BcsrDec(shape)
             | BlockConfig::BcsrNarrow(shape) => KernelKey::Bcsr {
@@ -261,7 +288,6 @@ impl Config {
             }
             BlockConfig::Bcsd(b) => BuiltFormat::Bcsd(Bcsd::from_csr(csr, b, self.imp)),
             BlockConfig::BcsdDec(b) => BuiltFormat::BcsdDec(BcsdDec::from_csr(csr, b, self.imp)),
-            BlockConfig::CsrDelta => BuiltFormat::CsrDelta(CsrDelta::from_csr(csr, self.imp)),
             BlockConfig::BcsrNarrow(shape) => {
                 BuiltFormat::Bcsr(Bcsr::from_csr_narrow(csr, shape, self.imp))
             }
@@ -303,12 +329,11 @@ impl Config {
 /// `ArenaStats` runs each structural pass the first time a configuration
 /// needs it and keeps the result for every other configuration of that
 /// geometry: one counting scan per BCSR shape or BCSD size
-/// ([`stats::bcsr_counts`], [`stats::bcsd_counts`]), one CSR-Δ encode,
-/// and one row-length sort per effective SELL window. Ranking the
-/// 259-configuration extended space then costs 26 block scans, one encode
-/// and at most six sorts instead of a pass per configuration. The
-/// statistics are the same bit for bit as a fresh pass's, whatever order
-/// the configurations are asked in.
+/// ([`stats::bcsr_counts`], [`stats::bcsd_counts`]) and one row-length
+/// sort per effective SELL window. Ranking the 257-configuration extended
+/// space then costs 26 block scans and at most six sorts instead of a
+/// pass per configuration. The statistics are the same bit for bit as a
+/// fresh pass's, whatever order the configurations are asked in.
 ///
 /// [`rank`](crate::rank) and [`rank_multi`](crate::rank_multi) fill one
 /// per call; a caller ranking several models over one matrix can keep
@@ -329,7 +354,6 @@ pub struct ArenaStats<'a, T> {
     csr: &'a Csr<T>,
     bcsr: Vec<(BlockShape, BlockCounts)>,
     bcsd: Vec<(usize, BlockCounts)>,
-    delta_stream: Option<usize>,
     sell: Vec<(usize, Vec<usize>)>,
 }
 
@@ -340,7 +364,6 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
             csr,
             bcsr: Vec::new(),
             bcsd: Vec::new(),
-            delta_stream: None,
             sell: Vec::new(),
         }
     }
@@ -398,10 +421,6 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
         };
         match config.block {
             BlockConfig::Csr => vec![csr_part(nnz)],
-            BlockConfig::CsrDelta => {
-                let stream = self.delta_stream_bytes();
-                vec![sub(nnz * T::BYTES + stream + (n_rows + 1) * idx, nnz, key)]
-            }
             BlockConfig::Bcsr(shape) => padded(self.bcsr_counts(shape), shape.elems(), idx),
             BlockConfig::BcsrNarrow(shape) => {
                 padded(self.bcsr_counts(shape), shape.elems(), narrow)
@@ -442,13 +461,6 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
         *memo(&mut self.bcsd, b, || stats::bcsd_counts(csr, b))
     }
 
-    fn delta_stream_bytes(&mut self) -> usize {
-        let csr = self.csr;
-        *self
-            .delta_stream
-            .get_or_insert_with(|| csr_delta_stats(csr).stream_bytes)
-    }
-
     /// σ-sorted row lengths. Every window of at least `n_rows` rows is
     /// one global sort, so those σ share an entry.
     fn sell_lengths(&mut self, sigma: usize) -> &[usize] {
@@ -481,7 +493,6 @@ impl fmt::Display for Config {
             BlockConfig::BcsrDec(s) => write!(f, "BCSR-DEC {s}")?,
             BlockConfig::Bcsd(b) => write!(f, "BCSD b={b}")?,
             BlockConfig::BcsdDec(b) => write!(f, "BCSD-DEC b={b}")?,
-            BlockConfig::CsrDelta => write!(f, "CSR-DELTA")?,
             BlockConfig::BcsrNarrow(s) => write!(f, "BCSR16 {s}")?,
             BlockConfig::BcsdNarrow(b) => write!(f, "BCSD16 b={b}")?,
             BlockConfig::BcsrMasked(s) => write!(f, "BCSR-MASK {s}")?,
@@ -549,11 +560,6 @@ pub enum KernelKey {
         /// Kernel implementation.
         imp: KernelImpl,
     },
-    /// The CSR-Δ row kernel (decodes the delta stream while multiplying).
-    CsrDelta {
-        /// Kernel implementation (SIMD accelerates unit runs).
-        imp: KernelImpl,
-    },
     /// A masked BCSR block-row kernel (expands occupancy-masked blocks).
     BcsrMasked {
         /// Block shape.
@@ -583,7 +589,7 @@ impl KernelKey {
     /// degenerate case).
     pub fn block_elems(self) -> usize {
         match self {
-            KernelKey::Csr | KernelKey::CsrDelta { .. } => 1,
+            KernelKey::Csr => 1,
             KernelKey::Bcsr { shape, .. } | KernelKey::BcsrMasked { shape, .. } => shape.elems(),
             KernelKey::Bcsd { b, .. } | KernelKey::BcsdMasked { b, .. } => b as usize,
             KernelKey::Sell { c, .. } => c as usize,
@@ -597,7 +603,6 @@ impl fmt::Display for KernelKey {
             KernelKey::Csr => write!(f, "csr"),
             KernelKey::Bcsr { shape, imp } => write!(f, "bcsr-{shape}{}", imp.suffix()),
             KernelKey::Bcsd { b, imp } => write!(f, "bcsd-{b}{}", imp.suffix()),
-            KernelKey::CsrDelta { imp } => write!(f, "csr-delta{}", imp.suffix()),
             KernelKey::BcsrMasked { shape, imp } => {
                 write!(f, "bcsr-mask-{shape}{}", imp.suffix())
             }
@@ -621,8 +626,6 @@ pub enum BuiltFormat<T> {
     Bcsd(Bcsd<T>),
     /// BCSD-DEC.
     BcsdDec(BcsdDec<T>),
-    /// CSR-Δ.
-    CsrDelta(CsrDelta<T>),
     /// Masked BCSR.
     BcsrMasked(BcsrMasked<T>),
     /// Masked BCSD.
@@ -639,7 +642,6 @@ macro_rules! delegate {
             BuiltFormat::BcsrDec(x) => x.$m($($arg),*),
             BuiltFormat::Bcsd(x) => x.$m($($arg),*),
             BuiltFormat::BcsdDec(x) => x.$m($($arg),*),
-            BuiltFormat::CsrDelta(x) => x.$m($($arg),*),
             BuiltFormat::BcsrMasked(x) => x.$m($($arg),*),
             BuiltFormat::BcsdMasked(x) => x.$m($($arg),*),
             BuiltFormat::SellCSigma(x) => x.$m($($arg),*),
@@ -722,13 +724,13 @@ mod tests {
 
     #[test]
     fn enumerate_extended_counts() {
-        // Per implementation the extensions add CSR-Δ, one narrow config
-        // per shape/size, one masked config per shape/size, and a wide
-        // plus a narrow SELL config per (height, σ) pair.
+        // Per implementation the extensions add one narrow config per
+        // shape/size, one masked config per shape/size, and a wide plus a
+        // narrow SELL config per (height, σ) pair.
         let shapes = BlockShape::search_space().len();
         let sizes = BCSD_SIZES.len();
         let sell: usize = SELL_HEIGHTS.iter().map(|&c| sell_sigmas(c).len()).sum();
-        let ext_per_imp = 1 + 2 * (shapes + sizes) + 2 * sell;
+        let ext_per_imp = 2 * (shapes + sizes) + 2 * sell;
         assert_eq!(
             Config::enumerate_extended(false).len(),
             Config::enumerate(false).len() + ext_per_imp
@@ -757,7 +759,6 @@ mod tests {
         }
         assert_eq!(arena.bcsr.len(), BlockShape::search_space().len());
         assert_eq!(arena.bcsd.len(), BCSD_SIZES.len());
-        assert!(arena.delta_stream.is_some());
         // σ ∈ {1, 2, 4, 8, 64, n} on 29 rows: 64 and n are both the
         // global sort.
         let mut windows: Vec<usize> = arena.sell.iter().map(|(w, _)| *w).collect();
@@ -809,13 +810,12 @@ mod tests {
     }
 
     #[test]
-    fn narrow_and_delta_substats_shrink_the_working_set() {
+    fn narrow_substats_shrink_the_working_set() {
         let csr = fixture();
         let shape = BlockShape::new(2, 2).unwrap();
         let pairs = [
             (BlockConfig::BcsrNarrow(shape), BlockConfig::Bcsr(shape)),
             (BlockConfig::BcsdNarrow(4), BlockConfig::Bcsd(4)),
-            (BlockConfig::CsrDelta, BlockConfig::Csr),
         ];
         for (narrow, wide) in pairs {
             let imp = KernelImpl::Scalar;

@@ -14,11 +14,14 @@
 //! csr <t_b> <nof>
 //! bcsr <r> <c> <scalar|simd> <t_b> <nof>
 //! bcsd <b> <scalar|simd> <t_b> <nof>
-//! csrdelta <scalar|simd> <t_b> <nof>
 //! bcsrmasked <r> <c> <scalar|simd> <t_b> <nof>
 //! bcsdmasked <b> <scalar|simd> <t_b> <nof>
 //! sell <c> <scalar|simd> <t_b> <nof>
 //! ```
+//!
+//! Files written while the workspace still had a delta-encoded CSR
+//! format also carry `csrdelta <scalar|simd> <t_b> <nof>` lines. The
+//! reader checks and skips them, so those calibrations keep loading.
 
 use crate::config::KernelKey;
 use crate::machine::MachineProfile;
@@ -78,13 +81,6 @@ pub fn write_profile<W: Write>(
                 w,
                 "bcsd {} {} {:e} {:e}",
                 b,
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-            KernelKey::CsrDelta { imp } => writeln!(
-                w,
-                "csrdelta {} {:e} {:e}",
                 imp_label(imp),
                 times.t_b,
                 times.nof
@@ -201,15 +197,13 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<(MachineProfile, KernelProfile)>
                     },
                 );
             }
-            "csrdelta" if tok.len() == 4 => profile.set(
-                KernelKey::CsrDelta {
-                    imp: parse_imp(tok[1])?,
-                },
-                BlockTimes {
-                    t_b: parse_f64(tok[2])?,
-                    nof: parse_f64(tok[3])?,
-                },
-            ),
+            // The removed delta-encoded CSR kernel: well-formed lines of
+            // older files are skipped, malformed ones still fail the file.
+            "csrdelta" if tok.len() == 4 => {
+                parse_imp(tok[1])?;
+                parse_f64(tok[2])?;
+                parse_f64(tok[3])?;
+            }
             "bcsrmasked" if tok.len() == 6 => {
                 let r: usize = tok[1].parse().map_err(|_| bad(lineno, "bad r"))?;
                 let c: usize = tok[2].parse().map_err(|_| bad(lineno, "bad c"))?;
@@ -322,6 +316,21 @@ mod tests {
         assert!(read_profile(bad_shape.as_bytes()).is_err());
         let bad_sell = format!("{MAGIC}\nmachine 1e9 1 2\nsell 3 scalar 1e-9 0.5\n");
         assert!(read_profile(bad_sell.as_bytes()).is_err());
+        for bad_delta in ["csrdelta wide 1e-9 0.5", "csrdelta simd x 0.5", "csrdelta simd 1e-9"] {
+            let text = format!("{MAGIC}\nmachine 1e9 1 2\n{bad_delta}\n");
+            assert!(read_profile(text.as_bytes()).is_err(), "{bad_delta}");
+        }
+    }
+
+    #[test]
+    fn legacy_csrdelta_lines_are_skipped() {
+        let text = format!(
+            "{MAGIC}\nmachine 2e9 32768 4194304\ncsr 1e-9 0.25\n\
+             csrdelta scalar 5.9e-10 8.1e-1\ncsrdelta simd 2.7e-10 1e0\n"
+        );
+        let (_, p) = read_profile(text.as_bytes()).unwrap();
+        assert_eq!(p.len(), 1);
+        assert_eq!(p.get(KernelKey::Csr).nof, 0.25);
     }
 
     #[test]

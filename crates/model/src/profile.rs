@@ -13,7 +13,7 @@ use crate::config::KernelKey;
 use crate::machine::MachineProfile;
 use crate::timing::measure_spmv;
 use spmv_core::{Csr, DenseMatrix, Scalar, SpMv};
-use spmv_formats::{Bcsd, BcsdMasked, Bcsr, BcsrMasked, CsrDelta, SellCSigma};
+use spmv_formats::{Bcsd, BcsdMasked, Bcsr, BcsrMasked, SellCSigma};
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
 use std::collections::HashMap;
@@ -95,9 +95,6 @@ impl KernelProfile {
         let mut p = KernelProfile::default();
         let times = BlockTimes { t_b, nof };
         p.set(KernelKey::Csr, times);
-        for imp in KernelImpl::ALL {
-            p.set(KernelKey::CsrDelta { imp }, times);
-        }
         for shape in BlockShape::search_space() {
             for imp in KernelImpl::ALL {
                 p.set(KernelKey::Bcsr { shape, imp }, times);
@@ -206,15 +203,6 @@ pub fn profile_keys<T: SimdScalar>(
                 let t_b = t_small / small.nnz().max(1) as f64;
                 let t_large = measure_spmv(&large, &x_large, opts.min_time, opts.batches);
                 let nof = nof_of(t_large, large.working_set_bytes(), large.nnz(), t_b);
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::CsrDelta { imp } => {
-                let small_d = CsrDelta::from_csr(&small, imp);
-                let large_d = CsrDelta::from_csr(&large, imp);
-                let t_small = measure_spmv(&small_d, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_d.nnz().max(1) as f64;
-                let t_large = measure_spmv(&large_d, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(t_large, large_d.working_set_bytes(), large_d.nnz(), t_b);
                 BlockTimes { t_b, nof }
             }
             KernelKey::Bcsr { shape, imp } => {
@@ -350,23 +338,6 @@ pub fn profile_kernels<T: SimdScalar>(
         profile.set(KernelKey::Csr, BlockTimes { t_b, nof });
     }
 
-    // CSR-Δ (degenerate 1x1 blocks like CSR, but the decode cost differs
-    // between implementations, so both are measured).
-    {
-        let _s = spmv_telemetry::span("model.profile.csr_delta");
-        let mut small_d = CsrDelta::from_csr(&small, KernelImpl::Scalar);
-        let mut large_d = CsrDelta::from_csr(&large, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_d.set_kernel_impl(imp);
-            large_d.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_d, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_d.nnz().max(1) as f64;
-            let t_large = measure_spmv(&large_d, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(t_large, large_d.working_set_bytes(), large_d.nnz(), t_b);
-            profile.set(KernelKey::CsrDelta { imp }, BlockTimes { t_b, nof });
-        }
-    }
-
     // BCSR kernels: one construction per shape and size, both
     // implementations measured by switching the kernel in place.
     for shape in BlockShape::search_space() {
@@ -419,8 +390,10 @@ pub fn profile_kernels<T: SimdScalar>(
 
     // Masked BCSR kernels. The dense profiling matrices have all-ones
     // masks, so these t_b/nof capture the fast-path cost (mask check +
-    // direct borrow); the partial-block expansion overhead shows up in
-    // the residuals the masked sweep records.
+    // direct borrow) and never the partial-block expansion: OVERLAP
+    // under-prices masked configurations on matrices with partial
+    // blocks, which is why selection leaves them out
+    // (`candidate_configs_extended`).
     for shape in BlockShape::search_space() {
         let _s = spmv_telemetry::span_with(
             "model.profile.bcsr_masked",
@@ -509,14 +482,14 @@ mod tests {
         }
     }
 
-    /// CSR, plus per implementation: CSR-Δ, one padded and one masked
-    /// kernel per BCSR shape, one padded and one masked kernel per BCSD
-    /// size, and one SELL kernel per slice height. Derived from the
-    /// search space, not hardcoded.
+    /// CSR, plus per implementation: one padded and one masked kernel
+    /// per BCSR shape, one padded and one masked kernel per BCSD size,
+    /// and one SELL kernel per slice height. Derived from the search
+    /// space, not hardcoded.
     fn expected_profile_len() -> usize {
         let shapes = BlockShape::search_space().len();
         let sizes = BCSD_SIZES.len();
-        1 + KernelImpl::ALL.len() * (1 + 2 * (shapes + sizes) + SELL_HEIGHTS.len())
+        1 + KernelImpl::ALL.len() * (2 * (shapes + sizes) + SELL_HEIGHTS.len())
     }
 
     #[test]
@@ -525,10 +498,6 @@ mod tests {
         let p = profile_kernels::<f64>(&machine, &tiny_opts());
         assert_eq!(p.len(), expected_profile_len());
         let _ = p.get(KernelKey::Csr);
-        for imp in KernelImpl::ALL {
-            let t = p.get(KernelKey::CsrDelta { imp });
-            assert!(t.t_b > 0.0, "csr-delta t_b must be positive");
-        }
         for shape in BlockShape::search_space() {
             for imp in KernelImpl::ALL {
                 let t = p.get(KernelKey::Bcsr { shape, imp });
@@ -598,9 +567,6 @@ mod tests {
                 b: 4,
                 imp: KernelImpl::Simd,
             },
-            KernelKey::CsrDelta {
-                imp: KernelImpl::Scalar,
-            },
             KernelKey::BcsrMasked {
                 shape,
                 imp: KernelImpl::Scalar,
@@ -617,7 +583,7 @@ mod tests {
             KernelKey::Csr,
         ];
         let measured = profile_keys::<f64>(&machine, &tiny_opts(), &keys);
-        assert_eq!(measured.len(), 7);
+        assert_eq!(measured.len(), 6);
         for (key, times) in &measured {
             assert!(times.t_b > 0.0, "{key}: t_b must be positive");
             assert!((0.0..=1.0).contains(&times.nof), "{key}: nof in [0,1]");

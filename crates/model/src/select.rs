@@ -7,7 +7,7 @@
 //! different combinations … even if the predicted execution time is not
 //! very accurate" (§V-B).
 
-use crate::config::{ArenaStats, Config, KernelKey};
+use crate::config::{ArenaStats, BlockConfig, Config, KernelKey};
 use crate::machine::MachineProfile;
 use crate::models::Model;
 use crate::profile::{BlockTimes, KernelProfile};
@@ -36,15 +36,28 @@ pub fn candidate_configs(model: Model, include_simd: bool) -> Vec<Config> {
     }
 }
 
-/// The candidate list over the *extended* search space, which adds the
-/// index-compression configurations (CSR-Δ and the narrow-index blocked
-/// variants) to [`candidate_configs`]. The MEM restriction to scalar
-/// kernels carries over unchanged.
+/// The candidate list over the *extended* search space: what
+/// [`candidate_configs`] ranks plus the narrow-index blocked variants and
+/// SELL-C-σ, wide and narrow. The MEM restriction to scalar kernels
+/// carries over unchanged.
+///
+/// The masked configurations (`BcsrMasked`, `BcsdMasked`) are part of
+/// [`Config::enumerate_extended`] but not of this list, so no selection
+/// built on it ever picks one. Their kernels are profiled on a dense
+/// matrix, where every block is full and the partial-block expansion
+/// never runs, so OVERLAP under-prices them on matrices with partial
+/// blocks: offered them, it picks one on six suite matrices where it
+/// measures 3.3–5.7× slower than CSR, 4–7× off its prediction. They stay
+/// buildable by an explicit [`Config`].
 pub fn candidate_configs_extended(model: Model, include_simd: bool) -> Vec<Config> {
-    match model {
+    let space = match model {
         Model::Mem => Config::enumerate_extended(false),
         Model::MemComp | Model::Overlap => Config::enumerate_extended(include_simd),
-    }
+    };
+    space
+        .into_iter()
+        .filter(|c| !matches!(c.block, BlockConfig::BcsrMasked(_) | BlockConfig::BcsdMasked(_)))
+        .collect()
 }
 
 /// Ranks `configs` for `csr` by predicted time, ascending (ties keep the
@@ -88,7 +101,8 @@ pub fn select<T: Scalar>(
         .expect("candidate set is never empty")
 }
 
-/// [`select`] over the extended (index-compression) candidate set.
+/// [`select`] over the extended candidate set
+/// ([`candidate_configs_extended`]).
 pub fn select_extended<T: Scalar>(
     model: Model,
     csr: &Csr<T>,
@@ -253,7 +267,8 @@ pub fn select_multi<T: Scalar>(
         .expect("candidate set is never empty")
 }
 
-/// [`select_multi`] over the extended (index-compression) candidate set.
+/// [`select_multi`] over the extended candidate set
+/// ([`candidate_configs_extended`]).
 pub fn select_multi_extended<T: Scalar>(
     model: Model,
     csr: &Csr<T>,
@@ -286,7 +301,6 @@ pub fn select_multi_extended_measured<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BlockConfig, KernelKey};
     use crate::profile::BlockTimes;
     use spmv_core::Coo;
     use spmv_gen::GenSpec;
@@ -354,16 +368,33 @@ mod tests {
     }
 
     #[test]
-    fn extended_select_prefers_delta_csr_on_scatter() {
+    fn extended_candidates_leave_masked_configs_out() {
+        // The masked configurations belong to the extended space but are
+        // never offered to selection; every other configuration is, in
+        // enumeration order.
+        for model in Model::ALL {
+            let space = Config::enumerate_extended(model != Model::Mem);
+            let masked = |c: &Config| {
+                matches!(c.block, BlockConfig::BcsrMasked(_) | BlockConfig::BcsdMasked(_))
+            };
+            assert!(space.iter().any(masked));
+            let unmasked: Vec<Config> = space.iter().copied().filter(|c| !masked(c)).collect();
+            assert_eq!(candidate_configs_extended(model, true), unmasked, "{model}");
+        }
+    }
+
+    #[test]
+    fn extended_select_keeps_csr_on_scatter() {
         // Same scattered matrix as `scattered_matrix_keeps_csr`: blocked
-        // formats pay padding, so CSR wins the base space — and CSR-Δ,
-        // which streams strictly fewer index bytes at the same element
-        // count, must win the extended space under every model. The
-        // proportional profile (not the uniform one) is essential here:
-        // SELL-C-σ covers these uniform-length rows with nnz/c wide
-        // "blocks", so a flat per-block cost would hand it an artificial
-        // compute advantage; charging per element makes compute equal
-        // and lets byte traffic decide.
+        // formats pay padding, so CSR wins the base space, and nothing in
+        // the extended space streams fewer bytes at equal compute — the
+        // narrow SELL slices save index bytes but pay slice pointers,
+        // lane lengths and the row permutation. The proportional profile
+        // (not the uniform one) is essential here: SELL-C-σ covers these
+        // uniform-length rows with nnz/c wide "blocks", so a flat
+        // per-block cost would hand it an artificial compute advantage
+        // (see `extended_select_can_pick_sell`); charging per element
+        // makes compute equal and lets byte traffic decide.
         let csr = GenSpec::Random {
             n: 300,
             m: 300,
@@ -373,11 +404,7 @@ mod tests {
         let profile = KernelProfile::proportional(1e-9, 1.0);
         for model in Model::ALL {
             let best = select_extended(model, &csr, &machine(), &profile, true);
-            assert_eq!(
-                best.config.block,
-                BlockConfig::CsrDelta,
-                "{model} should pick CSR-DELTA on scatter"
-            );
+            assert_eq!(best.config, Config::CSR, "{model} picked {}", best.config);
         }
     }
 
@@ -388,7 +415,7 @@ mod tests {
         // per-block cost the compute-aware models must rank a SELL
         // configuration first, proving the format competes end-to-end
         // in the extended space. MEM is excluded: it sees only byte
-        // traffic, where CSR-Δ's delta stream wins.
+        // traffic, where plain CSR stays smallest.
         let csr = GenSpec::Random {
             n: 300,
             m: 300,
@@ -437,9 +464,8 @@ mod tests {
         let t_wide = Model::Mem.predict(&wide.substats(&csr), &m, &profile);
         assert!(t_narrow < t_wide);
         // The extended ranking must place the narrow twin above the wide
-        // one; the overall winner may be even leaner (the padding-free
-        // masked formats also stream fewer bytes than padded BCSR), but
-        // it can never be worse than the narrow candidate it contains.
+        // one; the overall winner may be even leaner, but it can never be
+        // worse than the narrow candidate it contains.
         let configs = candidate_configs_extended(Model::Mem, true);
         let ranked = rank(Model::Mem, &csr, &m, &profile, &configs);
         let pos = |b: BlockConfig| ranked.iter().position(|c| c.config.block == b).unwrap();
@@ -563,7 +589,10 @@ mod tests {
         assert_eq!(m3.l1_bytes, m.l1_bytes);
         assert_eq!(p3.get(KernelKey::Csr), times);
         // Keys not listed keep their profiled values.
-        let other = KernelKey::CsrDelta { imp: KernelImpl::Scalar };
+        let other = KernelKey::Sell {
+            c: 4,
+            imp: KernelImpl::Scalar,
+        };
         assert_eq!(p3.get(other), p.get(other));
         // Junk bandwidth is ignored rather than poisoning predictions.
         let junk = MeasuredOverrides {

@@ -70,36 +70,14 @@ pub struct Selection {
 /// writes, so serving-time residuals and offline evaluation rows land in
 /// comparable buckets.
 pub fn residual_key_for(config: Config, model: Model) -> ResidualKey {
-    let (format, shape) = match config.block {
-        BlockConfig::Csr => ("CSR", "-".to_string()),
-        BlockConfig::CsrDelta => ("CSR-DELTA", "-".to_string()),
-        BlockConfig::Bcsr(s) => ("BCSR", format!("{}x{}", s.r, s.c)),
-        BlockConfig::BcsrNarrow(s) => ("BCSR16", format!("{}x{}", s.r, s.c)),
-        BlockConfig::BcsrDec(s) => ("BCSR-DEC", format!("{}x{}", s.r, s.c)),
-        BlockConfig::Bcsd(b) => ("BCSD", format!("b{b}")),
-        BlockConfig::BcsdNarrow(b) => ("BCSD16", format!("b{b}")),
-        BlockConfig::BcsdDec(b) => ("BCSD-DEC", format!("b{b}")),
-        BlockConfig::BcsrMasked(s) => ("BCSR-MASK", format!("{}x{}", s.r, s.c)),
-        BlockConfig::BcsdMasked(b) => ("BCSD-MASK", format!("b{b}")),
-        BlockConfig::SellCSigma { c, sigma } => ("SELL", sell_shape_label(c, sigma)),
-        BlockConfig::SellCSigmaNarrow { c, sigma } => ("SELL16", sell_shape_label(c, sigma)),
-    };
     ResidualKey {
-        format: format.to_string(),
-        shape,
+        format: config.block.family().to_string(),
+        shape: config.block.shape_label(),
         kernel: match config.imp {
             KernelImpl::Scalar => "scalar".to_string(),
             KernelImpl::Simd => "simd".to_string(),
         },
         model: model.label().to_string(),
-    }
-}
-
-fn sell_shape_label(c: usize, sigma: usize) -> String {
-    if sigma == spmv_formats::SELL_SIGMA_FULL {
-        format!("c{c}sn")
-    } else {
-        format!("c{c}s{sigma}")
     }
 }
 
@@ -152,7 +130,9 @@ impl<T: SimdScalar> PreparedMatrix<T> {
     /// This is the serving-side entry point to the paper's pipeline:
     /// `select_extended` ranks every (format, block, kernel) candidate
     /// from one `O(nnz)` structural scan per block geometry (26 for the
-    /// whole extended space) and the winner alone is built.
+    /// whole extended space) and the winner alone is built. The whole
+    /// call is one `serve.prepare` span (argument: nonzeros) around the
+    /// `model.rank` and `formats.build` spans.
     pub fn prepare(
         csr: &Csr<T>,
         model: Model,
@@ -160,6 +140,7 @@ impl<T: SimdScalar> PreparedMatrix<T> {
         profile: &KernelProfile,
         include_simd: bool,
     ) -> Self {
+        let _span = spmv_telemetry::span_with("serve.prepare", csr.nnz() as u64);
         let choice = select_extended(model, csr, machine, profile, include_simd);
         Self::from_config(choice.config, csr).with_selection(model, choice.predicted)
     }
@@ -223,6 +204,7 @@ impl<T: SimdScalar> PreparedMatrix<T> {
         n_threads: usize,
         placement: Placement,
     ) -> Self {
+        let _span = spmv_telemetry::span_with("serve.prepare", csr.nnz() as u64);
         let choice = select_extended(model, csr, machine, profile, include_simd);
         Self::from_config_pooled_placed(choice.config, csr, n_threads, placement)
             .with_selection(model, choice.predicted)

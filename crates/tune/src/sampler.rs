@@ -257,7 +257,8 @@ mod tests {
         let s = CannedSampler::new().with_bandwidth(5e9).with_kernels(vec![
             (KernelKey::Csr, BlockTimes { t_b: 1e-9, nof: 0.5 }),
             (
-                KernelKey::CsrDelta {
+                KernelKey::Sell {
+                    c: 4,
                     imp: spmv_kernels::KernelImpl::Scalar,
                 },
                 BlockTimes { t_b: 2e-9, nof: 0.4 },

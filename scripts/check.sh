@@ -5,7 +5,8 @@
 #   build, clippy on all targets, workspace tests (doctests included),
 #   the telemetry-disabled test runs, rustdoc with warnings denied, the
 #   benchmark package's API tripwire, the harness-bin smokes (masked and
-#   sellc in both telemetry configs), and the runtime examples.
+#   sellc in both telemetry configs, census at a small scale), and the
+#   runtime examples.
 #
 # See docs/TESTING.md for what each tier covers.
 #
@@ -50,6 +51,8 @@ smoke target/masked-notel-smoke.txt --features spmv-telemetry/disabled --bin mas
     --n 4000 --blocks 4 --reps 2 --trials 1
 smoke target/sellc-notel-smoke.txt --features spmv-telemetry/disabled --bin sellc -- \
     --n 20000 --reps 2 --trials 1
+smoke target/census-smoke.txt --bin census -- --scale 0.02 --trials 1 --min-time 0.0002 \
+    --profile benchmark/profile.txt
 
 run cargo run --offline --release --quiet --example parallel_scaling > /dev/null
 run cargo run --offline --release --quiet --example batched -- 0.1 > /dev/null

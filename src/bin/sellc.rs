@@ -193,10 +193,7 @@ fn best_blocked_bytes(csr: &Csr<f64>) -> (f64, &'static str) {
     let mut best = (f64::INFINITY, "-");
     for config in Config::enumerate_extended(false) {
         let kind = config.block.kind();
-        if matches!(
-            kind,
-            FormatKind::Csr | FormatKind::CsrDelta | FormatKind::SellCSigma
-        ) {
+        if matches!(kind, FormatKind::Csr | FormatKind::SellCSigma) {
             continue;
         }
         let bpn = config_matrix_bytes(config, csr) as f64 / nnz;

@@ -40,8 +40,7 @@ use blocked_spmv::core::rng::Rng;
 use blocked_spmv::core::{Csr, MatrixShape, SpMv};
 use blocked_spmv::gen::GenSpec;
 use blocked_spmv::model::{
-    candidate_configs_extended, rank, select_extended, BlockConfig, Config, KernelProfile,
-    MachineProfile, Model,
+    candidate_configs_extended, select_extended, KernelProfile, MachineProfile, Model,
 };
 use blocked_spmv::serve::{EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine};
 use blocked_spmv::tune::{
@@ -218,27 +217,11 @@ fn main() {
     }
     .build(opts.seed);
     let n = fem.n_cols();
-    // The incumbent is pinned to the best *padded* candidate on
-    // purpose: masked (padding-free) storage is insensitive to the
-    // scatter drift injected below — its cost does not explode when
-    // the block structure disappears — so with a masked incumbent the
-    // stale baseline is never betrayed and there is no residual signal
-    // to detect. The tuner itself still re-ranks over the full
-    // extended arena, so the post-drift swap target may well be a
-    // masked format.
-    let padded_arena: Vec<Config> = candidate_configs_extended(Model::Overlap, true)
-        .into_iter()
-        .filter(|c| {
-            !matches!(
-                c.block,
-                BlockConfig::BcsrMasked(_) | BlockConfig::BcsdMasked(_)
-            )
-        })
-        .collect();
-    let choice = rank(Model::Overlap, &fem, &machine, &profile, &padded_arena)
-        .into_iter()
-        .next()
-        .expect("padded arena is never empty");
+    // The extended candidate list holds no masked configuration, so the
+    // incumbent is a padded one, whose cost explodes under the scatter
+    // drift injected below: that is the residual signal the tuner
+    // detects. (Masked storage would not betray the stale baseline.)
+    let choice = select_extended(Model::Overlap, &fem, &machine, &profile, true);
     let initial_config = choice.config;
     let prepared = PreparedMatrix::from_config(initial_config, &fem)
         .with_selection(Model::Overlap, choice.predicted);

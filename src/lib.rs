@@ -51,6 +51,6 @@ pub use spmv_core::{
     Coo, Csr, DenseMatrix, Error, IndexWidth, Precision, Result, Scalar, SpMv, SpMvMulti,
 };
 pub use spmv_formats::{
-    Bcsd, BcsdDec, Bcsr, BcsrDec, CsrDelta, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl, Vbr,
+    Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl, Vbr,
 };
 pub use spmv_kernels::{BlockShape, KernelImpl};

@@ -1,11 +1,11 @@
 //! Integration coverage for the index-compression extension through the
-//! public facade: compressed formats (CSR-Δ and the narrow-index blocked
-//! variants) ride the persistent worker pool bit-identically to their
-//! serial counterparts, and extended model-driven selection over the
-//! compressed search space builds formats that multiply correctly.
+//! public facade: the narrow-index formats ride the persistent worker
+//! pool bit-identically to their serial counterparts, and extended
+//! model-driven selection over the compressed search space builds
+//! formats that multiply correctly.
 
 use blocked_spmv::core::{MatrixShape, SpMv, SpMvMulti};
-use blocked_spmv::formats::{Bcsd, Bcsr, CsrDelta, Vbl};
+use blocked_spmv::formats::{Bcsd, Bcsr, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::model::{select_extended, BlockConfig, KernelProfile, MachineProfile, Model};
 use blocked_spmv::parallel::{
@@ -33,17 +33,6 @@ fn pooled_compressed_formats_match_their_serial_twins_bitwise() {
     let shape = BlockShape::new(2, 2).unwrap();
     for threads in [1, 2, 4] {
         for imp in KernelImpl::ALL {
-            let serial = CsrDelta::from_csr(&csr, imp).spmv(&x);
-            let pool = SpmvPool::from_csr(
-                &csr,
-                threads,
-                &csr_unit_weights(&csr),
-                1,
-                |s| CsrDelta::from_csr(s, imp),
-                PinPolicy::None,
-            );
-            assert_eq!(pool.spmv(&x), serial, "csr-delta {imp} x{threads}");
-
             let serial = Bcsr::from_csr_narrow(&csr, shape, imp).spmv(&x);
             let pool = SpmvPool::from_csr(
                 &csr,
@@ -82,31 +71,45 @@ fn pooled_compressed_formats_match_their_serial_twins_bitwise() {
 
 #[test]
 fn pooled_compressed_multi_vector_matches_serial() {
-    // The batched path goes through the same strips; k = 4 pooled CSR-Δ
-    // must equal the serial batched product bit-for-bit (scalar kernel).
+    // The batched path goes through the same strips; k = 4 pooled
+    // narrow-index products must equal the serial batched product
+    // bit-for-bit.
     const K: usize = 4;
     let csr = seeded_matrix(23);
     let x: Vec<f64> = (0..csr.n_cols() * K)
         .map(|i| 1.0 + (i % 7) as f64 * 0.5)
         .collect();
-    let delta = CsrDelta::from_csr(&csr, KernelImpl::Scalar);
-    let want = delta.spmv_multi(&x, K);
-    let pool = SpmvPool::from_csr(
-        &csr,
-        3,
-        &csr_unit_weights(&csr),
-        1,
-        |s| CsrDelta::from_csr(s, KernelImpl::Scalar),
-        PinPolicy::None,
-    );
-    assert_eq!(pool.spmv_multi(&x, K), want, "pooled csr-delta multi");
+    let shape = BlockShape::new(2, 2).unwrap();
+    for imp in KernelImpl::ALL {
+        let want = Bcsr::from_csr_narrow(&csr, shape, imp).spmv_multi(&x, K);
+        let pool = SpmvPool::from_csr(
+            &csr,
+            3,
+            &bcsr_unit_weights(&csr, shape),
+            shape.rows(),
+            |s| Bcsr::from_csr_narrow(s, shape, imp),
+            PinPolicy::None,
+        );
+        assert_eq!(pool.spmv_multi(&x, K), want, "pooled bcsr16 {imp} multi");
+
+        let want = Vbl::from_csr_narrow(&csr, imp).spmv_multi(&x, K);
+        let pool = SpmvPool::from_csr(
+            &csr,
+            3,
+            &csr_unit_weights(&csr),
+            1,
+            |s| Vbl::from_csr_narrow(s, imp),
+            PinPolicy::None,
+        );
+        assert_eq!(pool.spmv_multi(&x, K), want, "pooled vbl16 {imp} multi");
+    }
 }
 
 #[test]
 fn extended_selection_picks_compressed_storage_and_multiplies() {
     // On a scattered matrix (no block structure) the compressed search
     // space should beat plain CSR on bytes alone — narrow-index blocked
-    // storage, delta CSR, or a globally sorted narrow SELL — and
+    // storage or a globally sorted narrow SELL — and
     // whatever each model picks must build into a format that agrees
     // with CSR numerically.
     let csr = seeded_matrix(42);
@@ -118,8 +121,7 @@ fn extended_selection_picks_compressed_storage_and_multiplies() {
         assert!(
             matches!(
                 cand.config.block,
-                BlockConfig::CsrDelta
-                    | BlockConfig::BcsrNarrow(_)
+                BlockConfig::BcsrNarrow(_)
                     | BlockConfig::BcsdNarrow(_)
                     | BlockConfig::SellCSigmaNarrow { .. }
             ),

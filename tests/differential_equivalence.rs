@@ -13,7 +13,7 @@
 //! failures reproduce from the seed alone.
 
 use blocked_spmv::core::{Csr, Precision, Scalar, SpMv, SpMvMulti};
-use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, CsrDelta, Vbl, Vbr};
+use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl, Vbr};
 use blocked_spmv::kernels::simd::SimdScalar;
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 #[path = "support/corpus.rs"]
@@ -93,8 +93,6 @@ fn run<T: SimdScalar>(k: usize) {
 
         check(&csr, &x, &yref, &mag, k, &format!("seed {seed} csr"));
         for imp in KernelImpl::ALL {
-            let t = format!("seed {seed} csr-delta {imp}");
-            check(&CsrDelta::from_csr(&csr, imp), &x, &yref, &mag, k, &t);
             for shape in shapes {
                 let t = format!("seed {seed} bcsr {shape} {imp}");
                 check(&Bcsr::from_csr(&csr, shape, imp), &x, &yref, &mag, k, &t);
@@ -157,7 +155,6 @@ fn multi_vector_is_bitwise_per_column() {
         for imp in KernelImpl::ALL {
             let formats: Vec<(&str, Box<dyn SpMvMulti<f64>>)> = vec![
                 ("csr", Box::new(csr.clone())),
-                ("csr-delta", Box::new(CsrDelta::from_csr(&csr, imp))),
                 ("bcsr", Box::new(Bcsr::from_csr(&csr, shape, imp))),
                 ("bcsr16", Box::new(Bcsr::from_csr_narrow(&csr, shape, imp))),
                 ("bcsr-dec", Box::new(BcsrDec::from_csr(&csr, shape, imp))),
@@ -185,9 +182,7 @@ fn multi_vector_is_bitwise_per_column() {
 
 /// Every index-compressed format must be *bitwise* equal to its
 /// full-width baseline over the whole seeded corpus: the narrow-index
-/// variants run the very same kernels, and CSR-Δ's scalar kernel repeats
-/// CSR's accumulation order exactly. (CSR-Δ SIMD reassociates unit runs
-/// and is covered by the tolerance-based sweep above instead.)
+/// variants run the very same kernels.
 #[test]
 fn compressed_formats_are_bitwise_equal_to_u32_baselines() {
     let shape = BlockShape::new(2, 2).unwrap();
@@ -199,14 +194,6 @@ fn compressed_formats_are_bitwise_equal_to_u32_baselines() {
             .map(|i| 0.25 * (i % 9) as f64 - 1.0)
             .collect();
         let x1 = &x[..m];
-
-        let delta = CsrDelta::from_csr(&csr, KernelImpl::Scalar);
-        assert_eq!(delta.spmv(x1), csr.spmv(x1), "seed {seed} csr-delta");
-        assert_eq!(
-            delta.spmv_multi(&x, K),
-            csr.spmv_multi(&x, K),
-            "seed {seed} csr-delta multi"
-        );
 
         for imp in KernelImpl::ALL {
             let wide = Bcsr::from_csr(&csr, shape, imp);

@@ -1,12 +1,11 @@
 //! Degenerate-shape and boundary coverage for every format, single- and
 //! multi-vector: empty matrices, single-row / single-column matrices, a
 //! fully dense row, the 1D-VBL `u8` run-length boundary (a dense row
-//! wider than 255 columns must split into multiple runs), and the CSR-Δ
-//! delta-width boundaries (u8→u16→u32 escalation inside one row, gaps
-//! past 255).
+//! wider than 255 columns must split into multiple runs), rows whose
+//! column gaps pass 255, and a column space too wide for u16 indices.
 
-use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
-use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, CsrDelta, Vbl, Vbr};
+use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMvMulti};
+use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl, Vbr};
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 
 const K: usize = 4;
@@ -33,10 +32,6 @@ fn check_all(coo: &Coo<f64>, what: &str) {
     for imp in KernelImpl::ALL {
         let formats: Vec<(String, Box<dyn SpMvMulti<f64>>)> = vec![
             ("csr".to_string(), Box::new(csr.clone())),
-            (
-                format!("csr-delta {imp}"),
-                Box::new(CsrDelta::from_csr(&csr, imp)),
-            ),
             (
                 format!("bcsr {imp}"),
                 Box::new(Bcsr::from_csr(&csr, shape, imp)),
@@ -149,10 +144,11 @@ fn vbl_run_longer_than_255_columns_splits() {
 }
 
 #[test]
-fn csr_delta_width_escalates_u8_u16_u32_mid_row() {
-    // One row whose column gaps cross every width class: a leading
-    // gap-1 stretch (unit run), a 96 gap (u8), a 300 gap (u16), and two
-    // gaps past u16::MAX (u32) — all inside the same row.
+fn narrow_indices_fall_back_past_u16_columns() {
+    // One row whose column gaps range from 1 to past u16::MAX, in a
+    // column space too wide for u16 block indices: the narrow
+    // constructors must fall back to full width, and every format must
+    // still agree.
     let n_cols = 132_001;
     let cols = [0usize, 1, 2, 3, 4, 100, 400, 66_000, 132_000];
     let mut coo = Coo::new(2, n_cols);
@@ -161,50 +157,24 @@ fn csr_delta_width_escalates_u8_u16_u32_mid_row() {
     }
     coo.push(1, 7, 2.5).unwrap();
     let csr = Csr::from_coo(&coo);
-    for imp in KernelImpl::ALL {
-        let delta = CsrDelta::from_csr(&csr, imp);
-        delta.validate().unwrap();
-        let [unit, w8, w16, w32] = delta.run_counts();
-        assert_eq!(
-            (unit, w8, w16, w32),
-            (1, 2, 1, 1),
-            "row 0: unit+u8+u16+u32 (the two u32 gaps coalesce), row 1: one u8 run ({imp})"
-        );
-        assert_eq!(delta.to_csr(), csr, "{imp}");
-        let x: Vec<f64> = (0..n_cols).map(|i| 0.5 + (i % 13) as f64 * 0.25).collect();
-        if imp == KernelImpl::Scalar {
-            assert_eq!(delta.spmv(&x), csr.spmv(&x), "{imp} must be bitwise");
-        } else {
-            for (g, w) in delta.spmv(&x).iter().zip(csr.spmv(&x)) {
-                assert!((g - w).abs() <= 1e-9 * (1.0 + w.abs()), "{imp}");
-            }
-        }
-    }
-    // The same matrix is too wide for u16 block indices: the narrow
-    // constructors must fall back to full width and still be exact.
     let narrow = Bcsr::from_csr_narrow(&csr, BlockShape::new(2, 2).unwrap(), KernelImpl::Scalar);
     assert_eq!(
         narrow.index_width(),
         blocked_spmv::core::IndexWidth::U32,
         "132001 columns exceed the u16 range"
     );
+    check_all(&coo, "u32 column space");
 }
 
 #[test]
-fn csr_delta_rows_with_gaps_past_255() {
-    // Every row jumps >= 256 columns between nonzeros, so no gap fits
-    // u8's singleton class comfortably packed as units: the encoder must
-    // emit u16 runs and every format must still agree.
+fn rows_with_gaps_past_255() {
+    // Every row jumps >= 256 columns between nonzeros: no gap fits a
+    // byte, and every format must still agree.
     let mut coo = Coo::new(5, 600);
     for i in 0..5 {
         coo.push(i, i, 1.0 + i as f64).unwrap();
         coo.push(i, i + 590, 2.0 + i as f64).unwrap();
     }
-    let csr = Csr::from_coo(&coo);
-    let delta = CsrDelta::from_csr(&csr, KernelImpl::Scalar);
-    delta.validate().unwrap();
-    let [_, _, w16, _] = delta.run_counts();
-    assert!(w16 >= 5, "each 590-wide jump needs a u16 gap");
     check_all(&coo, ">=256-gap rows");
 }
 

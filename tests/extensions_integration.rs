@@ -3,12 +3,15 @@
 //! heuristic and the models agree on easy cases, and the multicore and
 //! latency extensions compose with the core pipeline.
 
+use std::collections::BTreeSet;
+
 use blocked_spmv::gen::GenSpec;
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::model::{
-    input_vector_miss_estimate, predict_overlap_lat, predict_threaded,
-    predicted_saturation_point, read_profile, select, select_bcsr_shape, write_profile,
-    BlockConfig, Config, DenseProfile, KernelProfile, LatencyProfile, MachineProfile, Model,
+    candidate_configs_extended, input_vector_miss_estimate, load_profile, predict_overlap_lat,
+    predict_threaded, predicted_saturation_point, read_profile, select, select_bcsr_shape,
+    write_profile, BlockConfig, Config, DenseProfile, KernelKey, KernelProfile, LatencyProfile,
+    MachineProfile, Model,
 };
 
 fn machine() -> MachineProfile {
@@ -154,11 +157,30 @@ fn saved_profile_file_is_human_auditable() {
     assert!(text.contains("\ncsr "));
     assert!(text.contains("\nbcsr 2 2 scalar "));
     assert!(text.contains("\nbcsd 4 simd "));
-    assert!(text.contains("\ncsrdelta scalar "));
     assert!(text.contains("\nbcsrmasked 2 2 scalar "));
     assert!(text.contains("\nbcsdmasked 4 simd "));
     assert!(text.contains("\nsell 4 simd "));
-    // 1 header + 1 machine + 113 kernel lines (csr + 2 csr-delta + 38
-    // bcsr + 14 bcsd + their 52 masked twins + 6 sell heights × impls).
-    assert_eq!(text.trim_end().lines().count(), 115);
+    // 1 header + 1 machine + 111 kernel lines (csr + 38 bcsr + 14 bcsd
+    // + their 52 masked twins + 6 sell heights × impls).
+    assert_eq!(text.trim_end().lines().count(), 113);
+}
+
+#[test]
+fn committed_benchmark_profile_covers_the_extended_candidates() {
+    // The benchmark selects with the pinned calibration
+    // `benchmark/profile.txt` and profiles any kernel key it lacks on the
+    // spot, inside its set-up time. Every key the extended OVERLAP
+    // candidates need must therefore be in the file. (The file was
+    // written while CSR-Δ still existed; its `csrdelta` lines are read
+    // and skipped.)
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/profile.txt");
+    let (_, profile) = load_profile(path).expect("the committed calibration loads");
+    let present: BTreeSet<KernelKey> = profile.iter().map(|(k, _)| *k).collect();
+    let needed: BTreeSet<KernelKey> = candidate_configs_extended(Model::Overlap, true)
+        .iter()
+        .map(|c| c.kernel_key())
+        .chain([KernelKey::Csr])
+        .collect();
+    let missing: Vec<String> = needed.difference(&present).map(|k| k.to_string()).collect();
+    assert!(missing.is_empty(), "benchmark/profile.txt lacks {missing:?}");
 }

@@ -80,7 +80,6 @@ fn substats_match<T: SimdScalar>() {
 fn block_counts<T: SimdScalar>(built: &BuiltFormat<T>) -> Vec<usize> {
     match built {
         BuiltFormat::Csr(m) => vec![m.nnz()],
-        BuiltFormat::CsrDelta(m) => vec![m.nnz()],
         BuiltFormat::Bcsr(m) => vec![m.n_blocks()],
         BuiltFormat::Bcsd(m) => vec![m.n_blocks()],
         BuiltFormat::BcsrDec(m) => vec![m.main().n_blocks(), m.rest().nnz()],

@@ -147,10 +147,19 @@ fn prepare_spans_ranking_then_conversion() {
     telemetry::set_enabled(true);
     telemetry::clear();
     let serial = PreparedMatrix::prepare(&csr, Model::Overlap, &machine, &profile, true);
-    let pooled = PreparedMatrix::from_config_pooled(serial.config(), &csr, 2, PinPolicy::None);
+    let pooled = PreparedMatrix::prepare_pooled(
+        &csr,
+        Model::Overlap,
+        &machine,
+        &profile,
+        true,
+        2,
+        PinPolicy::None,
+    );
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
     telemetry::clear();
+    assert_eq!(pooled.config(), serial.config());
     drop(pooled);
 
     let spans = |name: &str| -> Vec<telemetry::Event> {
@@ -160,16 +169,35 @@ fn prepare_spans_ranking_then_conversion() {
             .copied()
             .collect()
     };
+    let inside = |outer: &telemetry::Event, inner: &telemetry::Event| {
+        inner.ts_ns >= outer.ts_ns && inner.ts_ns + inner.value <= outer.ts_ns + outer.value
+    };
+    // Each prepare is one `serve.prepare` span (arg = nonzeros) on the
+    // calling thread, enclosing its ranking.
+    let prepares = spans("serve.prepare");
     let rank = spans("model.rank");
-    assert_eq!(rank.len(), 1);
+    assert_eq!(prepares.len(), 2);
+    assert_eq!(rank.len(), 2);
+    for (p, r) in prepares.iter().zip(&rank) {
+        assert_eq!(p.arg, nnz);
+        assert_eq!(r.tid, p.tid);
+        assert!(inside(p, r), "model.rank outside serve.prepare");
+    }
     // The serial prepare converts the whole matrix once the ranking is
-    // done; the pool converts one strip per worker.
+    // done; the pool converts one strip per worker. Every conversion
+    // falls inside its prepare, after its ranking.
     let builds = spans("formats.build");
     let (whole, strips) = builds.split_first().expect("formats.build spans");
     assert_eq!(whole.arg, nnz);
+    assert_eq!(whole.tid, prepares[0].tid);
+    assert!(inside(&prepares[0], whole));
     assert!(whole.ts_ns >= rank[0].ts_ns + rank[0].value);
     assert_eq!(strips.len(), 2);
     assert_eq!(strips.iter().map(|e| e.arg).sum::<u64>(), nnz);
+    for strip in strips {
+        assert!(inside(&prepares[1], strip), "strip build outside serve.prepare");
+        assert!(strip.ts_ns >= rank[1].ts_ns + rank[1].value);
+    }
 }
 
 #[test]
