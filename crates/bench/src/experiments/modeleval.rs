@@ -62,8 +62,8 @@ pub struct CompressionStat {
     /// the value array).
     pub index_bytes_per_nnz: f64,
     /// Padded-zero value bytes streamed per nonzero: the price of the
-    /// format's fill. Zero for padding-free formats (CSR, the masked
-    /// blocked variants, decomposed full blocks).
+    /// format's fill. Zero for padding-free formats (CSR, decomposed
+    /// full blocks).
     pub fill_bytes_per_nnz: f64,
     /// OVERLAP-model prediction for that configuration, seconds.
     pub predicted: f64,
@@ -85,16 +85,8 @@ fn residual_key(c: Config, model: Model) -> ResidualKey {
 }
 
 /// Family display order of the compression report.
-const FAMILIES: [&str; 9] = [
-    "CSR",
-    "BCSR",
-    "BCSR16",
-    "BCSR-MASK",
-    "BCSR-DEC",
-    "BCSD",
-    "BCSD16",
-    "BCSD-MASK",
-    "BCSD-DEC",
+const FAMILIES: [&str; 7] = [
+    "CSR", "BCSR", "BCSR16", "BCSR-DEC", "BCSD", "BCSD16", "BCSD-DEC",
 ];
 
 /// The full model-evaluation dataset for one precision.
@@ -181,9 +173,8 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
     let ws_hint = ws.get(ws.len() / 2).copied().unwrap_or(8 << 20);
     let (machine, profile) = calibrate::<T>(ws_hint, opts);
 
-    // The whole extended space is measured, and the models select from
-    // its candidate subset (masked configurations are measured but not
-    // offered), so selections always have a matching measurement.
+    // The whole extended space is measured and the models select from
+    // it, so selections always have a matching measurement.
     let configs = Config::enumerate_extended(true);
     let residuals = spmv_telemetry::residual::global();
     let mut per_matrix = Vec::with_capacity(matrices.len());
@@ -428,7 +419,7 @@ mod tests {
             for c in &m.compression {
                 assert!(c.index_bytes_per_nnz > 0.0, "{}", c.family);
                 assert!(c.fill_bytes_per_nnz >= 0.0);
-                if matches!(c.family, "CSR" | "BCSR-MASK" | "BCSD-MASK") {
+                if c.family == "CSR" {
                     assert_eq!(c.fill_bytes_per_nnz, 0.0, "{} must be padding-free", c.family);
                 }
             }

@@ -45,9 +45,6 @@ fn partition_inputs<T: SimdScalar>(csr: &Csr<T>, config: Config) -> (Vec<u64>, u
         BlockConfig::BcsrDec(shape) => (unit_nnz_weights(csr, shape.rows()), shape.rows()),
         BlockConfig::Bcsd(b) | BlockConfig::BcsdNarrow(b) => (bcsd_unit_weights(csr, b), b),
         BlockConfig::BcsdDec(b) => (unit_nnz_weights(csr, b), b),
-        // Masked formats store no padding, so true nonzeros are the work.
-        BlockConfig::BcsrMasked(shape) => (unit_nnz_weights(csr, shape.rows()), shape.rows()),
-        BlockConfig::BcsdMasked(b) => (unit_nnz_weights(csr, b), b),
         // SELL strips split on slice boundaries; weights count padded slices.
         BlockConfig::SellCSigma { c, .. } | BlockConfig::SellCSigmaNarrow { c, .. } => {
             (sell_unit_weights(csr, c), c)

@@ -11,14 +11,12 @@
 //! | [`Bcsd`] | BCSD | fixed-size diagonal blocks, padding |
 //! | [`BcsrDec`] | BCSR-DEC | decomposed: full BCSR blocks + CSR rest |
 //! | [`BcsdDec`] | BCSD-DEC | decomposed: full BCSD blocks + CSR rest |
-//! | [`BcsrMasked`] | BCSR-MASK | fixed-size 2-D blocks, occupancy masks, no padding (extension) |
-//! | [`BcsdMasked`] | BCSD-MASK | fixed-size diagonal blocks, occupancy masks, no padding (extension) |
 //! | [`Vbl`] | 1D-VBL | variable-size 1-D blocks, no padding |
 //! | [`Vbr`] | VBR | variable-size 2-D blocks (described in §II, not in the model study) |
 //! | [`SellCSigma`] | SELL-C-σ | sliced ELLPACK, σ-windowed row sorting, padding (extension) |
 //!
-//! As an index-compression extension beyond the paper, BCSR, BCSD, their
-//! masked variants, 1D-VBL and SELL-C-σ additionally offer
+//! As an index-compression extension beyond the paper, BCSR, BCSD,
+//! 1D-VBL and SELL-C-σ additionally offer
 //! `from_csr_narrow` constructors that store their column arrays at u16
 //! width when the column space fits (see [`spmv_core::IndexWidth`]).
 //!
@@ -33,7 +31,6 @@
 pub mod bcsd;
 pub mod bcsr;
 pub mod decomposed;
-pub mod masked;
 mod narrow;
 pub mod sellc;
 pub mod stats;
@@ -43,12 +40,11 @@ pub mod vbr;
 pub use bcsd::Bcsd;
 pub use bcsr::Bcsr;
 pub use decomposed::{BcsdDec, BcsrDec, Decomposed};
-pub use masked::{BcsdMasked, BcsrMasked};
 pub use sellc::{sell_sigmas, SellCSigma, SELL_SIGMA_FULL};
 pub use stats::{
-    bcsd_counts, bcsd_dec_stats, bcsd_masked_stats, bcsd_stats, bcsr_counts, bcsr_dec_stats,
-    bcsr_masked_stats, bcsr_stats, bcsr_stats_sampled, sell_sorted_lengths, sellc_stats,
-    sellc_stats_sorted, vbl_stats, BlockCounts, FormatStats,
+    bcsd_counts, bcsd_dec_stats, bcsd_stats, bcsr_counts, bcsr_dec_stats, bcsr_stats,
+    bcsr_stats_sampled, sell_sorted_lengths, sellc_stats, sellc_stats_sorted, vbl_stats,
+    BlockCounts, FormatStats,
 };
 pub use vbl::Vbl;
 pub use vbr::Vbr;
@@ -139,11 +135,6 @@ pub enum FormatKind {
     Bcsd,
     /// Decomposed BCSD.
     BcsdDec,
-    /// Masked BCSR: per-block occupancy bitmasks instead of padding
-    /// (padding-free extension beyond the paper).
-    BcsrMasked,
-    /// Masked BCSD: per-block occupancy bitmasks instead of padding.
-    BcsdMasked,
     /// One-dimensional Variable Block Length.
     Vbl,
     /// Variable Block Row (§II extension; not part of the model study).
@@ -162,8 +153,6 @@ impl FormatKind {
             FormatKind::BcsrDec => "BCSR-DEC",
             FormatKind::Bcsd => "BCSD",
             FormatKind::BcsdDec => "BCSD-DEC",
-            FormatKind::BcsrMasked => "BCSR-MASK",
-            FormatKind::BcsdMasked => "BCSD-MASK",
             FormatKind::Vbl => "1D-VBL",
             FormatKind::Vbr => "VBR",
             FormatKind::SellCSigma => "SELL",

@@ -9,14 +9,14 @@
 //! estimators play in SPARSITY/OSKI-style autotuners.
 //!
 //! Those numbers depend on the block geometry alone, not on the kernel
-//! implementation, index width, masking or decomposition. So there is one
+//! implementation, index width or decomposition. So there is one
 //! `O(nnz)` counting scan per geometry — [`bcsr_counts`] per BCSR shape,
 //! [`bcsd_counts`] per BCSD size — returning [`BlockCounts`], and the
-//! padded, decomposed and masked statistics of that geometry are
-//! derivations of it ([`BlockCounts::padded`], [`BlockCounts::decomposed`],
-//! [`BlockCounts::masked`]). Likewise SELL-C-σ needs only the row lengths
-//! sorted per σ window ([`sell_sorted_lengths`]), shared by every slice
-//! height. Ranking the 259-configuration extended space therefore needs
+//! padded and decomposed statistics of that geometry are derivations of
+//! it ([`BlockCounts::padded`], [`BlockCounts::decomposed`]). Likewise
+//! SELL-C-σ needs only the row lengths sorted per σ window
+//! ([`sell_sorted_lengths`]), shared by every slice height. Ranking the
+//! 205-configuration extended space therefore needs
 //! 26 block scans, not one scan per configuration, when the caller keeps
 //! the per-geometry results (`spmv_model::config::ArenaStats` does).
 //!
@@ -42,7 +42,7 @@ pub struct FormatStats {
     pub index_rows: usize,
     /// Bytes spent on padded-zero *values* in the main submatrix — the
     /// part of the value stream that carries no information. Zero for
-    /// padding-free formats (decomposed mains, 1D-VBL, masked).
+    /// padding-free formats (decomposed mains, 1D-VBL).
     pub fill_bytes: usize,
 }
 
@@ -63,7 +63,7 @@ impl FormatStats {
 
 /// What one counting scan of a fixed-size block geometry (an `r x c`
 /// BCSR shape or a size-`b` BCSD diagonal) finds. Every statistic of the
-/// geometry's padded, decomposed and masked formats derives from it.
+/// geometry's padded and decomposed formats derives from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockCounts {
     /// Blocks holding at least one nonzero.
@@ -95,20 +95,6 @@ impl BlockCounts {
             nb: self.nb_full,
             stored: covered,
             rest_nnz: nnz - covered,
-            index_rows: self.index_rows,
-            fill_bytes: 0,
-        }
-    }
-
-    /// Masked storage ([`crate::BcsrMasked`], [`crate::BcsdMasked`]): the
-    /// padded block structure, but the value stream holds only the `nnz`
-    /// true nonzeros (no fill bytes) plus one occupancy byte per block —
-    /// which the working-set accounting charges via `nb`.
-    pub fn masked(self, nnz: usize) -> FormatStats {
-        FormatStats {
-            nb: self.nb,
-            stored: nnz,
-            rest_nnz: 0,
             index_rows: self.index_rows,
             fill_bytes: 0,
         }
@@ -227,12 +213,6 @@ pub fn bcsr_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats {
     bcsr_counts(csr, shape).padded::<T>(shape.elems(), csr.nnz())
 }
 
-/// Statistics for masked BCSR ([`crate::BcsrMasked`]); see
-/// [`BlockCounts::masked`].
-pub fn bcsr_masked_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats {
-    bcsr_counts(csr, shape).masked(csr.nnz())
-}
-
 /// Counts full blocks and remainder for BCSR-DEC without building it.
 pub fn bcsr_dec_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats {
     bcsr_counts(csr, shape).decomposed(shape.elems(), csr.nnz())
@@ -241,12 +221,6 @@ pub fn bcsr_dec_stats<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> FormatStats
 /// Counts blocks/padding for BCSD without building it.
 pub fn bcsd_stats<T: Scalar>(csr: &Csr<T>, b: usize) -> FormatStats {
     bcsd_counts(csr, b).padded::<T>(b, csr.nnz())
-}
-
-/// Statistics for masked BCSD ([`crate::BcsdMasked`]); see
-/// [`BlockCounts::masked`].
-pub fn bcsd_masked_stats<T: Scalar>(csr: &Csr<T>, b: usize) -> FormatStats {
-    bcsd_counts(csr, b).masked(csr.nnz())
 }
 
 /// Counts full diagonal blocks and remainder for BCSD-DEC without
@@ -461,25 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_stats_match_constructed_formats() {
-        let csr = fixture(10);
-        for shape in [BlockShape::new(2, 2).unwrap(), BlockShape::new(1, 8).unwrap()] {
-            let est = bcsr_masked_stats(&csr, shape);
-            let real = crate::BcsrMasked::from_csr(&csr, shape, KernelImpl::Scalar);
-            assert_eq!(est.nb, real.n_blocks(), "shape {shape}");
-            assert_eq!(est.stored, real.nnz_stored(), "shape {shape}");
-            assert_eq!(est.fill_bytes, 0);
-        }
-        for b in [3usize, 4] {
-            let est = bcsd_masked_stats(&csr, b);
-            let real = crate::BcsdMasked::from_csr(&csr, b, KernelImpl::Scalar);
-            assert_eq!(est.nb, real.n_blocks(), "b {b}");
-            assert_eq!(est.stored, real.nnz_stored(), "b {b}");
-            assert_eq!(est.fill_bytes, 0);
-        }
-    }
-
-    #[test]
     fn sellc_stats_match_constructed_format() {
         let csr = fixture(12);
         for c in spmv_kernels::SELL_HEIGHTS {
@@ -606,14 +561,12 @@ mod tests {
                 bcsr_dec_stats(&csr, shape),
                 counts.decomposed(shape.elems(), nnz)
             );
-            assert_eq!(bcsr_masked_stats(&csr, shape), counts.masked(nnz));
         }
         for b in spmv_kernels::BCSD_SIZES {
             let counts = bcsd_counts(&csr, b);
             assert!(counts.nb_full <= counts.nb);
             assert_eq!(bcsd_stats(&csr, b), counts.padded::<f64>(b, nnz));
             assert_eq!(bcsd_dec_stats(&csr, b), counts.decomposed(b, nnz));
-            assert_eq!(bcsd_masked_stats(&csr, b), counts.masked(nnz));
         }
     }
 

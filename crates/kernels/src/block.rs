@@ -62,12 +62,9 @@ pub fn bcsr_core<T: Scalar, E: LaneEngine<T>, const R: usize, const C: usize, co
 }
 
 /// Accumulates one dense `R x C` block (values `b`, absolute start column
-/// `x0`) into the block row's accumulator tile. Shared verbatim by
-/// [`bcsr_core`] and the masked kernels in [`crate::masked`], which is
-/// what makes masked-vs-padded bitwise equality structural rather than
-/// argued.
+/// `x0`) into the block row's accumulator tile.
 #[inline(always)]
-pub(crate) fn bcsr_block_step<
+fn bcsr_block_step<
     T: Scalar,
     E: LaneEngine<T>,
     const R: usize,
@@ -106,7 +103,7 @@ pub(crate) fn bcsr_block_step<
 
 /// Flushes a BCSR accumulator tile into the output vectors.
 #[inline(always)]
-pub(crate) fn bcsr_epilogue<
+fn bcsr_epilogue<
     T: Scalar,
     E: LaneEngine<T>,
     const R: usize,
@@ -162,9 +159,8 @@ pub fn bcsd_core<T: Scalar, E: LaneEngine<T>, const B: usize, const K: usize>(
 
 /// Accumulates one dense size-`B` diagonal block (values `v`, true start
 /// column `j0`, bias already removed) into the segment's accumulators.
-/// Shared verbatim by [`bcsd_core`] and [`crate::masked`].
 #[inline(always)]
-pub(crate) fn bcsd_block_step<T: Scalar, E: LaneEngine<T>, const B: usize, const K: usize>(
+fn bcsd_block_step<T: Scalar, E: LaneEngine<T>, const B: usize, const K: usize>(
     v: &[T],
     j0: usize,
     x: &[T],
@@ -194,7 +190,7 @@ pub(crate) fn bcsd_block_step<T: Scalar, E: LaneEngine<T>, const B: usize, const
 
 /// Flushes a BCSD accumulator set into the output vectors.
 #[inline(always)]
-pub(crate) fn bcsd_epilogue<T: Scalar, E: LaneEngine<T>, const B: usize, const K: usize>(
+fn bcsd_epilogue<T: Scalar, E: LaneEngine<T>, const B: usize, const K: usize>(
     accv: &[[E::Vec; K]; B],
     acct: &[[T; K]; 7],
     y: &mut [T],

@@ -26,20 +26,15 @@ pub mod block;
 pub mod engine;
 #[cfg(test)]
 mod gate;
-pub mod masked;
 pub mod registry;
 pub mod scalar;
 pub mod sell;
 pub mod shapes;
 pub mod simd;
 
-pub use masked::Mask;
 pub use registry::{
-    bcsd_masked_seg_kernel, bcsd_masked_seg_multi_kernel, bcsd_seg_kernel, bcsd_seg_multi_kernel,
-    bcsr_masked_row_kernel, bcsr_masked_row_multi_kernel, bcsr_row_kernel, bcsr_row_multi_kernel,
-    dot_run, dot_run_multi, BcsdMaskedSegKernel, BcsdMaskedSegMultiKernel, BcsdSegKernel,
-    BcsdSegMultiKernel, BcsrMaskedRowKernel, BcsrMaskedRowMultiKernel, BcsrRowKernel,
-    BcsrRowMultiKernel,
+    bcsd_seg_kernel, bcsd_seg_multi_kernel, bcsr_row_kernel, bcsr_row_multi_kernel, dot_run,
+    dot_run_multi, BcsdSegKernel, BcsdSegMultiKernel, BcsrRowKernel, BcsrRowMultiKernel,
 };
 pub use sell::{
     sell_slice_kernel, sell_slice_multi_kernel, SellSliceKernel, SellSliceMultiKernel,

@@ -1,14 +1,13 @@
 //! Runtime dispatch from `(shape, implementation)` to kernel functions.
 //!
 //! Every kernel here is an instantiation of the generic cores in
-//! [`crate::block`] / [`crate::masked`]: the dispatch macros below map a
+//! [`crate::block`]: the dispatch macros below map a
 //! runtime shape (or BCSD size, or vector count) onto the matching
 //! monomorphization, and the [`KernelImpl`] chooses the lane engine —
 //! [`ScalarEngine`] for `Scalar`, [`SimdScalar::Engine`] for `Simd`.
 
 use crate::block;
 use crate::engine::{LaneEngine, ScalarEngine};
-use crate::masked::{self, Mask};
 use crate::shapes::{BlockShape, KernelImpl};
 use crate::simd::SimdScalar;
 use spmv_core::{Index, Scalar};
@@ -104,24 +103,6 @@ pub type BcsrRowMultiKernel<T> = fn(&[T], &[Index], &[T], usize, &mut [T], usize
 /// same signature convention as [`BcsrRowMultiKernel`].
 pub type BcsdSegMultiKernel<T> = fn(&[T], &[Index], &[T], usize, &mut [T], usize, usize);
 
-/// A masked BCSR block-row kernel:
-/// `kernel(pvals, bcols, masks, x, yrow)` — packed nonzeros plus one
-/// occupancy [`Mask`] per block instead of padded dense values.
-pub type BcsrMaskedRowKernel<T> = fn(&[T], &[Index], &[Mask], &[T], &mut [T]);
-
-/// A masked BCSD segment kernel; masked sibling of [`BcsdSegKernel`].
-pub type BcsdMaskedSegKernel<T> = fn(&[T], &[Index], &[Mask], &[T], &mut [T]);
-
-/// A masked multi-vector BCSR block-row kernel; masked sibling of
-/// [`BcsrRowMultiKernel`].
-pub type BcsrMaskedRowMultiKernel<T> =
-    fn(&[T], &[Index], &[Mask], &[T], usize, &mut [T], usize, usize);
-
-/// A masked multi-vector BCSD segment kernel; masked sibling of
-/// [`BcsdSegMultiKernel`].
-pub type BcsdMaskedSegMultiKernel<T> =
-    fn(&[T], &[Index], &[Mask], &[T], usize, &mut [T], usize, usize);
-
 fn bcsr_row_kernel_engine<T: Scalar, E: LaneEngine<T>>(
     shape: BlockShape,
 ) -> Option<BcsrRowKernel<T>> {
@@ -161,52 +142,6 @@ fn bcsd_seg_multi_kernel_engine<T: Scalar, E: LaneEngine<T>>(
     macro_rules! apply {
         ($b:literal) => {
             dispatch_k!(k, [block::bcsd_core], BcsdSegMultiKernel<T>, T, E, $b)
-        };
-    }
-    dispatch_size!(b, apply)
-}
-
-fn bcsr_masked_row_kernel_engine<T: Scalar, E: LaneEngine<T>>(
-    shape: BlockShape,
-) -> Option<BcsrMaskedRowKernel<T>> {
-    macro_rules! apply {
-        ($r:literal, $c:literal) => {
-            Some(masked::bcsr_masked_row::<T, E, $r, $c> as BcsrMaskedRowKernel<T>)
-        };
-    }
-    dispatch_shape!(shape, apply)
-}
-
-fn bcsd_masked_seg_kernel_engine<T: Scalar, E: LaneEngine<T>>(
-    b: usize,
-) -> Option<BcsdMaskedSegKernel<T>> {
-    macro_rules! apply {
-        ($b:literal) => {
-            Some(masked::bcsd_masked_seg::<T, E, $b> as BcsdMaskedSegKernel<T>)
-        };
-    }
-    dispatch_size!(b, apply)
-}
-
-fn bcsr_masked_row_multi_kernel_engine<T: Scalar, E: LaneEngine<T>>(
-    shape: BlockShape,
-    k: usize,
-) -> Option<BcsrMaskedRowMultiKernel<T>> {
-    macro_rules! apply {
-        ($r:literal, $c:literal) => {
-            dispatch_k!(k, [masked::bcsr_masked_core], BcsrMaskedRowMultiKernel<T>, T, E, $r, $c)
-        };
-    }
-    dispatch_shape!(shape, apply)
-}
-
-fn bcsd_masked_seg_multi_kernel_engine<T: Scalar, E: LaneEngine<T>>(
-    b: usize,
-    k: usize,
-) -> Option<BcsdMaskedSegMultiKernel<T>> {
-    macro_rules! apply {
-        ($b:literal) => {
-            dispatch_k!(k, [masked::bcsd_masked_core], BcsdMaskedSegMultiKernel<T>, T, E, $b)
         };
     }
     dispatch_size!(b, apply)
@@ -310,56 +245,6 @@ pub fn bcsd_seg_multi_kernel<T: SimdScalar>(
     }
 }
 
-/// Masked BCSR block-row kernel for `(shape, imp)` — the padding-free
-/// sibling of [`bcsr_row_kernel`], bitwise-equal to it on the padded
-/// expansion of the same blocks.
-pub fn bcsr_masked_row_kernel<T: SimdScalar>(
-    shape: BlockShape,
-    imp: KernelImpl,
-) -> BcsrMaskedRowKernel<T> {
-    match imp {
-        KernelImpl::Scalar => bcsr_masked_row_kernel_engine::<T, ScalarEngine>(shape),
-        KernelImpl::Simd => bcsr_masked_row_kernel_engine::<T, T::Engine>(shape),
-    }
-    .unwrap_or_else(|| panic!("unsupported BCSR shape {shape}"))
-}
-
-/// Masked BCSD segment kernel for `(b, imp)` — padding-free sibling of
-/// [`bcsd_seg_kernel`].
-pub fn bcsd_masked_seg_kernel<T: SimdScalar>(b: usize, imp: KernelImpl) -> BcsdMaskedSegKernel<T> {
-    match imp {
-        KernelImpl::Scalar => bcsd_masked_seg_kernel_engine::<T, ScalarEngine>(b),
-        KernelImpl::Simd => bcsd_masked_seg_kernel_engine::<T, T::Engine>(b),
-    }
-    .unwrap_or_else(|| panic!("unsupported BCSD size {b}"))
-}
-
-/// Masked multi-vector BCSR block-row kernel for `(shape, k, imp)`;
-/// `None` when `k` is not a specialized count.
-pub fn bcsr_masked_row_multi_kernel<T: SimdScalar>(
-    shape: BlockShape,
-    k: usize,
-    imp: KernelImpl,
-) -> Option<BcsrMaskedRowMultiKernel<T>> {
-    match imp {
-        KernelImpl::Scalar => bcsr_masked_row_multi_kernel_engine::<T, ScalarEngine>(shape, k),
-        KernelImpl::Simd => bcsr_masked_row_multi_kernel_engine::<T, T::Engine>(shape, k),
-    }
-}
-
-/// Masked multi-vector BCSD segment kernel for `(b, k, imp)`; `None`
-/// when `k` is not a specialized count.
-pub fn bcsd_masked_seg_multi_kernel<T: SimdScalar>(
-    b: usize,
-    k: usize,
-    imp: KernelImpl,
-) -> Option<BcsdMaskedSegMultiKernel<T>> {
-    match imp {
-        KernelImpl::Scalar => bcsd_masked_seg_multi_kernel_engine::<T, ScalarEngine>(b, k),
-        KernelImpl::Simd => bcsd_masked_seg_multi_kernel_engine::<T, T::Engine>(b, k),
-    }
-}
-
 /// Dot product of one contiguous value run against `acc.len()` input
 /// columns (the 1D-VBL multi-vector inner kernel): for each vector `t`,
 /// adds `vals · x[t*xstride + j0 ..]` into `acc[t]`. The run values are
@@ -390,8 +275,6 @@ mod tests {
             for imp in KernelImpl::ALL {
                 let _ = bcsr_row_kernel::<f64>(shape, imp);
                 let _ = bcsr_row_kernel::<f32>(shape, imp);
-                let _ = bcsr_masked_row_kernel::<f64>(shape, imp);
-                let _ = bcsr_masked_row_kernel::<f32>(shape, imp);
             }
         }
         // The degenerate 1x1 kernel exists too (used for CSR profiling).
@@ -404,8 +287,6 @@ mod tests {
             for imp in KernelImpl::ALL {
                 let _ = bcsd_seg_kernel::<f64>(b, imp);
                 let _ = bcsd_seg_kernel::<f32>(b, imp);
-                let _ = bcsd_masked_seg_kernel::<f64>(b, imp);
-                let _ = bcsd_masked_seg_kernel::<f32>(b, imp);
             }
         }
     }
@@ -435,10 +316,8 @@ mod tests {
                 for k in crate::MULTI_KS {
                     assert!(bcsr_row_multi_kernel::<f64>(shape, k, imp).is_some());
                     assert!(bcsr_row_multi_kernel::<f32>(shape, k, imp).is_some());
-                    assert!(bcsr_masked_row_multi_kernel::<f64>(shape, k, imp).is_some());
                 }
                 assert!(bcsr_row_multi_kernel::<f64>(shape, 3, imp).is_none());
-                assert!(bcsr_masked_row_multi_kernel::<f64>(shape, 3, imp).is_none());
             }
         }
         for b in 1..=8 {
@@ -446,10 +325,8 @@ mod tests {
                 for k in crate::MULTI_KS {
                     assert!(bcsd_seg_multi_kernel::<f64>(b, k, imp).is_some());
                     assert!(bcsd_seg_multi_kernel::<f32>(b, k, imp).is_some());
-                    assert!(bcsd_masked_seg_multi_kernel::<f64>(b, k, imp).is_some());
                 }
                 assert!(bcsd_seg_multi_kernel::<f64>(b, 5, imp).is_none());
-                assert!(bcsd_masked_seg_multi_kernel::<f64>(b, 5, imp).is_none());
             }
         }
     }
@@ -470,23 +347,5 @@ mod tests {
         let x = [1.0, 1.0, 1.0, 1.0, 1.0];
         assert_eq!(dot_run(&v, &x, KernelImpl::Scalar), 15.0);
         assert!((dot_run(&v, &x, KernelImpl::Simd) - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn masked_kernel_matches_padded_kernel_bitwise() {
-        // One partial + one full 2x2 block, both impls.
-        let pvals = [5.0f64, -3.0, 1.0, 2.0, 3.0, 4.0];
-        let masks = [0b0110u8, 0b1111];
-        let bcols = [0u32, 4];
-        let padded = [0.0, 5.0, -3.0, 0.0, 1.0, 2.0, 3.0, 4.0];
-        let x: Vec<f64> = (0..6).map(|i| 0.1 + i as f64).collect();
-        let shape = BlockShape::new(2, 2).unwrap();
-        for imp in KernelImpl::ALL {
-            let mut ym = [1.0f64; 2];
-            let mut yp = [1.0f64; 2];
-            bcsr_masked_row_kernel::<f64>(shape, imp)(&pvals, &bcols, &masks, &x, &mut ym);
-            bcsr_row_kernel::<f64>(shape, imp)(&padded, &bcols, &x, &mut yp);
-            assert_eq!(ym.map(f64::to_bits), yp.map(f64::to_bits), "{imp:?}");
-        }
     }
 }

@@ -6,9 +6,7 @@
 //! partial block row / block column at the matrix boundary (when the
 //! dimensions are not multiples of the block shape). Boundary blocks are
 //! rare (O(1) per block row), so these take runtime shape parameters and
-//! stay scalar; each flushes its accumulator per block, which is what
-//! lets the masked formats delegate here one expanded block at a time
-//! without changing the accumulation order.
+//! stay scalar; each flushes its accumulator per block.
 //!
 //! All kernels accumulate (`+=`) into their output slice.
 

@@ -5,8 +5,7 @@ use core::fmt;
 use spmv_core::{Csr, Index, IndexWidth, MatrixShape, Scalar, SpMv, SpMvMulti};
 use spmv_formats::stats::{self, BlockCounts, FormatStats};
 use spmv_formats::{
-    sell_sigmas, Bcsd, BcsdDec, BcsdMasked, Bcsr, BcsrDec, BcsrMasked, FormatKind, SellCSigma,
-    SELL_SIGMA_FULL,
+    sell_sigmas, Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SellCSigma, SELL_SIGMA_FULL,
 };
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
@@ -30,11 +29,6 @@ pub enum BlockConfig {
     /// BCSD with a narrow-width block-column array (index-compression
     /// extension).
     BcsdNarrow(usize),
-    /// Masked BCSR: per-block occupancy bitmasks, no padded values
-    /// (padding-free extension).
-    BcsrMasked(BlockShape),
-    /// Masked BCSD: per-block occupancy bitmasks, no padded values.
-    BcsdMasked(usize),
     /// SELL-C-σ: slice height `c`, sorting window `sigma`
     /// ([`SELL_SIGMA_FULL`] for the global sort; padding-dominated
     /// extension).
@@ -64,8 +58,6 @@ impl BlockConfig {
             BlockConfig::BcsrDec(_) => FormatKind::BcsrDec,
             BlockConfig::Bcsd(_) | BlockConfig::BcsdNarrow(_) => FormatKind::Bcsd,
             BlockConfig::BcsdDec(_) => FormatKind::BcsdDec,
-            BlockConfig::BcsrMasked(_) => FormatKind::BcsrMasked,
-            BlockConfig::BcsdMasked(_) => FormatKind::BcsdMasked,
             BlockConfig::SellCSigma { .. } | BlockConfig::SellCSigmaNarrow { .. } => {
                 FormatKind::SellCSigma
             }
@@ -90,14 +82,12 @@ impl BlockConfig {
     pub fn shape_label(self) -> String {
         match self {
             BlockConfig::Csr => "-".to_string(),
-            BlockConfig::Bcsr(s)
-            | BlockConfig::BcsrDec(s)
-            | BlockConfig::BcsrNarrow(s)
-            | BlockConfig::BcsrMasked(s) => format!("{}x{}", s.r, s.c),
-            BlockConfig::Bcsd(b)
-            | BlockConfig::BcsdDec(b)
-            | BlockConfig::BcsdNarrow(b)
-            | BlockConfig::BcsdMasked(b) => format!("b{b}"),
+            BlockConfig::Bcsr(s) | BlockConfig::BcsrDec(s) | BlockConfig::BcsrNarrow(s) => {
+                format!("{}x{}", s.r, s.c)
+            }
+            BlockConfig::Bcsd(b) | BlockConfig::BcsdDec(b) | BlockConfig::BcsdNarrow(b) => {
+                format!("b{b}")
+            }
             BlockConfig::SellCSigma { c, sigma } | BlockConfig::SellCSigmaNarrow { c, sigma } => {
                 format!("c{c}s{}", SigmaLabel(sigma))
             }
@@ -161,14 +151,9 @@ impl Config {
 
     /// Enumerates the *extended* search space: everything in
     /// [`Config::enumerate`] plus the narrow-index variant of every BCSR
-    /// shape and BCSD size, the masked variant of each, and every
-    /// SELL-C-σ slice height and window, wide and narrow. Kept separate
-    /// from the paper's base space so the original experiments are
-    /// unchanged.
-    ///
-    /// This is the space that can be built, not the one selection ranks:
-    /// [`candidate_configs_extended`](crate::candidate_configs_extended)
-    /// leaves the masked variants out.
+    /// shape and BCSD size, and every SELL-C-σ slice height and window,
+    /// wide and narrow. Kept separate from the paper's base space so the
+    /// original experiments are unchanged.
     pub fn enumerate_extended(include_simd: bool) -> Vec<Config> {
         let imps: &[KernelImpl] = if include_simd {
             &[KernelImpl::Scalar, KernelImpl::Simd]
@@ -188,24 +173,6 @@ impl Config {
             for &imp in imps {
                 out.push(Config {
                     block: BlockConfig::BcsdNarrow(b),
-                    imp,
-                });
-            }
-        }
-        // Masked (padding-free) variants, appended last so the base and
-        // narrow spaces keep their prefix positions.
-        for shape in BlockShape::search_space() {
-            for &imp in imps {
-                out.push(Config {
-                    block: BlockConfig::BcsrMasked(shape),
-                    imp,
-                });
-            }
-        }
-        for b in BCSD_SIZES {
-            for &imp in imps {
-                out.push(Config {
-                    block: BlockConfig::BcsdMasked(b),
                     imp,
                 });
             }
@@ -255,17 +222,6 @@ impl Config {
                     imp: self.imp,
                 }
             }
-            // The masked kernels iterate mask bits and expand partial
-            // blocks, so their per-block cost differs from the padded
-            // kernels' — they get their own profiling keys.
-            BlockConfig::BcsrMasked(shape) => KernelKey::BcsrMasked {
-                shape,
-                imp: self.imp,
-            },
-            BlockConfig::BcsdMasked(b) => KernelKey::BcsdMasked {
-                b: b as u8,
-                imp: self.imp,
-            },
             // σ only shuffles rows between slices; the per-slice-column
             // work is fixed by the slice height, so every σ shares one
             // profiled kernel per height.
@@ -294,12 +250,6 @@ impl Config {
             BlockConfig::BcsdNarrow(b) => {
                 BuiltFormat::Bcsd(Bcsd::from_csr_narrow(csr, b, self.imp))
             }
-            BlockConfig::BcsrMasked(shape) => {
-                BuiltFormat::BcsrMasked(BcsrMasked::from_csr(csr, shape, self.imp))
-            }
-            BlockConfig::BcsdMasked(b) => {
-                BuiltFormat::BcsdMasked(BcsdMasked::from_csr(csr, b, self.imp))
-            }
             BlockConfig::SellCSigma { c, sigma } => {
                 BuiltFormat::SellCSigma(SellCSigma::from_csr(csr, c, sigma, self.imp))
             }
@@ -325,12 +275,12 @@ impl Config {
 /// Per-matrix memo of the structural passes behind [`Config::substats`].
 ///
 /// A configuration's statistics depend on its block geometry, not on its
-/// kernel implementation, index width, masking or decomposition. An
+/// kernel implementation, index width or decomposition. An
 /// `ArenaStats` runs each structural pass the first time a configuration
 /// needs it and keeps the result for every other configuration of that
 /// geometry: one counting scan per BCSR shape or BCSD size
 /// ([`stats::bcsr_counts`], [`stats::bcsd_counts`]) and one row-length
-/// sort per effective SELL window. Ranking the 257-configuration extended
+/// sort per effective SELL window. Ranking the 205-configuration extended
 /// space then costs 26 block scans and at most six sorts instead of a
 /// pass per configuration. The statistics are the same bit for bit as a
 /// fresh pass's, whatever order the configurations are asked in.
@@ -407,14 +357,6 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
             let st = counts.padded::<T>(elems, nnz);
             vec![sub(main_bytes(st, colw), st.nb, key)]
         };
-        // Masked variants charge true stored-value bytes plus one
-        // occupancy byte per block and a per-row value-offset array on
-        // top of the usual index arrays.
-        let masked = |counts: BlockCounts| {
-            let st = counts.masked(nnz);
-            let arrays = main_bytes(st, idx) + st.nb + (st.index_rows + 1) * idx;
-            vec![sub(arrays, st.nb, key)]
-        };
         let decomposed = |counts: BlockCounts, elems: usize| {
             let st = counts.decomposed(elems, nnz);
             vec![sub(main_bytes(st, idx), st.nb, key), csr_part(st.rest_nnz)]
@@ -425,11 +367,9 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
             BlockConfig::BcsrNarrow(shape) => {
                 padded(self.bcsr_counts(shape), shape.elems(), narrow)
             }
-            BlockConfig::BcsrMasked(shape) => masked(self.bcsr_counts(shape)),
             BlockConfig::BcsrDec(shape) => decomposed(self.bcsr_counts(shape), shape.elems()),
             BlockConfig::Bcsd(b) => padded(self.bcsd_counts(b), b, idx),
             BlockConfig::BcsdNarrow(b) => padded(self.bcsd_counts(b), b, narrow),
-            BlockConfig::BcsdMasked(b) => masked(self.bcsd_counts(b)),
             BlockConfig::BcsdDec(b) => decomposed(self.bcsd_counts(b), b),
             // SELL charges the padded value stream, one column index per
             // stored slot (narrowable), the slice pointer and per-lane
@@ -495,8 +435,6 @@ impl fmt::Display for Config {
             BlockConfig::BcsdDec(b) => write!(f, "BCSD-DEC b={b}")?,
             BlockConfig::BcsrNarrow(s) => write!(f, "BCSR16 {s}")?,
             BlockConfig::BcsdNarrow(b) => write!(f, "BCSD16 b={b}")?,
-            BlockConfig::BcsrMasked(s) => write!(f, "BCSR-MASK {s}")?,
-            BlockConfig::BcsdMasked(b) => write!(f, "BCSD-MASK b={b}")?,
             BlockConfig::SellCSigma { c, sigma } => {
                 write!(f, "SELL {c}/{}", SigmaLabel(sigma))?
             }
@@ -560,20 +498,6 @@ pub enum KernelKey {
         /// Kernel implementation.
         imp: KernelImpl,
     },
-    /// A masked BCSR block-row kernel (expands occupancy-masked blocks).
-    BcsrMasked {
-        /// Block shape.
-        shape: BlockShape,
-        /// Kernel implementation.
-        imp: KernelImpl,
-    },
-    /// A masked BCSD segment kernel.
-    BcsdMasked {
-        /// Diagonal block size.
-        b: u8,
-        /// Kernel implementation.
-        imp: KernelImpl,
-    },
     /// A SELL-C-σ slice kernel (σ does not change the kernel, only the
     /// slice widths it runs over).
     Sell {
@@ -590,8 +514,8 @@ impl KernelKey {
     pub fn block_elems(self) -> usize {
         match self {
             KernelKey::Csr => 1,
-            KernelKey::Bcsr { shape, .. } | KernelKey::BcsrMasked { shape, .. } => shape.elems(),
-            KernelKey::Bcsd { b, .. } | KernelKey::BcsdMasked { b, .. } => b as usize,
+            KernelKey::Bcsr { shape, .. } => shape.elems(),
+            KernelKey::Bcsd { b, .. } => b as usize,
             KernelKey::Sell { c, .. } => c as usize,
         }
     }
@@ -603,10 +527,6 @@ impl fmt::Display for KernelKey {
             KernelKey::Csr => write!(f, "csr"),
             KernelKey::Bcsr { shape, imp } => write!(f, "bcsr-{shape}{}", imp.suffix()),
             KernelKey::Bcsd { b, imp } => write!(f, "bcsd-{b}{}", imp.suffix()),
-            KernelKey::BcsrMasked { shape, imp } => {
-                write!(f, "bcsr-mask-{shape}{}", imp.suffix())
-            }
-            KernelKey::BcsdMasked { b, imp } => write!(f, "bcsd-mask-{b}{}", imp.suffix()),
             KernelKey::Sell { c, imp } => write!(f, "sell-{c}{}", imp.suffix()),
         }
     }
@@ -626,10 +546,6 @@ pub enum BuiltFormat<T> {
     Bcsd(Bcsd<T>),
     /// BCSD-DEC.
     BcsdDec(BcsdDec<T>),
-    /// Masked BCSR.
-    BcsrMasked(BcsrMasked<T>),
-    /// Masked BCSD.
-    BcsdMasked(BcsdMasked<T>),
     /// SELL-C-σ.
     SellCSigma(SellCSigma<T>),
 }
@@ -642,8 +558,6 @@ macro_rules! delegate {
             BuiltFormat::BcsrDec(x) => x.$m($($arg),*),
             BuiltFormat::Bcsd(x) => x.$m($($arg),*),
             BuiltFormat::BcsdDec(x) => x.$m($($arg),*),
-            BuiltFormat::BcsrMasked(x) => x.$m($($arg),*),
-            BuiltFormat::BcsdMasked(x) => x.$m($($arg),*),
             BuiltFormat::SellCSigma(x) => x.$m($($arg),*),
         }
     };
@@ -725,12 +639,12 @@ mod tests {
     #[test]
     fn enumerate_extended_counts() {
         // Per implementation the extensions add one narrow config per
-        // shape/size, one masked config per shape/size, and a wide plus a
-        // narrow SELL config per (height, σ) pair.
+        // shape/size and a wide plus a narrow SELL config per (height, σ)
+        // pair.
         let shapes = BlockShape::search_space().len();
         let sizes = BCSD_SIZES.len();
         let sell: usize = SELL_HEIGHTS.iter().map(|&c| sell_sigmas(c).len()).sum();
-        let ext_per_imp = 2 * (shapes + sizes) + 2 * sell;
+        let ext_per_imp = shapes + sizes + 2 * sell;
         assert_eq!(
             Config::enumerate_extended(false).len(),
             Config::enumerate(false).len() + ext_per_imp
@@ -823,28 +737,6 @@ mod tests {
             let w = Config { block: wide, imp }.substats(&csr)[0].ws_bytes;
             assert!(n < w, "{narrow:?}: {n} !< {w}");
         }
-    }
-
-    #[test]
-    fn masked_substats_shrink_the_working_set_on_sparse_blocks() {
-        // The fixture's blocks are mostly partial, so dropping padded
-        // values must outweigh the one mask byte per block.
-        let csr = fixture();
-        let imp = KernelImpl::Scalar;
-        let shape = BlockShape::new(2, 4).unwrap();
-        let m = Config {
-            block: BlockConfig::BcsrMasked(shape),
-            imp,
-        }
-        .substats(&csr)[0]
-            .ws_bytes;
-        let p = Config {
-            block: BlockConfig::Bcsr(shape),
-            imp,
-        }
-        .substats(&csr)[0]
-            .ws_bytes;
-        assert!(m < p, "masked {m} !< padded {p}");
     }
 
     #[test]

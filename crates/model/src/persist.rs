@@ -14,20 +14,26 @@
 //! csr <t_b> <nof>
 //! bcsr <r> <c> <scalar|simd> <t_b> <nof>
 //! bcsd <b> <scalar|simd> <t_b> <nof>
-//! bcsrmasked <r> <c> <scalar|simd> <t_b> <nof>
-//! bcsdmasked <b> <scalar|simd> <t_b> <nof>
 //! sell <c> <scalar|simd> <t_b> <nof>
 //! ```
 //!
-//! Files written while the workspace still had a delta-encoded CSR
-//! format also carry `csrdelta <scalar|simd> <t_b> <nof>` lines. The
-//! reader checks and skips them, so those calibrations keep loading.
+//! The reader accepts only values a profiler can produce: a finite,
+//! positive bandwidth, a finite, non-negative `t_b` and a `nof` in
+//! `[0, 1]`.
+//!
+//! Files written while the workspace still had a delta-encoded CSR format
+//! and masked (padding-free) BCSR/BCSD formats also carry
+//! `csrdelta <scalar|simd> <t_b> <nof>`,
+//! `bcsrmasked <r> <c> <scalar|simd> <t_b> <nof>` and
+//! `bcsdmasked <b> <scalar|simd> <t_b> <nof>` lines. The reader checks
+//! them like live records and skips them, so those calibrations keep
+//! loading.
 
 use crate::config::KernelKey;
 use crate::machine::MachineProfile;
 use crate::profile::{BlockTimes, KernelProfile};
 use spmv_core::{Error, Result};
-use spmv_kernels::{BlockShape, KernelImpl};
+use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
 use std::io::{BufRead, Write};
 use std::path::Path;
 
@@ -40,14 +46,84 @@ fn imp_label(imp: KernelImpl) -> &'static str {
     }
 }
 
-fn parse_imp(s: &str) -> Result<KernelImpl> {
+/// A line's parse error, before the reader adds its line number.
+type LineResult<T> = std::result::Result<T, String>;
+
+fn parse_imp(s: &str) -> LineResult<KernelImpl> {
     match s {
         "scalar" => Ok(KernelImpl::Scalar),
         "simd" => Ok(KernelImpl::Simd),
-        other => Err(Error::InvalidStructure(format!(
-            "unknown kernel implementation `{other}`"
-        ))),
+        other => Err(format!("unknown kernel implementation `{other}`")),
     }
+}
+
+fn parse_num<N: std::str::FromStr>(s: &str, what: &str) -> LineResult<N> {
+    s.parse().map_err(|_| format!("bad {what} `{s}`"))
+}
+
+/// The kernel a record's leading tokens name, or `None` for a retired
+/// kernel, whose tokens are checked all the same. A masked BCSR/BCSD
+/// record names its kernel exactly as its padded twin does.
+fn parse_key(tok: &[&str]) -> LineResult<Option<KernelKey>> {
+    let key = match *tok {
+        ["csr"] => KernelKey::Csr,
+        ["bcsr" | "bcsrmasked", r, c, imp] => KernelKey::Bcsr {
+            shape: BlockShape::new(parse_num(r, "r")?, parse_num(c, "c")?)
+                .map_err(|e| e.to_string())?,
+            imp: parse_imp(imp)?,
+        },
+        ["bcsd" | "bcsdmasked", b, imp] => {
+            let b: u8 = parse_num(b, "b")?;
+            if !BCSD_SIZES.contains(&(b as usize)) {
+                return Err(format!("bcsd size {b} out of range"));
+            }
+            KernelKey::Bcsd {
+                b,
+                imp: parse_imp(imp)?,
+            }
+        }
+        ["sell", c, imp] => {
+            let c: u8 = parse_num(c, "c")?;
+            if !SELL_HEIGHTS.contains(&(c as usize)) {
+                return Err(format!("sell slice height {c} out of range"));
+            }
+            KernelKey::Sell {
+                c,
+                imp: parse_imp(imp)?,
+            }
+        }
+        ["csrdelta", imp] => return parse_imp(imp).map(|_| None),
+        _ => return Err(format!("unknown record `{}`", tok.join(" "))),
+    };
+    Ok((!tok[0].ends_with("masked")).then_some(key))
+}
+
+/// A record's `t_b` and `nof`, within the bounds [`profile_keys`]
+/// produces them in.
+///
+/// [`profile_keys`]: crate::profile_keys
+fn parse_times(t_b: &str, nof: &str) -> LineResult<BlockTimes> {
+    let t_b: f64 = parse_num(t_b, "t_b")?;
+    let nof: f64 = parse_num(nof, "nof")?;
+    if !(t_b.is_finite() && t_b >= 0.0) {
+        return Err(format!("t_b {t_b} is not a finite, non-negative time"));
+    }
+    if !(0.0..=1.0).contains(&nof) {
+        return Err(format!("nof {nof} outside [0, 1]"));
+    }
+    Ok(BlockTimes { t_b, nof })
+}
+
+fn parse_machine(bandwidth: &str, l1: &str, llc: &str) -> LineResult<MachineProfile> {
+    let bandwidth: f64 = parse_num(bandwidth, "bandwidth")?;
+    if !(bandwidth.is_finite() && bandwidth > 0.0) {
+        return Err(format!("bandwidth {bandwidth} is not a positive rate"));
+    }
+    Ok(MachineProfile {
+        bandwidth,
+        l1_bytes: parse_num(l1, "l1")?,
+        llc_bytes: parse_num(llc, "llc")?,
+    })
 }
 
 /// Serializes a calibration to any writer.
@@ -80,23 +156,6 @@ pub fn write_profile<W: Write>(
             KernelKey::Bcsd { b, imp } => writeln!(
                 w,
                 "bcsd {} {} {:e} {:e}",
-                b,
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-            KernelKey::BcsrMasked { shape, imp } => writeln!(
-                w,
-                "bcsrmasked {} {} {} {:e} {:e}",
-                shape.r,
-                shape.c,
-                imp_label(imp),
-                times.t_b,
-                times.nof
-            )?,
-            KernelKey::BcsdMasked { b, imp } => writeln!(
-                w,
-                "bcsdmasked {} {} {:e} {:e}",
                 b,
                 imp_label(imp),
                 times.t_b,
@@ -147,113 +206,20 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<(MachineProfile, KernelProfile)>
             continue;
         }
         let tok: Vec<&str> = t.split_whitespace().collect();
-        let parse_f64 = |s: &str| -> Result<f64> {
-            s.parse().map_err(|_| bad(lineno, "bad float"))
+        let parsed = match tok.as_slice() {
+            ["machine", bandwidth, l1, llc] => {
+                parse_machine(bandwidth, l1, llc).map(|m| machine = Some(m))
+            }
+            [key @ .., t_b, nof] => parse_key(key).and_then(|key| {
+                let times = parse_times(t_b, nof)?;
+                if let Some(key) = key {
+                    profile.set(key, times);
+                }
+                Ok(())
+            }),
+            _ => Err(format!("unknown record `{t}`")),
         };
-        match tok[0] {
-            "machine" if tok.len() == 4 => {
-                machine = Some(MachineProfile {
-                    bandwidth: parse_f64(tok[1])?,
-                    l1_bytes: tok[2].parse().map_err(|_| bad(lineno, "bad l1"))?,
-                    llc_bytes: tok[3].parse().map_err(|_| bad(lineno, "bad llc"))?,
-                });
-            }
-            "csr" if tok.len() == 3 => profile.set(
-                KernelKey::Csr,
-                BlockTimes {
-                    t_b: parse_f64(tok[1])?,
-                    nof: parse_f64(tok[2])?,
-                },
-            ),
-            "bcsr" if tok.len() == 6 => {
-                let r: usize = tok[1].parse().map_err(|_| bad(lineno, "bad r"))?;
-                let c: usize = tok[2].parse().map_err(|_| bad(lineno, "bad c"))?;
-                let shape = BlockShape::new(r, c)
-                    .map_err(|e| bad(lineno, &e.to_string()))?;
-                profile.set(
-                    KernelKey::Bcsr {
-                        shape,
-                        imp: parse_imp(tok[3])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[4])?,
-                        nof: parse_f64(tok[5])?,
-                    },
-                );
-            }
-            "bcsd" if tok.len() == 5 => {
-                let b: u8 = tok[1].parse().map_err(|_| bad(lineno, "bad b"))?;
-                if !(1..=8).contains(&b) {
-                    return Err(bad(lineno, "bcsd size out of range"));
-                }
-                profile.set(
-                    KernelKey::Bcsd {
-                        b,
-                        imp: parse_imp(tok[2])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[3])?,
-                        nof: parse_f64(tok[4])?,
-                    },
-                );
-            }
-            // The removed delta-encoded CSR kernel: well-formed lines of
-            // older files are skipped, malformed ones still fail the file.
-            "csrdelta" if tok.len() == 4 => {
-                parse_imp(tok[1])?;
-                parse_f64(tok[2])?;
-                parse_f64(tok[3])?;
-            }
-            "bcsrmasked" if tok.len() == 6 => {
-                let r: usize = tok[1].parse().map_err(|_| bad(lineno, "bad r"))?;
-                let c: usize = tok[2].parse().map_err(|_| bad(lineno, "bad c"))?;
-                let shape = BlockShape::new(r, c)
-                    .map_err(|e| bad(lineno, &e.to_string()))?;
-                profile.set(
-                    KernelKey::BcsrMasked {
-                        shape,
-                        imp: parse_imp(tok[3])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[4])?,
-                        nof: parse_f64(tok[5])?,
-                    },
-                );
-            }
-            "bcsdmasked" if tok.len() == 5 => {
-                let b: u8 = tok[1].parse().map_err(|_| bad(lineno, "bad b"))?;
-                if !(1..=8).contains(&b) {
-                    return Err(bad(lineno, "bcsdmasked size out of range"));
-                }
-                profile.set(
-                    KernelKey::BcsdMasked {
-                        b,
-                        imp: parse_imp(tok[2])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[3])?,
-                        nof: parse_f64(tok[4])?,
-                    },
-                );
-            }
-            "sell" if tok.len() == 5 => {
-                let c: u8 = tok[1].parse().map_err(|_| bad(lineno, "bad c"))?;
-                if !spmv_kernels::SELL_HEIGHTS.contains(&(c as usize)) {
-                    return Err(bad(lineno, "sell slice height out of range"));
-                }
-                profile.set(
-                    KernelKey::Sell {
-                        c,
-                        imp: parse_imp(tok[2])?,
-                    },
-                    BlockTimes {
-                        t_b: parse_f64(tok[3])?,
-                        nof: parse_f64(tok[4])?,
-                    },
-                );
-            }
-            other => return Err(bad(lineno, &format!("unknown record `{other}`"))),
-        }
+        parsed.map_err(|msg| bad(lineno, &msg))?;
     }
     let machine = machine.ok_or_else(|| bad(0, "missing machine record"))?;
     Ok((machine, profile))
@@ -308,29 +274,58 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(read_profile("not a profile\n".as_bytes()).is_err());
-        let bad_record = format!("{MAGIC}\nmachine 1e9 1 2\nwat 1 2 3\n");
-        assert!(read_profile(bad_record.as_bytes()).is_err());
         let no_machine = format!("{MAGIC}\ncsr 1e-9 0.5\n");
         assert!(read_profile(no_machine.as_bytes()).is_err());
-        let bad_shape = format!("{MAGIC}\nmachine 1e9 1 2\nbcsr 9 9 scalar 1e-9 0.5\n");
-        assert!(read_profile(bad_shape.as_bytes()).is_err());
-        let bad_sell = format!("{MAGIC}\nmachine 1e9 1 2\nsell 3 scalar 1e-9 0.5\n");
-        assert!(read_profile(bad_sell.as_bytes()).is_err());
-        for bad_delta in ["csrdelta wide 1e-9 0.5", "csrdelta simd x 0.5", "csrdelta simd 1e-9"] {
-            let text = format!("{MAGIC}\nmachine 1e9 1 2\n{bad_delta}\n");
-            assert!(read_profile(text.as_bytes()).is_err(), "{bad_delta}");
+        // Each bad line fails the file and is named by its line number.
+        for bad_line in [
+            "wat 1 2 3",
+            "csr 1e-9",
+            "bcsr 9 9 scalar 1e-9 0.5",
+            "sell 3 scalar 1e-9 0.5",
+            "bcsd 1 scalar 1e-9 0.5",
+            "bcsd 9 simd 1e-9 0.5",
+            "csrdelta wide 1e-9 0.5",
+            "csrdelta simd x 0.5",
+            "csrdelta simd 1e-9",
+            "bcsrmasked 9 9 scalar 1e-9 0.5",
+            "bcsrmasked 2 2 wide 1e-9 0.5",
+            "bcsdmasked 1 simd 1e-9 0.5",
+            "bcsdmasked 4 simd 1e-9",
+            // Values no profiler produces.
+            "bcsr 8 1 simd nan 0.5",
+            "bcsr 8 1 simd -nan 0.5",
+            "bcsr 8 1 simd inf 0.5",
+            "bcsr 8 1 simd -1e-6 0.5",
+            "bcsr 8 1 simd 1e-9 -40",
+            "bcsr 8 1 simd 1e-9 1.5",
+            "bcsr 8 1 simd 1e-9 nan",
+            "bcsdmasked 4 simd -1e-6 0.5",
+            "machine nan 1 2",
+            "machine inf 1 2",
+            "machine 0 1 2",
+            "machine -1e9 1 2",
+        ] {
+            let text = format!("{MAGIC}\nmachine 1e9 1 2\n{bad_line}\n");
+            let err = read_profile(text.as_bytes()).unwrap_err().to_string();
+            assert!(err.contains("line 3:"), "{bad_line}: {err}");
         }
     }
 
     #[test]
-    fn legacy_csrdelta_lines_are_skipped() {
-        let text = format!(
-            "{MAGIC}\nmachine 2e9 32768 4194304\ncsr 1e-9 0.25\n\
-             csrdelta scalar 5.9e-10 8.1e-1\ncsrdelta simd 2.7e-10 1e0\n"
-        );
-        let (_, p) = read_profile(text.as_bytes()).unwrap();
-        assert_eq!(p.len(), 1);
-        assert_eq!(p.get(KernelKey::Csr).nof, 0.25);
+    fn retired_kernel_lines_are_checked_and_skipped() {
+        for retired in [
+            "csrdelta scalar 5.9e-10 8.1e-1",
+            "csrdelta simd 2.7e-10 1e0",
+            "bcsrmasked 2 4 scalar 3.1e-9 0e0",
+            "bcsrmasked 8 1 simd 1.2e-9 5.5e-1",
+            "bcsdmasked 2 scalar 1.4e-9 1e0",
+            "bcsdmasked 8 simd 2.2e-9 3.3e-1",
+        ] {
+            let text = format!("{MAGIC}\nmachine 2e9 32768 4194304\ncsr 1e-9 0.25\n{retired}\n");
+            let (_, p) = read_profile(text.as_bytes()).unwrap();
+            assert_eq!(p.len(), 1, "{retired}");
+            assert_eq!(p.get(KernelKey::Csr).nof, 0.25);
+        }
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //! cache". This module is that profiler; a [`KernelProfile`] is computed
 //! once per (machine, precision) and reused across every matrix.
 
-use crate::config::KernelKey;
+use crate::config::{Config, KernelKey};
 use crate::machine::MachineProfile;
 use crate::timing::measure_spmv;
-use spmv_core::{Csr, DenseMatrix, Scalar, SpMv};
-use spmv_formats::{Bcsd, BcsdMasked, Bcsr, BcsrMasked, SellCSigma};
+use spmv_core::{Csr, DenseMatrix, MatrixShape, Scalar, SpMv};
+use spmv_formats::{Bcsd, Bcsr, SellCSigma};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
+use spmv_kernels::KernelImpl;
 use std::collections::HashMap;
 
 /// Profiled characteristics of one kernel.
@@ -75,16 +75,10 @@ impl KernelProfile {
     /// models' structural reasoning (working sets, block counts, padding)
     /// from kernel-quality noise, and is what deterministic tests use.
     pub fn proportional(per_elem: f64, nof: f64) -> Self {
-        let mut p = Self::uniform(0.0, nof);
-        let keys: Vec<KernelKey> = p.times.keys().copied().collect();
-        for key in keys {
-            p.set(
-                key,
-                BlockTimes {
-                    t_b: key.block_elems() as f64 * per_elem,
-                    nof,
-                },
-            );
+        let mut p = KernelProfile::default();
+        for key in search_space_keys() {
+            let t_b = key.block_elems() as f64 * per_elem;
+            p.set(key, BlockTimes { t_b, nof });
         }
         p
     }
@@ -93,24 +87,8 @@ impl KernelProfile {
     /// and `nof`.
     pub fn uniform(t_b: f64, nof: f64) -> Self {
         let mut p = KernelProfile::default();
-        let times = BlockTimes { t_b, nof };
-        p.set(KernelKey::Csr, times);
-        for shape in BlockShape::search_space() {
-            for imp in KernelImpl::ALL {
-                p.set(KernelKey::Bcsr { shape, imp }, times);
-                p.set(KernelKey::BcsrMasked { shape, imp }, times);
-            }
-        }
-        for b in BCSD_SIZES {
-            for imp in KernelImpl::ALL {
-                p.set(KernelKey::Bcsd { b: b as u8, imp }, times);
-                p.set(KernelKey::BcsdMasked { b: b as u8, imp }, times);
-            }
-        }
-        for c in SELL_HEIGHTS {
-            for imp in KernelImpl::ALL {
-                p.set(KernelKey::Sell { c: c as u8, imp }, times);
-            }
+        for key in search_space_keys() {
+            p.set(key, BlockTimes { t_b, nof });
         }
         p
     }
@@ -150,147 +128,117 @@ fn profiling_matrix<T: Scalar>(target_bytes: usize) -> Csr<T> {
     Csr::from_dense(&DenseMatrix::<T>::profiling(n, n))
 }
 
-/// Re-measures only `keys` — the bounded re-profile an online tuner runs
-/// when residuals implicate specific kernels, instead of the full
-/// search-space sweep of [`profile_kernels`].
+/// What the profiler needs of a format beyond [`SpMv`]: the block count
+/// `t_b` is divided by, and a kernel switch, so that one build per
+/// profiling matrix serves every implementation of a geometry.
+trait Profiled<T: Scalar>: SpMv<T> {
+    fn blocks(&self) -> usize;
+    fn set_imp(&mut self, imp: KernelImpl);
+}
+
+/// CSR is the degenerate 1×1 blocking (`nb = nnz`) with one kernel.
+impl<T: Scalar> Profiled<T> for Csr<T> {
+    fn blocks(&self) -> usize {
+        self.nnz()
+    }
+    fn set_imp(&mut self, _: KernelImpl) {}
+}
+
+macro_rules! profiled {
+    ($($format:ident),*) => {$(
+        impl<T: SimdScalar> Profiled<T> for $format<T> {
+            fn blocks(&self) -> usize {
+                self.n_blocks()
+            }
+            fn set_imp(&mut self, imp: KernelImpl) {
+                self.set_kernel_impl(imp);
+            }
+        }
+    )*};
+}
+
+profiled!(Bcsr, Bcsd, SellCSigma);
+
+/// The two dense profiling matrices, their input vectors, and the
+/// measurements taken so far.
+struct Profiler<'a, T> {
+    machine: &'a MachineProfile,
+    opts: &'a ProfileOptions,
+    x_small: Vec<T>,
+    x_large: Vec<T>,
+    out: Vec<(KernelKey, BlockTimes)>,
+}
+
+impl<T: Scalar> Profiler<'_, T> {
+    /// Times every key of one geometry on its two builds, switching the
+    /// kernel in place between keys.
+    fn time<F: Profiled<T>>(&mut self, small: &mut F, large: &mut F, keys: &[KernelKey]) {
+        let (min_time, batches) = (self.opts.min_time, self.opts.batches);
+        for &key in keys {
+            if let Some(imp) = imp_of(key) {
+                small.set_imp(imp);
+                large.set_imp(imp);
+            }
+            let t_small = measure_spmv(small, &self.x_small, min_time, batches);
+            let t_b = t_small / small.blocks().max(1) as f64;
+            let t_large = measure_spmv(large, &self.x_large, min_time, batches);
+            // Eq. 4: the compute time not hidden behind the streaming
+            // transfers, over the estimated total compute time.
+            let t_mem = large.working_set_bytes() as f64 / self.machine.bandwidth;
+            let nb = large.blocks();
+            let nof = if nb == 0 || t_b <= 0.0 {
+                1.0
+            } else {
+                ((t_large - t_mem) / (nb as f64 * t_b)).clamp(0.0, 1.0)
+            };
+            self.out.push((key, BlockTimes { t_b, nof }));
+        }
+    }
+}
+
+/// The key's kernel implementation; `None` for CSR's single kernel.
+fn imp_of(key: KernelKey) -> Option<KernelImpl> {
+    match key {
+        KernelKey::Csr => None,
+        KernelKey::Bcsr { imp, .. } | KernelKey::Bcsd { imp, .. } | KernelKey::Sell { imp, .. } => {
+            Some(imp)
+        }
+    }
+}
+
+/// Whether two keys share a block geometry (family and block
+/// parameter), and so one built format.
+fn same_geometry(a: KernelKey, b: KernelKey) -> bool {
+    match (a, b) {
+        (KernelKey::Csr, KernelKey::Csr) => true,
+        (KernelKey::Bcsr { shape: x, .. }, KernelKey::Bcsr { shape: y, .. }) => x == y,
+        (KernelKey::Bcsd { b: x, .. }, KernelKey::Bcsd { b: y, .. }) => x == y,
+        (KernelKey::Sell { c: x, .. }, KernelKey::Sell { c: y, .. }) => x == y,
+        _ => false,
+    }
+}
+
+/// Measures `t_b` (L1-resident dense) and `nof` (out-of-cache dense) for
+/// each of `keys`; duplicate keys are measured once.
 ///
-/// Each requested key gets the same two measurements the full profiler
-/// takes (`t_b` on an L1-resident dense matrix, `nof` on an out-of-cache
-/// one); duplicate keys are measured once. Cost scales with
-/// `keys.len()`, not the search-space size.
+/// Each block geometry is built once per profiling matrix and every
+/// requested implementation of it is timed on that build. This is the
+/// whole-search-space sweep of [`profile_kernels`] and also the bounded
+/// re-profile an online tuner runs when residuals implicate specific
+/// kernels: cost scales with `keys.len()`.
 pub fn profile_keys<T: SimdScalar>(
     machine: &MachineProfile,
     opts: &ProfileOptions,
     keys: &[KernelKey],
 ) -> Vec<(KernelKey, BlockTimes)> {
     let _span = spmv_telemetry::span_with("model.profile.keys", keys.len() as u64);
+    // Sorted, the implementations of one geometry are adjacent.
     let mut todo: Vec<KernelKey> = keys.to_vec();
-    todo.sort_unstable_by_key(|k| format!("{k}"));
+    todo.sort_unstable();
     todo.dedup();
     if todo.is_empty() {
         return Vec::new();
     }
-    let small_bytes = if opts.small_bytes == 0 {
-        machine.l1_bytes / 2
-    } else {
-        opts.small_bytes
-    };
-    let large_bytes = if opts.large_bytes == 0 {
-        (machine.llc_bytes * 2).min(64 << 20)
-    } else {
-        opts.large_bytes
-    };
-    let small = profiling_matrix::<T>(small_bytes);
-    let large = profiling_matrix::<T>(large_bytes);
-    let x_small: Vec<T> = (0..spmv_core::MatrixShape::n_cols(&small))
-        .map(|i| T::from_f64(1.0 + (i % 3) as f64))
-        .collect();
-    let x_large: Vec<T> = (0..spmv_core::MatrixShape::n_cols(&large))
-        .map(|i| T::from_f64(1.0 + (i % 3) as f64))
-        .collect();
-    let nof_of = |t_real: f64, ws_bytes: usize, nb: usize, t_b: f64| -> f64 {
-        let t_mem = ws_bytes as f64 / machine.bandwidth;
-        if nb == 0 || t_b <= 0.0 {
-            return 1.0;
-        }
-        ((t_real - t_mem) / (nb as f64 * t_b)).clamp(0.0, 1.0)
-    };
-    let mut out = Vec::with_capacity(todo.len());
-    for key in todo {
-        let times = match key {
-            KernelKey::Csr => {
-                let t_small = measure_spmv(&small, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small.nnz().max(1) as f64;
-                let t_large = measure_spmv(&large, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(t_large, large.working_set_bytes(), large.nnz(), t_b);
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::Bcsr { shape, imp } => {
-                let small_b = Bcsr::from_csr(&small, shape, imp);
-                let large_b = Bcsr::from_csr(&large, shape, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::Bcsd { b, imp } => {
-                let small_b = Bcsd::from_csr(&small, b as usize, imp);
-                let large_b = Bcsd::from_csr(&large, b as usize, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::BcsrMasked { shape, imp } => {
-                let small_b = BcsrMasked::from_csr(&small, shape, imp);
-                let large_b = BcsrMasked::from_csr(&large, shape, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-            KernelKey::BcsdMasked { b, imp } => {
-                let small_b = BcsdMasked::from_csr(&small, b as usize, imp);
-                let large_b = BcsdMasked::from_csr(&large, b as usize, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-            // Dense rows all share one length, so σ = 1 (no sorting) is
-            // representative of every σ: the slice widths are identical.
-            KernelKey::Sell { c, imp } => {
-                let small_b = SellCSigma::from_csr(&small, c as usize, 1, imp);
-                let large_b = SellCSigma::from_csr(&large, c as usize, 1, imp);
-                let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-                let t_b = t_small / small_b.n_blocks().max(1) as f64;
-                let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-                let nof = nof_of(
-                    t_large,
-                    large_b.working_set_bytes(),
-                    large_b.n_blocks(),
-                    t_b,
-                );
-                BlockTimes { t_b, nof }
-            }
-        };
-        out.push((key, times));
-    }
-    out
-}
-
-/// Measures `t_b` (L1-resident dense) and `nof` (out-of-cache dense) for
-/// every kernel in the search space, both implementations, plus the CSR
-/// baseline kernel.
-pub fn profile_kernels<T: SimdScalar>(
-    machine: &MachineProfile,
-    opts: &ProfileOptions,
-) -> KernelProfile {
-    let _profile_span = spmv_telemetry::span("model.profile");
     let small_bytes = if opts.small_bytes == 0 {
         machine.l1_bytes / 2
     } else {
@@ -306,172 +254,82 @@ pub fn profile_kernels<T: SimdScalar>(
     } else {
         opts.large_bytes
     };
-    let small = profiling_matrix::<T>(small_bytes);
-    let large = profiling_matrix::<T>(large_bytes);
-    let x_small: Vec<T> = (0..spmv_core::MatrixShape::n_cols(&small))
-        .map(|i| T::from_f64(1.0 + (i % 3) as f64))
-        .collect();
-    let x_large: Vec<T> = (0..spmv_core::MatrixShape::n_cols(&large))
-        .map(|i| T::from_f64(1.0 + (i % 3) as f64))
-        .collect();
-
-    let mut profile = KernelProfile::default();
-
-    // Shared nof computation (eq. 4): the numerator is the compute time
-    // not hidden behind the streaming transfers, the denominator the
-    // estimated total compute time.
-    let nof_of = |t_real: f64, ws_bytes: usize, nb: usize, t_b: f64| -> f64 {
-        let t_mem = ws_bytes as f64 / machine.bandwidth;
-        if nb == 0 || t_b <= 0.0 {
-            return 1.0;
-        }
-        ((t_real - t_mem) / (nb as f64 * t_b)).clamp(0.0, 1.0)
+    let mut small = profiling_matrix::<T>(small_bytes);
+    let mut large = profiling_matrix::<T>(large_bytes);
+    let vector = |m: &Csr<T>| -> Vec<T> {
+        (0..m.n_cols())
+            .map(|i| T::from_f64(1.0 + (i % 3) as f64))
+            .collect()
     };
-
-    // CSR baseline (degenerate 1x1 blocks, nb = nnz).
-    {
-        let _s = spmv_telemetry::span("model.profile.csr");
-        let t_small = measure_spmv(&small, &x_small, opts.min_time, opts.batches);
-        let t_b = t_small / small.nnz() as f64;
-        let t_large = measure_spmv(&large, &x_large, opts.min_time, opts.batches);
-        let nof = nof_of(t_large, large.working_set_bytes(), large.nnz(), t_b);
-        profile.set(KernelKey::Csr, BlockTimes { t_b, nof });
-    }
-
-    // BCSR kernels: one construction per shape and size, both
-    // implementations measured by switching the kernel in place.
-    for shape in BlockShape::search_space() {
-        // arg packs the block shape as r*256 + c.
-        let _s = spmv_telemetry::span_with(
-            "model.profile.bcsr",
-            (shape.r as u64) << 8 | shape.c as u64,
-        );
-        let mut small_b = Bcsr::from_csr(&small, shape, KernelImpl::Scalar);
-        let mut large_b = Bcsr::from_csr(&large, shape, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(KernelKey::Bcsr { shape, imp }, BlockTimes { t_b, nof });
+    let mut p = Profiler {
+        machine,
+        opts,
+        x_small: vector(&small),
+        x_large: vector(&large),
+        out: Vec::with_capacity(todo.len()),
+    };
+    for group in todo.chunk_by(|a, b| same_geometry(*a, *b)) {
+        match group[0] {
+            KernelKey::Csr => {
+                let _s = spmv_telemetry::span("model.profile.csr");
+                p.time(&mut small, &mut large, group);
+            }
+            KernelKey::Bcsr { shape, .. } => {
+                // arg packs the block shape as r*256 + c.
+                let arg = (shape.r as u64) << 8 | shape.c as u64;
+                let _s = spmv_telemetry::span_with("model.profile.bcsr", arg);
+                let build = |m| Bcsr::from_csr(m, shape, KernelImpl::Scalar);
+                p.time(&mut build(&small), &mut build(&large), group);
+            }
+            KernelKey::Bcsd { b, .. } => {
+                let _s = spmv_telemetry::span_with("model.profile.bcsd", b as u64);
+                let build = |m| Bcsd::from_csr(m, b as usize, KernelImpl::Scalar);
+                p.time(&mut build(&small), &mut build(&large), group);
+            }
+            // Dense rows all share one length, so σ = 1 (no sorting) is
+            // representative of every σ: the slice widths are identical.
+            KernelKey::Sell { c, .. } => {
+                let _s = spmv_telemetry::span_with("model.profile.sell", c as u64);
+                let build = |m| SellCSigma::from_csr(m, c as usize, 1, KernelImpl::Scalar);
+                p.time(&mut build(&small), &mut build(&large), group);
+            }
         }
     }
+    p.out
+}
 
-    // BCSD kernels.
-    for b in BCSD_SIZES {
-        let _s = spmv_telemetry::span_with("model.profile.bcsd", b as u64);
-        let mut small_b = Bcsd::from_csr(&small, b, KernelImpl::Scalar);
-        let mut large_b = Bcsd::from_csr(&large, b, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(
-                KernelKey::Bcsd { b: b as u8, imp },
-                BlockTimes { t_b, nof },
-            );
-        }
+/// Every kernel key selection can ask for: those of
+/// [`Config::enumerate_extended`] with SIMD, plus CSR's.
+fn search_space_keys() -> Vec<KernelKey> {
+    let mut keys: Vec<KernelKey> = Config::enumerate_extended(true)
+        .iter()
+        .map(Config::kernel_key)
+        .chain([KernelKey::Csr])
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// Measures `t_b` and `nof` for every kernel of the search space, both
+/// implementations, plus the CSR baseline kernel: [`profile_keys`] over
+/// the kernel keys of [`Config::enumerate_extended`].
+pub fn profile_kernels<T: SimdScalar>(
+    machine: &MachineProfile,
+    opts: &ProfileOptions,
+) -> KernelProfile {
+    let _profile_span = spmv_telemetry::span("model.profile");
+    let mut profile = KernelProfile::default();
+    for (key, times) in profile_keys::<T>(machine, opts, &search_space_keys()) {
+        profile.set(key, times);
     }
-
-    // Masked BCSR kernels. The dense profiling matrices have all-ones
-    // masks, so these t_b/nof capture the fast-path cost (mask check +
-    // direct borrow) and never the partial-block expansion: OVERLAP
-    // under-prices masked configurations on matrices with partial
-    // blocks, which is why selection leaves them out
-    // (`candidate_configs_extended`).
-    for shape in BlockShape::search_space() {
-        let _s = spmv_telemetry::span_with(
-            "model.profile.bcsr_masked",
-            (shape.r as u64) << 8 | shape.c as u64,
-        );
-        let mut small_b = BcsrMasked::from_csr(&small, shape, KernelImpl::Scalar);
-        let mut large_b = BcsrMasked::from_csr(&large, shape, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(KernelKey::BcsrMasked { shape, imp }, BlockTimes { t_b, nof });
-        }
-    }
-
-    // Masked BCSD kernels.
-    for b in BCSD_SIZES {
-        let _s = spmv_telemetry::span_with("model.profile.bcsd_masked", b as u64);
-        let mut small_b = BcsdMasked::from_csr(&small, b, KernelImpl::Scalar);
-        let mut large_b = BcsdMasked::from_csr(&large, b, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(
-                KernelKey::BcsdMasked { b: b as u8, imp },
-                BlockTimes { t_b, nof },
-            );
-        }
-    }
-
-    // SELL slice kernels. Dense rows are uniform, so σ = 1 profiles the
-    // same slice widths any σ would produce.
-    for c in SELL_HEIGHTS {
-        let _s = spmv_telemetry::span_with("model.profile.sell", c as u64);
-        let mut small_b = SellCSigma::from_csr(&small, c, 1, KernelImpl::Scalar);
-        let mut large_b = SellCSigma::from_csr(&large, c, 1, KernelImpl::Scalar);
-        for imp in KernelImpl::ALL {
-            small_b.set_kernel_impl(imp);
-            large_b.set_kernel_impl(imp);
-            let t_small = measure_spmv(&small_b, &x_small, opts.min_time, opts.batches);
-            let t_b = t_small / small_b.n_blocks().max(1) as f64;
-            let t_large = measure_spmv(&large_b, &x_large, opts.min_time, opts.batches);
-            let nof = nof_of(
-                t_large,
-                large_b.working_set_bytes(),
-                large_b.n_blocks(),
-                t_b,
-            );
-            profile.set(
-                KernelKey::Sell { c: c as u8, imp },
-                BlockTimes { t_b, nof },
-            );
-        }
-    }
-
     profile
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmv_kernels::{BlockShape, BCSD_SIZES, SELL_HEIGHTS};
 
     fn tiny_opts() -> ProfileOptions {
         ProfileOptions {
@@ -482,44 +340,26 @@ mod tests {
         }
     }
 
-    /// CSR, plus per implementation: one padded and one masked kernel
-    /// per BCSR shape, one padded and one masked kernel per BCSD size,
-    /// and one SELL kernel per slice height. Derived from the search
-    /// space, not hardcoded.
-    fn expected_profile_len() -> usize {
-        let shapes = BlockShape::search_space().len();
-        let sizes = BCSD_SIZES.len();
-        1 + KernelImpl::ALL.len() * (2 * (shapes + sizes) + SELL_HEIGHTS.len())
-    }
-
     #[test]
-    fn profile_covers_the_whole_search_space() {
+    fn profile_covers_exactly_the_search_space_kernels() {
+        // CSR, plus per implementation one kernel per BCSR shape, BCSD
+        // size and SELL slice height: the kernel keys of the extended
+        // space, derived from it rather than hardcoded.
+        let want: std::collections::BTreeSet<KernelKey> = Config::enumerate_extended(true)
+            .iter()
+            .map(Config::kernel_key)
+            .chain([KernelKey::Csr])
+            .collect();
+        let per_imp = BlockShape::search_space().len() + BCSD_SIZES.len() + SELL_HEIGHTS.len();
+        assert_eq!(want.len(), 1 + KernelImpl::ALL.len() * per_imp);
+        assert_eq!(want.len(), 59);
         let machine = MachineProfile::paper_testbed();
         let p = profile_kernels::<f64>(&machine, &tiny_opts());
-        assert_eq!(p.len(), expected_profile_len());
-        let _ = p.get(KernelKey::Csr);
-        for shape in BlockShape::search_space() {
-            for imp in KernelImpl::ALL {
-                let t = p.get(KernelKey::Bcsr { shape, imp });
-                assert!(t.t_b > 0.0, "t_b must be positive for {shape}");
-                assert!((0.0..=1.0).contains(&t.nof));
-                let tm = p.get(KernelKey::BcsrMasked { shape, imp });
-                assert!(tm.t_b > 0.0, "masked t_b must be positive for {shape}");
-                assert!((0.0..=1.0).contains(&tm.nof));
-            }
-        }
-        for b in BCSD_SIZES {
-            for imp in KernelImpl::ALL {
-                let t = p.get(KernelKey::BcsdMasked { b: b as u8, imp });
-                assert!(t.t_b > 0.0, "masked t_b must be positive for b={b}");
-            }
-        }
-        for c in SELL_HEIGHTS {
-            for imp in KernelImpl::ALL {
-                let t = p.get(KernelKey::Sell { c: c as u8, imp });
-                assert!(t.t_b > 0.0, "sell t_b must be positive for c={c}");
-                assert!((0.0..=1.0).contains(&t.nof));
-            }
+        let got: std::collections::BTreeSet<KernelKey> = p.iter().map(|(k, _)| *k).collect();
+        assert_eq!(got, want);
+        for (key, t) in p.iter() {
+            assert!(t.t_b > 0.0, "{key}: t_b must be positive");
+            assert!((0.0..=1.0).contains(&t.nof), "{key}: nof in [0,1]");
         }
     }
 
@@ -531,15 +371,13 @@ mod tests {
         // timing tests in this binary, so retry before declaring a
         // real ordering violation.
         let machine = MachineProfile::paper_testbed();
+        let key = |c| KernelKey::Bcsr {
+            shape: BlockShape::new(1, c).unwrap(),
+            imp: KernelImpl::Scalar,
+        };
         let measure = || {
-            let p = profile_kernels::<f64>(&machine, &tiny_opts());
-            let t_b = |c| {
-                p.get(KernelKey::Bcsr {
-                    shape: BlockShape::new(1, c).unwrap(),
-                    imp: KernelImpl::Scalar,
-                })
-                .t_b
-            };
+            let p = profile_keys::<f64>(&machine, &tiny_opts(), &[key(2), key(8)]);
+            let t_b = |c| p.iter().find(|(k, _)| *k == key(c)).unwrap().1.t_b;
             (t_b(2), t_b(8))
         };
         let mut last = (0.0, 0.0);
@@ -567,23 +405,19 @@ mod tests {
                 b: 4,
                 imp: KernelImpl::Simd,
             },
-            KernelKey::BcsrMasked {
-                shape,
-                imp: KernelImpl::Scalar,
-            },
-            KernelKey::BcsdMasked {
-                b: 4,
+            KernelKey::Sell {
+                c: 4,
                 imp: KernelImpl::Simd,
             },
             KernelKey::Sell {
                 c: 4,
-                imp: KernelImpl::Simd,
+                imp: KernelImpl::Scalar,
             },
             // Duplicate: measured once.
             KernelKey::Csr,
         ];
         let measured = profile_keys::<f64>(&machine, &tiny_opts(), &keys);
-        assert_eq!(measured.len(), 6);
+        assert_eq!(measured.len(), 5);
         for (key, times) in &measured {
             assert!(times.t_b > 0.0, "{key}: t_b must be positive");
             assert!((0.0..=1.0).contains(&times.nof), "{key}: nof in [0,1]");
@@ -597,10 +431,29 @@ mod tests {
     }
 
     #[test]
-    fn uniform_profile_for_tests() {
+    fn keys_of_one_geometry_are_grouped_for_one_build() {
+        let mut keys = search_space_keys();
+        keys.reverse();
+        keys.sort_unstable();
+        let groups = keys.chunk_by(|a, b| same_geometry(*a, *b)).count();
+        let geometries =
+            1 + BlockShape::search_space().len() + BCSD_SIZES.len() + SELL_HEIGHTS.len();
+        assert_eq!(groups, geometries);
+    }
+
+    #[test]
+    fn synthetic_profiles_cover_the_search_space() {
         let p = KernelProfile::uniform(1e-9, 0.5);
-        assert_eq!(p.len(), expected_profile_len());
+        assert_eq!(p.len(), search_space_keys().len());
         assert_eq!(p.get(KernelKey::Csr).nof, 0.5);
+        let p = KernelProfile::proportional(1e-9, 0.5);
+        assert_eq!(p.len(), search_space_keys().len());
+        let shape = BlockShape::new(2, 4).unwrap();
+        let t = p.get(KernelKey::Bcsr {
+            shape,
+            imp: KernelImpl::Simd,
+        });
+        assert_eq!(t.t_b, 8e-9);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! different combinations … even if the predicted execution time is not
 //! very accurate" (§V-B).
 
-use crate::config::{ArenaStats, BlockConfig, Config, KernelKey};
+use crate::config::{ArenaStats, Config, KernelKey};
 use crate::machine::MachineProfile;
 use crate::models::Model;
 use crate::profile::{BlockTimes, KernelProfile};
@@ -36,28 +36,15 @@ pub fn candidate_configs(model: Model, include_simd: bool) -> Vec<Config> {
     }
 }
 
-/// The candidate list over the *extended* search space: what
-/// [`candidate_configs`] ranks plus the narrow-index blocked variants and
-/// SELL-C-σ, wide and narrow. The MEM restriction to scalar kernels
-/// carries over unchanged.
-///
-/// The masked configurations (`BcsrMasked`, `BcsdMasked`) are part of
-/// [`Config::enumerate_extended`] but not of this list, so no selection
-/// built on it ever picks one. Their kernels are profiled on a dense
-/// matrix, where every block is full and the partial-block expansion
-/// never runs, so OVERLAP under-prices them on matrices with partial
-/// blocks: offered them, it picks one on six suite matrices where it
-/// measures 3.3–5.7× slower than CSR, 4–7× off its prediction. They stay
-/// buildable by an explicit [`Config`].
+/// The candidate list over the *extended* search space
+/// ([`Config::enumerate_extended`]): what [`candidate_configs`] ranks
+/// plus the narrow-index blocked variants and SELL-C-σ, wide and narrow.
+/// The MEM restriction to scalar kernels carries over unchanged.
 pub fn candidate_configs_extended(model: Model, include_simd: bool) -> Vec<Config> {
-    let space = match model {
+    match model {
         Model::Mem => Config::enumerate_extended(false),
         Model::MemComp | Model::Overlap => Config::enumerate_extended(include_simd),
-    };
-    space
-        .into_iter()
-        .filter(|c| !matches!(c.block, BlockConfig::BcsrMasked(_) | BlockConfig::BcsdMasked(_)))
-        .collect()
+    }
 }
 
 /// Ranks `configs` for `csr` by predicted time, ascending (ties keep the
@@ -301,6 +288,7 @@ pub fn select_multi_extended_measured<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BlockConfig;
     use crate::profile::BlockTimes;
     use spmv_core::Coo;
     use spmv_gen::GenSpec;
@@ -368,18 +356,19 @@ mod tests {
     }
 
     #[test]
-    fn extended_candidates_leave_masked_configs_out() {
-        // The masked configurations belong to the extended space but are
-        // never offered to selection; every other configuration is, in
-        // enumeration order.
+    fn extended_candidates_are_the_extended_space() {
+        // Selection ranks every configuration the extended space
+        // enumerates, in enumeration order; MEM sees the scalar half.
+        assert_eq!(Config::enumerate_extended(true).len(), 205);
+        assert_eq!(Config::enumerate_extended(false).len(), 103);
         for model in Model::ALL {
             let space = Config::enumerate_extended(model != Model::Mem);
-            let masked = |c: &Config| {
-                matches!(c.block, BlockConfig::BcsrMasked(_) | BlockConfig::BcsdMasked(_))
-            };
-            assert!(space.iter().any(masked));
-            let unmasked: Vec<Config> = space.iter().copied().filter(|c| !masked(c)).collect();
-            assert_eq!(candidate_configs_extended(model, true), unmasked, "{model}");
+            assert_eq!(candidate_configs_extended(model, true), space, "{model}");
+            assert_eq!(
+                candidate_configs_extended(model, false),
+                Config::enumerate_extended(false),
+                "{model}"
+            );
         }
     }
 

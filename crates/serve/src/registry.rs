@@ -163,53 +163,6 @@ impl<T: SimdScalar> PreparedMatrix<T> {
         self
     }
 
-    /// Like [`PreparedMatrix::prepare`], but hosts the selected format on
-    /// a persistent [`SpmvPool`] with `n_threads` workers, so dispatches
-    /// execute strip-parallel.
-    ///
-    /// The pool's workers live exactly as long as the `PreparedMatrix`:
-    /// dropping the last `Arc` handed out by the registry shuts them down
-    /// and joins them (see `docs/PARALLEL.md` on the ownership contract).
-    pub fn prepare_pooled(
-        csr: &Csr<T>,
-        model: Model,
-        machine: &MachineProfile,
-        profile: &KernelProfile,
-        include_simd: bool,
-        n_threads: usize,
-        pin: PinPolicy,
-    ) -> Self {
-        Self::prepare_pooled_placed(
-            csr,
-            model,
-            machine,
-            profile,
-            include_simd,
-            n_threads,
-            Placement::pinned(pin),
-        )
-    }
-
-    /// Like [`PreparedMatrix::prepare_pooled`], with a full
-    /// [`Placement`] — pin policy plus the NUMA levers (first-touch
-    /// strip allocation, nnz-split of pathologically heavy rows). Use
-    /// [`Placement::domain_aware`] to serve a matrix spread across
-    /// memory domains; see `docs/NUMA.md`.
-    pub fn prepare_pooled_placed(
-        csr: &Csr<T>,
-        model: Model,
-        machine: &MachineProfile,
-        profile: &KernelProfile,
-        include_simd: bool,
-        n_threads: usize,
-        placement: Placement,
-    ) -> Self {
-        let _span = spmv_telemetry::span_with("serve.prepare", csr.nnz() as u64);
-        let choice = select_extended(model, csr, machine, profile, include_simd);
-        Self::from_config_pooled_placed(choice.config, csr, n_threads, placement)
-            .with_selection(model, choice.predicted)
-    }
-
     /// Materializes an explicit configuration on a persistent
     /// [`SpmvPool`] (no selection) — the hot-swap path uses this to host
     /// a re-selected configuration on fresh workers.

@@ -4,9 +4,9 @@
 #
 #   build, clippy on all targets, workspace tests (doctests included),
 #   the telemetry-disabled test runs, rustdoc with warnings denied, the
-#   benchmark package's API tripwire, the harness-bin smokes (masked and
-#   sellc in both telemetry configs, census at a small scale), and the
-#   runtime examples.
+#   benchmark package's API tripwire, the harness-bin smokes (sellc in
+#   both telemetry configs, census at a small scale), and the runtime
+#   examples.
 #
 # See docs/TESTING.md for what each tier covers.
 #
@@ -45,10 +45,7 @@ smoke target/serving-smoke.txt --bin serve_load -- --requests 200 --seed 7
 smoke target/adaptive-smoke.txt --bin serve_adapt -- --nodes 1200
 smoke target/numa-smoke.txt --bin numa_scale -- \
     --flat --threads 2 --n 4000 --reps 5 --trials 2
-smoke target/masked-smoke.txt --bin masked -- --n 4000 --blocks 4 --reps 2 --trials 1
 smoke target/sellc-smoke.txt --bin sellc -- --n 20000 --reps 2 --trials 1
-smoke target/masked-notel-smoke.txt --features spmv-telemetry/disabled --bin masked -- \
-    --n 4000 --blocks 4 --reps 2 --trials 1
 smoke target/sellc-notel-smoke.txt --features spmv-telemetry/disabled --bin sellc -- \
     --n 20000 --reps 2 --trials 1
 smoke target/census-smoke.txt --bin census -- --scale 0.02 --trials 1 --min-time 0.0002 \

@@ -217,10 +217,9 @@ fn main() {
     }
     .build(opts.seed);
     let n = fem.n_cols();
-    // The extended candidate list holds no masked configuration, so the
-    // incumbent is a padded one, whose cost explodes under the scatter
-    // drift injected below: that is the residual signal the tuner
-    // detects. (Masked storage would not betray the stale baseline.)
+    // The incumbent is a padded configuration, whose cost explodes
+    // under the scatter drift injected below: that is the residual
+    // signal the tuner detects.
     let choice = select_extended(Model::Overlap, &fem, &machine, &profile, true);
     let initial_config = choice.config;
     let prepared = PreparedMatrix::from_config(initial_config, &fem)

@@ -13,7 +13,7 @@
 //! * [`kernels`] — per-shape block multiply kernels
 //!   (scalar and SSE2);
 //! * [`formats`] — BCSR, BCSD, BCSR-DEC, BCSD-DEC, 1D-VBL, VBR,
-//!   masked BCSR/BCSD, and SELL-C-σ storage;
+//!   and SELL-C-σ storage;
 //! * [`gen`] — synthetic matrix generators, the 30-matrix
 //!   evaluation suite, MatrixMarket I/O;
 //! * [`model`] — the MEM / MEMCOMP / OVERLAP performance

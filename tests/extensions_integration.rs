@@ -157,12 +157,10 @@ fn saved_profile_file_is_human_auditable() {
     assert!(text.contains("\ncsr "));
     assert!(text.contains("\nbcsr 2 2 scalar "));
     assert!(text.contains("\nbcsd 4 simd "));
-    assert!(text.contains("\nbcsrmasked 2 2 scalar "));
-    assert!(text.contains("\nbcsdmasked 4 simd "));
     assert!(text.contains("\nsell 4 simd "));
-    // 1 header + 1 machine + 111 kernel lines (csr + 38 bcsr + 14 bcsd
-    // + their 52 masked twins + 6 sell heights × impls).
-    assert_eq!(text.trim_end().lines().count(), 113);
+    // 1 header + 1 machine + 59 kernel lines (csr + 38 bcsr + 14 bcsd
+    // + 6 sell heights × impls).
+    assert_eq!(text.trim_end().lines().count(), 61);
 }
 
 #[test]
@@ -171,8 +169,8 @@ fn committed_benchmark_profile_covers_the_extended_candidates() {
     // `benchmark/profile.txt` and profiles any kernel key it lacks on the
     // spot, inside its set-up time. Every key the extended OVERLAP
     // candidates need must therefore be in the file. (The file was
-    // written while CSR-Δ still existed; its `csrdelta` lines are read
-    // and skipped.)
+    // written while formats since deleted still existed; `read_profile`
+    // checks their lines and skips them.)
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/profile.txt");
     let (_, profile) = load_profile(path).expect("the committed calibration loads");
     let present: BTreeSet<KernelKey> = profile.iter().map(|(k, _)| *k).collect();

@@ -4,17 +4,18 @@
 //! Selection is a pure function of the matrix structure, the machine
 //! profile and the kernel profile. Each row below hashes, for one suite
 //! matrix at one precision and for each of the three models over its
-//! extended candidate list (`candidate_configs_extended`, which holds no
-//! masked configuration), every `(config label, predicted bits)` pair of
+//! extended candidate list (`candidate_configs_extended`), every
+//! `(config label, predicted bits)` pair of
 //! `rank` and every `(config label, k, predicted bits)` triple of
 //! `rank_multi` with `k ∈ {1, 2, 4, 8}`. A change to the structure
 //! statistics, a `SubStat` byte formula, a model equation or the tie
 //! order of the ranking shows up here as a changed checksum.
 //!
-//! The expected values were computed on the tree that still had CSR-Δ
-//! and offered the masked configurations, with those filtered out of the
-//! candidate list before `rank`/`rank_multi`: every surviving candidate's
-//! prediction, and their relative order, is the same bit for bit.
+//! The expected values were computed on a tree whose extended space
+//! still held the since-deleted CSR-Δ and padding-free BCSR/BCSD
+//! configurations, with those filtered out of the candidate list before
+//! `rank`/`rank_multi`: every surviving candidate's prediction, and
+//! their relative order, is the same bit for bit.
 //!
 //! Updating the expected values is only right for an intended change to
 //! the models or to the candidate list; a speed-up of the statistics path

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv};
-use blocked_spmv::model::{Config, KernelProfile, MachineProfile, Model};
+use blocked_spmv::model::{select_extended, Config, KernelProfile, MachineProfile, Model};
 use blocked_spmv::parallel::PinPolicy;
 use blocked_spmv::serve::{
     EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine, ServeError,
@@ -226,15 +226,9 @@ fn pooled_prepared_matrix_serves_and_shuts_down() {
         llc_bytes: 8 << 20,
     };
     let profile = KernelProfile::uniform(1e-9, 0.5);
-    let prepared = PreparedMatrix::prepare_pooled(
-        &csr,
-        Model::Mem,
-        &machine,
-        &profile,
-        true,
-        2,
-        PinPolicy::None,
-    );
+    let choice = select_extended(Model::Mem, &csr, &machine, &profile, true);
+    let prepared = PreparedMatrix::from_config_pooled(choice.config, &csr, 2, PinPolicy::None)
+        .with_selection(Model::Mem, choice.predicted);
     assert!(prepared.is_pooled());
 
     let registry = Arc::new(Registry::new());

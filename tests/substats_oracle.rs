@@ -84,8 +84,6 @@ fn block_counts<T: SimdScalar>(built: &BuiltFormat<T>) -> Vec<usize> {
         BuiltFormat::Bcsd(m) => vec![m.n_blocks()],
         BuiltFormat::BcsrDec(m) => vec![m.main().n_blocks(), m.rest().nnz()],
         BuiltFormat::BcsdDec(m) => vec![m.main().n_blocks(), m.rest().nnz()],
-        BuiltFormat::BcsrMasked(m) => vec![m.n_blocks()],
-        BuiltFormat::BcsdMasked(m) => vec![m.n_blocks()],
         BuiltFormat::SellCSigma(m) => vec![m.n_blocks()],
     }
 }

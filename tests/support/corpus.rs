@@ -1,7 +1,7 @@
 //! Shared seeded matrix corpus for the differential suites.
 //!
-//! `differential_equivalence.rs`, `masked_equivalence.rs`,
-//! `compression_integration.rs`, and `sellc_equivalence.rs` used to each
+//! `differential_equivalence.rs`, `compression_integration.rs`,
+//! `sellc_equivalence.rs` and `substats_oracle.rs` used to each
 //! roll their own seeded corpus loop; this module is the one place
 //! those corpora live, so a new format gets 200-seed coverage by
 //! listing its constructor in a suite, not by copying a generator.
@@ -15,7 +15,7 @@
 //!   fills its block row) and trailing empty rows every 7th seed (tail
 //!   slices, empty block rows). Duplicate coordinates sum on build.
 //! * [`blocky_matrix`] — mid-size matrices whose density (and block
-//!   fill ratio) varies with the seed, for padded-vs-masked sweeps.
+//!   fill ratio) varies with the seed, for partial-block sweeps.
 //! * [`pool_matrix`] — 300×300, ~4 nnz/row: large enough that every
 //!   worker-pool strip is non-trivial, for pooled-vs-serial suites.
 //!

@@ -5,7 +5,7 @@
 //! checks on the prediction-residual tracker that `modeleval` feeds.
 
 use blocked_spmv::gen::GenSpec;
-use blocked_spmv::model::{KernelProfile, MachineProfile, Model};
+use blocked_spmv::model::{select_extended, KernelProfile, MachineProfile, Model};
 use blocked_spmv::parallel::PinPolicy;
 use blocked_spmv::serve::PreparedMatrix;
 use blocked_spmv::telemetry::{self, json::Value, EventKind};
@@ -147,15 +147,9 @@ fn prepare_spans_ranking_then_conversion() {
     telemetry::set_enabled(true);
     telemetry::clear();
     let serial = PreparedMatrix::prepare(&csr, Model::Overlap, &machine, &profile, true);
-    let pooled = PreparedMatrix::prepare_pooled(
-        &csr,
-        Model::Overlap,
-        &machine,
-        &profile,
-        true,
-        2,
-        PinPolicy::None,
-    );
+    let choice = select_extended(Model::Overlap, &csr, &machine, &profile, true);
+    let pooled = PreparedMatrix::from_config_pooled(choice.config, &csr, 2, PinPolicy::None)
+        .with_selection(Model::Overlap, choice.predicted);
     telemetry::set_enabled(false);
     let snap = telemetry::snapshot();
     telemetry::clear();
@@ -172,30 +166,31 @@ fn prepare_spans_ranking_then_conversion() {
     let inside = |outer: &telemetry::Event, inner: &telemetry::Event| {
         inner.ts_ns >= outer.ts_ns && inner.ts_ns + inner.value <= outer.ts_ns + outer.value
     };
-    // Each prepare is one `serve.prepare` span (arg = nonzeros) on the
-    // calling thread, enclosing its ranking.
+    // `prepare` is one `serve.prepare` span (arg = nonzeros) on the
+    // calling thread, enclosing its ranking; the pooled path ranks on
+    // its own, outside any prepare span.
     let prepares = spans("serve.prepare");
     let rank = spans("model.rank");
-    assert_eq!(prepares.len(), 2);
+    assert_eq!(prepares.len(), 1);
     assert_eq!(rank.len(), 2);
-    for (p, r) in prepares.iter().zip(&rank) {
-        assert_eq!(p.arg, nnz);
-        assert_eq!(r.tid, p.tid);
-        assert!(inside(p, r), "model.rank outside serve.prepare");
-    }
+    let prepare = &prepares[0];
+    assert_eq!(prepare.arg, nnz);
+    assert_eq!(rank[0].tid, prepare.tid);
+    assert!(inside(prepare, &rank[0]), "model.rank outside its prepare");
+    assert!(!inside(prepare, &rank[1]));
     // The serial prepare converts the whole matrix once the ranking is
-    // done; the pool converts one strip per worker. Every conversion
-    // falls inside its prepare, after its ranking.
+    // done, inside its span; `from_config_pooled` converts one strip per
+    // worker, after the second ranking.
     let builds = spans("formats.build");
     let (whole, strips) = builds.split_first().expect("formats.build spans");
     assert_eq!(whole.arg, nnz);
-    assert_eq!(whole.tid, prepares[0].tid);
-    assert!(inside(&prepares[0], whole));
+    assert_eq!(whole.tid, prepare.tid);
+    assert!(inside(prepare, whole));
     assert!(whole.ts_ns >= rank[0].ts_ns + rank[0].value);
     assert_eq!(strips.len(), 2);
     assert_eq!(strips.iter().map(|e| e.arg).sum::<u64>(), nnz);
     for strip in strips {
-        assert!(inside(&prepares[1], strip), "strip build outside serve.prepare");
+        assert!(!inside(prepare, strip), "strip build inside serve.prepare");
         assert!(strip.ts_ns >= rank[1].ts_ns + rank[1].value);
     }
 }
