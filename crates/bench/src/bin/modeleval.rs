@@ -19,8 +19,6 @@ fn main() {
     println!("{}", modeleval::render_figure4(&sp));
     println!("{}", modeleval::render_figure4(&dp));
     println!("{}", modeleval::render_table4(&[&sp, &dp]));
-    println!("{}", modeleval::render_compression(&sp));
-    println!("{}", modeleval::render_compression(&dp));
     println!("{}", modeleval::render_residuals());
     println!(
         "machine: {:.2} GiB/s triad, L1 {} KiB, LLC {} MiB",

@@ -6,13 +6,11 @@
 //! | [`wins`] | Table II (wins per format) and Table III (speedups over CSR) |
 //! | [`threads`] | Figure 2 — wins across 1/2/4 cores |
 //! | [`modeleval`] | Figures 3–4 and Table IV — model accuracy and selection quality |
-//! | [`compression`] | `results/compression.txt` — index-compression extension |
 //!
 //! Each `run` function returns structured results; the harness binaries
 //! in `src/bin/` parse options, call `run`, and print the paper-shaped
 //! tables.
 
-pub mod compression;
 pub mod modeleval;
 pub mod table1;
 pub mod threads;

@@ -20,12 +20,11 @@ use crate::sweep::ExpOpts;
 use spmv_core::{Csr, Precision, SpMv};
 use spmv_gen::{random_vector, suite, Geometry};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::KernelImpl;
 use spmv_model::timing::measure_spmv;
 use spmv_model::{
-    profile_kernels, select_extended, ArenaStats, Config, MachineProfile, Model, ProfileOptions,
+    profile_kernels, residual_key_for, select_extended, ArenaStats, Config, MachineProfile, Model,
+    ProfileOptions,
 };
-use spmv_telemetry::residual::ResidualKey;
 
 /// Per-matrix, per-model evaluation record.
 #[derive(Debug, Clone)]
@@ -46,48 +45,7 @@ pub struct MatrixEval {
     /// Whether the selection was exactly the measured optimum, per model
     /// (Table IV's `#correct`).
     pub sel_correct: [bool; 3],
-    /// Index-compression records: the fastest measured configuration per
-    /// format family, with its streamed index footprint (extension).
-    pub compression: Vec<CompressionStat>,
 }
-
-/// One family row of the index-compression report.
-#[derive(Debug, Clone)]
-pub struct CompressionStat {
-    /// Format family label (e.g. `BCSR16` for narrow-index BCSR).
-    pub family: &'static str,
-    /// Display label of the family's fastest measured configuration.
-    pub label: String,
-    /// Index-structure bytes streamed per nonzero (matrix bytes minus
-    /// the value array).
-    pub index_bytes_per_nnz: f64,
-    /// Padded-zero value bytes streamed per nonzero: the price of the
-    /// format's fill. Zero for padding-free formats (CSR, decomposed
-    /// full blocks).
-    pub fill_bytes_per_nnz: f64,
-    /// OVERLAP-model prediction for that configuration, seconds.
-    pub predicted: f64,
-    /// Measured time, seconds.
-    pub real: f64,
-}
-
-/// The residual-tracker key of one (configuration, model) prediction.
-fn residual_key(c: Config, model: Model) -> ResidualKey {
-    ResidualKey {
-        format: c.block.family().to_string(),
-        shape: c.block.shape_label(),
-        kernel: match c.imp {
-            KernelImpl::Scalar => "scalar".to_string(),
-            KernelImpl::Simd => "simd".to_string(),
-        },
-        model: model.label().to_string(),
-    }
-}
-
-/// Family display order of the compression report.
-const FAMILIES: [&str; 7] = [
-    "CSR", "BCSR", "BCSR16", "BCSR-DEC", "BCSD", "BCSD16", "BCSD-DEC",
-];
 
 /// The full model-evaluation dataset for one precision.
 #[derive(Debug, Clone)]
@@ -181,34 +139,21 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
     for (id, name, csr) in &matrices {
         let _matrix_span = spmv_telemetry::span_with("bench.matrix", *id as u64);
         let x: Vec<T> = random_vector(spmv_core::MatrixShape::n_cols(csr), opts.seed);
-        // Real times and index footprints for the whole model-space.
-        let reals: Vec<(Config, f64, f64, f64)> = configs
+        // Real times for the whole model-space.
+        let reals: Vec<(Config, f64)> = configs
             .iter()
-            .map(|&c| {
-                let built = c.build(csr);
-                let nnz = csr.nnz().max(1) as f64;
-                let idx_pn =
-                    (built.matrix_bytes() - built.nnz_stored() * T::BYTES) as f64 / nnz;
-                let fill_pn =
-                    built.nnz_stored().saturating_sub(csr.nnz()) as f64 * T::BYTES as f64 / nnz;
-                (
-                    c,
-                    measure_spmv(&built, &x, opts.min_time, opts.batches),
-                    idx_pn,
-                    fill_pn,
-                )
-            })
+            .map(|&c| (c, measure_spmv(&c.build(csr), &x, opts.min_time, opts.batches)))
             .collect();
         let (best_config, best_real) = reals
             .iter()
+            .copied()
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|&(c, t, ..)| (c, t))
             .expect("non-empty");
 
         // Structure statistics once per configuration, shared by every
-        // model and the family report below.
+        // model.
         let mut arena = ArenaStats::new(csr);
-        let stats: Vec<_> = reals.iter().map(|&(c, ..)| arena.substats(c)).collect();
+        let stats: Vec<_> = reals.iter().map(|&(c, _)| arena.substats(c)).collect();
 
         let mut avg_norm_pred = [0.0; 3];
         let mut avg_abs_dist = [0.0; 3];
@@ -218,11 +163,11 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
             // Prediction accuracy over every configuration.
             let mut norm_sum = 0.0;
             let mut dist_sum = 0.0;
-            for (&(c, real, ..), st) in reals.iter().zip(&stats) {
+            for (&(c, real), st) in reals.iter().zip(&stats) {
                 let pred = model.predict(st, &machine, &profile);
                 norm_sum += pred / real;
                 dist_sum += (pred - real).abs() / real;
-                residuals.record(&residual_key(c, model), pred, real);
+                residuals.record(&residual_key_for(c, model), pred, real);
             }
             avg_norm_pred[mi] = norm_sum / reals.len() as f64;
             avg_abs_dist[mi] = dist_sum / reals.len() as f64;
@@ -231,31 +176,11 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
             let chosen = select_extended(model, csr, &machine, &profile, true).config;
             let real_of_chosen = reals
                 .iter()
-                .find(|(c, ..)| *c == chosen)
-                .map(|&(_, t, ..)| t)
+                .find(|(c, _)| *c == chosen)
+                .map(|&(_, t)| t)
                 .expect("selection comes from the same space");
             sel_norm[mi] = real_of_chosen / best_real;
             sel_correct[mi] = chosen == best_config;
-        }
-
-        // Index-compression report: fastest measured configuration per
-        // format family, with its index footprint and OVERLAP prediction.
-        let mut compression = Vec::new();
-        for fam in FAMILIES {
-            let best = reals
-                .iter()
-                .filter(|(c, ..)| c.block.family() == fam)
-                .min_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some(&(c, real, idx_pn, fill_pn)) = best {
-                compression.push(CompressionStat {
-                    family: fam,
-                    label: c.to_string(),
-                    index_bytes_per_nnz: idx_pn,
-                    fill_bytes_per_nnz: fill_pn,
-                    predicted: Model::Overlap.predict(&arena.substats(c), &machine, &profile),
-                    real,
-                });
-            }
         }
 
         per_matrix.push(MatrixEval {
@@ -265,7 +190,6 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
             avg_abs_dist,
             sel_norm,
             sel_correct,
-            compression,
         });
     }
 
@@ -314,39 +238,6 @@ pub fn render_figure4(result: &ModelEvalResult) -> Table {
             f2(m.sel_norm[1]),
             f2(m.sel_norm[2]),
         ]);
-    }
-    t
-}
-
-/// Renders the index-compression report: per matrix and format family,
-/// the fastest measured configuration with its index bytes per nonzero
-/// and its predicted vs. measured time.
-pub fn render_compression(result: &ModelEvalResult) -> Table {
-    let mut t = Table::new(vec![
-        "Matrix",
-        "Family",
-        "Best config",
-        "idx B/nnz",
-        "fill B/nnz",
-        "pred ms",
-        "real ms",
-    ])
-    .title(format!(
-        "Index compression ({}): per-family index and fill footprint and times",
-        result.precision.label()
-    ));
-    for m in &result.per_matrix {
-        for c in &m.compression {
-            t.add_row(vec![
-                format!("{:02}.{}", m.id, m.name),
-                c.family.to_string(),
-                c.label.clone(),
-                f2(c.index_bytes_per_nnz),
-                f2(c.fill_bytes_per_nnz),
-                format!("{:.4}", c.predicted * 1e3),
-                format!("{:.4}", c.real * 1e3),
-            ]);
-        }
     }
     t
 }
@@ -412,23 +303,10 @@ mod tests {
         }
         let t4 = res.table4_rows();
         assert!(t4.iter().all(|&(_, correct, off)| correct <= 2 && off >= -1e-12));
-        // Compression report: every family measured.
-        for m in &res.per_matrix {
-            assert_eq!(m.compression.len(), FAMILIES.len());
-            // Padding-free families must report zero fill bytes.
-            for c in &m.compression {
-                assert!(c.index_bytes_per_nnz > 0.0, "{}", c.family);
-                assert!(c.fill_bytes_per_nnz >= 0.0);
-                if c.family == "CSR" {
-                    assert_eq!(c.fill_bytes_per_nnz, 0.0, "{} must be padding-free", c.family);
-                }
-            }
-        }
         // Render without panicking.
         let _ = render_figure3(&res).to_string();
         let _ = render_figure4(&res).to_string();
         let _ = render_table4(&[&res]).to_string();
-        let _ = render_compression(&res).to_string();
         // The run fed the global residual tracker: one row per
         // (format, shape, kernel, model) population it evaluated.
         let tracker = spmv_telemetry::residual::global();

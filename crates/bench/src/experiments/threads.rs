@@ -39,16 +39,12 @@ fn unit_nnz_weights<T: spmv_core::Scalar>(csr: &Csr<T>, unit: usize) -> Vec<u64>
 fn partition_inputs<T: SimdScalar>(csr: &Csr<T>, config: Config) -> (Vec<u64>, usize) {
     match config.block {
         BlockConfig::Csr => (csr_unit_weights(csr), 1),
-        BlockConfig::Bcsr(shape) | BlockConfig::BcsrNarrow(shape) => {
-            (bcsr_unit_weights(csr, shape), shape.rows())
-        }
+        BlockConfig::Bcsr(shape) => (bcsr_unit_weights(csr, shape), shape.rows()),
         BlockConfig::BcsrDec(shape) => (unit_nnz_weights(csr, shape.rows()), shape.rows()),
-        BlockConfig::Bcsd(b) | BlockConfig::BcsdNarrow(b) => (bcsd_unit_weights(csr, b), b),
+        BlockConfig::Bcsd(b) => (bcsd_unit_weights(csr, b), b),
         BlockConfig::BcsdDec(b) => (unit_nnz_weights(csr, b), b),
         // SELL strips split on slice boundaries; weights count padded slices.
-        BlockConfig::SellCSigma { c, .. } | BlockConfig::SellCSigmaNarrow { c, .. } => {
-            (sell_unit_weights(csr, c), c)
-        }
+        BlockConfig::SellCSigma { c, .. } => (sell_unit_weights(csr, c), c),
     }
 }
 

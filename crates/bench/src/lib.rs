@@ -14,11 +14,9 @@
 //! | Figure 2 | `... --bin figure2` |
 //! | Figure 3 | `... --bin figure3` |
 //! | Figure 4 | `... --bin figure4` |
-//! | `results/compression.txt` | `... --bin compression` |
 //!
 //! All binaries share the options parsed by [`cli::Args`]; run any of
-//! them with `--help` for the list. Criterion microbenchmarks live in
-//! `benches/`.
+//! them with `--help` for the list.
 
 pub mod cli;
 pub mod diagnostics;

@@ -61,58 +61,3 @@ pub type Index = u32;
 /// Upper bound (inclusive) on dimensions and nonzero counts representable
 /// with [`Index`].
 pub const MAX_INDEX: usize = u32::MAX as usize;
-
-/// Storage width of a compressed block-column index array.
-///
-/// The paper stores every index structure as four-byte integers (§V), but
-/// for most matrices in the evaluation suite the column space fits in two
-/// bytes — SpMV is memory-bound, so halving the index stream is a
-/// model-predictable speedup (cf. Schubert et al., arXiv:0910.4836).
-/// Formats that support narrow indices pick the width with
-/// [`IndexWidth::for_cols`] and fall back to [`IndexWidth::U32`] when the
-/// matrix is too wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum IndexWidth {
-    /// Two-byte indices (`u16`).
-    U16,
-    /// Four-byte indices (the [`Index`] baseline).
-    U32,
-}
-
-impl IndexWidth {
-    /// Widest column count eligible for [`IndexWidth::U16`] storage.
-    ///
-    /// The bound is `u16::MAX - 7` rather than `u16::MAX` because BCSD
-    /// stores start columns with a `+b` bias, `b <= 8`: the largest biased
-    /// start is `n_cols - 1 + b <= n_cols + 7`, which must still fit in a
-    /// `u16`. Using one rule for every format keeps width selection
-    /// decidable from `n_cols` alone, so the model's byte accounting and
-    /// the constructors can never disagree.
-    pub const MAX_U16_COLS: usize = u16::MAX as usize - 7;
-
-    /// Bytes per stored index.
-    pub const fn bytes(self) -> usize {
-        match self {
-            IndexWidth::U16 => 2,
-            IndexWidth::U32 => 4,
-        }
-    }
-
-    /// The narrowest width able to index `n_cols` columns under the shared
-    /// eligibility rule ([`IndexWidth::MAX_U16_COLS`]).
-    pub const fn for_cols(n_cols: usize) -> IndexWidth {
-        if n_cols <= IndexWidth::MAX_U16_COLS {
-            IndexWidth::U16
-        } else {
-            IndexWidth::U32
-        }
-    }
-
-    /// Short label for reports (`u16` / `u32`).
-    pub const fn label(self) -> &'static str {
-        match self {
-            IndexWidth::U16 => "u16",
-            IndexWidth::U32 => "u32",
-        }
-    }
-}

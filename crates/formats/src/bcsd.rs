@@ -1,8 +1,7 @@
 //! Blocked Compressed Sparse Diagonal (BCSD) with zero padding.
 
-use crate::narrow::ColIdx;
 use crate::{SpMvAcc, SpMvMultiAcc};
-use spmv_core::{Csr, Error, Index, IndexWidth, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
+use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
 use spmv_kernels::registry::{bcsd_seg_kernel, bcsd_seg_multi_kernel, BcsdSegKernel};
 use spmv_kernels::scalar::{bcsd_segment_clipped, bcsd_segment_multi_clipped};
 use spmv_kernels::simd::SimdScalar;
@@ -45,9 +44,8 @@ pub struct Bcsd<T> {
     imp: KernelImpl,
     /// Offset of each segment's first block; `n_segments + 1` entries.
     brow_ptr: Vec<Index>,
-    /// Start column of each block, biased by `+b`, sorted per segment,
-    /// stored at u32 (default) or u16 (narrow) width.
-    bcol_biased: ColIdx,
+    /// Start column of each block, biased by `+b`, sorted per segment.
+    bcol_biased: Vec<Index>,
     /// Block values, `b` per block (diagonal order).
     bval: Vec<T>,
     nnz_orig: usize,
@@ -113,26 +111,10 @@ impl<T: SimdScalar> Bcsd<T> {
             b,
             imp,
             brow_ptr,
-            bcol_biased: ColIdx::wide(bcol_biased),
+            bcol_biased,
             bval,
             nnz_orig: csr.nnz(),
         }
-    }
-
-    /// Converts `csr` to BCSD storing the biased start columns at the
-    /// narrowest width [`IndexWidth::for_cols`] allows. The shared
-    /// eligibility bound already accounts for the `+b <= +8` bias, so the
-    /// largest biased start (`n_cols - 1 + b`) always fits the chosen
-    /// width. Kernels and results are identical to [`Bcsd::from_csr`].
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`Bcsd::from_csr`] does.
-    pub fn from_csr_narrow(csr: &Csr<T>, b: usize, imp: KernelImpl) -> Self {
-        let mut bcsd = Self::from_csr(csr, b, imp);
-        bcsd.bcol_biased = core::mem::replace(&mut bcsd.bcol_biased, ColIdx::wide(Vec::new()))
-            .with_width(IndexWidth::for_cols(csr.n_cols()));
-        bcsd
     }
 
     /// Assembles a BCSD matrix from prebuilt arrays (used by the
@@ -154,17 +136,12 @@ impl<T: SimdScalar> Bcsd<T> {
             b,
             imp,
             brow_ptr,
-            bcol_biased: ColIdx::wide(bcol_biased),
+            bcol_biased,
             bval,
             nnz_orig,
         };
         debug_assert!(bcsd.validate().is_ok());
         bcsd
-    }
-
-    /// The storage width of the biased start-column array.
-    pub fn index_width(&self) -> IndexWidth {
-        self.bcol_biased.width()
     }
 
     /// The diagonal block size `b`.
@@ -213,7 +190,7 @@ impl<T: SimdScalar> Bcsd<T> {
         let mut coo = spmv_core::Coo::with_capacity(self.n_rows, self.n_cols, self.nnz_orig);
         for s in 0..self.brow_ptr.len() - 1 {
             for k in self.brow_ptr[s] as usize..self.brow_ptr[s + 1] as usize {
-                let j0 = self.bcol_biased.get(k) as i64 - b as i64;
+                let j0 = self.bcol_biased[k] as i64 - b as i64;
                 for t in 0..b {
                     let row = s * b + t;
                     let col = j0 + t as i64;
@@ -251,14 +228,14 @@ impl<T: SimdScalar> Bcsd<T> {
         for s in 0..n_segs {
             let range = self.brow_ptr[s] as usize..self.brow_ptr[s + 1] as usize;
             for k in range.clone().skip(1) {
-                if self.bcol_biased.get(k - 1) >= self.bcol_biased.get(k) {
+                if self.bcol_biased[k - 1] >= self.bcol_biased[k] {
                     return Err(Error::InvalidStructure(format!(
                         "segment {s}: duplicate or unsorted blocks"
                     )));
                 }
             }
             for k in range {
-                let j0 = self.bcol_biased.get(k) as i64 - self.b as i64;
+                let j0 = self.bcol_biased[k] as i64 - self.b as i64;
                 if j0 <= -(self.b as i64) || j0 >= self.n_cols as i64 {
                     return Err(Error::InvalidStructure(format!(
                         "segment {s}: block start {j0} entirely outside the matrix"
@@ -273,8 +250,6 @@ impl<T: SimdScalar> Bcsd<T> {
         let b = self.b;
         let kern: BcsdSegKernel<T> = bcsd_seg_kernel(b, self.imp);
         let n_segs = self.brow_ptr.len() - 1;
-        // Widening scratch for narrow indices; empty (never touched) at u32.
-        let mut scratch: Vec<Index> = Vec::new();
         for s in 0..n_segs {
             let start = self.brow_ptr[s] as usize;
             let end = self.brow_ptr[s + 1] as usize;
@@ -288,18 +263,18 @@ impl<T: SimdScalar> Bcsd<T> {
                 // prefix; right-clipped ones (j0 + b > n_cols ⇔ biased >
                 // n_cols) a sorted suffix.
                 let mut lo = start;
-                while lo < end && (self.bcol_biased.get(lo) as usize) < b {
+                while lo < end && (self.bcol_biased[lo] as usize) < b {
                     lo += 1;
                 }
                 let mut hi = end;
-                while hi > lo && self.bcol_biased.get(hi - 1) as usize > self.n_cols {
+                while hi > lo && self.bcol_biased[hi - 1] as usize > self.n_cols {
                     hi -= 1;
                 }
                 if lo > start {
                     bcsd_segment_clipped(
                         b,
                         &self.bval[start * b..lo * b],
-                        self.bcol_biased.slice(start..lo, &mut scratch),
+                        &self.bcol_biased[start..lo],
                         x,
                         yseg,
                     );
@@ -307,7 +282,7 @@ impl<T: SimdScalar> Bcsd<T> {
                 if hi > lo {
                     kern(
                         &self.bval[lo * b..hi * b],
-                        self.bcol_biased.slice(lo..hi, &mut scratch),
+                        &self.bcol_biased[lo..hi],
                         x,
                         yseg,
                     );
@@ -316,7 +291,7 @@ impl<T: SimdScalar> Bcsd<T> {
                     bcsd_segment_clipped(
                         b,
                         &self.bval[hi * b..end * b],
-                        self.bcol_biased.slice(hi..end, &mut scratch),
+                        &self.bcol_biased[hi..end],
                         x,
                         yseg,
                     );
@@ -326,7 +301,7 @@ impl<T: SimdScalar> Bcsd<T> {
                 bcsd_segment_clipped(
                     b,
                     &self.bval[start * b..end * b],
-                    self.bcol_biased.slice(start..end, &mut scratch),
+                    &self.bcol_biased[start..end],
                     x,
                     yseg,
                 );
@@ -354,7 +329,6 @@ impl<T: SimdScalar> Bcsd<T> {
             .expect("chunked to a specialized vector count");
         let (m, n) = (self.n_cols, self.n_rows);
         let n_segs = self.brow_ptr.len() - 1;
-        let mut scratch: Vec<Index> = Vec::new();
         for s in 0..n_segs {
             let start = self.brow_ptr[s] as usize;
             let end = self.brow_ptr[s + 1] as usize;
@@ -364,11 +338,11 @@ impl<T: SimdScalar> Bcsd<T> {
             let y0 = s * b;
             if y0 + b <= n {
                 let mut lo = start;
-                while lo < end && (self.bcol_biased.get(lo) as usize) < b {
+                while lo < end && (self.bcol_biased[lo] as usize) < b {
                     lo += 1;
                 }
                 let mut hi = end;
-                while hi > lo && self.bcol_biased.get(hi - 1) as usize > m {
+                while hi > lo && self.bcol_biased[hi - 1] as usize > m {
                     hi -= 1;
                 }
                 if lo > start {
@@ -376,7 +350,7 @@ impl<T: SimdScalar> Bcsd<T> {
                         b,
                         kc,
                         &self.bval[start * b..lo * b],
-                        self.bcol_biased.slice(start..lo, &mut scratch),
+                        &self.bcol_biased[start..lo],
                         x,
                         m,
                         y,
@@ -388,7 +362,7 @@ impl<T: SimdScalar> Bcsd<T> {
                 if hi > lo {
                     kern(
                         &self.bval[lo * b..hi * b],
-                        self.bcol_biased.slice(lo..hi, &mut scratch),
+                        &self.bcol_biased[lo..hi],
                         x,
                         m,
                         y,
@@ -401,7 +375,7 @@ impl<T: SimdScalar> Bcsd<T> {
                         b,
                         kc,
                         &self.bval[hi * b..end * b],
-                        self.bcol_biased.slice(hi..end, &mut scratch),
+                        &self.bcol_biased[hi..end],
                         x,
                         m,
                         y,
@@ -415,7 +389,7 @@ impl<T: SimdScalar> Bcsd<T> {
                     b,
                     kc,
                     &self.bval[start * b..end * b],
-                    self.bcol_biased.slice(start..end, &mut scratch),
+                    &self.bcol_biased[start..end],
                     x,
                     m,
                     y,
@@ -450,8 +424,7 @@ impl<T: SimdScalar> SpMv<T> for Bcsd<T> {
 
     fn matrix_bytes(&self) -> usize {
         self.bval.len() * T::BYTES
-            + self.bcol_biased.bytes()
-            + self.brow_ptr.len() * core::mem::size_of::<Index>()
+            + (self.bcol_biased.len() + self.brow_ptr.len()) * core::mem::size_of::<Index>()
     }
 }
 
@@ -616,50 +589,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn narrow_indices_are_bitwise_equal_and_smaller() {
-        let csr = fixture_csr(23, 19, 11);
-        for b in [3usize, 8] {
-            for imp in KernelImpl::ALL {
-                let wide = Bcsd::from_csr(&csr, b, imp);
-                let narrow = Bcsd::from_csr_narrow(&csr, b, imp);
-                narrow.validate().unwrap();
-                assert_eq!(narrow.index_width(), IndexWidth::U16);
-                assert!(narrow.matrix_bytes() < wide.matrix_bytes());
-                for k in [1, 5] {
-                    let x: Vec<f64> = (0..19 * k).map(|i| 1.0 + (i % 7) as f64).collect();
-                    assert_eq!(
-                        narrow.spmv_multi(&x, k),
-                        wide.spmv_multi(&x, k),
-                        "b={b} imp {imp} k={k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn narrow_bias_fits_at_the_eligibility_bound() {
-        // n_cols exactly at MAX_U16_COLS: the largest biased start is
-        // n_cols - 1 + b = 65535 with b = 8, which must still fit u16.
-        let n_cols = IndexWidth::MAX_U16_COLS;
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(8, n_cols, vec![(7, n_cols - 1, 3.0)]).unwrap(),
-        );
-        let bcsd = Bcsd::from_csr_narrow(&csr, 8, KernelImpl::Scalar);
-        assert_eq!(bcsd.index_width(), IndexWidth::U16);
-        bcsd.validate().unwrap();
-        let mut x = vec![0.0; n_cols];
-        x[n_cols - 1] = 2.0;
-        assert_eq!(bcsd.spmv(&x)[7], 6.0);
-        // One column more and the constructor must fall back to u32.
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(8, n_cols + 1, vec![(7, n_cols, 3.0)]).unwrap(),
-        );
-        let bcsd = Bcsd::from_csr_narrow(&csr, 8, KernelImpl::Scalar);
-        assert_eq!(bcsd.index_width(), IndexWidth::U32);
     }
 
     #[test]

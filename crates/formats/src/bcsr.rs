@@ -1,8 +1,7 @@
 //! Blocked Compressed Sparse Row (BCSR) with zero padding.
 
-use crate::narrow::ColIdx;
 use crate::{SpMvAcc, SpMvMultiAcc};
-use spmv_core::{Csr, Error, Index, IndexWidth, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
+use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
 use spmv_kernels::registry::{bcsr_row_kernel, bcsr_row_multi_kernel, BcsrRowKernel};
 use spmv_kernels::scalar::{bcsr_block_row_clipped, bcsr_block_row_multi_clipped};
 use spmv_kernels::simd::SimdScalar;
@@ -45,9 +44,8 @@ pub struct Bcsr<T> {
     imp: KernelImpl,
     /// Offset of each block row's first block; `n_brows + 1` entries.
     brow_ptr: Vec<Index>,
-    /// Absolute start column of each block, sorted within a block row,
-    /// stored at u32 (default) or u16 (narrow) width.
-    bcol_start: ColIdx,
+    /// Absolute start column of each block, sorted within a block row.
+    bcol_start: Vec<Index>,
     /// Block values, `r * c` per block, row-major within the block.
     bval: Vec<T>,
     /// Nonzeros of the source matrix (excludes padding).
@@ -62,22 +60,6 @@ impl<T: SimdScalar> Bcsr<T> {
     /// Panics if the block count would overflow the `u32` index type.
     pub fn from_csr(csr: &Csr<T>, shape: BlockShape, imp: KernelImpl) -> Self {
         Self::from_csr_with(csr, shape, imp, true)
-    }
-
-    /// Converts `csr` to aligned BCSR storing block start columns at the
-    /// narrowest width [`IndexWidth::for_cols`] allows (u16 when the
-    /// column space fits, the u32 baseline otherwise). The kernels and the
-    /// numerical result are identical to [`Bcsr::from_csr`] — only the
-    /// index bytes streamed per iteration shrink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block count would overflow the `u32` index type.
-    pub fn from_csr_narrow(csr: &Csr<T>, shape: BlockShape, imp: KernelImpl) -> Self {
-        let mut bcsr = Self::from_csr(csr, shape, imp);
-        bcsr.bcol_start = core::mem::replace(&mut bcsr.bcol_start, ColIdx::wide(Vec::new()))
-            .with_width(IndexWidth::for_cols(csr.n_cols()));
-        bcsr
     }
 
     /// Converts `csr` to BCSR, choosing block alignment.
@@ -172,7 +154,7 @@ impl<T: SimdScalar> Bcsr<T> {
             aligned,
             imp,
             brow_ptr,
-            bcol_start: ColIdx::wide(bcol_start),
+            bcol_start,
             bval,
             nnz_orig: csr.nnz(),
         }
@@ -199,17 +181,12 @@ impl<T: SimdScalar> Bcsr<T> {
             aligned,
             imp,
             brow_ptr,
-            bcol_start: ColIdx::wide(bcol_start),
+            bcol_start,
             bval,
             nnz_orig,
         };
         debug_assert!(bcsr.validate().is_ok());
         bcsr
-    }
-
-    /// The storage width of the block start-column array.
-    pub fn index_width(&self) -> IndexWidth {
-        self.bcol_start.width()
     }
 
     /// The block shape `r x c`.
@@ -266,7 +243,7 @@ impl<T: SimdScalar> Bcsr<T> {
         let mut coo = spmv_core::Coo::with_capacity(self.n_rows, self.n_cols, self.nnz_orig);
         for rb in 0..self.brow_ptr.len() - 1 {
             for k in self.brow_ptr[rb] as usize..self.brow_ptr[rb + 1] as usize {
-                let j0 = self.bcol_start.get(k) as usize;
+                let j0 = self.bcol_start[k] as usize;
                 for i in 0..r {
                     let row = rb * r + i;
                     if row >= self.n_rows {
@@ -313,14 +290,14 @@ impl<T: SimdScalar> Bcsr<T> {
             let range = self.brow_ptr[rb] as usize..self.brow_ptr[rb + 1] as usize;
             for k in range.clone().skip(1) {
                 // Aligned blocks are c apart; unaligned merely disjoint.
-                if self.bcol_start.get(k) < self.bcol_start.get(k - 1) + c as Index {
+                if self.bcol_start[k] < self.bcol_start[k - 1] + c as Index {
                     return Err(Error::InvalidStructure(format!(
                         "block row {rb}: overlapping or unsorted blocks"
                     )));
                 }
             }
             for k in range {
-                let j0 = self.bcol_start.get(k);
+                let j0 = self.bcol_start[k];
                 if self.aligned && !(j0 as usize).is_multiple_of(c) {
                     return Err(Error::InvalidStructure(format!(
                         "block row {rb}: start column {j0} breaks alignment"
@@ -346,8 +323,6 @@ impl<T: SimdScalar> Bcsr<T> {
         let kern: BcsrRowKernel<T> = bcsr_row_kernel(self.shape, self.imp);
         let n_brows = self.brow_ptr.len() - 1;
         let rc = r * c;
-        // Widening scratch for narrow indices; empty (never touched) at u32.
-        let mut scratch: Vec<Index> = Vec::new();
         for rb in 0..n_brows {
             let start = self.brow_ptr[rb] as usize;
             let end = self.brow_ptr[rb + 1] as usize;
@@ -361,14 +336,14 @@ impl<T: SimdScalar> Bcsr<T> {
                 let yrow = &mut y[y0..y0 + r];
                 let mut fast_end = end;
                 while fast_end > start
-                    && self.bcol_start.get(fast_end - 1) as usize + c > self.n_cols
+                    && self.bcol_start[fast_end - 1] as usize + c > self.n_cols
                 {
                     fast_end -= 1;
                 }
                 if fast_end > start {
                     kern(
                         &self.bval[start * rc..fast_end * rc],
-                        self.bcol_start.slice(start..fast_end, &mut scratch),
+                        &self.bcol_start[start..fast_end],
                         x,
                         yrow,
                     );
@@ -378,7 +353,7 @@ impl<T: SimdScalar> Bcsr<T> {
                         r,
                         c,
                         &self.bval[fast_end * rc..end * rc],
-                        self.bcol_start.slice(fast_end..end, &mut scratch),
+                        &self.bcol_start[fast_end..end],
                         x,
                         yrow,
                     );
@@ -390,7 +365,7 @@ impl<T: SimdScalar> Bcsr<T> {
                     r,
                     c,
                     &self.bval[start * rc..end * rc],
-                    self.bcol_start.slice(start..end, &mut scratch),
+                    &self.bcol_start[start..end],
                     x,
                     yrow,
                 );
@@ -421,7 +396,6 @@ impl<T: SimdScalar> Bcsr<T> {
         let (m, n) = (self.n_cols, self.n_rows);
         let n_brows = self.brow_ptr.len() - 1;
         let rc = r * c;
-        let mut scratch: Vec<Index> = Vec::new();
         for rb in 0..n_brows {
             let start = self.brow_ptr[rb] as usize;
             let end = self.brow_ptr[rb + 1] as usize;
@@ -431,13 +405,13 @@ impl<T: SimdScalar> Bcsr<T> {
             let y0 = rb * r;
             if y0 + r <= n {
                 let mut fast_end = end;
-                while fast_end > start && self.bcol_start.get(fast_end - 1) as usize + c > m {
+                while fast_end > start && self.bcol_start[fast_end - 1] as usize + c > m {
                     fast_end -= 1;
                 }
                 if fast_end > start {
                     kern(
                         &self.bval[start * rc..fast_end * rc],
-                        self.bcol_start.slice(start..fast_end, &mut scratch),
+                        &self.bcol_start[start..fast_end],
                         x,
                         m,
                         y,
@@ -451,7 +425,7 @@ impl<T: SimdScalar> Bcsr<T> {
                         c,
                         kc,
                         &self.bval[fast_end * rc..end * rc],
-                        self.bcol_start.slice(fast_end..end, &mut scratch),
+                        &self.bcol_start[fast_end..end],
                         x,
                         m,
                         y,
@@ -466,7 +440,7 @@ impl<T: SimdScalar> Bcsr<T> {
                     c,
                     kc,
                     &self.bval[start * rc..end * rc],
-                    self.bcol_start.slice(start..end, &mut scratch),
+                    &self.bcol_start[start..end],
                     x,
                     m,
                     y,
@@ -501,8 +475,7 @@ impl<T: SimdScalar> SpMv<T> for Bcsr<T> {
 
     fn matrix_bytes(&self) -> usize {
         self.bval.len() * T::BYTES
-            + self.bcol_start.bytes()
-            + self.brow_ptr.len() * core::mem::size_of::<Index>()
+            + (self.bcol_start.len() + self.brow_ptr.len()) * core::mem::size_of::<Index>()
     }
 }
 
@@ -682,41 +655,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn narrow_indices_are_bitwise_equal_and_smaller() {
-        let csr = fixture_csr(23, 31, 7);
-        for shape in [BlockShape::new(2, 2).unwrap(), BlockShape::new(1, 4).unwrap()] {
-            for imp in KernelImpl::ALL {
-                let wide = Bcsr::from_csr(&csr, shape, imp);
-                let narrow = Bcsr::from_csr_narrow(&csr, shape, imp);
-                narrow.validate().unwrap();
-                assert_eq!(narrow.index_width(), IndexWidth::U16);
-                assert_eq!(wide.index_width(), IndexWidth::U32);
-                assert!(narrow.matrix_bytes() < wide.matrix_bytes());
-                for k in [1, 3] {
-                    let x: Vec<f64> = (0..31 * k).map(|i| 1.0 + (i % 9) as f64).collect();
-                    // Same kernels, same values, only index width differs:
-                    // the products must be bitwise identical.
-                    assert_eq!(
-                        narrow.spmv_multi(&x, k),
-                        wide.spmv_multi(&x, k),
-                        "shape {shape} imp {imp} k={k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn narrow_constructor_falls_back_to_u32_when_too_wide() {
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(1, 70_000, vec![(0, 69_999, 1.0)]).unwrap(),
-        );
-        let b = Bcsr::from_csr_narrow(&csr, BlockShape::new(1, 2).unwrap(), KernelImpl::Scalar);
-        assert_eq!(b.index_width(), IndexWidth::U32);
-        b.validate().unwrap();
     }
 
     #[test]

@@ -15,11 +15,6 @@
 //! | [`Vbr`] | VBR | variable-size 2-D blocks (described in §II, not in the model study) |
 //! | [`SellCSigma`] | SELL-C-σ | sliced ELLPACK, σ-windowed row sorting, padding (extension) |
 //!
-//! As an index-compression extension beyond the paper, BCSR, BCSD,
-//! 1D-VBL and SELL-C-σ additionally offer
-//! `from_csr_narrow` constructors that store their column arrays at u16
-//! width when the column space fits (see [`spmv_core::IndexWidth`]).
-//!
 //! Every format implements [`spmv_core::SpMv`] plus the accumulate variant
 //! [`SpMvAcc`] that decomposed formats need, and the multi-vector (SpMM)
 //! counterparts [`spmv_core::SpMvMulti`] / [`SpMvMultiAcc`] that stream
@@ -31,7 +26,6 @@
 pub mod bcsd;
 pub mod bcsr;
 pub mod decomposed;
-mod narrow;
 pub mod sellc;
 pub mod stats;
 pub mod vbl;

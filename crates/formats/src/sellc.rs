@@ -13,15 +13,14 @@
 //!
 //! Cost shape: where the blocked formats trade index bytes for padding,
 //! SELL-C-σ is *padding-dominated* — it streams one index per stored
-//! entry (like CSR, optionally narrowed to u16) plus
+//! entry (like CSR) plus
 //! `Σ_s (w_s·C) − nnz` padded value slots, where `w_s` is slice `s`'s
 //! width. σ controls that padding: σ = 1 stores rows unsorted (maximum
 //! padding for irregular rows), σ = `n_rows` sorts globally (minimum
 //! padding, most scrambled gather/scatter locality).
 
-use crate::narrow::ColIdx;
 use crate::{SpMvAcc, SpMvMultiAcc};
-use spmv_core::{Csr, Error, Index, IndexWidth, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
+use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
 use spmv_kernels::sell::{sell_slice_kernel, sell_slice_multi_kernel, SELL_HEIGHTS};
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{multi_chunk, KernelImpl};
@@ -75,8 +74,8 @@ pub struct SellCSigma<T> {
     /// tail slice's excess lanes).
     lens: Vec<Index>,
     /// Column index per stored entry, column-major within each slice;
-    /// padded slots hold 0. Narrowable to u16.
-    col: ColIdx,
+    /// padded slots hold 0.
+    col: Vec<Index>,
     /// Value per stored entry, same layout; padded slots hold zero.
     val: Vec<T>,
     /// Sorted position → original row; SpMV scatters through this, so
@@ -160,21 +159,11 @@ impl<T: SimdScalar> SellCSigma<T> {
             imp,
             slice_ptr,
             lens,
-            col: ColIdx::wide(col),
+            col,
             val,
             perm,
             nnz_orig: csr.nnz(),
         }
-    }
-
-    /// Converts `csr` to SELL-C-σ storing column indices at the
-    /// narrowest width [`IndexWidth::for_cols`] allows. Kernels and
-    /// results are identical to [`SellCSigma::from_csr`].
-    pub fn from_csr_narrow(csr: &Csr<T>, c: usize, sigma: usize, imp: KernelImpl) -> Self {
-        let mut sell = Self::from_csr(csr, c, sigma, imp);
-        sell.col = core::mem::replace(&mut sell.col, ColIdx::wide(Vec::new()))
-            .with_width(IndexWidth::for_cols(csr.n_cols()));
-        sell
     }
 
     /// The slice height `C`.
@@ -186,11 +175,6 @@ impl<T: SimdScalar> SellCSigma<T> {
     /// global sort).
     pub fn sigma(&self) -> usize {
         self.sigma
-    }
-
-    /// The storage width of the column-index array.
-    pub fn index_width(&self) -> IndexWidth {
-        self.col.width()
     }
 
     /// The kernel implementation used by `spmv`.
@@ -254,7 +238,7 @@ impl<T: SimdScalar> SellCSigma<T> {
                 for j in 0..self.lens[pos] as usize {
                     let v = self.val[base + j * self.c + lane];
                     if v != T::ZERO {
-                        let cj = self.col.get(base + j * self.c + lane) as usize;
+                        let cj = self.col[base + j * self.c + lane] as usize;
                         coo.push(row, cj, v).expect("inside matrix");
                     }
                 }
@@ -328,7 +312,7 @@ impl<T: SimdScalar> SellCSigma<T> {
                 for j in 0..width {
                     let idx = base + j * self.c + lane;
                     if j < len as usize {
-                        if self.col.get(idx) as usize >= self.n_cols {
+                        if self.col[idx] as usize >= self.n_cols {
                             return Err(Error::InvalidStructure(format!(
                                 "slice {s} lane {lane}: column out of bounds"
                             )));
@@ -350,13 +334,12 @@ impl<T: SimdScalar> SellCSigma<T> {
     /// assign path covers every output element.
     fn spmv_each<F: FnMut(usize, T)>(&self, x: &[T], mut write: F) {
         let kern = sell_slice_kernel::<T>(self.c, self.imp);
-        let mut scratch: Vec<Index> = Vec::new();
         let mut buf = [T::ZERO; 8];
         for s in 0..self.n_slices() {
             let range = self.slice_ptr[s] as usize..self.slice_ptr[s + 1] as usize;
             kern(
                 &self.val[range.clone()],
-                self.col.slice(range, &mut scratch),
+                &self.col[range],
                 &self.lens[s * self.c..(s + 1) * self.c],
                 x,
                 &mut buf[..self.c],
@@ -375,13 +358,12 @@ impl<T: SimdScalar> SellCSigma<T> {
     fn spmv_multi_each<F: FnMut(usize, usize, T)>(&self, x: &[T], kc: usize, mut write: F) {
         let kern = sell_slice_multi_kernel::<T>(self.c, kc, self.imp)
             .expect("chunked to a specialized vector count");
-        let mut scratch: Vec<Index> = Vec::new();
         let mut buf = [T::ZERO; 64];
         for s in 0..self.n_slices() {
             let range = self.slice_ptr[s] as usize..self.slice_ptr[s + 1] as usize;
             kern(
                 &self.val[range.clone()],
-                self.col.slice(range, &mut scratch),
+                &self.col[range],
                 &self.lens[s * self.c..(s + 1) * self.c],
                 x,
                 self.n_cols,
@@ -423,8 +405,7 @@ impl<T: SimdScalar> SpMv<T> for SellCSigma<T> {
 
     fn matrix_bytes(&self) -> usize {
         self.val.len() * T::BYTES
-            + self.col.bytes()
-            + (self.slice_ptr.len() + self.lens.len() + self.perm.len())
+            + (self.col.len() + self.slice_ptr.len() + self.lens.len() + self.perm.len())
                 * core::mem::size_of::<Index>()
     }
 }
@@ -532,18 +513,6 @@ mod tests {
             let sell = SellCSigma::from_csr(&csr, 4, sigma, KernelImpl::Scalar);
             assert_eq!(sell.to_csr(), csr, "sigma={sigma}");
         }
-    }
-
-    #[test]
-    fn narrow_indices_are_bitwise_equal_and_smaller() {
-        let csr = fixture_csr(29, 23, 11);
-        let x: Vec<f64> = (0..23).map(|i| 1.0 + (i % 7) as f64).collect();
-        let wide = SellCSigma::from_csr(&csr, 4, 64, KernelImpl::Simd);
-        let narrow = SellCSigma::from_csr_narrow(&csr, 4, 64, KernelImpl::Simd);
-        narrow.validate().unwrap();
-        assert_eq!(narrow.index_width(), IndexWidth::U16);
-        assert!(narrow.matrix_bytes() < wide.matrix_bytes());
-        assert_eq!(narrow.spmv(&x), wide.spmv(&x));
     }
 
     #[test]

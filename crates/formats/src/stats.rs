@@ -9,14 +9,14 @@
 //! estimators play in SPARSITY/OSKI-style autotuners.
 //!
 //! Those numbers depend on the block geometry alone, not on the kernel
-//! implementation, index width or decomposition. So there is one
+//! implementation or decomposition. So there is one
 //! `O(nnz)` counting scan per geometry — [`bcsr_counts`] per BCSR shape,
 //! [`bcsd_counts`] per BCSD size — returning [`BlockCounts`], and the
 //! padded and decomposed statistics of that geometry are derivations of
 //! it ([`BlockCounts::padded`], [`BlockCounts::decomposed`]). Likewise
 //! SELL-C-σ needs only the row lengths sorted per σ window
 //! ([`sell_sorted_lengths`]), shared by every slice height. Ranking the
-//! 205-configuration extended space therefore needs
+//! 129-configuration extended space therefore needs
 //! 26 block scans, not one scan per configuration, when the caller keeps
 //! the per-geometry results (`spmv_model::config::ArenaStats` does).
 //!

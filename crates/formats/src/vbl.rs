@@ -1,8 +1,7 @@
 //! One-dimensional Variable Block Length (1D-VBL) storage.
 
-use crate::narrow::ColIdx;
 use crate::{SpMvAcc, SpMvMultiAcc};
-use spmv_core::{Csr, Error, Index, IndexWidth, MatrixShape, Result, SpMv, SpMvMulti};
+use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti};
 use spmv_kernels::registry::{dot_run, dot_run_multi};
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::KernelImpl;
@@ -44,9 +43,8 @@ pub struct Vbl<T> {
     imp: KernelImpl,
     /// Offsets into `val`, one per row plus one — identical role to CSR.
     row_ptr: Vec<Index>,
-    /// Start column of each block, stored at u32 (default) or u16
-    /// (narrow) width.
-    bcol_ind: ColIdx,
+    /// Start column of each block.
+    bcol_ind: Vec<Index>,
     /// Length of each block (1..=255).
     blk_size: Vec<u8>,
     /// The nonzero values, concatenated run by run.
@@ -91,25 +89,10 @@ impl<T: SimdScalar> Vbl<T> {
             n_cols,
             imp,
             row_ptr,
-            bcol_ind: ColIdx::wide(bcol_ind),
+            bcol_ind,
             blk_size,
             val,
         }
-    }
-
-    /// Converts `csr` to 1D-VBL storing block start columns at the
-    /// narrowest width [`IndexWidth::for_cols`] allows. Kernels and
-    /// results are identical to [`Vbl::from_csr`].
-    pub fn from_csr_narrow(csr: &Csr<T>, imp: KernelImpl) -> Self {
-        let mut vbl = Self::from_csr(csr, imp);
-        vbl.bcol_ind = core::mem::replace(&mut vbl.bcol_ind, ColIdx::wide(Vec::new()))
-            .with_width(IndexWidth::for_cols(csr.n_cols()));
-        vbl
-    }
-
-    /// The storage width of the block start-column array.
-    pub fn index_width(&self) -> IndexWidth {
-        self.bcol_ind.width()
     }
 
     /// The kernel implementation used by `spmv`.
@@ -141,7 +124,7 @@ impl<T: SimdScalar> Vbl<T> {
     pub fn to_csr(&self) -> Csr<T> {
         let mut col_ind = Vec::with_capacity(self.val.len());
         for (blk, &len) in self.blk_size.iter().enumerate() {
-            let start = self.bcol_ind.get(blk);
+            let start = self.bcol_ind[blk];
             col_ind.extend((0..len as Index).map(|j| start + j));
         }
         Csr::from_raw(
@@ -186,7 +169,7 @@ impl<T: SimdScalar> Vbl<T> {
             let mut prev_end: Option<Index> = None;
             while consumed < row_end {
                 let len = self.blk_size[blk] as usize;
-                let start = self.bcol_ind.get(blk);
+                let start = self.bcol_ind[blk];
                 if start as usize + len > self.n_cols {
                     return Err(Error::OutOfBounds {
                         row: i,
@@ -226,7 +209,7 @@ impl<T: SimdScalar> Vbl<T> {
             let mut acc = T::ZERO;
             while v < row_end {
                 let len = self.blk_size[blk] as usize;
-                let j0 = self.bcol_ind.get(blk) as usize;
+                let j0 = self.bcol_ind[blk] as usize;
                 acc += dot_run(&self.val[v..v + len], &x[j0..j0 + len], self.imp);
                 v += len;
                 blk += 1;
@@ -253,7 +236,7 @@ impl<T: SimdScalar> Vbl<T> {
                 acc[..kc].fill(T::ZERO);
                 while v < row_end {
                     let len = self.blk_size[blk] as usize;
-                    let j0 = self.bcol_ind.get(blk) as usize;
+                    let j0 = self.bcol_ind[blk] as usize;
                     dot_run_multi(&self.val[v..v + len], xs, m, j0, &mut acc[..kc], self.imp);
                     v += len;
                     blk += 1;
@@ -289,8 +272,7 @@ impl<T: SimdScalar> SpMv<T> for Vbl<T> {
 
     fn matrix_bytes(&self) -> usize {
         self.val.len() * T::BYTES
-            + self.row_ptr.len() * core::mem::size_of::<Index>()
-            + self.bcol_ind.bytes()
+            + (self.row_ptr.len() + self.bcol_ind.len()) * core::mem::size_of::<Index>()
             + self.blk_size.len() // one byte each
     }
 }
@@ -445,28 +427,6 @@ mod tests {
                     assert_eq!(got[t * 17..(t + 1) * 17], want, "imp {imp} k={k} t={t}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn narrow_indices_are_bitwise_equal_and_smaller() {
-        let csr = {
-            let mut coo = Coo::new(9, 30);
-            for i in 0..9 {
-                for j in (i * 2)..(i * 2 + 5).min(30) {
-                    coo.push(i, j, (i + j) as f64 + 0.5).unwrap();
-                }
-            }
-            Csr::from_coo(&coo)
-        };
-        let x: Vec<f64> = (0..30).map(|i| 1.0 + (i % 4) as f64).collect();
-        for imp in KernelImpl::ALL {
-            let wide = Vbl::from_csr(&csr, imp);
-            let narrow = Vbl::from_csr_narrow(&csr, imp);
-            narrow.validate().unwrap();
-            assert_eq!(narrow.index_width(), IndexWidth::U16);
-            assert!(narrow.matrix_bytes() < wide.matrix_bytes());
-            assert_eq!(narrow.spmv(&x), wide.spmv(&x), "imp {imp}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! `symmetric`, and `skew-symmetric` symmetry; writing always emits
 //! `real general`.
 
-use spmv_core::{Coo, Csr, MatrixShape, Scalar};
+use spmv_core::{Coo, Csr, MatrixShape, Scalar, MAX_INDEX};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -135,6 +135,15 @@ pub fn read<T: Scalar, R: BufRead>(mut reader: R) -> Result<Csr<T>, MmError> {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| parse_err(lineno, "bad nonzero count"))?;
+        // Every format indexes rows and columns with `u32`.
+        for (what, count) in [("row", n), ("column", m)] {
+            if count > MAX_INDEX {
+                return Err(parse_err(
+                    lineno,
+                    &format!("{what} count {count} exceeds the u32 index range"),
+                ));
+            }
+        }
         break (n, m, z);
     };
 
@@ -329,6 +338,18 @@ mod tests {
         ));
         let text = format!("%%MatrixMarket matrix coordinate real general\n{huge} 2 1\n1 1 1.0\n");
         assert!(read::<f64, _>(text.as_bytes()).is_err());
+        // Counts that fit usize but not the u32 index type are parse
+        // errors on the size line, not a panic in `Coo::new`.
+        for size in ["5000000000 3 0", "3 5000000000 0"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            match read::<f64, _>(text.as_bytes()).unwrap_err() {
+                MmError::Parse { line, msg } => {
+                    assert_eq!(line, 2, "{size}");
+                    assert!(msg.contains("exceeds the u32 index range"), "msg: {msg}");
+                }
+                other => panic!("expected Parse, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! search.
 
 use core::fmt;
-use spmv_core::{Csr, Index, IndexWidth, MatrixShape, Scalar, SpMv, SpMvMulti};
+use spmv_core::{Csr, Index, MatrixShape, Scalar, SpMv, SpMvMulti};
 use spmv_formats::stats::{self, BlockCounts, FormatStats};
 use spmv_formats::{
     sell_sigmas, Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SellCSigma, SELL_SIGMA_FULL,
 };
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
+use spmv_telemetry::residual::ResidualKey;
+
+use crate::Model;
 
 /// A storage format plus its block parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,26 +26,12 @@ pub enum BlockConfig {
     Bcsd(usize),
     /// BCSD-DEC with the given diagonal size.
     BcsdDec(usize),
-    /// BCSR whose block-column array is stored at the narrowest index
-    /// width that fits the column space (index-compression extension).
-    BcsrNarrow(BlockShape),
-    /// BCSD with a narrow-width block-column array (index-compression
-    /// extension).
-    BcsdNarrow(usize),
     /// SELL-C-σ: slice height `c`, sorting window `sigma`
     /// ([`SELL_SIGMA_FULL`] for the global sort; padding-dominated
     /// extension).
     SellCSigma {
         /// Slice height (rows per slice; one of
         /// [`spmv_kernels::SELL_HEIGHTS`]).
-        c: usize,
-        /// Sorting window in rows.
-        sigma: usize,
-    },
-    /// SELL-C-σ with a narrow-width column-index array
-    /// (index-compression extension).
-    SellCSigmaNarrow {
-        /// Slice height.
         c: usize,
         /// Sorting window in rows.
         sigma: usize,
@@ -54,25 +43,11 @@ impl BlockConfig {
     pub fn kind(self) -> FormatKind {
         match self {
             BlockConfig::Csr => FormatKind::Csr,
-            BlockConfig::Bcsr(_) | BlockConfig::BcsrNarrow(_) => FormatKind::Bcsr,
+            BlockConfig::Bcsr(_) => FormatKind::Bcsr,
             BlockConfig::BcsrDec(_) => FormatKind::BcsrDec,
-            BlockConfig::Bcsd(_) | BlockConfig::BcsdNarrow(_) => FormatKind::Bcsd,
+            BlockConfig::Bcsd(_) => FormatKind::Bcsd,
             BlockConfig::BcsdDec(_) => FormatKind::BcsdDec,
-            BlockConfig::SellCSigma { .. } | BlockConfig::SellCSigmaNarrow { .. } => {
-                FormatKind::SellCSigma
-            }
-        }
-    }
-
-    /// The family label reports and residual keys group by: the format
-    /// kind's label, with the narrow-index variants (`BCSR16`, `BCSD16`,
-    /// `SELL16`) as families of their own.
-    pub fn family(self) -> &'static str {
-        match self {
-            BlockConfig::BcsrNarrow(_) => "BCSR16",
-            BlockConfig::BcsdNarrow(_) => "BCSD16",
-            BlockConfig::SellCSigmaNarrow { .. } => "SELL16",
-            other => other.kind().label(),
+            BlockConfig::SellCSigma { .. } => FormatKind::SellCSigma,
         }
     }
 
@@ -82,15 +57,9 @@ impl BlockConfig {
     pub fn shape_label(self) -> String {
         match self {
             BlockConfig::Csr => "-".to_string(),
-            BlockConfig::Bcsr(s) | BlockConfig::BcsrDec(s) | BlockConfig::BcsrNarrow(s) => {
-                format!("{}x{}", s.r, s.c)
-            }
-            BlockConfig::Bcsd(b) | BlockConfig::BcsdDec(b) | BlockConfig::BcsdNarrow(b) => {
-                format!("b{b}")
-            }
-            BlockConfig::SellCSigma { c, sigma } | BlockConfig::SellCSigmaNarrow { c, sigma } => {
-                format!("c{c}s{}", SigmaLabel(sigma))
-            }
+            BlockConfig::Bcsr(s) | BlockConfig::BcsrDec(s) => format!("{}x{}", s.r, s.c),
+            BlockConfig::Bcsd(b) | BlockConfig::BcsdDec(b) => format!("b{b}"),
+            BlockConfig::SellCSigma { c, sigma } => format!("c{c}s{}", SigmaLabel(sigma)),
         }
     }
 }
@@ -150,10 +119,9 @@ impl Config {
     }
 
     /// Enumerates the *extended* search space: everything in
-    /// [`Config::enumerate`] plus the narrow-index variant of every BCSR
-    /// shape and BCSD size, and every SELL-C-σ slice height and window,
-    /// wide and narrow. Kept separate from the paper's base space so the
-    /// original experiments are unchanged.
+    /// [`Config::enumerate`] plus every SELL-C-σ slice height and window.
+    /// Kept separate from the paper's base space so the original
+    /// experiments are unchanged.
     pub fn enumerate_extended(include_simd: bool) -> Vec<Config> {
         let imps: &[KernelImpl] = if include_simd {
             &[KernelImpl::Scalar, KernelImpl::Simd]
@@ -161,24 +129,8 @@ impl Config {
             &[KernelImpl::Scalar]
         };
         let mut out = Config::enumerate(include_simd);
-        for shape in BlockShape::search_space() {
-            for &imp in imps {
-                out.push(Config {
-                    block: BlockConfig::BcsrNarrow(shape),
-                    imp,
-                });
-            }
-        }
-        for b in BCSD_SIZES {
-            for &imp in imps {
-                out.push(Config {
-                    block: BlockConfig::BcsdNarrow(b),
-                    imp,
-                });
-            }
-        }
         // SELL-C-σ variants, appended last: every slice height crossed
-        // with the σ window set, wide then narrow indices.
+        // with the σ window set.
         for c in SELL_HEIGHTS {
             for sigma in sell_sigmas(c) {
                 for &imp in imps {
@@ -189,48 +141,28 @@ impl Config {
                 }
             }
         }
-        for c in SELL_HEIGHTS {
-            for sigma in sell_sigmas(c) {
-                for &imp in imps {
-                    out.push(Config {
-                        block: BlockConfig::SellCSigmaNarrow { c, sigma },
-                        imp,
-                    });
-                }
-            }
-        }
         out
     }
 
     /// The profiling key of the blocked (main) submatrix's kernel.
-    ///
-    /// The narrow-index variants reuse their full-width kernels: the
-    /// scratch-widened index slice feeds the very same block routines, so
-    /// `t_b` and `nof` carry over.
     pub fn kernel_key(&self) -> KernelKey {
         match self.block {
             BlockConfig::Csr => KernelKey::Csr,
-            BlockConfig::Bcsr(shape)
-            | BlockConfig::BcsrDec(shape)
-            | BlockConfig::BcsrNarrow(shape) => KernelKey::Bcsr {
+            BlockConfig::Bcsr(shape) | BlockConfig::BcsrDec(shape) => KernelKey::Bcsr {
                 shape,
                 imp: self.imp,
             },
-            BlockConfig::Bcsd(b) | BlockConfig::BcsdDec(b) | BlockConfig::BcsdNarrow(b) => {
-                KernelKey::Bcsd {
-                    b: b as u8,
-                    imp: self.imp,
-                }
-            }
+            BlockConfig::Bcsd(b) | BlockConfig::BcsdDec(b) => KernelKey::Bcsd {
+                b: b as u8,
+                imp: self.imp,
+            },
             // σ only shuffles rows between slices; the per-slice-column
             // work is fixed by the slice height, so every σ shares one
             // profiled kernel per height.
-            BlockConfig::SellCSigma { c, .. } | BlockConfig::SellCSigmaNarrow { c, .. } => {
-                KernelKey::Sell {
-                    c: c as u8,
-                    imp: self.imp,
-                }
-            }
+            BlockConfig::SellCSigma { c, .. } => KernelKey::Sell {
+                c: c as u8,
+                imp: self.imp,
+            },
         }
     }
 
@@ -244,17 +176,8 @@ impl Config {
             }
             BlockConfig::Bcsd(b) => BuiltFormat::Bcsd(Bcsd::from_csr(csr, b, self.imp)),
             BlockConfig::BcsdDec(b) => BuiltFormat::BcsdDec(BcsdDec::from_csr(csr, b, self.imp)),
-            BlockConfig::BcsrNarrow(shape) => {
-                BuiltFormat::Bcsr(Bcsr::from_csr_narrow(csr, shape, self.imp))
-            }
-            BlockConfig::BcsdNarrow(b) => {
-                BuiltFormat::Bcsd(Bcsd::from_csr_narrow(csr, b, self.imp))
-            }
             BlockConfig::SellCSigma { c, sigma } => {
                 BuiltFormat::SellCSigma(SellCSigma::from_csr(csr, c, sigma, self.imp))
-            }
-            BlockConfig::SellCSigmaNarrow { c, sigma } => {
-                BuiltFormat::SellCSigma(SellCSigma::from_csr_narrow(csr, c, sigma, self.imp))
             }
         }
     }
@@ -272,15 +195,31 @@ impl Config {
     }
 }
 
+/// The canonical residual-tracker key of one (configuration, model)
+/// prediction population. Serving, the tuner and the `modeleval`
+/// harness all key by it, so serving-time residuals and offline
+/// evaluation rows land in comparable buckets.
+pub fn residual_key_for(config: Config, model: Model) -> ResidualKey {
+    ResidualKey {
+        format: config.block.kind().label().to_string(),
+        shape: config.block.shape_label(),
+        kernel: match config.imp {
+            KernelImpl::Scalar => "scalar".to_string(),
+            KernelImpl::Simd => "simd".to_string(),
+        },
+        model: model.label().to_string(),
+    }
+}
+
 /// Per-matrix memo of the structural passes behind [`Config::substats`].
 ///
 /// A configuration's statistics depend on its block geometry, not on its
-/// kernel implementation, index width or decomposition. An
+/// kernel implementation or decomposition. An
 /// `ArenaStats` runs each structural pass the first time a configuration
 /// needs it and keeps the result for every other configuration of that
 /// geometry: one counting scan per BCSR shape or BCSD size
 /// ([`stats::bcsr_counts`], [`stats::bcsd_counts`]) and one row-length
-/// sort per effective SELL window. Ranking the 205-configuration extended
+/// sort per effective SELL window. Ranking the 129-configuration extended
 /// space then costs 26 block scans and at most six sorts instead of a
 /// pass per configuration. The statistics are the same bit for bit as a
 /// fresh pass's, whatever order the configurations are asked in.
@@ -330,7 +269,6 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
         let csr = self.csr;
         let (n_rows, nnz) = (csr.n_rows(), csr.nnz());
         let idx = core::mem::size_of::<Index>();
-        let narrow = IndexWidth::for_cols(csr.n_cols()).bytes();
         let vecs = (n_rows + csr.n_cols()) * T::BYTES;
         let key = config.kernel_key();
         // One submatrix pass streams its arrays plus one `x` and one `y`.
@@ -347,42 +285,30 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
                 KernelKey::Csr,
             )
         };
-        // Values, a `colw`-byte column index per block and the
-        // full-width block-row pointer. Narrow variants shrink only the
-        // per-block column array.
-        let main_bytes = |st: FormatStats, colw: usize| {
-            st.stored * T::BYTES + st.nb * colw + (st.index_rows + 1) * idx
-        };
-        let padded = |counts: BlockCounts, elems: usize, colw: usize| {
+        // Values, a column index per block and the block-row pointer.
+        let main_bytes =
+            |st: FormatStats| st.stored * T::BYTES + st.nb * idx + (st.index_rows + 1) * idx;
+        let padded = |counts: BlockCounts, elems: usize| {
             let st = counts.padded::<T>(elems, nnz);
-            vec![sub(main_bytes(st, colw), st.nb, key)]
+            vec![sub(main_bytes(st), st.nb, key)]
         };
         let decomposed = |counts: BlockCounts, elems: usize| {
             let st = counts.decomposed(elems, nnz);
-            vec![sub(main_bytes(st, idx), st.nb, key), csr_part(st.rest_nnz)]
+            vec![sub(main_bytes(st), st.nb, key), csr_part(st.rest_nnz)]
         };
         match config.block {
             BlockConfig::Csr => vec![csr_part(nnz)],
-            BlockConfig::Bcsr(shape) => padded(self.bcsr_counts(shape), shape.elems(), idx),
-            BlockConfig::BcsrNarrow(shape) => {
-                padded(self.bcsr_counts(shape), shape.elems(), narrow)
-            }
+            BlockConfig::Bcsr(shape) => padded(self.bcsr_counts(shape), shape.elems()),
             BlockConfig::BcsrDec(shape) => decomposed(self.bcsr_counts(shape), shape.elems()),
-            BlockConfig::Bcsd(b) => padded(self.bcsd_counts(b), b, idx),
-            BlockConfig::BcsdNarrow(b) => padded(self.bcsd_counts(b), b, narrow),
+            BlockConfig::Bcsd(b) => padded(self.bcsd_counts(b), b),
             BlockConfig::BcsdDec(b) => decomposed(self.bcsd_counts(b), b),
             // SELL charges the padded value stream, one column index per
-            // stored slot (narrowable), the slice pointer and per-lane
-            // length arrays, and the row permutation.
-            BlockConfig::SellCSigma { c, sigma } | BlockConfig::SellCSigmaNarrow { c, sigma } => {
+            // stored slot, the slice pointer and per-lane length arrays,
+            // and the row permutation.
+            BlockConfig::SellCSigma { c, sigma } => {
                 let st = stats::sellc_stats_sorted::<T>(self.sell_lengths(sigma), c);
-                let colw = if matches!(config.block, BlockConfig::SellCSigmaNarrow { .. }) {
-                    narrow
-                } else {
-                    idx
-                };
                 let arrays = st.stored * T::BYTES
-                    + st.stored * colw
+                    + st.stored * idx
                     + (st.index_rows + 1) * idx
                     + st.index_rows * c * idx
                     + n_rows * idx;
@@ -433,13 +359,8 @@ impl fmt::Display for Config {
             BlockConfig::BcsrDec(s) => write!(f, "BCSR-DEC {s}")?,
             BlockConfig::Bcsd(b) => write!(f, "BCSD b={b}")?,
             BlockConfig::BcsdDec(b) => write!(f, "BCSD-DEC b={b}")?,
-            BlockConfig::BcsrNarrow(s) => write!(f, "BCSR16 {s}")?,
-            BlockConfig::BcsdNarrow(b) => write!(f, "BCSD16 b={b}")?,
             BlockConfig::SellCSigma { c, sigma } => {
                 write!(f, "SELL {c}/{}", SigmaLabel(sigma))?
-            }
-            BlockConfig::SellCSigmaNarrow { c, sigma } => {
-                write!(f, "SELL16 {c}/{}", SigmaLabel(sigma))?
             }
         }
         if self.imp == KernelImpl::Simd {
@@ -638,21 +559,17 @@ mod tests {
 
     #[test]
     fn enumerate_extended_counts() {
-        // Per implementation the extensions add one narrow config per
-        // shape/size and a wide plus a narrow SELL config per (height, σ)
-        // pair.
+        // Per implementation the extension adds one SELL config per
+        // (height, σ) pair to the base space's BCSR/BCSR-DEC config per
+        // shape and BCSD/BCSD-DEC config per size.
         let shapes = BlockShape::search_space().len();
         let sizes = BCSD_SIZES.len();
         let sell: usize = SELL_HEIGHTS.iter().map(|&c| sell_sigmas(c).len()).sum();
-        let ext_per_imp = shapes + sizes + 2 * sell;
-        assert_eq!(
-            Config::enumerate_extended(false).len(),
-            Config::enumerate(false).len() + ext_per_imp
-        );
-        assert_eq!(
-            Config::enumerate_extended(true).len(),
-            Config::enumerate(true).len() + 2 * ext_per_imp
-        );
+        let per_imp = 2 * (shapes + sizes) + sell;
+        assert_eq!(Config::enumerate_extended(false).len(), 1 + per_imp);
+        assert_eq!(Config::enumerate_extended(true).len(), 1 + 2 * per_imp);
+        // The counts the docs quote.
+        assert_eq!((1 + per_imp, 1 + 2 * per_imp), (65, 129));
     }
 
     #[test]
@@ -724,66 +641,19 @@ mod tests {
     }
 
     #[test]
-    fn narrow_substats_shrink_the_working_set() {
-        let csr = fixture();
-        let shape = BlockShape::new(2, 2).unwrap();
-        let pairs = [
-            (BlockConfig::BcsrNarrow(shape), BlockConfig::Bcsr(shape)),
-            (BlockConfig::BcsdNarrow(4), BlockConfig::Bcsd(4)),
-        ];
-        for (narrow, wide) in pairs {
-            let imp = KernelImpl::Scalar;
-            let n = Config { block: narrow, imp }.substats(&csr)[0].ws_bytes;
-            let w = Config { block: wide, imp }.substats(&csr)[0].ws_bytes;
-            assert!(n < w, "{narrow:?}: {n} !< {w}");
-        }
-    }
-
-    #[test]
-    fn sell_substats_charge_padding_and_narrow_indices() {
+    fn sell_substats_shrink_with_the_sorting_window() {
         let csr = fixture();
         let imp = KernelImpl::Scalar;
         for c in SELL_HEIGHTS {
             let ws = |block: BlockConfig| Config { block, imp }.substats(&csr)[0].ws_bytes;
-            let wide = ws(BlockConfig::SellCSigma { c, sigma: 1 });
-            assert!(ws(BlockConfig::SellCSigmaNarrow { c, sigma: 1 }) < wide, "c={c}");
+            let unsorted = ws(BlockConfig::SellCSigma { c, sigma: 1 });
             // The global sort can only shrink the padded working set.
             let sorted = ws(BlockConfig::SellCSigma {
                 c,
                 sigma: SELL_SIGMA_FULL,
             });
-            assert!(sorted <= wide, "c={c}");
+            assert!(sorted <= unsorted, "c={c}");
         }
-    }
-
-    #[test]
-    fn narrow_configs_fall_back_to_full_width_on_wide_matrices() {
-        let n_cols = IndexWidth::MAX_U16_COLS + 1;
-        let coo = Coo::from_triplets(
-            2,
-            n_cols,
-            vec![(0, 0, 1.0), (0, n_cols - 1, 2.0), (1, 2, 4.0)],
-        )
-        .unwrap();
-        let csr = Csr::from_coo(&coo);
-        let shape = BlockShape::new(1, 2).unwrap();
-        let imp = KernelImpl::Scalar;
-        let narrow = Config {
-            block: BlockConfig::BcsrNarrow(shape),
-            imp,
-        };
-        let wide = Config {
-            block: BlockConfig::Bcsr(shape),
-            imp,
-        };
-        assert_eq!(
-            narrow.substats(&csr)[0].ws_bytes,
-            wide.substats(&csr)[0].ws_bytes
-        );
-        assert_eq!(
-            narrow.build(&csr).working_set_bytes(),
-            wide.build(&csr).working_set_bytes()
-        );
     }
 
     #[test]

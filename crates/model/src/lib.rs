@@ -54,7 +54,9 @@ pub mod profile;
 pub mod select;
 pub mod timing;
 
-pub use config::{ArenaStats, BlockConfig, BuiltFormat, Config, KernelKey, SubStat};
+pub use config::{
+    residual_key_for, ArenaStats, BlockConfig, BuiltFormat, Config, KernelKey, SubStat,
+};
 pub use heuristic::{profile_dense, select_bcsr_shape, DenseProfile};
 pub use latency::{
     input_vector_miss_estimate, measure_latency, predict_overlap_lat, LatencyProfile,

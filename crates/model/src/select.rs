@@ -38,7 +38,7 @@ pub fn candidate_configs(model: Model, include_simd: bool) -> Vec<Config> {
 
 /// The candidate list over the *extended* search space
 /// ([`Config::enumerate_extended`]): what [`candidate_configs`] ranks
-/// plus the narrow-index blocked variants and SELL-C-σ, wide and narrow.
+/// plus every SELL-C-σ configuration.
 /// The MEM restriction to scalar kernels carries over unchanged.
 pub fn candidate_configs_extended(model: Model, include_simd: bool) -> Vec<Config> {
     match model {
@@ -359,8 +359,8 @@ mod tests {
     fn extended_candidates_are_the_extended_space() {
         // Selection ranks every configuration the extended space
         // enumerates, in enumeration order; MEM sees the scalar half.
-        assert_eq!(Config::enumerate_extended(true).len(), 205);
-        assert_eq!(Config::enumerate_extended(false).len(), 103);
+        assert_eq!(Config::enumerate_extended(true).len(), 129);
+        assert_eq!(Config::enumerate_extended(false).len(), 65);
         for model in Model::ALL {
             let space = Config::enumerate_extended(model != Model::Mem);
             assert_eq!(candidate_configs_extended(model, true), space, "{model}");
@@ -376,9 +376,9 @@ mod tests {
     fn extended_select_keeps_csr_on_scatter() {
         // Same scattered matrix as `scattered_matrix_keeps_csr`: blocked
         // formats pay padding, so CSR wins the base space, and nothing in
-        // the extended space streams fewer bytes at equal compute — the
-        // narrow SELL slices save index bytes but pay slice pointers,
-        // lane lengths and the row permutation. The proportional profile
+        // the extended space streams fewer bytes at equal compute — SELL
+        // slices pay slice pointers, lane lengths and the row
+        // permutation on top of CSR's per-entry index. The proportional profile
         // (not the uniform one) is essential here: SELL-C-σ covers these
         // uniform-length rows with nnz/c wide "blocks", so a flat
         // per-block cost would hand it an artificial compute advantage
@@ -415,10 +415,7 @@ mod tests {
         for model in [Model::MemComp, Model::Overlap] {
             let best = select_extended(model, &csr, &machine(), &profile, true);
             assert!(
-                matches!(
-                    best.config.block,
-                    BlockConfig::SellCSigma { .. } | BlockConfig::SellCSigmaNarrow { .. }
-                ),
+                matches!(best.config.block, BlockConfig::SellCSigma { .. }),
                 "{model} picked {} instead of a SELL config",
                 best.config
             );
@@ -426,10 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn extended_select_prefers_narrow_blocks_on_block_matrices() {
-        // The pure 2x2-block matrix: BCSR 2x2 already wins the base
-        // space under MEM; its narrow-index twin streams half the block
-        // index bytes, so the extended space must rank it first.
+    fn extended_select_keeps_bcsr_on_block_matrices() {
+        // The pure 2x2-block matrix: BCSR 2x2 streams one index per four
+        // values with no padding, so under MEM the SELL configurations
+        // the extended space adds (one index per stored entry) must not
+        // displace it.
         let mut coo = Coo::new(64, 64);
         for bi in 0..32 {
             for (di, dj) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
@@ -438,29 +436,12 @@ mod tests {
         }
         let csr = Csr::from_coo(&coo);
         let profile = KernelProfile::uniform(1e-9, 0.5);
-        let shape = BlockShape::new(2, 2).unwrap();
-        let imp = KernelImpl::Scalar;
-        let narrow = Config {
-            block: BlockConfig::BcsrNarrow(shape),
-            imp,
+        let bcsr = Config {
+            block: BlockConfig::Bcsr(BlockShape::new(2, 2).unwrap()),
+            imp: KernelImpl::Scalar,
         };
-        let wide = Config {
-            block: BlockConfig::Bcsr(shape),
-            imp,
-        };
-        let m = machine();
-        let t_narrow = Model::Mem.predict(&narrow.substats(&csr), &m, &profile);
-        let t_wide = Model::Mem.predict(&wide.substats(&csr), &m, &profile);
-        assert!(t_narrow < t_wide);
-        // The extended ranking must place the narrow twin above the wide
-        // one; the overall winner may be even leaner, but it can never be
-        // worse than the narrow candidate it contains.
-        let configs = candidate_configs_extended(Model::Mem, true);
-        let ranked = rank(Model::Mem, &csr, &m, &profile, &configs);
-        let pos = |b: BlockConfig| ranked.iter().position(|c| c.config.block == b).unwrap();
-        assert!(pos(BlockConfig::BcsrNarrow(shape)) < pos(BlockConfig::Bcsr(shape)));
-        let best = select_extended(Model::Mem, &csr, &m, &profile, true);
-        assert!(best.predicted <= t_narrow);
+        let best = select_extended(Model::Mem, &csr, &machine(), &profile, true);
+        assert_eq!(best.config, bcsr, "MEM picked {}", best.config);
     }
 
     #[test]

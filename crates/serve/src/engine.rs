@@ -1156,10 +1156,7 @@ mod tests {
     #[test]
     fn residuals_record_only_matching_versions_and_honor_the_scale() {
         let (csr, registry, engine) = setup(13, EngineOptions::default());
-        let key = crate::registry::residual_key_for(
-            Config::CSR,
-            spmv_model::Model::Overlap,
-        );
+        let key = crate::residual_key_for(Config::CSR, spmv_model::Model::Overlap);
         let v1 = registry.version_of(MatrixId(1)).unwrap();
         engine.expect(MatrixId(1), v1, key.clone(), 1e-6);
         let x = vec![1.0; 13];

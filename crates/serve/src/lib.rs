@@ -79,4 +79,5 @@ pub mod engine;
 pub mod registry;
 
 pub use engine::{EngineOptions, EngineReport, LatencySummary, ServeEngine, ServeError, Ticket};
-pub use registry::{residual_key_for, MatrixId, PreparedMatrix, Registry, Selection};
+pub use registry::{MatrixId, PreparedMatrix, Registry, Selection};
+pub use spmv_model::residual_key_for;

@@ -30,9 +30,9 @@ use std::sync::{Arc, Mutex};
 
 use spmv_core::{Csr, MatrixShape, SpMv, SpMvMulti};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::KernelImpl;
 use spmv_model::{
-    select_extended, BlockConfig, BuiltFormat, Config, KernelProfile, MachineProfile, Model,
+    residual_key_for, select_extended, BlockConfig, BuiltFormat, Config, KernelProfile,
+    MachineProfile, Model,
 };
 use spmv_parallel::{csr_unit_weights, sell_unit_weights, Placement, PinPolicy, SpmvPool};
 use spmv_telemetry::residual::ResidualKey;
@@ -65,22 +65,6 @@ pub struct Selection {
     pub predicted: f64,
 }
 
-/// The canonical residual-tracker key of one (configuration, model)
-/// prediction population — the same labeling the `modeleval` harness
-/// writes, so serving-time residuals and offline evaluation rows land in
-/// comparable buckets.
-pub fn residual_key_for(config: Config, model: Model) -> ResidualKey {
-    ResidualKey {
-        format: config.block.family().to_string(),
-        shape: config.block.shape_label(),
-        kernel: match config.imp {
-            KernelImpl::Scalar => "scalar".to_string(),
-            KernelImpl::Simd => "simd".to_string(),
-        },
-        model: model.label().to_string(),
-    }
-}
-
 /// Materializes `config` for `csr` inside a `formats.build` span whose
 /// argument is the nonzeros converted. A pooled matrix converts strip by
 /// strip, so it records one span per strip, on the thread that builds it.
@@ -96,9 +80,7 @@ fn build<T: SimdScalar>(config: Config, csr: &Csr<T>) -> BuiltFormat<T> {
 /// slice edge; everything else balances per-row nonzeros.
 fn pool_inputs<T: SimdScalar>(config: Config, csr: &Csr<T>) -> (Vec<u64>, usize) {
     match config.block {
-        BlockConfig::SellCSigma { c, .. } | BlockConfig::SellCSigmaNarrow { c, .. } => {
-            (sell_unit_weights(csr, c), c)
-        }
+        BlockConfig::SellCSigma { c, .. } => (sell_unit_weights(csr, c), c),
         _ => (csr_unit_weights(csr), 1),
     }
 }
@@ -538,6 +520,7 @@ impl<T: SimdScalar> fmt::Debug for Registry<T> {
 mod tests {
     use super::*;
     use spmv_core::Coo;
+    use spmv_kernels::KernelImpl;
 
     fn diag(n: usize, scale: f64) -> Csr<f64> {
         let mut coo = Coo::new(n, n);

@@ -33,7 +33,7 @@ use std::sync::{Mutex, OnceLock};
 /// Identifies one prediction population.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResidualKey {
-    /// Storage-format family (e.g. `CSR`, `BCSR`, `BCSD16`).
+    /// Storage-format family (e.g. `CSR`, `BCSR`, `SELL`).
     pub format: String,
     /// Block shape within the family (e.g. `2x3`, `-` for unblocked).
     pub shape: String,

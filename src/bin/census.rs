@@ -235,8 +235,8 @@ fn render(opts: &Opts, machine: &MachineProfile, filled: usize, census: &[Matrix
 
     let mut families: Vec<&'static str> = Vec::new();
     for c in &configs {
-        if !families.contains(&c.block.family()) {
-            families.push(c.block.family());
+        if !families.contains(&c.block.kind().label()) {
+            families.push(c.block.kind().label());
         }
     }
     let mut per_family = Table::new(vec![
@@ -249,17 +249,17 @@ fn render(opts: &Opts, machine: &MachineProfile, filled: usize, census: &[Matrix
         "slower than CSR",
     ]);
     for family in families {
-        let n_configs = configs.iter().filter(|c| c.block.family() == family).count();
+        let n_configs = configs.iter().filter(|c| c.block.kind().label() == family).count();
         let mut wins = 0;
         let mut near = Vec::new();
         let (mut lo, mut hi, mut slower) = (f64::INFINITY, 0.0f64, 0);
         for m in census {
             let (best, best_r) = m.best();
-            wins += usize::from(best.block.family() == family);
+            wins += usize::from(best.block.kind().label() == family);
             let family_best = m
                 .ratios
                 .iter()
-                .filter(|(c, _)| c.block.family() == family)
+                .filter(|(c, _)| c.block.kind().label() == family)
                 .map(|(_, r)| *r)
                 .fold(f64::INFINITY, f64::min);
             if family_best <= NEAR_BEST * best_r {

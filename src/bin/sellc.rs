@@ -10,7 +10,7 @@
 //! each swept over C ∈ {2, 4, 8} × σ ∈ {1, C, 64, n}. Per cell it
 //! records occupancy, padding per nonzero, matrix bytes per nonzero
 //! against the CSR baseline and the best of the blocked families
-//! (BCSR/BCSD, padded and narrow), the measured time per SpMV,
+//! (BCSR/BCSD, padded and decomposed), the measured time per SpMV,
 //! and the OVERLAP model's prediction residual — evidence that the
 //! SubStat accounting charges SELL's padding the way it charges the
 //! blocked formats' fill.

@@ -48,7 +48,7 @@ pub use spmv_telemetry as telemetry;
 pub use spmv_tune as tune;
 
 pub use spmv_core::{
-    Coo, Csr, DenseMatrix, Error, IndexWidth, Precision, Result, Scalar, SpMv, SpMvMulti,
+    Coo, Csr, DenseMatrix, Error, Precision, Result, Scalar, SpMv, SpMvMulti,
 };
 pub use spmv_formats::{
     Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl, Vbr,

@@ -12,7 +12,7 @@
 //! fns — no proptest — so it runs in minimal environments and its
 //! failures reproduce from the seed alone.
 
-use blocked_spmv::core::{Csr, Precision, Scalar, SpMv, SpMvMulti};
+use blocked_spmv::core::{Csr, Precision, Scalar, SpMvMulti};
 use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl, Vbr};
 use blocked_spmv::kernels::simd::SimdScalar;
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
@@ -96,23 +96,17 @@ fn run<T: SimdScalar>(k: usize) {
             for shape in shapes {
                 let t = format!("seed {seed} bcsr {shape} {imp}");
                 check(&Bcsr::from_csr(&csr, shape, imp), &x, &yref, &mag, k, &t);
-                let t = format!("seed {seed} bcsr16 {shape} {imp}");
-                check(&Bcsr::from_csr_narrow(&csr, shape, imp), &x, &yref, &mag, k, &t);
                 let t = format!("seed {seed} bcsr-dec {shape} {imp}");
                 check(&BcsrDec::from_csr(&csr, shape, imp), &x, &yref, &mag, k, &t);
             }
             for b in [3usize, 4, 8] {
                 let t = format!("seed {seed} bcsd {b} {imp}");
                 check(&Bcsd::from_csr(&csr, b, imp), &x, &yref, &mag, k, &t);
-                let t = format!("seed {seed} bcsd16 {b} {imp}");
-                check(&Bcsd::from_csr_narrow(&csr, b, imp), &x, &yref, &mag, k, &t);
                 let t = format!("seed {seed} bcsd-dec {b} {imp}");
                 check(&BcsdDec::from_csr(&csr, b, imp), &x, &yref, &mag, k, &t);
             }
             let t = format!("seed {seed} vbl {imp}");
             check(&Vbl::from_csr(&csr, imp), &x, &yref, &mag, k, &t);
-            let t = format!("seed {seed} vbl16 {imp}");
-            check(&Vbl::from_csr_narrow(&csr, imp), &x, &yref, &mag, k, &t);
         }
         // VBR has no SIMD kernels; one scalar pass covers it.
         check(&Vbr::from_csr(&csr), &x, &yref, &mag, k, &format!("seed {seed} vbr"));
@@ -156,13 +150,10 @@ fn multi_vector_is_bitwise_per_column() {
             let formats: Vec<(&str, Box<dyn SpMvMulti<f64>>)> = vec![
                 ("csr", Box::new(csr.clone())),
                 ("bcsr", Box::new(Bcsr::from_csr(&csr, shape, imp))),
-                ("bcsr16", Box::new(Bcsr::from_csr_narrow(&csr, shape, imp))),
                 ("bcsr-dec", Box::new(BcsrDec::from_csr(&csr, shape, imp))),
                 ("bcsd", Box::new(Bcsd::from_csr(&csr, 4, imp))),
-                ("bcsd16", Box::new(Bcsd::from_csr_narrow(&csr, 4, imp))),
                 ("bcsd-dec", Box::new(BcsdDec::from_csr(&csr, 4, imp))),
                 ("vbl", Box::new(Vbl::from_csr(&csr, imp))),
-                ("vbl16", Box::new(Vbl::from_csr_narrow(&csr, imp))),
                 ("vbr", Box::new(Vbr::from_csr(&csr))),
             ];
             for (label, mat) in &formats {
@@ -176,52 +167,6 @@ fn multi_vector_is_bitwise_per_column() {
                     );
                 }
             }
-        }
-    }
-}
-
-/// Every index-compressed format must be *bitwise* equal to its
-/// full-width baseline over the whole seeded corpus: the narrow-index
-/// variants run the very same kernels.
-#[test]
-fn compressed_formats_are_bitwise_equal_to_u32_baselines() {
-    let shape = BlockShape::new(2, 2).unwrap();
-    for seed in 0..SEEDS {
-        let case = structured_case(seed);
-        let m = case.m;
-        let csr: Csr<f64> = case.csr();
-        let x: Vec<f64> = (0..m * K)
-            .map(|i| 0.25 * (i % 9) as f64 - 1.0)
-            .collect();
-        let x1 = &x[..m];
-
-        for imp in KernelImpl::ALL {
-            let wide = Bcsr::from_csr(&csr, shape, imp);
-            let narrow = Bcsr::from_csr_narrow(&csr, shape, imp);
-            assert_eq!(narrow.spmv(x1), wide.spmv(x1), "seed {seed} bcsr16 {imp}");
-            assert_eq!(
-                narrow.spmv_multi(&x, K),
-                wide.spmv_multi(&x, K),
-                "seed {seed} bcsr16 {imp} multi"
-            );
-
-            let wide = Bcsd::from_csr(&csr, 4, imp);
-            let narrow = Bcsd::from_csr_narrow(&csr, 4, imp);
-            assert_eq!(narrow.spmv(x1), wide.spmv(x1), "seed {seed} bcsd16 {imp}");
-            assert_eq!(
-                narrow.spmv_multi(&x, K),
-                wide.spmv_multi(&x, K),
-                "seed {seed} bcsd16 {imp} multi"
-            );
-
-            let wide = Vbl::from_csr(&csr, imp);
-            let narrow = Vbl::from_csr_narrow(&csr, imp);
-            assert_eq!(narrow.spmv(x1), wide.spmv(x1), "seed {seed} vbl16 {imp}");
-            assert_eq!(
-                narrow.spmv_multi(&x, K),
-                wide.spmv_multi(&x, K),
-                "seed {seed} vbl16 {imp} multi"
-            );
         }
     }
 }

@@ -2,7 +2,7 @@
 //! multi-vector: empty matrices, single-row / single-column matrices, a
 //! fully dense row, the 1D-VBL `u8` run-length boundary (a dense row
 //! wider than 255 columns must split into multiple runs), rows whose
-//! column gaps pass 255, and a column space too wide for u16 indices.
+//! column gaps pass 255, and rows whose column gaps pass `u16::MAX`.
 
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMvMulti};
 use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl, Vbr};
@@ -37,27 +37,15 @@ fn check_all(coo: &Coo<f64>, what: &str) {
                 Box::new(Bcsr::from_csr(&csr, shape, imp)),
             ),
             (
-                format!("bcsr16 {imp}"),
-                Box::new(Bcsr::from_csr_narrow(&csr, shape, imp)),
-            ),
-            (
                 format!("bcsr-dec {imp}"),
                 Box::new(BcsrDec::from_csr(&csr, shape, imp)),
             ),
             (format!("bcsd {imp}"), Box::new(Bcsd::from_csr(&csr, 4, imp))),
             (
-                format!("bcsd16 {imp}"),
-                Box::new(Bcsd::from_csr_narrow(&csr, 4, imp)),
-            ),
-            (
                 format!("bcsd-dec {imp}"),
                 Box::new(BcsdDec::from_csr(&csr, 4, imp)),
             ),
             (format!("vbl {imp}"), Box::new(Vbl::from_csr(&csr, imp))),
-            (
-                format!("vbl16 {imp}"),
-                Box::new(Vbl::from_csr_narrow(&csr, imp)),
-            ),
             ("vbr".to_string(), Box::new(Vbr::from_csr(&csr))),
         ];
         for (label, mat) in &formats {
@@ -144,10 +132,9 @@ fn vbl_run_longer_than_255_columns_splits() {
 }
 
 #[test]
-fn narrow_indices_fall_back_past_u16_columns() {
+fn column_gaps_past_u16_max_multiply_in_every_format() {
     // One row whose column gaps range from 1 to past u16::MAX, in a
-    // column space too wide for u16 block indices: the narrow
-    // constructors must fall back to full width, and every format must
+    // column space no two-byte index could address: every format must
     // still agree.
     let n_cols = 132_001;
     let cols = [0usize, 1, 2, 3, 4, 100, 400, 66_000, 132_000];
@@ -156,13 +143,6 @@ fn narrow_indices_fall_back_past_u16_columns() {
         coo.push(0, j, 1.0 + jx as f64).unwrap();
     }
     coo.push(1, 7, 2.5).unwrap();
-    let csr = Csr::from_coo(&coo);
-    let narrow = Bcsr::from_csr_narrow(&csr, BlockShape::new(2, 2).unwrap(), KernelImpl::Scalar);
-    assert_eq!(
-        narrow.index_width(),
-        blocked_spmv::core::IndexWidth::U32,
-        "132001 columns exceed the u16 range"
-    );
     check_all(&coo, "u32 column space");
 }
 

@@ -12,9 +12,9 @@
 //! descending sort, inverse composes to identity, σ = 1 is the identity)
 //! and the edge cases: tail slices, empty matrices and slices, one dense
 //! row dominating its window, σ windows straddling slice boundaries, and
-//! the u16 narrow-index escalation rule at the column-count ceiling.
+//! a column space past the two-byte range.
 
-use blocked_spmv::core::{Coo, Csr, IndexWidth, MatrixShape, Scalar, SpMv, SpMvMulti};
+use blocked_spmv::core::{Coo, Csr, MatrixShape, Scalar, SpMv, SpMvMulti};
 use blocked_spmv::formats::{sell_sigmas, SellCSigma, SELL_SIGMA_FULL};
 use blocked_spmv::kernels::simd::SimdScalar;
 use blocked_spmv::kernels::{KernelImpl, SELL_HEIGHTS};
@@ -51,12 +51,6 @@ fn check_bitwise<T: SimdScalar>(csr: &Csr<T>, seed: u64) {
                     sell.spmv_multi(&xk, K),
                     want_k,
                     "seed {seed} sell c={c} sigma={sigma} {imp} multi != csr"
-                );
-                let narrow = SellCSigma::from_csr_narrow(csr, c, sigma, imp);
-                assert_eq!(
-                    narrow.spmv(&x),
-                    want,
-                    "seed {seed} sell16 c={c} sigma={sigma} {imp} != csr"
                 );
             }
         }
@@ -287,16 +281,14 @@ fn sigma_window_straddles_slice_boundaries() {
     }
 }
 
-/// The narrow constructor keeps u16 columns up to the eligibility
-/// ceiling and escalates to u32 one column past it — bitwise equal
-/// either way.
+/// Columns on both sides of `u16::MAX` gather the right `x` entries:
+/// bitwise equal to CSR.
 #[test]
-fn narrow_index_escalation_at_column_ceiling() {
-    for extra in [0usize, 1] {
-        let m = IndexWidth::MAX_U16_COLS + extra;
+fn column_space_past_u16_matches_csr_bitwise() {
+    for m in [u16::MAX as usize - 7, u16::MAX as usize + 2] {
         let mut coo = Coo::new(6, m);
         for i in 0..6 {
-            // Hit the last eligible column explicitly.
+            // Hit the last column explicitly.
             let _ = coo.push(i, m - 1 - i * 7, 1.5 + i as f64);
             let _ = coo.push(i, (i * 9973) % m, 0.5 + i as f64);
         }
@@ -304,10 +296,10 @@ fn narrow_index_escalation_at_column_ceiling() {
         let x: Vec<f64> = (0..m).map(|j| 0.5 + (j % 17) as f64 * 0.125).collect();
         let want = csr.spmv(&x);
         for &c in &SELL_HEIGHTS {
-            let narrow = SellCSigma::from_csr_narrow(&csr, c, 64, KernelImpl::Simd);
-            let expect = if extra == 0 { IndexWidth::U16 } else { IndexWidth::U32 };
-            assert_eq!(narrow.index_width(), expect, "m={m} c={c}");
-            assert_eq!(narrow.spmv(&x), want, "m={m} c={c}");
+            for imp in KernelImpl::ALL {
+                let sell = SellCSigma::from_csr(&csr, c, 64, imp);
+                assert_eq!(sell.spmv(&x), want, "m={m} c={c} {imp}");
+            }
         }
     }
 }

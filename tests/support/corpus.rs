@@ -1,10 +1,10 @@
 //! Shared seeded matrix corpus for the differential suites.
 //!
-//! `differential_equivalence.rs`, `compression_integration.rs`,
-//! `sellc_equivalence.rs` and `substats_oracle.rs` used to each
-//! roll their own seeded corpus loop; this module is the one place
-//! those corpora live, so a new format gets 200-seed coverage by
-//! listing its constructor in a suite, not by copying a generator.
+//! `differential_equivalence.rs`, `sellc_equivalence.rs` and
+//! `substats_oracle.rs` used to each roll their own seeded corpus loop;
+//! this module is the one place those corpora live, so a new format gets
+//! 200-seed coverage by listing its constructor in a suite, not by
+//! copying a generator.
 //!
 //! Three profiles:
 //!
@@ -17,7 +17,7 @@
 //! * [`blocky_matrix`] — mid-size matrices whose density (and block
 //!   fill ratio) varies with the seed, for partial-block sweeps.
 //! * [`pool_matrix`] — 300×300, ~4 nnz/row: large enough that every
-//!   worker-pool strip is non-trivial, for pooled-vs-serial suites.
+//!   worker-pool strip is non-trivial; `substats_oracle.rs` samples it.
 //!
 //! Include with `#[path = "support/corpus.rs"] mod corpus;` — this file
 //! is not a test target itself.
