@@ -14,41 +14,16 @@ use spmv_formats::FormatKind;
 use spmv_gen::{random_vector, suite, Geometry};
 use spmv_kernels::simd::SimdScalar;
 use spmv_model::timing::measure_spmv;
-use spmv_model::{BlockConfig, Config};
-use spmv_parallel::{
-    bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, sell_unit_weights, PinPolicy, SpmvPool,
-};
+use spmv_model::Config;
+use spmv_parallel::{PinPolicy, SpmvPool};
 use std::collections::BTreeMap;
 
 /// Thread counts evaluated by Figure 2.
 pub const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Per-unit nonzero weights for formats without padding, aligned to
-/// `unit` rows.
-fn unit_nnz_weights<T: spmv_core::Scalar>(csr: &Csr<T>, unit: usize) -> Vec<u64> {
-    let n_units = csr.n_rows().div_ceil(unit);
-    let mut w = vec![0u64; n_units];
-    for i in 0..csr.n_rows() {
-        w[i / unit] += csr.row_nnz(i) as u64;
-    }
-    w
-}
-
-/// Builds the padding-aware partition weights and unit height for a
-/// configuration (§V-A: padded methods weigh their padding zeros too).
-fn partition_inputs<T: SimdScalar>(csr: &Csr<T>, config: Config) -> (Vec<u64>, usize) {
-    match config.block {
-        BlockConfig::Csr => (csr_unit_weights(csr), 1),
-        BlockConfig::Bcsr(shape) => (bcsr_unit_weights(csr, shape), shape.rows()),
-        BlockConfig::BcsrDec(shape) => (unit_nnz_weights(csr, shape.rows()), shape.rows()),
-        BlockConfig::Bcsd(b) => (bcsd_unit_weights(csr, b), b),
-        BlockConfig::BcsdDec(b) => (unit_nnz_weights(csr, b), b),
-        // SELL strips split on slice boundaries; weights count padded slices.
-        BlockConfig::SellCSigma { c, .. } => (sell_unit_weights(csr, c), c),
-    }
-}
-
-/// Measures `config` on `csr` at the given thread count.
+/// Measures `config` on `csr` at the given thread count, on the strips
+/// [`Config::pool_units`] balances (§V-A: padded methods weigh their
+/// padding zeros too).
 ///
 /// Runs on a persistent, core-pinned [`SpmvPool`] rather than per-call
 /// scoped threads, so the measured time is the kernel plus one epoch
@@ -61,13 +36,13 @@ pub fn measure_threaded<T: SimdScalar>(
     threads: usize,
     opts: &ExpOpts,
 ) -> f64 {
-    let (weights, unit) = partition_inputs(csr, config);
+    let (weights, unit) = config.pool_units(csr);
     let pool = SpmvPool::from_csr(
         csr,
         threads,
         &weights,
         unit,
-        |s| config.build(s),
+        move |s| config.build(s),
         PinPolicy::Compact,
     );
     let x: Vec<T> = random_vector(csr.n_cols(), opts.seed);
@@ -209,25 +184,5 @@ mod tests {
         }
         let table = render(&res);
         assert_eq!(table.n_rows(), 5);
-    }
-
-    #[test]
-    fn partition_inputs_align_units() {
-        let csr = GenSpec::FemBlocks {
-            nodes: 12,
-            dof: 3,
-            neighbors: 3,
-        }
-        .build(2);
-        let shape = spmv_kernels::BlockShape::new(3, 2).unwrap();
-        let (w, unit) = partition_inputs(
-            &csr,
-            Config {
-                block: BlockConfig::Bcsr(shape),
-                imp: spmv_kernels::KernelImpl::Scalar,
-            },
-        );
-        assert_eq!(unit, 3);
-        assert_eq!(w.len(), 12); // 36 rows / height 3
     }
 }

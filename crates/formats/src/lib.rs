@@ -37,8 +37,7 @@ pub use decomposed::{BcsdDec, BcsrDec, Decomposed};
 pub use sellc::{sell_sigmas, SellCSigma, SELL_SIGMA_FULL};
 pub use stats::{
     bcsd_counts, bcsd_dec_stats, bcsd_stats, bcsr_counts, bcsr_dec_stats, bcsr_stats,
-    bcsr_stats_sampled, sell_sorted_lengths, sellc_stats, sellc_stats_sorted, vbl_stats,
-    BlockCounts, FormatStats,
+    sell_sorted_lengths, sellc_stats, sellc_stats_sorted, vbl_stats, BlockCounts, FormatStats,
 };
 pub use vbl::Vbl;
 pub use vbr::Vbr;

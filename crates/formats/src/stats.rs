@@ -20,8 +20,7 @@
 //! 26 block scans, not one scan per configuration, when the caller keeps
 //! the per-geometry results (`spmv_model::config::ArenaStats` does).
 //!
-//! Every estimator is exact (not sampled, except
-//! [`bcsr_stats_sampled`]) and is verified against the materialized
+//! Every estimator is exact and is verified against the materialized
 //! formats by the test suite.
 
 use spmv_core::{Csr, Index, MatrixShape, Scalar};
@@ -48,9 +47,8 @@ pub struct FormatStats {
 
 impl FormatStats {
     /// Padding zeros in the main submatrix, given the source matrix's
-    /// nonzero count. Saturates at zero: a sampled estimate
-    /// ([`bcsr_stats_sampled`]) can store fewer values than the matrix
-    /// has nonzeros.
+    /// nonzero count. Saturates at zero when the statistics store fewer
+    /// values than the matrix has nonzeros.
     pub fn padding(&self, nnz: usize) -> usize {
         self.stored.saturating_sub(nnz - self.rest_nnz)
     }
@@ -105,7 +103,7 @@ impl BlockCounts {
 /// blocks of `shape`, without building anything.
 pub fn bcsr_counts<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> BlockCounts {
     let n_brows = csr.n_rows().div_ceil(shape.rows());
-    let (nb, nb_full) = bcsr_scan(csr, shape, 0, 1);
+    let (nb, nb_full) = bcsr_scan(csr, shape);
     BlockCounts {
         nb,
         nb_full,
@@ -113,25 +111,20 @@ pub fn bcsr_counts<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> BlockCounts {
     }
 }
 
-/// `(nb, nb_full)` over the block rows `first, first + step, …` of
-/// `shape`, dispatched to a scan compiled for the block width.
-fn bcsr_scan<T: Scalar>(
-    csr: &Csr<T>,
-    shape: BlockShape,
-    first: usize,
-    step: usize,
-) -> (usize, usize) {
+/// `(nb, nb_full)` over the block rows of `shape`, dispatched to a scan
+/// compiled for the block width.
+fn bcsr_scan<T: Scalar>(csr: &Csr<T>, shape: BlockShape) -> (usize, usize) {
     let r = shape.rows();
     match shape.cols() {
-        1 => bcsr_scan_c::<T, 1>(csr, r, 1, first, step),
-        2 => bcsr_scan_c::<T, 2>(csr, r, 2, first, step),
-        3 => bcsr_scan_c::<T, 3>(csr, r, 3, first, step),
-        4 => bcsr_scan_c::<T, 4>(csr, r, 4, first, step),
-        5 => bcsr_scan_c::<T, 5>(csr, r, 5, first, step),
-        6 => bcsr_scan_c::<T, 6>(csr, r, 6, first, step),
-        7 => bcsr_scan_c::<T, 7>(csr, r, 7, first, step),
-        8 => bcsr_scan_c::<T, 8>(csr, r, 8, first, step),
-        c => bcsr_scan_c::<T, 0>(csr, r, c, first, step),
+        1 => bcsr_scan_c::<T, 1>(csr, r, 1),
+        2 => bcsr_scan_c::<T, 2>(csr, r, 2),
+        3 => bcsr_scan_c::<T, 3>(csr, r, 3),
+        4 => bcsr_scan_c::<T, 4>(csr, r, 4),
+        5 => bcsr_scan_c::<T, 5>(csr, r, 5),
+        6 => bcsr_scan_c::<T, 6>(csr, r, 6),
+        7 => bcsr_scan_c::<T, 7>(csr, r, 7),
+        8 => bcsr_scan_c::<T, 8>(csr, r, 8),
+        c => bcsr_scan_c::<T, 0>(csr, r, c),
     }
 }
 
@@ -144,20 +137,14 @@ fn bcsr_scan<T: Scalar>(
 /// when its count ends the block row at exactly `r * c`: counting the
 /// step onto `r * c` and taking back a step past it gives that answer
 /// without a second pass over the touched blocks.
-fn bcsr_scan_c<T: Scalar, const C: usize>(
-    csr: &Csr<T>,
-    r: usize,
-    c: usize,
-    first: usize,
-    step: usize,
-) -> (usize, usize) {
+fn bcsr_scan_c<T: Scalar, const C: usize>(csr: &Csr<T>, r: usize, c: usize) -> (usize, usize) {
     let c = if C > 0 { C } else { c };
     let n_rows = csr.n_rows();
     let (row_ptr, col_ind) = (csr.row_ptr(), csr.col_ind());
     let full = (r * c) as u32;
     let mut slots = vec![[u32::MAX, 0u32]; csr.n_cols().div_ceil(c)];
     let (mut nb, mut nb_full) = (0usize, 0usize);
-    for rb in (first..n_rows.div_ceil(r)).step_by(step) {
+    for rb in 0..n_rows.div_ceil(r) {
         let stamp = rb as u32;
         let lo = row_ptr[rb * r] as usize;
         let hi = row_ptr[((rb + 1) * r).min(n_rows)] as usize;
@@ -306,48 +293,6 @@ pub fn sellc_stats_sorted<T: Scalar>(lens: &[usize], c: usize) -> FormatStats {
     }
 }
 
-/// Sampled BCSR statistics, SPARSITY/OSKI style: only `ceil(fraction *
-/// n_brows)` block rows are scanned (a deterministic stride starting at
-/// `seed % stride`), and the counts are scaled back up.
-///
-/// The exact [`bcsr_counts`] scan is already `O(nnz)` and runs once per
-/// shape however many configurations share it; sampling cuts that to a
-/// constant fraction at the price of an estimate. Error is unbiased for
-/// matrices whose block structure is homogeneous across block rows (the
-/// common case for the suite), and the returned `stored` is always
-/// consistent with the returned `nb` (`stored = nb * r * c`).
-pub fn bcsr_stats_sampled<T: Scalar>(
-    csr: &Csr<T>,
-    shape: BlockShape,
-    fraction: f64,
-    seed: u64,
-) -> FormatStats {
-    assert!(
-        (0.0..=1.0).contains(&fraction) && fraction > 0.0,
-        "sample fraction must be in (0, 1]"
-    );
-    let n_brows = csr.n_rows().div_ceil(shape.rows());
-    if fraction >= 1.0 || n_brows == 0 {
-        return bcsr_stats(csr, shape);
-    }
-    let stride = ((1.0 / fraction).round() as usize).max(1);
-    let offset = (seed as usize) % stride;
-    let sampled = n_brows.saturating_sub(offset).div_ceil(stride);
-    if sampled == 0 {
-        return bcsr_stats(csr, shape);
-    }
-    let (nb_sampled, _) = bcsr_scan(csr, shape, offset, stride);
-    let nb = (nb_sampled as f64 * n_brows as f64 / sampled as f64).round() as usize;
-    FormatStats {
-        nb,
-        stored: nb * shape.elems(),
-        rest_nnz: 0,
-        index_rows: n_brows,
-        // The estimated block count can undershoot nnz; clamp at zero.
-        fill_bytes: (nb * shape.elems()).saturating_sub(csr.nnz()) * T::BYTES,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,66 +412,16 @@ mod tests {
     }
 
     #[test]
-    fn sampled_stats_exact_at_fraction_one() {
-        let csr = fixture(7);
-        for shape in [BlockShape::new(2, 2).unwrap(), BlockShape::new(1, 4).unwrap()] {
-            assert_eq!(bcsr_stats_sampled(&csr, shape, 1.0, 0), bcsr_stats(&csr, shape));
-        }
-    }
-
-    #[test]
-    fn sampled_stats_approximate_on_homogeneous_matrices() {
-        // A large homogeneous matrix: a 25% sample must land within 20%
-        // of the exact block count.
-        let mut coo = Coo::new(400, 400);
-        let mut state = 99u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
+    fn padding_saturates_when_fewer_values_are_stored_than_nonzeros() {
+        let st = FormatStats {
+            nb: 1,
+            stored: 2,
+            rest_nnz: 0,
+            index_rows: 1,
+            fill_bytes: 0,
         };
-        for i in 0..400 {
-            for _ in 0..4 {
-                let _ = coo.push(i, (next() as usize) % 400, 1.0);
-            }
-        }
-        let csr = Csr::from_coo(&coo);
-        let shape = BlockShape::new(2, 2).unwrap();
-        let exact = bcsr_stats(&csr, shape).nb as f64;
-        let est = bcsr_stats_sampled(&csr, shape, 0.25, 3).nb as f64;
-        assert!(
-            (est - exact).abs() / exact < 0.2,
-            "sampled {est} vs exact {exact}"
-        );
-    }
-
-    #[test]
-    fn sampled_stats_internally_consistent() {
-        let csr = fixture(8);
-        let shape = BlockShape::new(2, 3).unwrap();
-        for fraction in [0.1, 0.33, 0.5] {
-            let st = bcsr_stats_sampled(&csr, shape, fraction, 1);
-            assert_eq!(st.stored, st.nb * shape.elems());
-        }
-    }
-
-    #[test]
-    fn sampled_padding_saturates_when_the_sample_misses_every_block() {
-        // Rows 1 and 3 full, rows 0 and 2 empty: a 1x2 sample of every
-        // other block row from row 0 sees no block at all, so the
-        // estimate stores fewer values than the matrix has nonzeros.
-        let mut coo = Coo::new(4, 8);
-        for i in [1, 3] {
-            for j in 0..8 {
-                coo.push(i, j, 1.0).unwrap();
-            }
-        }
-        let csr: Csr<f64> = Csr::from_coo(&coo);
-        let st = bcsr_stats_sampled(&csr, BlockShape::new(1, 2).unwrap(), 0.5, 0);
-        assert_eq!((st.nb, st.stored), (0, 0));
-        assert_eq!(st.padding(csr.nnz()), 0);
-        assert_eq!(st.fill_bytes, 0);
+        assert_eq!(st.padding(1), 1);
+        assert_eq!(st.padding(3), 0);
     }
 
     #[test]
@@ -535,13 +430,11 @@ mod tests {
             let csr = fixture(seed);
             for shape in BlockShape::search_space() {
                 let (r, c) = (shape.rows(), shape.cols());
-                for (first, step) in [(0, 1), (1, 3)] {
-                    assert_eq!(
-                        bcsr_scan(&csr, shape, first, step),
-                        bcsr_scan_c::<f64, 0>(&csr, r, c, first, step),
-                        "shape {shape} first {first} step {step}"
-                    );
-                }
+                assert_eq!(
+                    bcsr_scan(&csr, shape),
+                    bcsr_scan_c::<f64, 0>(&csr, r, c),
+                    "shape {shape}"
+                );
             }
         }
     }
@@ -594,13 +487,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "sample fraction")]
-    fn sampled_stats_rejects_zero_fraction() {
-        let csr = fixture(9);
-        let _ = bcsr_stats_sampled(&csr, BlockShape::new(2, 2).unwrap(), 0.0, 0);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use spmv_formats::{
 };
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
+use spmv_parallel::{bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, sell_unit_weights};
 use spmv_telemetry::residual::ResidualKey;
 
 use crate::Model;
@@ -192,6 +193,45 @@ impl Config {
     /// the pass.
     pub fn substats<T: Scalar>(&self, csr: &Csr<T>) -> Vec<SubStat> {
         ArenaStats::new(csr).substats(*self)
+    }
+
+    /// How a pool partitions `csr` for this configuration: one weight per
+    /// unit of rows, and the unit height (§V-A: every thread gets the
+    /// same number of stored elements, padding included).
+    ///
+    /// Units are one block row (BCSR, BCSR-DEC), one segment (BCSD,
+    /// BCSD-DEC) or one slice (SELL) tall, so every strip converts to
+    /// exactly the blocks the whole-matrix conversion would and the
+    /// pooled product is bitwise the serial one. The padded formats
+    /// weigh their padded blocks, the decomposed ones and CSR their
+    /// nonzeros.
+    ///
+    /// ```
+    /// use spmv_gen::GenSpec;
+    /// use spmv_model::{BlockConfig, Config};
+    /// use spmv_kernels::{BlockShape, KernelImpl};
+    ///
+    /// let csr = GenSpec::Stencil2d { nx: 5, ny: 5 }.build(0);
+    /// let block = BlockConfig::BcsrDec(BlockShape::new(3, 2).unwrap());
+    /// let (weights, height) = Config { block, imp: KernelImpl::Scalar }.pool_units(&csr);
+    /// assert_eq!((weights.len(), height), (9, 3)); // 25 rows in units of 3
+    /// assert_eq!(weights.iter().sum::<u64>(), csr.nnz() as u64);
+    /// ```
+    pub fn pool_units<T: Scalar>(&self, csr: &Csr<T>) -> (Vec<u64>, usize) {
+        let nnz_per = |height: usize| -> Vec<u64> {
+            csr_unit_weights(csr)
+                .chunks(height)
+                .map(|rows| rows.iter().sum())
+                .collect()
+        };
+        match self.block {
+            BlockConfig::Csr => (csr_unit_weights(csr), 1),
+            BlockConfig::Bcsr(shape) => (bcsr_unit_weights(csr, shape), shape.rows()),
+            BlockConfig::BcsrDec(shape) => (nnz_per(shape.rows()), shape.rows()),
+            BlockConfig::Bcsd(b) => (bcsd_unit_weights(csr, b), b),
+            BlockConfig::BcsdDec(b) => (nnz_per(b), b),
+            BlockConfig::SellCSigma { c, .. } => (sell_unit_weights(csr, c), c),
+        }
     }
 }
 
@@ -653,6 +693,30 @@ mod tests {
                 sigma: SELL_SIGMA_FULL,
             });
             assert!(sorted <= unsorted, "c={c}");
+        }
+    }
+
+    #[test]
+    fn pool_units_align_to_blocks_and_weigh_stored_elements() {
+        let csr = fixture();
+        let nnz = csr.nnz() as u64;
+        for config in Config::enumerate_extended(true) {
+            let (weights, height) = config.pool_units(&csr);
+            let want_height = match config.block {
+                BlockConfig::Csr => 1,
+                BlockConfig::Bcsr(s) | BlockConfig::BcsrDec(s) => s.rows(),
+                BlockConfig::Bcsd(b) | BlockConfig::BcsdDec(b) => b,
+                BlockConfig::SellCSigma { c, .. } => c,
+            };
+            assert_eq!(height, want_height, "{config}");
+            assert_eq!(weights.len(), 29usize.div_ceil(height), "{config}");
+            let total: u64 = weights.iter().sum();
+            match config.block {
+                BlockConfig::Csr | BlockConfig::BcsrDec(_) | BlockConfig::BcsdDec(_) => {
+                    assert_eq!(total, nnz, "{config}")
+                }
+                _ => assert!(total >= nnz, "{config}: padded weights below nnz"),
+            }
         }
     }
 

@@ -64,8 +64,8 @@ pub use latency::{
 pub use machine::{stream_triad_bandwidth, stream_triad_bandwidth_with, MachineProfile};
 pub use models::Model;
 pub use multicore::{
-    predict_threaded, predict_threaded_hierarchy, predicted_saturation_point, strip_extents,
-    BandwidthHierarchy, DomainBandwidth,
+    predict_threaded, predict_threaded_hierarchy, predicted_saturation_point, BandwidthHierarchy,
+    DomainBandwidth,
 };
 pub use persist::{load_profile, read_profile, save_profile, write_profile};
 pub use profile::{profile_kernels, profile_keys, BlockTimes, KernelProfile, ProfileOptions};

@@ -2,9 +2,11 @@
 //! direction ("consider the adaptation of these models on multicore
 //! platforms", §VI).
 //!
-//! The threaded execution model matches `spmv-parallel`: the matrix is
-//! split row-wise into `threads` contiguous, stored-element-balanced
-//! strips that run concurrently. Two effects change the prediction:
+//! The threaded execution model is `spmv-parallel`'s pool: the matrix is
+//! split row-wise into the strips `SpmvPool::from_csr` runs for the
+//! configuration — its [`Config::pool_units`] weights through the pool's
+//! partition — and the strips run concurrently. Two effects change the
+//! prediction:
 //!
 //! 1. **bandwidth sharing** — the strips stream simultaneously from the
 //!    same memory controller, so each strip sees `BW / threads`
@@ -17,59 +19,45 @@
 //!
 //! [`predict_threaded`] evaluates any of the three §IV models under this
 //! execution model; with `threads == 1` it reduces exactly to the
-//! single-threaded prediction.
+//! single-threaded prediction. [`predict_threaded_hierarchy`] is the
+//! same strip loop under a per-domain bandwidth map.
 //!
-//! The `max` in effect assumes the static weight balance is *perfect* —
-//! every strip is predicted from its own structure, but runtime effects
-//! (cache topology, pinning, SMT siblings, OS noise) skew real strips
-//! further apart. The persistent pool in `spmv-parallel`
+//! The `max` in effect assumes every strip runs as its structure
+//! predicts, but runtime effects (cache topology, pinning, SMT siblings,
+//! OS noise) skew real strips further apart. The persistent pool
 //! (`SpmvPool::measured_strip_seconds`) reports the *measured* median
-//! time per strip; [`predict_threaded_measured`] folds that observed
-//! skew back into the prediction via [`imbalance_factor`], replacing the
-//! model's structural `max` with measured imbalance.
+//! time per strip, and [`imbalance_factor`] condenses it to the
+//! slowest strip over the mean.
+
+use core::ops::Range;
 
 use crate::config::Config;
 use crate::machine::MachineProfile;
 use crate::models::Model;
 use crate::profile::KernelProfile;
 use spmv_core::{Csr, MatrixShape, Scalar};
+use spmv_parallel::{heavy_unit, partition_units, units_to_rows};
 
-/// Splits row indices into `threads` contiguous strips balanced by
-/// nonzeros — the model-side mirror of `spmv_parallel::partition_units`
-/// over `csr_unit_weights`, re-implemented here to keep the model
-/// crate's dependencies minimal.
-///
-/// Public so the duplication is testable: `tests/numa_partition.rs`
-/// pins this function differentially against the runtime splitter over
-/// a seeded matrix corpus, so the two copies cannot drift apart
-/// silently. Per-strip predictions
-/// ([`predict_threaded`]/[`predict_threaded_hierarchy`]) are only
-/// meaningful because these extents match the strips the pool actually
-/// runs.
-pub fn strip_extents<T: Scalar>(csr: &Csr<T>, threads: usize) -> Vec<core::ops::Range<usize>> {
-    let total = csr.nnz() as u64;
-    let mut out = Vec::with_capacity(threads);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for p in 0..threads {
-        let mut end = start;
-        if p == threads - 1 {
-            end = csr.n_rows();
-        } else {
-            let target = total * (p as u64 + 1) / threads as u64;
-            while end < csr.n_rows() && acc < target {
-                acc += csr.row_nnz(end) as u64;
-                end += 1;
-            }
+/// The row strips `SpmvPool::from_csr` hosts `config` on with `threads`
+/// workers: the [`Config::pool_units`] weights split by the pool's
+/// partition steps, with a heavy single row left out of the balance as
+/// the pool shears it, and empty strips dropped.
+fn pool_strips<T: Scalar>(csr: &Csr<T>, config: &Config, threads: usize) -> Vec<Range<usize>> {
+    let (mut weights, height) = config.pool_units(csr);
+    if height == 1 {
+        if let Some(row) = heavy_unit(&weights, threads) {
+            weights[row] = 0;
         }
-        out.push(start..end);
-        start = end;
     }
-    out
+    units_to_rows(&partition_units(&weights, threads), height, csr.n_rows())
+        .into_iter()
+        .filter(|rows| !rows.is_empty())
+        .collect()
 }
 
 /// Predicted seconds per SpMV for `config` on `csr` executed with
-/// `threads` bandwidth-sharing threads.
+/// `threads` bandwidth-sharing threads: [`predict_threaded_hierarchy`]
+/// over [`BandwidthHierarchy::flat`]`(machine.bandwidth)`.
 pub fn predict_threaded<T: Scalar>(
     model: Model,
     csr: &Csr<T>,
@@ -78,21 +66,10 @@ pub fn predict_threaded<T: Scalar>(
     machine: &MachineProfile,
     profile: &KernelProfile,
 ) -> f64 {
-    assert!(threads > 0);
-    if threads == 1 {
-        return model.predict(&config.substats(csr), machine, profile);
-    }
-    let shared = MachineProfile {
-        bandwidth: machine.bandwidth / threads as f64,
-        ..*machine
-    };
-    strip_extents(csr, threads)
-        .into_iter()
-        .map(|rows| {
-            let strip = csr.row_slice(rows);
-            model.predict(&config.substats(&strip), &shared, profile)
-        })
-        .fold(0.0, f64::max)
+    let flat = BandwidthHierarchy::flat(machine.bandwidth);
+    predict_threaded_hierarchy(
+        model, csr, config, threads, machine, profile, &flat, None, None,
+    )
 }
 
 /// Load-imbalance factor of a measured per-strip timing profile: the
@@ -114,43 +91,6 @@ pub fn imbalance_factor(per_strip_seconds: &[f64]) -> f64 {
     } else {
         (max / mean).max(1.0)
     }
-}
-
-/// Predicted seconds per SpMV like [`predict_threaded`], but scaled by
-/// the **measured** per-strip imbalance instead of the structural `max`
-/// over predicted strips.
-///
-/// The balanced-core prediction is the *mean* over per-strip predictions
-/// (what a perfectly level execution would cost per core under shared
-/// bandwidth); multiplying by [`imbalance_factor`] restores the barrier
-/// wait the pool actually observed. With fewer than two measured strips
-/// — or `threads == 1` — this degrades to [`predict_threaded`].
-pub fn predict_threaded_measured<T: Scalar>(
-    model: Model,
-    csr: &Csr<T>,
-    config: &Config,
-    threads: usize,
-    machine: &MachineProfile,
-    profile: &KernelProfile,
-    per_strip_seconds: &[f64],
-) -> f64 {
-    assert!(threads > 0);
-    if threads == 1 || per_strip_seconds.len() < 2 {
-        return predict_threaded(model, csr, config, threads, machine, profile);
-    }
-    let shared = MachineProfile {
-        bandwidth: machine.bandwidth / threads as f64,
-        ..*machine
-    };
-    let mean_pred = strip_extents(csr, threads)
-        .into_iter()
-        .map(|rows| {
-            let strip = csr.row_slice(rows);
-            model.predict(&config.substats(&strip), &shared, profile)
-        })
-        .sum::<f64>()
-        / threads as f64;
-    mean_pred * imbalance_factor(per_strip_seconds)
 }
 
 /// The bandwidths one memory domain (NUMA node) offers, in bytes/sec.
@@ -183,9 +123,8 @@ pub struct BandwidthHierarchy {
 
 impl BandwidthHierarchy {
     /// One flat domain whose local and remote paths are the same bus —
-    /// the paper's single-socket testbed. With this hierarchy,
-    /// [`predict_threaded_hierarchy`] reproduces [`predict_threaded`]
-    /// bit for bit (same strip extents, same `bw / threads` division).
+    /// the paper's single-socket testbed, and what [`predict_threaded`]
+    /// prices every strip under (`bw / threads` each).
     pub fn flat(bandwidth: f64) -> Self {
         BandwidthHierarchy {
             domains: vec![DomainBandwidth {
@@ -232,17 +171,16 @@ impl BandwidthHierarchy {
 
 /// Predicted seconds per SpMV under a per-domain bandwidth hierarchy.
 ///
-/// Strip `s` (extents from [`strip_extents`], the same split the pool
-/// runs) executes on domain `exec_domains[s]` — defaulting to the
+/// Strip `s` (the strips `SpmvPool::from_csr` runs for `config`)
+/// executes on domain `exec_domains[s]` — defaulting to the
 /// round-robin deal `s % n_domains` that `PinPolicy::Domains` uses —
 /// and its matrix pages live on `pages_on` when given (no first-touch:
 /// everything on one node, the remote-access regime) or on the strip's
 /// own execution domain otherwise (first-touch placement). Each strip
 /// is charged [`BandwidthHierarchy::strip_bandwidth`] for the domain
 /// its pages live on, and the SpMV finishes when the slowest strip does.
-///
-/// With [`BandwidthHierarchy::flat`]`(machine.bandwidth)` this equals
-/// [`predict_threaded`] exactly, threads and strips alike.
+/// A matrix with fewer units than `threads` runs on fewer strips, each
+/// still sharing its controller with `threads` sharers.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_threaded_hierarchy<T: Scalar>(
     model: Model,
@@ -273,18 +211,7 @@ pub fn predict_threaded_hierarchy<T: Scalar>(
     for &p in &pages {
         sharers[p] += 1;
     }
-    if threads == 1 {
-        // Mirror predict_threaded's single-thread form (whole matrix,
-        // no slicing) so a flat hierarchy is bitwise-identical to it:
-        // one strip alone on its controller divides by 1, which is
-        // exact.
-        let eff = MachineProfile {
-            bandwidth: hierarchy.strip_bandwidth(exec[0], pages[0], sharers[pages[0]]),
-            ..*machine
-        };
-        return model.predict(&config.substats(csr), &eff, profile);
-    }
-    strip_extents(csr, threads)
+    pool_strips(csr, config, threads)
         .into_iter()
         .enumerate()
         .map(|(s, rows)| {
@@ -353,11 +280,18 @@ mod tests {
             nnz_per_row: 3,
         }
         .build(2);
-        for threads in 1..6 {
-            let strips = strip_extents(&csr, threads);
-            assert_eq!(strips.len(), threads);
-            assert_eq!(strips[0].start, 0);
-            assert_eq!(strips.last().unwrap().end, 101);
+        for config in Config::enumerate_extended(false) {
+            let (_, height) = config.pool_units(&csr);
+            for threads in 1..6 {
+                let strips = pool_strips(&csr, &config, threads);
+                assert!(!strips.is_empty() && strips.len() <= threads, "{config}");
+                assert_eq!(strips[0].start, 0, "{config}");
+                assert_eq!(strips.last().unwrap().end, 101, "{config}");
+                for pair in strips.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "{config}");
+                    assert_eq!(pair[1].start % height, 0, "{config}: strip splits a unit");
+                }
+            }
         }
     }
 
@@ -409,76 +343,6 @@ mod tests {
         // Degenerate profiles never deflate a prediction.
         assert_eq!(imbalance_factor(&[0.0, 0.0]), 1.0);
         assert!(imbalance_factor(&[3.0, 1.0]) >= 1.0);
-    }
-
-    #[test]
-    fn measured_prediction_reduces_to_structural_when_balanced() {
-        let csr = GenSpec::Stencil2d { nx: 24, ny: 24 }.build(7);
-        let profile = KernelProfile::uniform(1e-9, 0.5);
-        for model in Model::ALL {
-            // Perfectly balanced measurement: mean == max over strips,
-            // so the measured form must not exceed the structural form
-            // (which takes the max over per-strip predictions).
-            let structural =
-                predict_threaded(model, &csr, &Config::CSR, 4, &machine(), &profile);
-            let balanced = predict_threaded_measured(
-                model,
-                &csr,
-                &Config::CSR,
-                4,
-                &machine(),
-                &profile,
-                &[1.0, 1.0, 1.0, 1.0],
-            );
-            assert!(
-                balanced <= structural + 1e-12,
-                "{model:?}: balanced {balanced} > structural {structural}"
-            );
-            assert!(balanced > 0.0);
-        }
-    }
-
-    #[test]
-    fn measured_imbalance_inflates_prediction() {
-        let csr = GenSpec::Stencil2d { nx: 24, ny: 24 }.build(8);
-        let profile = KernelProfile::uniform(1e-9, 0.5);
-        let balanced = predict_threaded_measured(
-            Model::Overlap,
-            &csr,
-            &Config::CSR,
-            2,
-            &machine(),
-            &profile,
-            &[1.0, 1.0],
-        );
-        let skewed = predict_threaded_measured(
-            Model::Overlap,
-            &csr,
-            &Config::CSR,
-            2,
-            &machine(),
-            &profile,
-            &[1.0, 3.0],
-        );
-        // max/mean = 3/2: the skewed profile costs exactly 1.5x more.
-        assert!((skewed / balanced - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn measured_prediction_falls_back_without_samples() {
-        let csr = GenSpec::Stencil2d { nx: 16, ny: 16 }.build(9);
-        let profile = KernelProfile::uniform(1e-9, 0.5);
-        let structural = predict_threaded(Model::Mem, &csr, &Config::CSR, 2, &machine(), &profile);
-        let fallback = predict_threaded_measured(
-            Model::Mem,
-            &csr,
-            &Config::CSR,
-            2,
-            &machine(),
-            &profile,
-            &[],
-        );
-        assert_eq!(structural, fallback);
     }
 
     #[test]

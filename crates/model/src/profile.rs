@@ -69,6 +69,26 @@ impl KernelProfile {
         self.times.iter()
     }
 
+    /// Profiles every search-space kernel this profile lacks —
+    /// [`profile_keys`] over the missing keys — and returns how many it
+    /// filled. A calibration saved before a kernel joined the search
+    /// space, or cut short, then prices every candidate instead of
+    /// panicking in [`KernelProfile::get`].
+    pub fn fill_missing<T: SimdScalar>(
+        &mut self,
+        machine: &MachineProfile,
+        opts: &ProfileOptions,
+    ) -> usize {
+        let missing: Vec<KernelKey> = search_space_keys()
+            .into_iter()
+            .filter(|key| !self.times.contains_key(key))
+            .collect();
+        for (key, times) in profile_keys::<T>(machine, opts, &missing) {
+            self.set(key, times);
+        }
+        missing.len()
+    }
+
     /// A synthetic profile where each block costs time proportional to
     /// its element count (`t_b = elems * per_elem`), with a uniform
     /// `nof`. This is the "ideal machine" profile: it isolates the
@@ -454,6 +474,23 @@ mod tests {
             imp: KernelImpl::Simd,
         });
         assert_eq!(t.t_b, 8e-9);
+    }
+
+    #[test]
+    fn fill_missing_completes_a_truncated_calibration() {
+        use crate::{read_profile, select, select_extended, Model};
+        // A calibration cut short after its CSR line.
+        let head = "blocked-spmv-profile v1\nmachine 1.38e10 49152 110100480\ncsr 4.9e-10 0.82\n";
+        let (machine, mut profile) = read_profile(head.as_bytes()).unwrap();
+        assert_eq!(profile.len(), 1);
+        assert_eq!(profile.fill_missing::<f64>(&machine, &tiny_opts()), 58);
+        assert_eq!(profile.len(), search_space_keys().len());
+        assert_eq!(profile.fill_missing::<f64>(&machine, &tiny_opts()), 0);
+        let csr = spmv_gen::GenSpec::Stencil2d { nx: 12, ny: 12 }.build(0);
+        for model in Model::ALL {
+            let _ = select(model, &csr, &machine, &profile, true);
+            let _ = select_extended(model, &csr, &machine, &profile, true);
+        }
     }
 
     #[test]

@@ -29,9 +29,9 @@ pub enum PinPolicy {
     /// Spread workers round-robin across the topology's memory domains
     /// (worker `i` → domain `i % D`, consecutive cores within a domain),
     /// so every memory controller carries an equal share of strips —
-    /// see [`Topology::core_for_worker`] for the exact rule. Combined
-    /// with first-touch strip allocation this is the NUMA-aware
-    /// placement `docs/NUMA.md` describes.
+    /// see [`Topology::core_for_worker`] for the exact rule. With the
+    /// first-touch strip conversion every pool does, this is the
+    /// NUMA-aware placement `docs/NUMA.md` describes.
     Domains(Topology),
 }
 

@@ -8,8 +8,9 @@
 //! the same number of *stored* elements — for padded formats that count
 //! includes the padding zeros. [`partition`] computes the weights and the
 //! split; [`SpmvPool`] hosts the strips on long-lived workers driven by an
-//! epoch barrier, with optional core pinning ([`affinity`]) and per-strip
-//! timing hooks for the multicore model.
+//! epoch barrier, with optional core pinning ([`affinity`]), each worker
+//! converting its own strip, and per-strip timing hooks for the
+//! multicore model.
 //!
 //! # Example
 //!
@@ -37,5 +38,5 @@ pub use partition::{
     bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, heavy_unit, partition_units,
     sell_unit_weights, split_segments, units_to_rows,
 };
-pub use pool::{Placement, SpmvPool, StripReport};
+pub use pool::{SpmvPool, StripReport};
 pub use topology::Topology;

@@ -28,8 +28,8 @@ use spmv_kernels::BlockShape;
 ///   0, and end at `weights.len()` — every unit lands in exactly one
 ///   range;
 /// * ranges may be **empty** (more parts than units, or zero-weight
-///   tails); both drivers drop empty ranges before spawning threads,
-///   so a strip is never empty;
+///   tails); `SpmvPool::from_csr` drops empty ranges before spawning
+///   threads, so a strip is never empty;
 /// * no part overshoots the ideal share `total/parts` by more than one
 ///   unit's weight.
 ///

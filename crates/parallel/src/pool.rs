@@ -6,9 +6,9 @@
 //! discriminating, and an iterative solver calling SpMV thousands of
 //! times cannot afford it. [`SpmvPool`] spawns its workers **once**:
 //!
-//! * each worker owns its row strip (padding-aware weights from
-//!   [`crate::partition`]) and is optionally pinned to a core
-//!   ([`crate::affinity`]);
+//! * each worker is optionally pinned to a core ([`crate::affinity`])
+//!   and then converts and owns its row strip (padding-aware weights
+//!   from [`crate::partition`]);
 //! * every [`SpMv::spmv_into`] call is one *epoch*: the driver publishes
 //!   the input vector, bumps an atomic epoch counter, and the workers —
 //!   spinning briefly, then parked — wake, multiply their strip into a
@@ -58,7 +58,6 @@ use std::time::{Duration, Instant};
 
 use crate::affinity::PinPolicy;
 use crate::partition::{heavy_unit, partition_units, split_segments, units_to_rows};
-use crate::topology::Topology;
 use spmv_core::{Csr, MatrixShape, Scalar, SpMv, SpMvMulti};
 use spmv_telemetry::window::SampleWindow;
 
@@ -305,8 +304,8 @@ impl WorkerState {
 }
 
 /// Driver-side state of an active heavy-row nnz split (see
-/// [`Placement`]): the sheared row, its nonzero count, and the products
-/// scratch the workers fill.
+/// [`SpmvPool::from_csr`]): the sheared row, its nonzero count, and the
+/// products scratch the workers fill.
 ///
 /// Bitwise-reproducibility protocol: workers write only the elementwise
 /// **products** `val[p] * x[col[p]]` of their disjoint segment into
@@ -333,57 +332,6 @@ struct SplitSeg<T> {
     offset: usize,
 }
 
-/// How a pool places its workers and pages — the NUMA-aware superset of
-/// a bare [`PinPolicy`].
-///
-/// * `pin` — worker → core assignment (use [`PinPolicy::Domains`] to
-///   spread workers across memory domains);
-/// * `first_touch` — build each worker's strip *on that worker* after
-///   pinning, and leave output pages untouched until the owning worker
-///   first writes them, so all strip-local pages land on the worker's
-///   node;
-/// * `nnz_split` — when one row is heavier than the ideal per-worker
-///   share, shear its nonzeros across all workers with a
-///   deterministic, bitwise-reproducible merge (see `docs/NUMA.md`).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Placement {
-    /// Worker → core pinning policy.
-    pub pin: PinPolicy,
-    /// Build strips on their own (pinned) workers — first-touch pages.
-    pub first_touch: bool,
-    /// Shear a too-heavy row across workers instead of accepting the
-    /// imbalance (only applies to row-granular partitions,
-    /// `unit_height == 1`).
-    pub nnz_split: bool,
-}
-
-impl Placement {
-    /// No pinning, caller-side allocation, no splitting — byte-for-byte
-    /// the behaviour of [`SpmvPool::from_csr`] with [`PinPolicy::None`].
-    pub fn none() -> Self {
-        Placement::default()
-    }
-
-    /// Pin under `pin` but keep caller-side allocation and no
-    /// splitting — the pre-NUMA pool behaviour.
-    pub fn pinned(pin: PinPolicy) -> Self {
-        Placement {
-            pin,
-            ..Placement::default()
-        }
-    }
-
-    /// The full NUMA-aware placement: domain-spread pinning,
-    /// first-touch allocation, and the heavy-row split.
-    pub fn domain_aware(topology: Topology) -> Self {
-        Placement {
-            pin: PinPolicy::Domains(topology),
-            first_touch: true,
-            nnz_split: true,
-        }
-    }
-}
-
 /// State shared between the driver and all workers.
 struct PoolShared<T> {
     epoch: AtomicU64,
@@ -400,7 +348,7 @@ struct PoolShared<T> {
     /// `k ≤ POOL_EPOCH_K` output columns out contiguously at its base —
     /// disjointness follows from strip disjointness, as for `y`.
     y_multi: SharedOutput<T>,
-    /// Active heavy-row nnz split, if the placement sheared one.
+    /// Active heavy-row nnz split, if the partition sheared one.
     split: Option<SplitShared<T>>,
     workers: Vec<WorkerState>,
 }
@@ -414,7 +362,8 @@ struct DriverState {
 /// A persistent worker pool executing row-partitioned SpMV.
 ///
 /// Workers are spawned once at construction (optionally pinned per
-/// [`PinPolicy`]), each owning one row strip in the format under test;
+/// [`PinPolicy`]), each converting and owning one row strip in the
+/// format under test;
 /// every [`SpMv::spmv_into`] call drives one epoch through a lightweight
 /// spin-then-park barrier. See the [module docs](self) for the protocol
 /// and a usage example.
@@ -454,102 +403,91 @@ pub struct SpmvPool<T: Scalar> {
     pin_oversubscribed: bool,
 }
 
-/// Shared strip-conversion closure, cloned into every deferred worker.
-type BuildFn<T, F> = Arc<dyn Fn(&Csr<T>) -> F + Send + Sync>;
-
-/// How a worker obtains its strip: pre-built on the caller (the classic
-/// path), or deferred so the conversion runs on the pinned worker and
-/// the strip's pages are first-touched on the local node.
-enum StripSource<T: Scalar, F> {
-    Built(F),
-    Deferred { sub: Csr<T>, build: BuildFn<T, F> },
-}
-
 impl<T: Scalar> SpmvPool<T> {
-    /// Builds a pool from explicit `(rows, strip)` pairs.
+    /// Partitions `csr` into `n_threads` strips balanced by `unit_weights`
+    /// (one weight per unit of `unit_height` rows — padding-aware weights
+    /// come from [`crate::partition`]) and hosts them on a pool, one
+    /// worker per strip.
     ///
-    /// Strips must be sorted, non-empty, mutually disjoint, and contained
-    /// in `0..n_rows`; rows not covered by any strip yield zeros. Use
-    /// [`SpmvPool::from_csr`] for the common weight-balanced path.
+    /// * `unit_height` keeps strip boundaries aligned to block rows or
+    ///   segments, so blocked strips never split a block. Empty strips
+    ///   are dropped, so `n_workers() ≤ n_threads` and every worker owns
+    ///   rows.
+    /// * Each worker pins itself under `pin` and then converts **its own**
+    ///   strip with `build`, so the strips convert concurrently and each
+    ///   strip's pages — and, via untouched zero pages, its output slots —
+    ///   are first-touched on the worker's memory domain.
+    /// * With single-row units (`unit_height == 1`), a row heavier than
+    ///   the ideal per-worker share is sheared across all workers and
+    ///   merged after each epoch in a bitwise-reproducible order, so the
+    ///   result is exactly the serial CSR result (see `docs/NUMA.md`).
     ///
     /// # Panics
     ///
-    /// Panics if a strip range is empty, out of bounds, or overlaps its
-    /// predecessor, or if a strip's shape disagrees with its range.
-    pub fn new<F>(strips: Vec<(Range<usize>, F)>, n_rows: usize, n_cols: usize, pin: PinPolicy) -> Self
-    where
-        F: SpMvMulti<T> + Send + 'static,
-    {
-        for (rows, mat) in &strips {
-            assert_eq!(mat.n_rows(), rows.len(), "strip shape disagrees with its range");
-            assert_eq!(mat.n_cols(), n_cols, "strip column count disagrees");
-        }
-        Self::build_inner(
-            strips
-                .into_iter()
-                .map(|(r, m)| (r, StripSource::Built(m)))
-                .collect(),
-            n_rows,
-            n_cols,
-            pin,
-            None,
-        )
-    }
-
-    /// The shared constructor behind every public entry point: validates
-    /// the strip ranges, spawns the workers (pre-built or deferred
-    /// first-touch strips), wires up an optional heavy-row split, and
-    /// records pin oversubscription.
-    fn build_inner<F>(
-        sources: Vec<(Range<usize>, StripSource<T, F>)>,
-        n_rows: usize,
-        n_cols: usize,
+    /// Panics if `n_threads` is zero, if `unit_weights` does not hold one
+    /// weight per unit, or if a strip's `build` panics or returns a shape
+    /// that disagrees with its rows.
+    pub fn from_csr<F>(
+        csr: &Csr<T>,
+        n_threads: usize,
+        unit_weights: &[u64],
+        unit_height: usize,
+        build: impl Fn(&Csr<T>) -> F + Send + Sync + 'static,
         pin: PinPolicy,
-        split_plan: Option<(usize, Vec<usize>, Vec<T>)>,
     ) -> Self
     where
         F: SpMvMulti<T> + Send + 'static,
     {
+        assert!(n_threads > 0, "at least one thread required");
+        let (n_rows, n_cols) = (csr.n_rows(), csr.n_cols());
+        assert_eq!(
+            unit_weights.len(),
+            n_rows.div_ceil(unit_height),
+            "one weight per unit expected"
+        );
+        let split_row = if unit_height == 1 {
+            heavy_unit(unit_weights, n_threads)
+        } else {
+            None
+        };
+        // With a sheared row, the strips are built from the matrix with
+        // that row emptied and the partition re-balanced without it.
+        let mut weights = unit_weights.to_vec();
+        let rest = split_row.map(|row| {
+            weights[row] = 0;
+            remove_row(csr, row)
+        });
+        let source = rest.as_ref().unwrap_or(csr);
+        let strip_rows: Vec<Range<usize>> =
+            units_to_rows(&partition_units(&weights, n_threads), unit_height, n_rows)
+                .into_iter()
+                .filter(|r| !r.is_empty())
+                .collect();
         let mut prev_end = 0usize;
-        for (rows, _) in &sources {
-            assert!(!rows.is_empty(), "empty strip {rows:?}");
+        for rows in &strip_rows {
             assert!(rows.start >= prev_end, "strips overlap or are unsorted at {rows:?}");
             assert!(rows.end <= n_rows, "strip {rows:?} exceeds {n_rows} rows");
             prev_end = rows.end;
         }
-        let strip_rows: Vec<Range<usize>> = sources.iter().map(|(r, _)| r.clone()).collect();
-        let n_strips = sources.len();
+        let n_strips = strip_rows.len();
 
         let pin_oversubscribed = pin.oversubscribed(n_strips);
         if pin_oversubscribed {
             spmv_telemetry::counter("pool.pin_oversubscribed", 1);
         }
 
-        // Pre-built strips are summed here; deferred strips report their
-        // stats over the channel once built on their workers.
-        let mut nnz_stored = 0usize;
-        let mut matrix_bytes = 0usize;
-        let mut n_deferred = 0usize;
-        for (_, src) in &sources {
-            match src {
-                StripSource::Built(m) => {
-                    nnz_stored += m.nnz_stored();
-                    matrix_bytes += m.matrix_bytes();
-                }
-                StripSource::Deferred { .. } => n_deferred += 1,
-            }
-        }
-
         // Heavy-row split: one contiguous product segment per worker.
         let mut segs: Vec<Option<SplitSeg<T>>> = (0..n_strips).map(|_| None).collect();
-        let split = split_plan.map(|(row, cols, vals)| {
+        let (mut nnz_stored, mut matrix_bytes) = (0usize, 0usize);
+        let split = split_row.map(|row| {
+            let (cols, vals) = csr.row(row);
             let nnz = cols.len();
             nnz_stored += nnz;
             matrix_bytes += nnz * (core::mem::size_of::<usize>() + T::BYTES);
-            for (w, r) in split_segments(nnz, n_strips.max(1)).into_iter().enumerate() {
-                if w < n_strips && !r.is_empty() {
-                    segs[w] = Some(SplitSeg {
-                        cols: cols[r.clone()].to_vec(),
+            for (seg, r) in segs.iter_mut().zip(split_segments(nnz, n_strips)) {
+                if !r.is_empty() {
+                    *seg = Some(SplitSeg {
+                        cols: cols[r.clone()].iter().map(|&c| c as usize).collect(),
                         vals: vals[r.clone()].to_vec(),
                         offset: r.start,
                     });
@@ -576,26 +514,35 @@ impl<T: Scalar> SpmvPool<T> {
             workers: (0..n_strips).map(|_| WorkerState::new()).collect(),
         });
 
+        let build = Arc::new(build);
         let (stats_tx, stats_rx) = std::sync::mpsc::channel();
         let mut handles = Vec::with_capacity(n_strips);
         let mut worker_threads = Vec::with_capacity(n_strips);
-        for (idx, ((rows, src), seg)) in sources.into_iter().zip(segs).enumerate() {
+        for (idx, (rows, seg)) in strip_rows.iter().cloned().zip(segs).enumerate() {
             let shared = Arc::clone(&shared);
             let core = pin.core_for(idx);
-            let stats = matches!(src, StripSource::Deferred { .. }).then(|| stats_tx.clone());
+            let sub = source.row_slice(rows.clone());
+            let build = Arc::clone(&build);
+            let build_strip = move || {
+                let m = build(&sub);
+                assert_eq!(m.n_rows(), sub.n_rows(), "strip shape disagrees with its range");
+                assert_eq!(m.n_cols(), sub.n_cols(), "strip column count disagrees");
+                m
+            };
+            let stats = stats_tx.clone();
             let handle = thread::Builder::new()
                 .name(format!("spmv-pool-{idx}"))
-                .spawn(move || worker_loop(shared, idx, rows, src, core, seg, stats))
+                .spawn(move || worker_loop(shared, idx, rows, core, build_strip, seg, stats))
                 .expect("spawn pool worker");
             worker_threads.push(handle.thread().clone());
             handles.push(handle);
         }
         drop(stats_tx);
 
-        // Block until every deferred strip is built (also the moment any
-        // build failure surfaces — tear the pool down and propagate).
+        // Block until every strip is built (also the moment any build
+        // failure surfaces — tear the pool down and propagate).
         let mut failures: Vec<String> = Vec::new();
-        for _ in 0..n_deferred {
+        for _ in 0..n_strips {
             match stats_rx.recv() {
                 Ok(Ok((nnz, bytes))) => {
                     nnz_stored += nnz;
@@ -630,118 +577,6 @@ impl<T: Scalar> SpmvPool<T> {
         }
     }
 
-    /// Partitions `csr` into `n_threads` strips balanced by `unit_weights`
-    /// (one weight per unit of `unit_height` rows — padding-aware weights
-    /// come from [`crate::partition`]), converts each strip with `build`,
-    /// and hosts them on a pool.
-    ///
-    /// `unit_height` keeps strip boundaries aligned to block rows or
-    /// segments, so blocked strips never split a block. Empty strips are
-    /// dropped, so `n_workers() ≤ n_threads` and every worker owns rows.
-    pub fn from_csr<F>(
-        csr: &Csr<T>,
-        n_threads: usize,
-        unit_weights: &[u64],
-        unit_height: usize,
-        build: impl Fn(&Csr<T>) -> F,
-        pin: PinPolicy,
-    ) -> Self
-    where
-        F: SpMvMulti<T> + Send + 'static,
-    {
-        assert!(n_threads > 0, "at least one thread required");
-        assert_eq!(
-            unit_weights.len(),
-            csr.n_rows().div_ceil(unit_height),
-            "one weight per unit expected"
-        );
-        let strips = strip_ranges(unit_weights, n_threads, unit_height, csr.n_rows())
-            .into_iter()
-            .map(|rows| {
-                let mat = build(&csr.row_slice(rows.clone()));
-                (rows, mat)
-            })
-            .collect();
-        Self::new(strips, csr.n_rows(), csr.n_cols(), pin)
-    }
-
-    /// Like [`SpmvPool::from_csr`], but NUMA-aware per `placement`:
-    ///
-    /// * with `placement.first_touch`, each strip's format conversion
-    ///   runs **on its own pinned worker**, so the strip's matrix pages
-    ///   — and, via untouched zero pages, its output slots — are
-    ///   first-touched on the worker's memory domain;
-    /// * with `placement.nnz_split` (row-granular partitions only,
-    ///   `unit_height == 1`), a single row heavier than the ideal
-    ///   per-worker share is sheared across all workers and merged by
-    ///   the driver in a bitwise-reproducible order (the result is
-    ///   exactly the serial CSR result — see `docs/NUMA.md`);
-    /// * `placement.pin` places workers, with [`PinPolicy::Domains`]
-    ///   spreading them round-robin across memory domains.
-    ///
-    /// With [`Placement::pinned`] this behaves exactly like
-    /// [`SpmvPool::from_csr`].
-    pub fn from_csr_placed<F>(
-        csr: &Csr<T>,
-        n_threads: usize,
-        unit_weights: &[u64],
-        unit_height: usize,
-        build: impl Fn(&Csr<T>) -> F + Send + Sync + 'static,
-        placement: Placement,
-    ) -> Self
-    where
-        F: SpMvMulti<T> + Send + 'static,
-    {
-        assert!(n_threads > 0, "at least one thread required");
-        let n_rows = csr.n_rows();
-        let split_row = if placement.nnz_split && unit_height == 1 {
-            heavy_unit(unit_weights, n_threads)
-        } else {
-            None
-        };
-
-        // With a sheared row, the strips are built from the matrix with
-        // that row emptied and the partition re-balanced without it.
-        let (split_plan, rest) = match split_row {
-            Some(row) => {
-                let (cols_raw, vals_raw) = csr.row(row);
-                let cols: Vec<usize> = cols_raw.iter().map(|&c| c as usize).collect();
-                (Some((row, cols, vals_raw.to_vec())), Some(remove_row(csr, row)))
-            }
-            None => (None, None),
-        };
-        let source = rest.as_ref().unwrap_or(csr);
-        let weights_rest;
-        let weights = match split_row {
-            Some(row) => {
-                let mut w = unit_weights.to_vec();
-                w[row] = 0;
-                weights_rest = w;
-                &weights_rest[..]
-            }
-            None => unit_weights,
-        };
-        let ranges = strip_ranges(weights, n_threads, unit_height, n_rows);
-
-        let build: BuildFn<T, F> = Arc::new(build);
-        let sources: Vec<(Range<usize>, StripSource<T, F>)> = ranges
-            .into_iter()
-            .map(|r| {
-                let sub = source.row_slice(r.clone());
-                let src = if placement.first_touch {
-                    StripSource::Deferred {
-                        sub,
-                        build: Arc::clone(&build),
-                    }
-                } else {
-                    StripSource::Built(build(&sub))
-                };
-                (r, src)
-            })
-            .collect();
-        Self::build_inner(sources, n_rows, csr.n_cols(), placement.pin, split_plan)
-    }
-
     /// Number of live workers (= non-empty strips, ≤ requested threads).
     pub fn n_workers(&self) -> usize {
         self.strip_rows.len()
@@ -754,8 +589,8 @@ impl<T: Scalar> SpmvPool<T> {
         self.pin_oversubscribed
     }
 
-    /// The row sheared across workers by the nnz-split fallback, if the
-    /// placement activated one.
+    /// The row sheared across workers by the nnz-split fallback, if one
+    /// row was heavier than the ideal per-worker share.
     pub fn split_row(&self) -> Option<usize> {
         self.shared.split.as_ref().map(|s| s.row)
     }
@@ -807,8 +642,7 @@ impl<T: Scalar> SpmvPool<T> {
     }
 
     /// Median measured seconds per iteration for every strip — the
-    /// measured-imbalance input to
-    /// `spmv_model::multicore::predict_threaded_measured`.
+    /// input to `spmv_model::multicore::imbalance_factor`.
     ///
     /// Returns `None` until every strip has completed at least one
     /// timed iteration (run a warm-up [`SpMv::spmv`] first).
@@ -934,15 +768,10 @@ impl<T: Scalar> SpMv<T> for SpmvPool<T> {
         if self.n_rows == 0 {
             return;
         }
-        if self.shared.workers.is_empty() {
-            y.fill(T::ZERO);
-            return;
-        }
         let guard = self.run_epoch(x, 1);
         let merged = self.merge_split(1);
-        // SAFETY: `guard` keeps the pool quiescent; uncovered rows were
-        // zero-initialized and are never written, so a straight copy is
-        // complete.
+        // SAFETY: `guard` keeps the pool quiescent; the strips cover
+        // every row, so a straight copy is complete.
         y.copy_from_slice(unsafe { self.shared.y.as_slice() });
         drop(guard);
         // The sheared row is empty in every strip; its merged sum wins.
@@ -964,10 +793,6 @@ impl<T: Scalar> SpMvMulti<T> for SpmvPool<T> {
     fn spmv_multi_into(&self, x: &[T], y: &mut [T], k: usize) {
         spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
         if self.n_rows == 0 {
-            return;
-        }
-        y.fill(T::ZERO); // rows not covered by any strip stay zero
-        if self.shared.workers.is_empty() {
             return;
         }
         let (m, n) = (self.n_cols, self.n_rows);
@@ -1020,16 +845,17 @@ impl<T: Scalar> Drop for SpmvPool<T> {
     }
 }
 
-/// The body of one pool worker: pin, build the strip if it was deferred
-/// for first-touch placement, then serve epochs until shutdown.
+/// The body of one pool worker: pin, convert the strip (so its pages are
+/// first-touched on this worker's memory domain), report the strip's
+/// stats, then serve epochs until shutdown.
 fn worker_loop<T: Scalar, F: SpMvMulti<T>>(
     shared: Arc<PoolShared<T>>,
     idx: usize,
     rows: Range<usize>,
-    source: StripSource<T, F>,
     core: Option<usize>,
+    build: impl FnOnce() -> F,
     split_seg: Option<SplitSeg<T>>,
-    stats: Option<std::sync::mpsc::Sender<Result<(usize, usize), String>>>,
+    stats: std::sync::mpsc::Sender<Result<(usize, usize), String>>,
 ) {
     // Best-effort: a rejected mask (e.g. restricted cpuset) leaves the
     // worker unpinned but fully functional; the outcome is recorded so
@@ -1042,32 +868,15 @@ fn worker_loop<T: Scalar, F: SpMvMulti<T>>(
         t.pinned = pin_result;
     }
 
-    // Deferred strips are converted here, *after* pinning, so the
-    // format's pages are first-touched on this worker's memory domain.
-    let mat = match source {
-        StripSource::Built(m) => m,
-        StripSource::Deferred { sub, build } => {
-            let built = catch_unwind(AssertUnwindSafe(|| {
-                let m = build(&sub);
-                assert_eq!(m.n_rows(), rows.len(), "strip shape disagrees with its range");
-                assert_eq!(m.n_cols(), sub.n_cols(), "strip column count disagrees");
-                m
-            }));
-            match built {
-                Ok(m) => {
-                    if let Some(tx) = &stats {
-                        let _ = tx.send(Ok((m.nnz_stored(), m.matrix_bytes())));
-                    }
-                    m
-                }
-                Err(_) => {
-                    shared.poisoned.store(true, Ordering::Release);
-                    if let Some(tx) = &stats {
-                        let _ = tx.send(Err(format!("strip {idx} build panicked")));
-                    }
-                    return;
-                }
-            }
+    let mat = match catch_unwind(AssertUnwindSafe(build)) {
+        Ok(m) => {
+            let _ = stats.send(Ok((m.nnz_stored(), m.matrix_bytes())));
+            m
+        }
+        Err(_) => {
+            shared.poisoned.store(true, Ordering::Release);
+            let _ = stats.send(Err(format!("strip {idx} build panicked")));
+            return;
         }
     };
     drop(stats);
@@ -1150,36 +959,26 @@ fn worker_loop<T: Scalar, F: SpMvMulti<T>>(
     }
 }
 
-/// The pool's partition: `n_threads` weight-balanced unit ranges mapped
-/// to rows, with empty ranges dropped so every strip owns at least one row.
-fn strip_ranges(
-    unit_weights: &[u64],
-    n_threads: usize,
-    unit_height: usize,
-    n_rows: usize,
-) -> Vec<Range<usize>> {
-    units_to_rows(&partition_units(unit_weights, n_threads), unit_height, n_rows)
-        .into_iter()
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
 /// A copy of `csr` with row `row`'s nonzeros dropped — the row itself
-/// stays (empty), so shapes and strip boundaries are unchanged. Values
-/// and intra-row column order are preserved exactly, so the rest-matrix
-/// rows stay bitwise-identical to the original rows.
+/// stays (empty), so shapes and strip boundaries are unchanged. Every
+/// other row keeps its arrays exactly, entry order included, so the
+/// rest-matrix rows stay bitwise-identical to the original rows.
 fn remove_row<T: Scalar>(csr: &Csr<T>, row: usize) -> Csr<T> {
-    let mut coo = spmv_core::Coo::new(csr.n_rows(), csr.n_cols());
-    for i in 0..csr.n_rows() {
-        if i == row {
-            continue;
-        }
-        let (cols, vals) = csr.row(i);
-        for (&c, &v) in cols.iter().zip(vals) {
-            let _ = coo.push(i, c as usize, v);
-        }
-    }
-    Csr::from_coo(&coo)
+    let ptr = csr.row_ptr();
+    let (lo, hi) = (ptr[row] as usize, ptr[row + 1] as usize);
+    let row_ptr = ptr[..=row]
+        .iter()
+        .copied()
+        .chain(ptr[row + 1..].iter().map(|&p| p - ptr[row + 1] + ptr[row]))
+        .collect();
+    Csr::from_raw_unchecked(
+        csr.n_rows(),
+        csr.n_cols(),
+        row_ptr,
+        [&csr.col_ind()[..lo], &csr.col_ind()[hi..]].concat(),
+        [&csr.val()[..lo], &csr.val()[hi..]].concat(),
+    )
+    .expect("a valid CSR minus one row is valid")
 }
 
 #[cfg(test)]
@@ -1283,22 +1082,6 @@ mod tests {
             let got = pool.spmv_multi(&x4, 4);
             for t in 0..4 {
                 assert_eq!(got[t * 48..(t + 1) * 48], csr.spmv(&x4[t * 48..(t + 1) * 48]));
-            }
-        }
-    }
-
-    #[test]
-    fn uncovered_rows_stay_zero_in_multi() {
-        let csr = fixture(9, 9);
-        let mid = csr.row_slice(3..6);
-        let pool = SpmvPool::new(vec![(3..6, mid)], 9, 9, PinPolicy::None);
-        let x: Vec<f64> = (0..18).map(|i| 1.0 + i as f64).collect();
-        let got = pool.spmv_multi(&x, 2);
-        for t in 0..2 {
-            let want = csr.spmv(&x[t * 9..(t + 1) * 9]);
-            for i in 0..9 {
-                let expect = if (3..6).contains(&i) { want[i] } else { 0.0 };
-                assert_eq!(got[t * 9 + i], expect, "t={t} row {i}");
             }
         }
     }
@@ -1483,33 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn placed_pool_first_touch_matches_bitwise() {
-        let csr = fixture(97, 53);
-        let x: Vec<f64> = (0..53).map(|i| 0.25 + (i % 7) as f64).collect();
-        let want = csr.spmv(&x);
-        for threads in [1, 2, 4] {
-            let placement = Placement {
-                pin: PinPolicy::None,
-                first_touch: true,
-                nnz_split: false,
-            };
-            let pool = SpmvPool::from_csr_placed(
-                &csr,
-                threads,
-                &csr_unit_weights(&csr),
-                1,
-                Csr::clone,
-                placement,
-            );
-            assert_eq!(pool.spmv(&x), want, "threads = {threads}");
-            // Deferred builds must aggregate the same stats as eager ones.
-            let eager = pool_for(&csr, threads);
-            assert_eq!(pool.nnz_stored(), eager.nnz_stored());
-            assert_eq!(pool.matrix_bytes(), eager.matrix_bytes());
-        }
-    }
-
-    #[test]
     fn split_pool_shears_a_heavy_row_and_stays_bitwise() {
         // Row 2 holds most of the matrix: heavier than any ideal share.
         let mut coo = Coo::new(8, 64);
@@ -1523,19 +1279,7 @@ mod tests {
         let x: Vec<f64> = (0..64).map(|i| 0.5 + (i % 13) as f64 * 0.25).collect();
         let want = csr.spmv(&x);
         for threads in [2, 3, 4] {
-            let placement = Placement {
-                pin: PinPolicy::None,
-                first_touch: false,
-                nnz_split: true,
-            };
-            let pool = SpmvPool::from_csr_placed(
-                &csr,
-                threads,
-                &csr_unit_weights(&csr),
-                1,
-                Csr::clone,
-                placement,
-            );
+            let pool = pool_for(&csr, threads);
             assert_eq!(pool.split_row(), Some(2), "threads = {threads}");
             assert_eq!(pool.spmv(&x), want, "threads = {threads}");
             // Multi-vector epochs merge per vector.
@@ -1552,19 +1296,7 @@ mod tests {
     #[test]
     fn split_does_not_trigger_on_balanced_matrices() {
         let csr = fixture(64, 64);
-        let placement = Placement {
-            pin: PinPolicy::None,
-            first_touch: false,
-            nnz_split: true,
-        };
-        let pool = SpmvPool::from_csr_placed(
-            &csr,
-            2,
-            &csr_unit_weights(&csr),
-            1,
-            Csr::clone,
-            placement,
-        );
+        let pool = pool_for(&csr, 2);
         // The fixture spreads 1–4 nnz per row; no row exceeds half the total.
         assert_eq!(pool.split_row(), None);
     }
@@ -1579,18 +1311,7 @@ mod tests {
         }
         let csr = Csr::from_coo(&coo);
         let x: Vec<f64> = (0..40).map(|i| 1.0 + (i % 3) as f64 * 0.5).collect();
-        let pool = SpmvPool::from_csr_placed(
-            &csr,
-            4,
-            &csr_unit_weights(&csr),
-            1,
-            Csr::clone,
-            Placement {
-                pin: PinPolicy::None,
-                first_touch: false,
-                nnz_split: true,
-            },
-        );
+        let pool = pool_for(&csr, 4);
         assert_eq!(pool.split_row(), Some(1));
         assert_eq!(pool.spmv(&x), csr.spmv(&x));
     }
@@ -1643,38 +1364,14 @@ mod tests {
         let x: Vec<f64> = (0..80).map(|i| 0.5 + (i % 9) as f64).collect();
         let want = csr.spmv(&x);
         let topo = crate::topology::Topology::from_domains(vec![vec![0], vec![1]]);
-        let pool = SpmvPool::from_csr_placed(
+        let pool = SpmvPool::from_csr(
             &csr,
             2,
             &csr_unit_weights(&csr),
             1,
             Csr::clone,
-            Placement::domain_aware(topo),
+            PinPolicy::Domains(topo),
         );
         assert_eq!(pool.spmv(&x), want);
-    }
-
-    #[test]
-    #[should_panic(expected = "strips overlap")]
-    fn overlapping_strips_are_rejected() {
-        let csr = fixture(10, 10);
-        let a = csr.row_slice(0..6);
-        let b = csr.row_slice(4..10);
-        let _ = SpmvPool::new(vec![(0..6, a), (4..10, b)], 10, 10, PinPolicy::None);
-    }
-
-    #[test]
-    fn uncovered_rows_stay_zero() {
-        // A strip covering only the middle rows: everything else is 0.
-        let csr = fixture(9, 9);
-        let mid = csr.row_slice(3..6);
-        let pool = SpmvPool::new(vec![(3..6, mid)], 9, 9, PinPolicy::None);
-        let x = vec![1.0; 9];
-        let y = pool.spmv(&x);
-        let want = csr.spmv(&x);
-        for i in 0..9 {
-            let expect = if (3..6).contains(&i) { want[i] } else { 0.0 };
-            assert_eq!(y[i], expect, "row {i}");
-        }
     }
 }

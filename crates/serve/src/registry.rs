@@ -31,10 +31,9 @@ use std::sync::{Arc, Mutex};
 use spmv_core::{Csr, MatrixShape, SpMv, SpMvMulti};
 use spmv_kernels::simd::SimdScalar;
 use spmv_model::{
-    residual_key_for, select_extended, BlockConfig, BuiltFormat, Config, KernelProfile,
-    MachineProfile, Model,
+    residual_key_for, select_extended, BuiltFormat, Config, KernelProfile, MachineProfile, Model,
 };
-use spmv_parallel::{csr_unit_weights, sell_unit_weights, Placement, PinPolicy, SpmvPool};
+use spmv_parallel::{PinPolicy, SpmvPool};
 use spmv_telemetry::residual::ResidualKey;
 
 /// Identity of a matrix in the registry: an opaque 64-bit id chosen by
@@ -67,22 +66,10 @@ pub struct Selection {
 
 /// Materializes `config` for `csr` inside a `formats.build` span whose
 /// argument is the nonzeros converted. A pooled matrix converts strip by
-/// strip, so it records one span per strip, on the thread that builds it.
+/// strip, so it records one span per strip, on the worker that owns it.
 fn build<T: SimdScalar>(config: Config, csr: &Csr<T>) -> BuiltFormat<T> {
     let _span = spmv_telemetry::span_with("formats.build", csr.nnz() as u64);
     config.build(csr)
-}
-
-/// The pool partitioning inputs for `config`: per-unit weights and the
-/// unit height strips are aligned to. SELL configurations partition on
-/// slice boundaries (units of `c` rows, weighted by the padded slice
-/// storage) so every worker's local σ-windowed conversion starts on a
-/// slice edge; everything else balances per-row nonzeros.
-fn pool_inputs<T: SimdScalar>(config: Config, csr: &Csr<T>) -> (Vec<u64>, usize) {
-    match config.block {
-        BlockConfig::SellCSigma { c, .. } => (sell_unit_weights(csr, c), c),
-        _ => (csr_unit_weights(csr), 1),
-    }
 }
 
 /// A matrix ready to serve traffic: the storage format and kernel the
@@ -146,33 +133,24 @@ impl<T: SimdScalar> PreparedMatrix<T> {
     }
 
     /// Materializes an explicit configuration on a persistent
-    /// [`SpmvPool`] (no selection) — the hot-swap path uses this to host
-    /// a re-selected configuration on fresh workers.
+    /// [`SpmvPool`] of `n_threads` workers pinned under `pin` (no
+    /// selection) — the hot-swap path uses this to host a re-selected
+    /// configuration on fresh workers. The strips follow
+    /// [`Config::pool_units`], so the product is bitwise the serial one.
     pub fn from_config_pooled(
         config: Config,
         csr: &Csr<T>,
         n_threads: usize,
         pin: PinPolicy,
     ) -> Self {
-        Self::from_config_pooled_placed(config, csr, n_threads, Placement::pinned(pin))
-    }
-
-    /// Like [`PreparedMatrix::from_config_pooled`], with a full
-    /// [`Placement`].
-    pub fn from_config_pooled_placed(
-        config: Config,
-        csr: &Csr<T>,
-        n_threads: usize,
-        placement: Placement,
-    ) -> Self {
-        let (weights, unit_height) = pool_inputs(config, csr);
-        let pool = SpmvPool::from_csr_placed(
+        let (weights, unit_height) = config.pool_units(csr);
+        let pool = SpmvPool::from_csr(
             csr,
             n_threads,
             &weights,
             unit_height,
             move |sub| build(config, sub),
-            placement,
+            pin,
         );
         PreparedMatrix {
             config,
@@ -520,7 +498,7 @@ impl<T: SimdScalar> fmt::Debug for Registry<T> {
 mod tests {
     use super::*;
     use spmv_core::Coo;
-    use spmv_kernels::KernelImpl;
+    use spmv_gen::{random_vector, GenSpec};
 
     fn diag(n: usize, scale: f64) -> Csr<f64> {
         let mut coo = Coo::new(n, n);
@@ -622,28 +600,50 @@ mod tests {
 
     #[test]
     fn pooled_sell_config_matches_serial_bitwise() {
-        // The hot-swap path (`from_config_pooled`) must host SELL on
-        // strips split at slice boundaries and still reproduce the
-        // serial product bit-for-bit — per-row chains are
-        // self-contained, so the strip-local permutations cannot show.
-        let mut coo = Coo::new(37, 37);
-        for i in 0..37usize {
-            for s in 0..(i * 5) % 9 {
-                coo.push(i, (i * 7 + s * 3) % 37, 0.5 + (i + s) as f64).unwrap();
+        // The hot-swap path (`from_config_pooled`) must reproduce the
+        // serial product bit for bit for every configuration, SELL
+        // included. Strips split on block rows, segments and slices, so
+        // each converts to exactly the blocks of the whole-matrix
+        // conversion (and SELL's per-row chains are self-contained, so
+        // strip-local permutations cannot show).
+        let k = 3;
+        let specs = [
+            GenSpec::FemBlocks {
+                nodes: 70,
+                dof: 3,
+                neighbors: 4,
+            },
+            GenSpec::Banded {
+                n: 203,
+                bandwidth: 6,
+                fill: 0.6,
+            },
+            GenSpec::DiagRuns { n: 197, n_diags: 5 },
+            GenSpec::PowerLaw {
+                n: 211,
+                avg_deg: 5,
+                alpha: 1.5,
+            },
+        ];
+        for (m, spec) in specs.iter().enumerate() {
+            let csr = &spec.build(m as u64 + 1);
+            let x = random_vector::<f64>(csr.n_cols() * k, m as u64);
+            let x1 = &x[..csr.n_cols()];
+            for config in Config::enumerate_extended(true) {
+                let serial = PreparedMatrix::from_config(config, csr);
+                let (want, want_k) = (serial.spmv(x1), serial.spmv_multi(&x, k));
+                for threads in [2, 3] {
+                    let pooled =
+                        PreparedMatrix::from_config_pooled(config, csr, threads, PinPolicy::None);
+                    assert!(pooled.is_pooled());
+                    assert_eq!(pooled.spmv(x1), want, "matrix {m} {config} x{threads}");
+                    assert_eq!(
+                        pooled.spmv_multi(&x, k),
+                        want_k,
+                        "matrix {m} {config} x{threads} k={k}"
+                    );
+                }
             }
-        }
-        let csr = Csr::from_coo(&coo);
-        let x: Vec<f64> = (0..37).map(|i| 0.25 * (i % 9) as f64 - 1.0).collect();
-        for sigma in [1usize, 8, spmv_formats::SELL_SIGMA_FULL] {
-            let config = Config {
-                block: BlockConfig::SellCSigma { c: 4, sigma },
-                imp: KernelImpl::Simd,
-            };
-            let serial = PreparedMatrix::from_config(config, &csr);
-            let pooled =
-                PreparedMatrix::from_config_pooled(config, &csr, 3, PinPolicy::None);
-            assert!(pooled.is_pooled());
-            assert_eq!(pooled.spmv(&x), serial.spmv(&x), "sigma={sigma}");
         }
     }
 

@@ -21,7 +21,7 @@ use spmv_model::{
     select_extended_measured, Candidate, Config, KernelKey, KernelProfile, MachineProfile,
     MeasuredOverrides, Model,
 };
-use spmv_parallel::Placement;
+use spmv_parallel::PinPolicy;
 use spmv_telemetry::residual::ResidualEvent;
 
 use crate::detector::{DetectorConfig, StalenessDetector, Verdict};
@@ -46,11 +46,10 @@ pub struct WatchSpec<T: SimdScalar> {
     /// Worker threads for the re-prepared matrix (`<= 1` ⇒ single-thread
     /// backend, no pool).
     pub pool_threads: usize,
-    /// Placement for the re-prepared matrix's pool (if any): pin policy
-    /// plus the NUMA levers (first-touch strips, nnz-split) — use
-    /// [`Placement::domain_aware`] so hot-swapped pools keep the same
-    /// NUMA placement the original serving pool had.
-    pub placement: Placement,
+    /// Pin policy for the re-prepared matrix's pool (if any) — use the
+    /// original serving pool's (e.g. [`PinPolicy::Domains`]) so
+    /// hot-swapped pools keep its NUMA placement.
+    pub pin: PinPolicy,
 }
 
 impl<T: SimdScalar> WatchSpec<T> {
@@ -70,7 +69,7 @@ impl<T: SimdScalar> WatchSpec<T> {
             include_simd: true,
             detector: DetectorConfig::default(),
             pool_threads: 1,
-            placement: Placement::none(),
+            pin: PinPolicy::None,
         }
     }
 }

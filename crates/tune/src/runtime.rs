@@ -462,15 +462,15 @@ impl<T: SimdScalar> Tuner<T> {
                 continue;
             };
             let (from, spec_csr) = (target.current, Arc::clone(&target.spec.csr));
-            let (model, threads, placement) = (
+            let (model, threads, pin) = (
                 target.spec.model,
                 target.spec.pool_threads,
-                target.spec.placement.clone(),
+                target.spec.pin.clone(),
             );
             let id = MatrixId(matrix);
 
             let prepared = if threads > 1 {
-                PreparedMatrix::from_config_pooled_placed(winner.config, &spec_csr, threads, placement)
+                PreparedMatrix::from_config_pooled(winner.config, &spec_csr, threads, pin)
             } else {
                 PreparedMatrix::from_config(winner.config, &spec_csr)
             }

@@ -71,7 +71,7 @@ pub struct MeasuredSampler<T: SimdScalar> {
     pub machine: MachineProfile,
     /// Kernel-probe sizing (small/large footprints, repetitions).
     pub opts: ProfileOptions,
-    /// Placement policy the probe thread is pinned under.
+    /// Pin policy the probe thread is pinned under.
     pub pin: PinPolicy,
     /// Worker index within `pin` (probes run "as" this pool worker).
     pub worker: usize,

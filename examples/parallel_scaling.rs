@@ -8,8 +8,7 @@
 //! per SpMV at 1, 2, and 4 threads for CSR and the best BCSR shape, the
 //! strip boundaries so the balancing is visible, and each strip's
 //! measured per-iteration time — whose max/mean ratio is the measured
-//! imbalance the multicore model can consume
-//! (`spmv_model::multicore::predict_threaded_measured`).
+//! imbalance (`spmv_model::multicore::imbalance_factor`).
 //!
 //! ```sh
 //! cargo run --release --example parallel_scaling
@@ -63,7 +62,7 @@ fn main() {
             threads,
             &bcsr_unit_weights(&csr, shape),
             shape.rows(),
-            |s| Bcsr::from_csr(s, shape, KernelImpl::Simd),
+            move |s| Bcsr::from_csr(s, shape, KernelImpl::Simd),
             PinPolicy::Compact,
         );
 

@@ -4,9 +4,10 @@
 #
 #   build, clippy on all targets, workspace tests (doctests included),
 #   the telemetry-disabled test runs, rustdoc with warnings denied, the
-#   benchmark package's API tripwire, the harness-bin smokes (sellc in
-#   both telemetry configs, census at a small scale), and the runtime
-#   examples.
+#   benchmark package's API tripwire, the harness-bin smokes (serve_load,
+#   serve_adapt, numa_scale, sellc in both telemetry configs, census at a
+#   small scale), spmv-tune on a calibration cut short after its CSR
+#   line, and the runtime examples.
 #
 # See docs/TESTING.md for what each tier covers.
 #
@@ -50,6 +51,11 @@ smoke target/sellc-notel-smoke.txt --features spmv-telemetry/disabled --bin sell
     --n 20000 --reps 2 --trials 1
 smoke target/census-smoke.txt --bin census -- --scale 0.02 --trials 1 --min-time 0.0002 \
     --profile benchmark/profile.txt
+
+# spmv-tune profiles the kernels a calibration lacks before it selects.
+head -n 3 benchmark/profile.txt > target/profile-head.txt
+run cargo run --offline --release --quiet --bin spmv-tune -- --suite 5 --scale 0.05 \
+    --profile target/profile-head.txt --verify > /dev/null
 
 run cargo run --offline --release --quiet --example parallel_scaling > /dev/null
 run cargo run --offline --release --quiet --example batched -- 0.1 > /dev/null

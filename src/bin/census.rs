@@ -26,7 +26,6 @@
 //! census --scale 0.02 --trials 1 --out c.txt   # smoke-sized run
 //! ```
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -34,8 +33,7 @@ use blocked_spmv::bench::Table;
 use blocked_spmv::core::{Csr, MatrixShape, SpMv};
 use blocked_spmv::gen::{random_vector, suite};
 use blocked_spmv::model::{
-    candidate_configs_extended, load_profile, profile_keys, select_extended, Config, KernelKey,
-    KernelProfile, MachineProfile, Model, ProfileOptions,
+    load_profile, select_extended, Config, MachineProfile, Model, ProfileOptions,
 };
 
 /// A configuration within this factor of the fastest counts as a
@@ -101,29 +99,6 @@ fn parse_opts() -> Opts {
     }
     opts.trials = opts.trials.max(1);
     opts
-}
-
-/// The calibration at `path`, with any kernel key the extended OVERLAP
-/// selection needs but the file lacks profiled on the spot; returns how
-/// many keys were filled.
-fn calibration(path: &str) -> (MachineProfile, KernelProfile, usize) {
-    let (machine, mut profile) = load_profile(path).unwrap_or_else(|e| {
-        eprintln!("cannot load profile {path}: {e}");
-        std::process::exit(1);
-    });
-    let present: BTreeSet<KernelKey> = profile.iter().map(|(k, _)| *k).collect();
-    let missing: Vec<KernelKey> = candidate_configs_extended(Model::Overlap, true)
-        .iter()
-        .map(|c| c.kernel_key())
-        .chain([KernelKey::Csr])
-        .filter(|k| !present.contains(k))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    for (key, times) in profile_keys::<f64>(&machine, &ProfileOptions::default(), &missing) {
-        profile.set(key, times);
-    }
-    (machine, profile, missing.len())
 }
 
 /// Seconds per call of `m`: the mean of `reps` back-to-back calls.
@@ -297,7 +272,11 @@ fn render(opts: &Opts, machine: &MachineProfile, filled: usize, census: &[Matrix
 
 fn main() {
     let opts = parse_opts();
-    let (machine, profile, filled) = calibration(&opts.profile);
+    let (machine, mut profile) = load_profile(&opts.profile).unwrap_or_else(|e| {
+        eprintln!("cannot load profile {}: {e}", opts.profile);
+        std::process::exit(1);
+    });
+    let filled = profile.fill_missing::<f64>(&machine, &ProfileOptions::default());
     let configs = Config::enumerate_extended(true);
     let mut census = Vec::new();
     for entry in suite(opts.scale) {

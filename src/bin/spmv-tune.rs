@@ -105,27 +105,29 @@ fn main() {
         csr.working_set_bytes() as f64 / (1024.0 * 1024.0)
     );
 
-    // Calibration: reload if the profile file exists, else measure and
-    // (if a path was given) save.
+    // Calibration: reload if the profile file exists (profiling any
+    // kernel it lacks), else measure and (if a path was given) save.
+    let footprint = csr.working_set_bytes().clamp(16 << 20, 256 << 20);
+    let profile_opts = ProfileOptions {
+        large_bytes: footprint.min(64 << 20),
+        ..ProfileOptions::default()
+    };
     let (machine, profile) = match &opts.profile_path {
         Some(path) if std::path::Path::new(path).exists() => {
             println!("loading calibration from {path}");
-            load_profile(path).unwrap_or_else(|e| {
+            let (machine, mut profile) = load_profile(path).unwrap_or_else(|e| {
                 eprintln!("bad profile file: {e}");
                 std::process::exit(1);
-            })
+            });
+            let filled = profile.fill_missing::<f64>(&machine, &profile_opts);
+            println!("profiled {filled} kernels the calibration lacked");
+            (machine, profile)
         }
         path => {
-            println!("calibrating (STREAM triad + 53 kernel profiles) ...");
-            let footprint = csr.working_set_bytes().clamp(16 << 20, 256 << 20);
+            println!("calibrating (STREAM triad + kernel profiles) ...");
             let machine = MachineProfile::detect_with(footprint);
-            let profile = profile_kernels::<f64>(
-                &machine,
-                &ProfileOptions {
-                    large_bytes: footprint.min(64 << 20),
-                    ..ProfileOptions::default()
-                },
-            );
+            let profile = profile_kernels::<f64>(&machine, &profile_opts);
+            println!("profiled {} kernels", profile.len());
             if let Some(path) = path {
                 if let Err(e) = save_profile(&machine, &profile, path) {
                     eprintln!("warning: could not save calibration: {e}");

@@ -3,15 +3,13 @@
 //! heuristic and the models agree on easy cases, and the multicore and
 //! latency extensions compose with the core pipeline.
 
-use std::collections::BTreeSet;
-
 use blocked_spmv::gen::GenSpec;
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::model::{
-    candidate_configs_extended, input_vector_miss_estimate, load_profile, predict_overlap_lat,
-    predict_threaded, predicted_saturation_point, read_profile, select, select_bcsr_shape,
-    write_profile, BlockConfig, Config, DenseProfile, KernelKey, KernelProfile, LatencyProfile,
-    MachineProfile, Model,
+    input_vector_miss_estimate, load_profile, predict_overlap_lat, predict_threaded,
+    predicted_saturation_point, read_profile, select, select_bcsr_shape, write_profile,
+    BlockConfig, Config, DenseProfile, KernelProfile, LatencyProfile, MachineProfile, Model,
+    ProfileOptions,
 };
 
 fn machine() -> MachineProfile {
@@ -167,18 +165,11 @@ fn saved_profile_file_is_human_auditable() {
 fn committed_benchmark_profile_covers_the_extended_candidates() {
     // The benchmark selects with the pinned calibration
     // `benchmark/profile.txt` and profiles any kernel key it lacks on the
-    // spot, inside its set-up time. Every key the extended OVERLAP
-    // candidates need must therefore be in the file. (The file was
-    // written while formats since deleted still existed; `read_profile`
-    // checks their lines and skips them.)
+    // spot, inside its set-up time. Every key the extended candidates
+    // need must therefore be in the file, so filling it profiles nothing.
+    // (The file was written while formats since deleted still existed;
+    // `read_profile` checks their lines and skips them.)
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/profile.txt");
-    let (_, profile) = load_profile(path).expect("the committed calibration loads");
-    let present: BTreeSet<KernelKey> = profile.iter().map(|(k, _)| *k).collect();
-    let needed: BTreeSet<KernelKey> = candidate_configs_extended(Model::Overlap, true)
-        .iter()
-        .map(|c| c.kernel_key())
-        .chain([KernelKey::Csr])
-        .collect();
-    let missing: Vec<String> = needed.difference(&present).map(|k| k.to_string()).collect();
-    assert!(missing.is_empty(), "benchmark/profile.txt lacks {missing:?}");
+    let (machine, mut profile) = load_profile(path).expect("the committed calibration loads");
+    assert_eq!(profile.fill_missing::<f64>(&machine, &ProfileOptions::default()), 0);
 }

@@ -1,7 +1,6 @@
 //! NUMA partitioning properties: the static splitter's balance
-//! invariants, bitwise reproducibility of the nnz-split fallback, the
-//! model/runtime splitter lockstep, and the flat-hierarchy equivalence
-//! that grounds `predict_threaded_hierarchy` in the pre-NUMA model.
+//! invariants, bitwise reproducibility of the nnz-split fallback, and
+//! the multicore model pricing exactly the strips the pool runs.
 
 #[path = "support/prop.rs"]
 mod prop;
@@ -9,13 +8,12 @@ mod prop;
 use std::sync::Arc;
 
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
+use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::model::{
-    predict_threaded, predict_threaded_hierarchy, strip_extents, BandwidthHierarchy, Config,
-    KernelProfile, MachineProfile, Model,
+    predict_threaded, BlockConfig, Config, KernelProfile, MachineProfile, Model,
 };
 use blocked_spmv::parallel::{
-    csr_unit_weights, heavy_unit, partition_units, split_segments, units_to_rows, PinPolicy,
-    Placement, SpmvPool, Topology,
+    csr_unit_weights, heavy_unit, partition_units, split_segments, PinPolicy, SpmvPool, Topology,
 };
 use blocked_spmv::serve::{EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine};
 
@@ -128,9 +126,9 @@ fn split_segments_partition_the_nnz_range() {
 }
 
 /// The nnz-split fallback must be invisible in the output: every pooled
-/// result — with and without first-touch, across thread counts, single
-/// and multi-vector — is bitwise the serial CSR answer. 200 seeded
-/// matrices, roughly half with a pathological heavy row.
+/// result — across thread counts, single and multi-vector — is bitwise
+/// the serial CSR answer. 200 seeded matrices, roughly half with a
+/// pathological heavy row.
 #[test]
 fn nnz_split_pools_are_bitwise_equal_to_serial() {
     prop::run("nnz-split bitwise corpus", 200, |rng, size| {
@@ -139,18 +137,13 @@ fn nnz_split_pools_are_bitwise_equal_to_serial() {
         let x = rng.f64_vec(csr.n_cols(), -1.0, 1.0);
         let reference = csr.spmv(&x);
         let threads = rng.usize_in(1, 5);
-        let placement = Placement {
-            pin: PinPolicy::None,
-            first_touch: rng.bool(),
-            nnz_split: true,
-        };
-        let pool = SpmvPool::from_csr_placed(
+        let pool = SpmvPool::from_csr(
             &csr,
             threads,
             &csr_unit_weights(&csr),
             1,
             Csr::clone,
-            placement,
+            PinPolicy::None,
         );
         assert_eq!(pool.spmv(&x), reference, "single-vector must be bitwise");
 
@@ -195,77 +188,71 @@ fn single_heavy_row_matrix_splits_and_stays_bitwise() {
         .collect();
     let reference = csr.spmv(&x);
     for threads in [2, 3, 4, 7] {
-        let pool = SpmvPool::from_csr_placed(
+        let pool = SpmvPool::from_csr(
             &csr,
             threads,
             &csr_unit_weights(&csr),
             1,
             Csr::clone,
-            Placement {
-                pin: PinPolicy::None,
-                first_touch: false,
-                nnz_split: true,
-            },
+            PinPolicy::None,
         );
         assert_eq!(pool.split_row(), Some(3), "threads={threads}");
         assert_eq!(pool.spmv(&x), reference, "threads={threads}");
     }
 }
 
-/// The model crate re-implements the nnz-greedy splitter to stay
-/// dependency-light; this differential test is what keeps the copy
-/// honest. 100 seeded matrices across thread counts: `strip_extents`
-/// must equal `partition_units` over per-row nnz weights exactly.
+/// The multicore model prices the strips the pool runs, for every
+/// family: `predict_threaded` is the largest prediction over the pool's
+/// own `strip_rows()`, each strip priced at `bandwidth / threads`. 40
+/// seeded matrices, half with a heavy row the pool shears out of the
+/// balance.
 #[test]
-fn model_strip_extents_match_runtime_partition() {
-    prop::run("splitter lockstep", 100, |rng, size| {
+fn predict_threaded_prices_the_pool_strips() {
+    let imp = KernelImpl::Scalar;
+    let configs = [
+        BlockConfig::Csr,
+        BlockConfig::Bcsr(BlockShape::new(2, 3).unwrap()),
+        BlockConfig::BcsrDec(BlockShape::new(3, 1).unwrap()),
+        BlockConfig::Bcsd(4),
+        BlockConfig::BcsdDec(3),
+        BlockConfig::SellCSigma { c: 4, sigma: 8 },
+    ]
+    .map(|block| Config { block, imp });
+    prop::run("model prices the pool strips", 40, |rng, size| {
         let heavy = rng.bool();
         let csr = random_csr(rng, size, heavy);
-        let weights = csr_unit_weights(&csr);
-        for threads in 1..=6 {
-            let model_side = strip_extents(&csr, threads);
-            let runtime_side = units_to_rows(&partition_units(&weights, threads), 1, csr.n_rows());
-            assert_eq!(
-                model_side, runtime_side,
-                "splitters drifted at threads={threads}"
-            );
-        }
-    });
-}
-
-/// A one-domain hierarchy is the paper's machine: the hierarchy path
-/// must reproduce `predict_threaded` bit for bit, every model, every
-/// thread count.
-#[test]
-fn flat_hierarchy_is_bitwise_predict_threaded() {
-    prop::run("flat hierarchy equivalence", 60, |rng, size| {
-        let heavy = rng.bool();
-        let csr = random_csr(rng, size.max(2), heavy);
         let machine = MachineProfile {
             bandwidth: rng.f64_in(1e9, 5e10),
             l1_bytes: 32 << 10,
             llc_bytes: 8 << 20,
         };
         let profile = KernelProfile::uniform(rng.f64_in(1e-10, 1e-8), rng.f64_in(0.1, 1.0));
-        let h = BandwidthHierarchy::flat(machine.bandwidth);
-        for model in [Model::Mem, Model::MemComp, Model::Overlap] {
-            for threads in 1..=5 {
-                let flat = predict_threaded(model, &csr, &Config::CSR, threads, &machine, &profile);
-                let hier = predict_threaded_hierarchy(
-                    model,
+        for config in configs {
+            let (weights, height) = config.pool_units(&csr);
+            for threads in 1..=4 {
+                let pool = SpmvPool::from_csr(
                     &csr,
-                    &Config::CSR,
                     threads,
-                    &machine,
-                    &profile,
-                    &h,
-                    None,
-                    None,
+                    &weights,
+                    height,
+                    move |s| config.build(s),
+                    PinPolicy::None,
                 );
-                assert!(
-                    flat == hier || (flat.is_nan() && hier.is_nan()),
-                    "{model:?} t={threads}: {flat} != {hier}"
-                );
+                let shared = MachineProfile {
+                    bandwidth: machine.bandwidth / threads as f64,
+                    ..machine
+                };
+                for model in Model::ALL {
+                    let strips = pool.strip_rows().into_iter().map(|rows| {
+                        let stats = config.substats(&csr.row_slice(rows));
+                        model.predict(&stats, &shared, &profile)
+                    });
+                    assert_eq!(
+                        predict_threaded(model, &csr, &config, threads, &machine, &profile),
+                        strips.fold(0.0, f64::max),
+                        "{config} {model:?} x{threads}"
+                    );
+                }
             }
         }
     });
@@ -286,13 +273,13 @@ fn unpinnable_pool_is_bitwise_and_reports_unpinned_strips() {
     .unwrap();
     let csr = Csr::from_coo(&coo);
     let x: Vec<f64> = (0..40).map(|i| (i as f64).sin()).collect();
-    let pool = SpmvPool::from_csr_placed(
+    let pool = SpmvPool::from_csr(
         &csr,
         2,
         &csr_unit_weights(&csr),
         1,
         Csr::clone,
-        Placement::pinned(PinPolicy::Cores(vec![1 << 20, (1 << 20) + 1])),
+        PinPolicy::Cores(vec![1 << 20, (1 << 20) + 1]),
     );
     assert_eq!(pool.spmv(&x), csr.spmv(&x));
     let _ = pool.spmv(&x);
@@ -325,18 +312,13 @@ fn engine_report_warns_on_oversubscribed_pools() {
         report.warnings[0]
     );
 
-    // Domain-spread placement over a fake 2-domain topology with enough
+    // Domain-spread pinning over a fake 2-domain topology with enough
     // cores is healthy: no warnings.
     let topology = Topology::from_domains(vec![vec![0], vec![1]]);
     let registry2 = Arc::new(Registry::<f64>::new());
     registry2.publish(
         MatrixId(1),
-        PreparedMatrix::from_config_pooled_placed(
-            Config::CSR,
-            &csr,
-            2,
-            Placement::domain_aware(topology),
-        ),
+        PreparedMatrix::from_config_pooled(Config::CSR, &csr, 2, PinPolicy::Domains(topology)),
     );
     let engine2 = ServeEngine::new(Arc::clone(&registry2), EngineOptions::default());
     assert!(engine2.report().warnings.is_empty());

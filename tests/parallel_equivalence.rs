@@ -14,6 +14,7 @@
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
 use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
+use blocked_spmv::model::{BlockConfig, Config};
 use blocked_spmv::parallel::{
     bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, partition_units, PinPolicy,
     SpmvPool,
@@ -102,7 +103,7 @@ fn parallel_bcsr_equals_sequential() {
             threads,
             &bcsr_unit_weights(&csr, shape),
             shape.rows(),
-            |s| Bcsr::from_csr(s, shape, KernelImpl::Scalar),
+            move |s| Bcsr::from_csr(s, shape, KernelImpl::Scalar),
             PinPolicy::None,
         );
         let got = pool.spmv(&x);
@@ -130,7 +131,7 @@ fn parallel_bcsd_equals_sequential() {
             threads,
             &bcsd_unit_weights(&csr, b),
             b,
-            |s| Bcsd::from_csr(s, b, KernelImpl::Simd),
+            move |s| Bcsd::from_csr(s, b, KernelImpl::Simd),
             PinPolicy::None,
         );
         let got = pool.spmv(&x);
@@ -184,29 +185,19 @@ fn pool_fixture(n: usize, m: usize, seed: u64) -> Csr<f64> {
     Csr::from_coo(&coo)
 }
 
-/// Per-unit raw nonzero weights for the decomposed (padding-free)
-/// formats, aligned to `unit` rows.
-fn nnz_unit_weights(csr: &Csr<f64>, unit: usize) -> Vec<u64> {
-    let mut w = vec![0u64; csr.n_rows().div_ceil(unit)];
-    for i in 0..csr.n_rows() {
-        w[i / unit] += csr.row_nnz(i) as u64;
-    }
-    w
-}
-
 /// Asserts that a pool built over `build` strips reproduces serial
 /// `Csr::spmv` bit for bit at 1, 2, and 4 threads.
 fn assert_pool_matches_csr<F, B>(csr: &Csr<f64>, weights: &[u64], unit: usize, build: B)
 where
     F: SpMv<f64> + SpMvMulti<f64> + Send + 'static,
-    B: Fn(&Csr<f64>) -> F,
+    B: Fn(&Csr<f64>) -> F + Clone + Send + Sync + 'static,
 {
     let x: Vec<f64> = (0..csr.n_cols())
         .map(|i| 1.0 + (i % 4) as f64 * 0.5)
         .collect();
     let want = csr.spmv(&x);
     for threads in [1usize, 2, 4] {
-        let pool = SpmvPool::from_csr(csr, threads, weights, unit, &build, PinPolicy::None);
+        let pool = SpmvPool::from_csr(csr, threads, weights, unit, build.clone(), PinPolicy::None);
         // Twice: the second call reuses the already-hot epoch barrier.
         assert_eq!(pool.spmv(&x), want, "{threads} threads, first call");
         assert_eq!(pool.spmv(&x), want, "{threads} threads, second call");
@@ -223,17 +214,22 @@ fn pool_csr_is_bit_identical_to_serial() {
 fn pool_bcsr_is_bit_identical_to_serial() {
     let csr = pool_fixture(97, 53, 0xBEEF);
     let shape = BlockShape::new(2, 3).unwrap();
-    assert_pool_matches_csr(&csr, &bcsr_unit_weights(&csr, shape), shape.rows(), |s| {
-        Bcsr::from_csr(s, shape, KernelImpl::Scalar)
-    });
+    assert_pool_matches_csr(
+        &csr,
+        &bcsr_unit_weights(&csr, shape),
+        shape.rows(),
+        move |s| Bcsr::from_csr(s, shape, KernelImpl::Scalar),
+    );
 }
 
 #[test]
 fn pool_bcsr_dec_is_bit_identical_to_serial() {
     let csr = pool_fixture(90, 60, 0xC0FFEE);
     let shape = BlockShape::new(2, 2).unwrap();
-    assert_pool_matches_csr(&csr, &nnz_unit_weights(&csr, shape.rows()), shape.rows(), |s| {
-        BcsrDec::from_csr(s, shape, KernelImpl::Scalar)
+    let (block, imp) = (BlockConfig::BcsrDec(shape), KernelImpl::Scalar);
+    let (weights, unit) = Config { block, imp }.pool_units(&csr);
+    assert_pool_matches_csr(&csr, &weights, unit, move |s| {
+        BcsrDec::from_csr(s, shape, imp)
     });
 }
 
@@ -241,7 +237,7 @@ fn pool_bcsr_dec_is_bit_identical_to_serial() {
 fn pool_bcsd_is_bit_identical_to_serial() {
     let csr = pool_fixture(97, 53, 0xD00D);
     let b = 4;
-    assert_pool_matches_csr(&csr, &bcsd_unit_weights(&csr, b), b, |s| {
+    assert_pool_matches_csr(&csr, &bcsd_unit_weights(&csr, b), b, move |s| {
         Bcsd::from_csr(s, b, KernelImpl::Scalar)
     });
 }
@@ -250,9 +246,9 @@ fn pool_bcsd_is_bit_identical_to_serial() {
 fn pool_bcsd_dec_is_bit_identical_to_serial() {
     let csr = pool_fixture(91, 47, 0xFACE);
     let b = 3;
-    assert_pool_matches_csr(&csr, &nnz_unit_weights(&csr, b), b, |s| {
-        BcsdDec::from_csr(s, b, KernelImpl::Scalar)
-    });
+    let (block, imp) = (BlockConfig::BcsdDec(b), KernelImpl::Scalar);
+    let (weights, unit) = Config { block, imp }.pool_units(&csr);
+    assert_pool_matches_csr(&csr, &weights, unit, move |s| BcsdDec::from_csr(s, b, imp));
 }
 
 #[test]
@@ -279,7 +275,7 @@ fn pool_simd_kernels_match_csr_closely() {
             threads,
             &bcsr_unit_weights(&csr, shape),
             shape.rows(),
-            |s| Bcsr::from_csr(s, shape, KernelImpl::Simd),
+            move |s| Bcsr::from_csr(s, shape, KernelImpl::Simd),
             PinPolicy::None,
         );
         let got = pool.spmv(&x);
