@@ -74,14 +74,17 @@ pub struct BlockCounts {
 
 impl BlockCounts {
     /// Padded storage (BCSR, BCSD): every non-empty block is stored
-    /// whole, `elems` values each. `nnz` is the source matrix's.
+    /// whole, `elems` values each. `nnz` is the source matrix's. The fill
+    /// saturates at zero, as [`FormatStats::padding`] does: a matrix that
+    /// repeats a column has more nonzeros than its blocks have slots.
     pub fn padded<T: Scalar>(self, elems: usize, nnz: usize) -> FormatStats {
+        let stored = self.nb * elems;
         FormatStats {
             nb: self.nb,
-            stored: self.nb * elems,
+            stored,
             rest_nnz: 0,
             index_rows: self.index_rows,
-            fill_bytes: (self.nb * elems - nnz) * T::BYTES,
+            fill_bytes: stored.saturating_sub(nnz) * T::BYTES,
         }
     }
 
@@ -470,8 +473,14 @@ mod tests {
         // `r * c` instead of keeping it.
         let csr = Csr::from_raw_unchecked(2, 4, vec![0, 3, 5], vec![0, 0, 1, 2, 3], vec![1.0; 5])
             .unwrap();
-        let counts = bcsr_counts(&csr, BlockShape::new(1, 2).unwrap());
+        let shape = BlockShape::new(1, 2).unwrap();
+        let counts = bcsr_counts(&csr, shape);
         assert_eq!((counts.nb, counts.nb_full), (2, 1));
+        // Two blocks store four values for five nonzeros: no padding,
+        // rather than an underflow.
+        let padded = bcsr_stats(&csr, shape);
+        assert_eq!((padded.stored, padded.fill_bytes), (4, 0));
+        assert_eq!(padded.padding(csr.nnz()), 0);
     }
 
     #[test]

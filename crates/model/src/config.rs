@@ -643,6 +643,20 @@ mod tests {
     }
 
     #[test]
+    fn substats_of_a_repeated_column_do_not_underflow() {
+        // Unchecked input may repeat a column: row 0 holds columns
+        // [0, 0, 1], so a 1x2 block row stores fewer values than it has
+        // nonzeros.
+        let csr = Csr::from_raw_unchecked(2, 4, vec![0, 3, 5], vec![0, 0, 1, 2, 3], vec![1.0; 5])
+            .unwrap();
+        for config in Config::enumerate_extended(true) {
+            for sub in config.substats(&csr) {
+                assert!(sub.ws_bytes > 0, "{config}");
+            }
+        }
+    }
+
+    #[test]
     fn built_formats_all_multiply_correctly() {
         let csr = fixture();
         let x: Vec<f64> = (0..31).map(|i| 1.0 + (i % 3) as f64).collect();

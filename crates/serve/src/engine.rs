@@ -10,6 +10,16 @@
 //! 1}`, and runs each chunk as a single [`SpMvMulti::spmv_multi`] call
 //! on the registry's prepared matrix.
 //!
+//! A round's chunks are independent, so the dispatcher does not run them
+//! alone: it and up to `available_parallelism() − 1` persistent helper
+//! threads (`spmv-serve-help*`) take chunks from one shared round queue
+//! until it is empty, and the dispatcher waits for the chunks still
+//! running on helpers before its next drain. A helper starts the first
+//! time a round has more chunks than threads to run them, and the
+//! dispatcher joins its helpers when it exits. A one-chunk round runs on
+//! the dispatcher alone, as does every round on a one-CPU host. Which
+//! thread runs a chunk changes no bit of its replies.
+//!
 //! Everything is async-free std: submission is a mutex push + condvar
 //! notify, completion a per-request slot the caller blocks on through
 //! [`Ticket::wait`]. **Admission control** is reject-not-block: when the
@@ -20,7 +30,8 @@
 //! With telemetry recording enabled the engine emits `serve.enqueue`
 //! (submit call, arg = queue depth after the push), `serve.batch` (one
 //! coalesced chunk: assemble + dispatch + complete, arg = k),
-//! `serve.dispatch` (the SpMM call alone, arg = k), and `serve.request`
+//! `serve.dispatch` (the SpMM call alone, arg = k; both on whichever
+//! thread ran the chunk), and `serve.request`
 //! (one request's full submit→complete latency, arg = matrix id) spans.
 //! The engine also keeps its own latency record so
 //! [`ServeEngine::report`] can summarize p50/p95/p99 even in
@@ -376,10 +387,30 @@ fn percentiles(samples: &[u64]) -> Option<LatencySummary> {
     })
 }
 
+/// Requests that run as one `spmv`/`spmv_multi` call: one matrix
+/// version, a width in [`CHUNK_WIDTHS`].
+type Chunk<T> = Vec<Pending<T>>;
+
+/// One drained round, cut into chunks, shared by the dispatcher and its
+/// helpers.
+struct Round<T: SimdScalar> {
+    /// Chunks no thread has taken yet, in arrival order.
+    chunks: VecDeque<Chunk<T>>,
+    /// Chunks helpers have taken and not finished.
+    running: usize,
+    /// Set when the dispatcher exits; helpers return once they see it.
+    exit: bool,
+}
+
 struct EngineShared<T: SimdScalar> {
     queue: Mutex<VecDeque<Pending<T>>>,
     /// Wakes the dispatcher on submit / resume / shutdown.
     cv: Condvar,
+    round: Mutex<Round<T>>,
+    /// Wakes helpers when a round's chunks are queued, and at exit.
+    round_ready: Condvar,
+    /// Wakes the dispatcher when a helper finishes a chunk.
+    round_done: Condvar,
     paused: AtomicBool,
     shutdown: AtomicBool,
     accounting: Arc<Accounting>,
@@ -446,6 +477,13 @@ impl<T: SimdScalar> ServeEngine<T> {
         let shared = Arc::new(EngineShared {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
+            round: Mutex::new(Round {
+                chunks: VecDeque::new(),
+                running: 0,
+                exit: false,
+            }),
+            round_ready: Condvar::new(),
+            round_done: Condvar::new(),
             paused: AtomicBool::new(opts.start_paused),
             shutdown: AtomicBool::new(false),
             accounting: Arc::new(Accounting {
@@ -733,12 +771,15 @@ impl<T: SimdScalar> fmt::Debug for ServeEngine<T> {
 }
 
 /// The dispatcher: wake on work, give the coalescing window a chance to
-/// fill, drain, batch, dispatch, repeat until shut down and drained.
+/// fill, drain, cut the round into chunks and run them with its helpers,
+/// repeat until shut down and drained. Its helpers are joined when it
+/// returns.
 fn dispatcher_loop<T: SimdScalar>(
     shared: Arc<EngineShared<T>>,
     window: Duration,
     max_batch: usize,
 ) {
+    let mut helpers = Helpers::new(Arc::clone(&shared));
     loop {
         // Phase 1: wait for work (or shutdown).
         {
@@ -766,28 +807,25 @@ fn dispatcher_loop<T: SimdScalar>(
             std::thread::sleep(window);
         }
 
-        // Phase 3: drain and dispatch.
+        // Phase 3: drain, cut and run.
         let drained: Vec<Pending<T>> = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             q.drain(..).collect()
         };
-        dispatch_round(&shared, drained, max_batch);
+        run_round(&shared, &mut helpers, cut_round(drained, max_batch));
     }
 }
 
-/// Groups one drained round by (matrix id, prepared-matrix identity) in
-/// arrival order and dispatches each group in greedy `{8,4,2,1}` chunks.
+/// Cuts one drained round into chunks: grouped by (matrix id, prepared-
+/// matrix identity) in arrival order, each group in greedy `{8,4,2,1}`
+/// widths.
 ///
 /// Grouping by the `Arc` pointer as well as the id keeps a batch on one
 /// matrix *version*: if a publish landed mid-round, requests that
 /// captured the old and the new version go into separate chunks instead
 /// of sharing one SpMM call.
-fn dispatch_round<T: SimdScalar>(
-    shared: &EngineShared<T>,
-    drained: Vec<Pending<T>>,
-    max_batch: usize,
-) {
-    let mut groups: Vec<Vec<Pending<T>>> = Vec::new();
+fn cut_round<T: SimdScalar>(drained: Vec<Pending<T>>, max_batch: usize) -> VecDeque<Chunk<T>> {
+    let mut groups: Vec<Chunk<T>> = Vec::new();
     let mut index: Vec<(u64, *const PreparedMatrix<T>, usize)> = Vec::new();
     for p in drained {
         let key = (p.id.0, Arc::as_ptr(&p.prepared));
@@ -799,66 +837,188 @@ fn dispatch_round<T: SimdScalar>(
             }
         }
     }
-    for group in groups {
-        dispatch_group(shared, group, max_batch);
+    let mut chunks = VecDeque::new();
+    for mut group in groups {
+        while !group.is_empty() {
+            let k = CHUNK_WIDTHS
+                .iter()
+                .copied()
+                .find(|&k| k <= max_batch && k <= group.len())
+                .expect("CHUNK_WIDTHS contains 1");
+            chunks.push_back(group.drain(..k).collect());
+        }
+    }
+    chunks
+}
+
+/// Runs one round's chunks on the dispatcher and its helpers and returns
+/// once every chunk has completed. The dispatcher takes the first chunk
+/// in the same critical section that queues the round, so a one-chunk
+/// round never reaches a helper.
+fn run_round<T: SimdScalar>(
+    shared: &EngineShared<T>,
+    helpers: &mut Helpers<T>,
+    chunks: VecDeque<Chunk<T>>,
+) {
+    let extra = chunks.len().saturating_sub(1);
+    helpers.ensure(extra);
+    let mut round = shared.round.lock().unwrap_or_else(|e| e.into_inner());
+    round.chunks = chunks;
+    for _ in 0..extra {
+        shared.round_ready.notify_one();
+    }
+    loop {
+        if let Some(chunk) = round.chunks.pop_front() {
+            drop(round);
+            dispatch_chunk(shared, chunk);
+            round = shared.round.lock().unwrap_or_else(|e| e.into_inner());
+        } else if round.running == 0 {
+            return;
+        } else {
+            round = shared
+                .round_done
+                .wait(round)
+                .unwrap_or_else(|e| e.into_inner());
+        }
     }
 }
 
-fn dispatch_group<T: SimdScalar>(
-    shared: &EngineShared<T>,
-    mut group: Vec<Pending<T>>,
-    max_batch: usize,
-) {
-    while !group.is_empty() {
-        let k = CHUNK_WIDTHS
-            .iter()
-            .copied()
-            .find(|&k| k <= max_batch && k <= group.len())
-            .expect("CHUNK_WIDTHS contains 1");
-        let mut chunk: Vec<Pending<T>> = group.drain(..k).collect();
-        let _batch_span = spmv_telemetry::span_with("serve.batch", k as u64);
-        let prepared = Arc::clone(&chunk[0].prepared);
-        let (m, n) = (prepared.n_cols(), prepared.n_rows());
-        let mut x_cat = Vec::with_capacity(m * k);
-        for p in &chunk {
-            x_cat.extend_from_slice(&p.x);
+/// The dispatcher's helper threads. A helper starts the first time a
+/// round has more chunks than threads to run them, there are never more
+/// than the host's hardware threads minus the dispatcher's own, and
+/// dropping the set joins them.
+struct Helpers<T: SimdScalar> {
+    shared: Arc<EngineShared<T>>,
+    handles: Vec<JoinHandle<()>>,
+    max: usize,
+}
+
+impl<T: SimdScalar> Helpers<T> {
+    fn new(shared: Arc<EngineShared<T>>) -> Self {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Helpers {
+            shared,
+            handles: Vec::new(),
+            max: cpus - 1,
         }
-        let t0 = Instant::now();
-        let y = {
-            let _dispatch_span = spmv_telemetry::span_with("serve.dispatch", k as u64);
-            // Width-1 chunks take the single-vector path: it skips the
-            // multi-kernel overhead, and its timing is directly
-            // comparable to the `calibrate` baselines the residual
-            // tracker scores dispatches against.
-            if k == 1 {
-                catch_unwind(AssertUnwindSafe(|| prepared.spmv(&x_cat)))
-            } else {
-                catch_unwind(AssertUnwindSafe(|| prepared.spmv_multi(&x_cat, k)))
+    }
+
+    /// Starts helpers until `want` of them (at most `max`) are running.
+    fn ensure(&mut self, want: usize) {
+        while self.handles.len() < want.min(self.max) {
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name(format!("spmv-serve-help{}", self.handles.len()))
+                .spawn(move || helper_loop(&shared));
+            match spawned {
+                Ok(h) => self.handles.push(h),
+                // The dispatcher runs whatever no helper takes.
+                Err(_) => self.max = self.handles.len(),
             }
-        };
-        let dispatch_secs = t0.elapsed().as_secs_f64();
-        match y {
-            Ok(y) => {
-                record_chunk_residual(shared, &chunk[0], k, dispatch_secs);
-                // Count the batch before waking any waiter (same ordering
-                // rule as `Pending::complete`).
-                {
-                    let mut s = shared
-                        .accounting
-                        .stats
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner());
-                    s.batches += 1;
-                    s.by_width[k.trailing_zeros() as usize] += 1;
-                }
-                for (t, p) in chunk.iter_mut().enumerate() {
-                    p.complete(Ok(y[t * n..(t + 1) * n].to_vec()));
-                }
+        }
+    }
+}
+
+impl<T: SimdScalar> Drop for Helpers<T> {
+    fn drop(&mut self) {
+        self.shared
+            .round
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .exit = true;
+        self.shared.round_ready.notify_all();
+        for h in self.handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// A helper: run chunks from the round queue until the dispatcher exits.
+fn helper_loop<T: SimdScalar>(shared: &EngineShared<T>) {
+    let mut round = shared.round.lock().unwrap_or_else(|e| e.into_inner());
+    loop {
+        if let Some(chunk) = round.chunks.pop_front() {
+            round.running += 1;
+            drop(round);
+            {
+                let _running = Running(shared);
+                dispatch_chunk(shared, chunk);
             }
-            Err(_) => {
-                for p in chunk.iter_mut() {
-                    p.complete(Err(ServeError::DispatchPanicked));
-                }
+            round = shared.round.lock().unwrap_or_else(|e| e.into_inner());
+        } else if round.exit {
+            return;
+        } else {
+            round = shared
+                .round_ready
+                .wait(round)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// A helper's claim on the chunk it runs. Dropping it releases the claim
+/// even if the chunk unwinds, so the dispatcher never waits on a chunk
+/// no thread is running.
+struct Running<'a, T: SimdScalar>(&'a EngineShared<T>);
+
+impl<T: SimdScalar> Drop for Running<'_, T> {
+    fn drop(&mut self) {
+        self.0
+            .round
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .running -= 1;
+        self.0.round_done.notify_all();
+    }
+}
+
+/// Runs one chunk as a single `spmv`/`spmv_multi` call and completes its
+/// requests. What a reply holds depends only on the chunk, never on the
+/// thread that runs it.
+fn dispatch_chunk<T: SimdScalar>(shared: &EngineShared<T>, mut chunk: Chunk<T>) {
+    let k = chunk.len();
+    let _batch_span = spmv_telemetry::span_with("serve.batch", k as u64);
+    let prepared = Arc::clone(&chunk[0].prepared);
+    let (m, n) = (prepared.n_cols(), prepared.n_rows());
+    let mut x_cat = Vec::with_capacity(m * k);
+    for p in &chunk {
+        x_cat.extend_from_slice(&p.x);
+    }
+    let t0 = Instant::now();
+    let y = {
+        let _dispatch_span = spmv_telemetry::span_with("serve.dispatch", k as u64);
+        // Width-1 chunks take the single-vector path: it skips the
+        // multi-kernel overhead, and its timing is directly comparable
+        // to the `calibrate` baselines the residual tracker scores
+        // dispatches against.
+        if k == 1 {
+            catch_unwind(AssertUnwindSafe(|| prepared.spmv(&x_cat)))
+        } else {
+            catch_unwind(AssertUnwindSafe(|| prepared.spmv_multi(&x_cat, k)))
+        }
+    };
+    let dispatch_secs = t0.elapsed().as_secs_f64();
+    match y {
+        Ok(y) => {
+            record_chunk_residual(shared, &chunk[0], k, dispatch_secs);
+            // Count the batch before waking any waiter (same ordering
+            // rule as `Pending::complete`).
+            {
+                let mut s = shared
+                    .accounting
+                    .stats
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner());
+                s.batches += 1;
+                s.by_width[k.trailing_zeros() as usize] += 1;
+            }
+            for (t, p) in chunk.iter_mut().enumerate() {
+                p.complete(Ok(y[t * n..(t + 1) * n].to_vec()));
+            }
+        }
+        Err(_) => {
+            for p in chunk.iter_mut() {
+                p.complete(Err(ServeError::DispatchPanicked));
             }
         }
     }
@@ -895,6 +1055,7 @@ mod tests {
     use super::*;
     use spmv_core::{Coo, Csr, SpMv};
     use spmv_model::Config;
+    use spmv_parallel::PinPolicy;
 
     fn fixture(n: usize) -> Csr<f64> {
         let mut coo = Coo::new(n, n);
@@ -973,6 +1134,57 @@ mod tests {
         assert_eq!(rep.batches, 3);
         assert_eq!(rep.dispatches_by_k, [(1, 1), (2, 1), (4, 1), (8, 0)]);
         assert!((rep.mean_batch_width() - 7.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_panicking_chunk_fails_only_its_own_requests() {
+        let healthy = fixture(19);
+        let registry = Arc::new(Registry::new());
+        registry.publish(
+            MatrixId(1),
+            PreparedMatrix::from_config(Config::CSR, &healthy),
+        );
+        // A pooled matrix whose pool is shut down panics on its next
+        // product.
+        let mut broken =
+            PreparedMatrix::from_config_pooled(Config::CSR, &fixture(15), 2, PinPolicy::None);
+        broken.shut_down_pool();
+        registry.publish(MatrixId(2), broken);
+        let engine = ServeEngine::new(
+            Arc::clone(&registry),
+            EngineOptions {
+                start_paused: true,
+                window: Duration::ZERO,
+                ..EngineOptions::default()
+            },
+        );
+        // One round of five chunks: 4 + 2 + 1 healthy, 2 + 1 broken.
+        let xs: Vec<Vec<f64>> = (0..7)
+            .map(|t| (0..19).map(|i| (i * t) as f64 + 0.5).collect())
+            .collect();
+        let mut good = Vec::new();
+        let mut bad = Vec::new();
+        for (t, x) in xs.iter().enumerate() {
+            good.push(engine.submit(MatrixId(1), x.clone()).unwrap());
+            if t % 2 == 0 {
+                bad.push(engine.submit(MatrixId(2), vec![1.0; 15]).unwrap());
+            }
+        }
+        engine.resume();
+        for t in bad {
+            assert_eq!(t.wait().unwrap_err(), ServeError::DispatchPanicked);
+        }
+        for (x, t) in xs.iter().zip(good) {
+            assert_eq!(t.wait().unwrap(), healthy.spmv(x));
+        }
+        assert_eq!(engine.fence(), 11);
+        let x = vec![1.0; 19];
+        assert_eq!(
+            engine.submit_wait(MatrixId(1), x.clone()).unwrap(),
+            healthy.spmv(&x)
+        );
+        let rep = engine.report();
+        assert_eq!((rep.completed, rep.failed), (8, 4));
     }
 
     #[test]

@@ -195,6 +195,17 @@ impl<T: SimdScalar> PreparedMatrix<T> {
     }
 }
 
+#[cfg(test)]
+impl<T: SimdScalar> PreparedMatrix<T> {
+    /// Shuts a pooled backend's workers down, so its next product panics
+    /// with "used after shutdown": a dispatch failure tests can trigger.
+    pub(crate) fn shut_down_pool(&mut self) {
+        if let Backend::Pooled(pool) = &mut self.backend {
+            pool.shutdown();
+        }
+    }
+}
+
 impl<T: SimdScalar> fmt::Debug for PreparedMatrix<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PreparedMatrix")

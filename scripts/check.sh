@@ -3,7 +3,8 @@
 # dependencies, so every step runs with --offline:
 #
 #   build, clippy on all targets, workspace tests (doctests included),
-#   the telemetry-disabled test runs, rustdoc with warnings denied, the
+#   the telemetry-disabled test runs, the serve tests on one CPU (where
+#   the engine starts no helper thread), rustdoc with warnings denied, the
 #   benchmark package's API tripwire, the harness-bin smokes (serve_load,
 #   serve_adapt, numa_scale, sellc in both telemetry configs, census at a
 #   small scale), spmv-tune on a calibration cut short after its CSR
@@ -36,6 +37,9 @@ run cargo test --offline --workspace --quiet
 run cargo test --offline -p spmv-telemetry --features disabled --quiet
 run cargo test --offline -p spmv-serve --features telemetry-disabled --quiet
 run cargo test --offline -p spmv-tune --features telemetry-disabled --quiet
+# One CPU in the affinity mask: `available_parallelism()` is 1, so the
+# engine starts no helper and the dispatcher drains every round alone.
+run taskset -c 0 cargo test --offline -p spmv-serve --quiet
 run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --quiet
 # The benchmark is its own package; checking it here makes a facade
 # change that would break its command fail tier-1 first.
