@@ -355,35 +355,64 @@ impl<T: Scalar> SpMv<T> for Csr<T> {
     }
 }
 
-impl<T: Scalar> crate::traits::SpMvMulti<T> for Csr<T> {
-    /// Streams the matrix arrays once for up to 8 vectors at a time,
-    /// keeping one accumulator per vector in registers. Per output column
-    /// the accumulation order is identical to [`SpMv::spmv_into`], so a
-    /// `k`-vector call is bitwise-equal to `k` single calls.
-    fn spmv_multi_into(&self, x: &[T], y: &mut [T], k: usize) {
-        crate::traits::check_spmv_multi_dims(self, x, y, k);
-        let (m, n) = (self.n_cols, self.n_rows);
-        let mut t0 = 0;
-        while t0 < k {
-            let kc = (k - t0).min(8);
-            let xs = &x[t0 * m..(t0 + kc) * m];
-            let ys = &mut y[t0 * n..(t0 + kc) * n];
-            let mut acc = [T::ZERO; 8];
-            for i in 0..n {
-                let range = self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize;
-                acc[..kc].fill(T::ZERO);
-                for (&c, &v) in self.col_ind[range.clone()].iter().zip(&self.val[range]) {
-                    let c = c as usize;
-                    for (t, a) in acc[..kc].iter_mut().enumerate() {
-                        *a = v.mul_add(xs[t * m + c], *a);
-                    }
-                }
-                for (t, &a) in acc[..kc].iter().enumerate() {
-                    ys[t * n + i] = a;
+impl<T: Scalar> Csr<T> {
+    /// Multiplies `kc ∈ {2, 4, 8}` vectors given as kc-tuples
+    /// (`xi[j * kc + t]`, see [`crate::multi`]) into column-major `y`:
+    /// `y[t * n_rows + i]` is set to row `i` times vector `t`, or has it
+    /// added when `ACC`.
+    ///
+    /// Each row keeps its `kc` sums in registers and loads one
+    /// contiguous tuple per nonzero. Every (row, vector) sum is the
+    /// chain of [`SpMv::spmv_into`] — `mul_add` from zero in column
+    /// order — so each column is bitwise that column's single-vector
+    /// product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kc` is not 2, 4 or 8, or on a block length mismatch.
+    pub fn spmv_tuples<const ACC: bool>(&self, xi: &[T], y: &mut [T], kc: usize) {
+        crate::traits::check_spmv_multi_dims(self, xi, y, kc);
+        match kc {
+            2 => self.tuples_k::<2, ACC>(xi, y),
+            4 => self.tuples_k::<4, ACC>(xi, y),
+            8 => self.tuples_k::<8, ACC>(xi, y),
+            _ => panic!("no k-tuple kernel for {kc} vectors"),
+        }
+    }
+
+    fn tuples_k<const K: usize, const ACC: bool>(&self, xi: &[T], y: &mut [T]) {
+        let n = self.n_rows;
+        let (tuples, _) = xi.as_chunks::<K>();
+        for i in 0..n {
+            let range = self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize;
+            let mut acc = [T::ZERO; K];
+            for (&c, &v) in self.col_ind[range.clone()].iter().zip(&self.val[range]) {
+                T::mul_add_tuple(&mut acc, v, &tuples[c as usize]);
+            }
+            for (t, &a) in acc.iter().enumerate() {
+                if ACC {
+                    y[t * n + i] += a;
+                } else {
+                    y[t * n + i] = a;
                 }
             }
-            t0 += kc;
         }
+    }
+}
+
+impl<T: Scalar> crate::traits::SpMvMulti<T> for Csr<T> {
+    /// Streams the matrix once per chunk of up to 8 vectors, reading
+    /// them as k-tuples ([`Csr::spmv_tuples`]); a `k`-vector call is
+    /// bitwise-equal to `k` single calls.
+    fn spmv_multi_into(&self, x: &[T], y: &mut [T], k: usize) {
+        crate::traits::check_spmv_multi_dims(self, x, y, k);
+        crate::multi::chunked(
+            x,
+            y,
+            k,
+            |xc, yc| self.spmv_into(xc, yc),
+            |xi, yc, kc| self.spmv_tuples::<false>(xi, yc, kc),
+        );
     }
 }
 

@@ -14,7 +14,8 @@
 //!   reference in tests and as the profiling workload for the performance
 //!   models;
 //! * [`SpMv`] / [`MatrixShape`] — the kernel interface shared by all storage
-//!   formats;
+//!   formats, and [`multi`] — the chunking and k-tuple copy behind every
+//!   format's multi-vector path;
 //! * [`rng::Rng`] — the seeded splitmix64 stream every generator, test
 //!   corpus and harness draws from.
 //!
@@ -40,6 +41,7 @@ pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod error;
+pub mod multi;
 pub mod rng;
 pub mod scalar;
 pub mod traits;

@@ -1,5 +1,6 @@
 //! The numeric element trait and precision descriptors.
 
+use core::cell::RefCell;
 use core::fmt::{Debug, Display};
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -56,6 +57,22 @@ pub trait Scalar:
     /// Whether the value is finite (not NaN or infinite).
     fn is_finite(self) -> bool;
 
+    /// `acc[t] = a * x[t] + acc[t]` for every `t`: one stored element
+    /// against a `K`-tuple of vector elements (see [`crate::multi`]).
+    ///
+    /// On x86-64 it runs as SSE2 multiplies and adds when `K` fills
+    /// whole registers; each lane takes the same two roundings as the
+    /// scalar [`Scalar::mul_add`], so the sums are bitwise the same.
+    fn mul_add_tuple<const K: usize>(acc: &mut [Self; K], a: Self, x: &[Self; K]);
+
+    /// Runs `f` on a scratch slice of `len` elements with unspecified
+    /// contents: this thread's reused buffer, which grows to the largest
+    /// `len` asked for and is kept for the next call (a nested call, the
+    /// buffer already lent out, gets a fresh allocation). The
+    /// multi-vector kernels copy their input block here (see
+    /// [`crate::multi::with_tuples`]).
+    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
+
     /// Approximate equality with both relative and absolute tolerance.
     ///
     /// Returns `true` when `|self - other| <= max(abs_tol, rel_tol * max(|self|, |other|))`.
@@ -103,6 +120,31 @@ impl Scalar for f32 {
     fn is_finite(self) -> bool {
         f32::is_finite(self)
     }
+    #[inline(always)]
+    fn mul_add_tuple<const K: usize>(acc: &mut [f32; K], a: f32, x: &[f32; K]) {
+        #[cfg(target_arch = "x86_64")]
+        if K.is_multiple_of(4) {
+            use core::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps};
+            // SAFETY: SSE2 is part of the x86-64 baseline, and every
+            // four-lane access starts at `u + 4 <= K`.
+            unsafe {
+                let av = _mm_set1_ps(a);
+                for u in (0..K).step_by(4) {
+                    let p = acc.as_mut_ptr().add(u);
+                    let prod = _mm_mul_ps(av, _mm_loadu_ps(x.as_ptr().add(u)));
+                    _mm_storeu_ps(p, _mm_add_ps(prod, _mm_loadu_ps(p)));
+                }
+            }
+            return;
+        }
+        // `Scalar::mul_add` by path: the inherent method would fuse.
+        for (s, &xv) in acc.iter_mut().zip(x) {
+            *s = Scalar::mul_add(a, xv, *s);
+        }
+    }
+    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
+        lend_scratch(&SCRATCH_F32, len, f)
+    }
 }
 
 impl Scalar for f64 {
@@ -131,6 +173,54 @@ impl Scalar for f64 {
     fn is_finite(self) -> bool {
         f64::is_finite(self)
     }
+    #[inline(always)]
+    fn mul_add_tuple<const K: usize>(acc: &mut [f64; K], a: f64, x: &[f64; K]) {
+        #[cfg(target_arch = "x86_64")]
+        if K.is_multiple_of(2) {
+            use core::arch::x86_64::{_mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_storeu_pd};
+            // SAFETY: SSE2 is part of the x86-64 baseline, and every
+            // two-lane access starts at `u + 2 <= K`.
+            unsafe {
+                let av = _mm_set1_pd(a);
+                for u in (0..K).step_by(2) {
+                    let p = acc.as_mut_ptr().add(u);
+                    let prod = _mm_mul_pd(av, _mm_loadu_pd(x.as_ptr().add(u)));
+                    _mm_storeu_pd(p, _mm_add_pd(prod, _mm_loadu_pd(p)));
+                }
+            }
+            return;
+        }
+        // `Scalar::mul_add` by path: the inherent method would fuse.
+        for (s, &xv) in acc.iter_mut().zip(x) {
+            *s = Scalar::mul_add(a, xv, *s);
+        }
+    }
+    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
+        lend_scratch(&SCRATCH_F64, len, f)
+    }
+}
+
+thread_local! {
+    static SCRATCH_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static SCRATCH_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Lends the first `len` elements of this thread's buffer in `key` to
+/// `f`, growing it first if needed; a nested call gets a fresh buffer.
+fn lend_scratch<T: Scalar, R>(
+    key: &'static std::thread::LocalKey<RefCell<Vec<T>>>,
+    len: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    key.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut buf) => {
+            if buf.len() < len {
+                buf.resize(len, T::ZERO);
+            }
+            f(&mut buf[..len])
+        }
+        Err(_) => f(&mut vec![T::ZERO; len]),
+    })
 }
 
 /// Floating-point precision of a configuration, using the paper's labels.
@@ -228,6 +318,48 @@ mod tests {
     fn precision_bytes() {
         assert_eq!(Precision::Single.bytes(), 4);
         assert_eq!(Precision::Double.bytes(), 8);
+    }
+
+    fn tuple_matches_scalar_chain<T: Scalar, const K: usize>() {
+        let x: [T; K] = core::array::from_fn(|t| T::from_f64(0.3 + t as f64 / 7.0));
+        let mut acc: [T; K] = core::array::from_fn(|t| T::from_f64(1.0 / (t + 3) as f64));
+        let mut want = acc;
+        for a in [1.0 / 3.0, -2.7, 1e-3].map(T::from_f64) {
+            T::mul_add_tuple(&mut acc, a, &x);
+            for (s, &xv) in want.iter_mut().zip(&x) {
+                *s = a.mul_add(xv, *s);
+            }
+        }
+        let bits = |v: &[T; K]| v.map(|e| e.to_f64().to_bits());
+        assert_eq!(bits(&acc), bits(&want), "K={K}");
+    }
+
+    #[test]
+    fn mul_add_tuple_is_the_scalar_chain_per_lane() {
+        tuple_matches_scalar_chain::<f64, 2>();
+        tuple_matches_scalar_chain::<f64, 8>();
+        tuple_matches_scalar_chain::<f32, 2>();
+        tuple_matches_scalar_chain::<f32, 4>();
+        tuple_matches_scalar_chain::<f32, 8>();
+    }
+
+    #[test]
+    fn scratch_is_reused_per_thread_and_nests() {
+        let first = f64::with_scratch(16, |s| {
+            s.fill(3.0);
+            s.as_ptr() as usize
+        });
+        // A shorter request lends the same buffer, contents kept.
+        let again = f64::with_scratch(4, |s| {
+            assert_eq!(s, &[3.0; 4]);
+            s.as_ptr() as usize
+        });
+        assert_eq!(first, again);
+        // A nested call cannot share the lent buffer.
+        f64::with_scratch(4, |outer| {
+            let inner = f64::with_scratch(4, |s| s.as_ptr() as usize);
+            assert_ne!(inner, outer.as_ptr() as usize);
+        });
     }
 
     #[test]

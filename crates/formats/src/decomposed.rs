@@ -297,11 +297,12 @@ impl<T: Scalar, M: SpMvAcc<T>> SpMvAcc<T> for Decomposed<T, M> {
 }
 
 impl<T: Scalar, M: SpMvMultiAcc<T>> SpMvMulti<T> for Decomposed<T, M> {
+    /// Copies each chunk of vectors into k-tuples once and runs both
+    /// parts on that copy.
     fn spmv_multi_into(&self, x: &[T], y: &mut [T], k: usize) {
         spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
         y.fill(T::ZERO);
-        self.main.spmv_multi_acc(x, y, k);
-        self.rest.spmv_multi_acc(x, y, k);
+        self.spmv_multi_acc(x, y, k);
     }
 
     /// As in the single-vector case, each submatrix streams the vectors
@@ -312,10 +313,9 @@ impl<T: Scalar, M: SpMvMultiAcc<T>> SpMvMulti<T> for Decomposed<T, M> {
 }
 
 impl<T: Scalar, M: SpMvMultiAcc<T>> SpMvMultiAcc<T> for Decomposed<T, M> {
-    fn spmv_multi_acc(&self, x: &[T], y: &mut [T], k: usize) {
-        spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
-        self.main.spmv_multi_acc(x, y, k);
-        self.rest.spmv_multi_acc(x, y, k);
+    fn spmv_tuples_acc(&self, xi: &[T], y: &mut [T], kc: usize) {
+        self.main.spmv_tuples_acc(xi, y, kc);
+        self.rest.spmv_tuples_acc(xi, y, kc);
     }
 }
 

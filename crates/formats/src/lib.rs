@@ -17,8 +17,9 @@
 //!
 //! Every format implements [`spmv_core::SpMv`] plus the accumulate variant
 //! [`SpMvAcc`] that decomposed formats need, and the multi-vector (SpMM)
-//! counterparts [`spmv_core::SpMvMulti`] / [`SpMvMultiAcc`] that stream
-//! the matrix once for a whole batch of input vectors. They expose the
+//! counterpart [`spmv_core::SpMvMulti`] that streams the matrix once for
+//! a whole batch of input vectors. The formats the selector serves run it
+//! through [`SpMvMultiAcc`]'s k-tuple kernels. They expose the
 //! block counts and byte totals the performance models consume. The [`stats`] module
 //! computes those same quantities *without* materializing a format — that
 //! is what makes model-driven format selection cheap.
@@ -43,7 +44,7 @@ pub use vbl::Vbl;
 pub use vbr::Vbr;
 
 use core::fmt;
-use spmv_core::{Csr, MatrixShape, Scalar, SpMv, SpMvMulti};
+use spmv_core::{Csr, Scalar, SpMv, SpMvMulti};
 
 /// Accumulating SpMV: `y += A * x`.
 ///
@@ -74,43 +75,42 @@ impl<T: Scalar> SpMvAcc<T> for Csr<T> {
     }
 }
 
-/// Accumulating multi-vector SpMV: `Y += A * X` for `k` column-major
-/// vectors (the SpMM counterpart of [`SpMvAcc`]).
+/// Accumulating multi-vector SpMV, `Y += A * X` for `k` column-major
+/// vectors, over the k-tuple kernels every servable format has
+/// (CSR, BCSR, BCSD, their decomposed forms and SELL-C-σ).
 ///
-/// Decomposed formats zero the output block once and then run both
-/// submatrices through this trait, so each part streams its arrays once
-/// per `k`-vector call.
+/// [`SpMvMultiAcc::spmv_multi_acc`] chunks `k` (8, 4, 2, 1), runs a
+/// one-vector chunk through [`SpMvAcc::spmv_acc`], and copies a wider
+/// chunk once into this thread's scratch as k-tuples
+/// ([`spmv_core::multi`]) for [`SpMvMultiAcc::spmv_tuples_acc`]. A
+/// decomposed format hands that one copy to both of its parts.
 pub trait SpMvMultiAcc<T: Scalar>: SpMvAcc<T> + SpMvMulti<T> {
+    /// Computes `Y += A * X` for `kc ∈ {2, 4, 8}` vectors given as
+    /// kc-tuples (`xi[j * kc + t]` is element `j` of vector `t`) into
+    /// column-major `y` (`n_rows * kc`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kc` is not 2, 4 or 8, or on a length mismatch.
+    fn spmv_tuples_acc(&self, xi: &[T], y: &mut [T], kc: usize);
+
     /// Computes `Y += A * X`; layout and panics as in
     /// [`SpMvMulti::spmv_multi_into`].
-    fn spmv_multi_acc(&self, x: &[T], y: &mut [T], k: usize);
+    fn spmv_multi_acc(&self, x: &[T], y: &mut [T], k: usize) {
+        spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
+        spmv_core::multi::chunked(
+            x,
+            y,
+            k,
+            |xc, yc| self.spmv_acc(xc, yc),
+            |xi, yc, kc| self.spmv_tuples_acc(xi, yc, kc),
+        );
+    }
 }
 
 impl<T: Scalar> SpMvMultiAcc<T> for Csr<T> {
-    fn spmv_multi_acc(&self, x: &[T], y: &mut [T], k: usize) {
-        spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
-        let (m, n) = (self.n_cols(), self.n_rows());
-        let mut t0 = 0;
-        while t0 < k {
-            let kc = (k - t0).min(8);
-            let xs = &x[t0 * m..(t0 + kc) * m];
-            let ys = &mut y[t0 * n..(t0 + kc) * n];
-            let mut acc = [T::ZERO; 8];
-            for i in 0..n {
-                let (cols, vals) = self.row(i);
-                acc[..kc].fill(T::ZERO);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let c = c as usize;
-                    for (t, a) in acc[..kc].iter_mut().enumerate() {
-                        *a = v.mul_add(xs[t * m + c], *a);
-                    }
-                }
-                for (t, &a) in acc[..kc].iter().enumerate() {
-                    ys[t * n + i] += a;
-                }
-            }
-            t0 += kc;
-        }
+    fn spmv_tuples_acc(&self, xi: &[T], y: &mut [T], kc: usize) {
+        self.spmv_tuples::<true>(xi, y, kc);
     }
 }
 

@@ -23,7 +23,7 @@ use crate::{SpMvAcc, SpMvMultiAcc};
 use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
 use spmv_kernels::sell::{sell_slice_kernel, sell_slice_multi_kernel, SELL_HEIGHTS};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::{multi_chunk, KernelImpl};
+use spmv_kernels::KernelImpl;
 
 /// Sentinel σ meaning "one window spanning all rows" (global sort).
 /// Stored as `usize::MAX` so configurations stay `Copy` and matrices of
@@ -353,11 +353,11 @@ impl<T: SimdScalar> SellCSigma<T> {
         }
     }
 
-    /// Shared multi-vector pass over one `kc`-chunk; `write` receives
-    /// `(vector index within chunk, original row, chain sum)`.
-    fn spmv_multi_each<F: FnMut(usize, usize, T)>(&self, x: &[T], kc: usize, mut write: F) {
-        let kern = sell_slice_multi_kernel::<T>(self.c, kc, self.imp)
-            .expect("chunked to a specialized vector count");
+    /// Shared k-tuple pass over `kc` vectors read as kc-tuples; `write`
+    /// receives `(vector index, original row, chain sum)`.
+    fn spmv_tuples_each<F: FnMut(usize, usize, T)>(&self, xi: &[T], kc: usize, mut write: F) {
+        let kern = sell_slice_multi_kernel::<T>(self.c, kc)
+            .unwrap_or_else(|| panic!("no k-tuple kernel for {kc} vectors"));
         let mut buf = [T::ZERO; 64];
         for s in 0..self.n_slices() {
             let range = self.slice_ptr[s] as usize..self.slice_ptr[s + 1] as usize;
@@ -365,8 +365,7 @@ impl<T: SimdScalar> SellCSigma<T> {
                 &self.val[range.clone()],
                 &self.col[range],
                 &self.lens[s * self.c..(s + 1) * self.c],
-                x,
-                self.n_cols,
+                xi,
                 &mut buf[..self.c * kc],
             );
             for t in 0..kc {
@@ -420,32 +419,22 @@ impl<T: SimdScalar> SpMvAcc<T> for SellCSigma<T> {
 impl<T: SimdScalar> SpMvMulti<T> for SellCSigma<T> {
     fn spmv_multi_into(&self, x: &[T], y: &mut [T], k: usize) {
         spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
-        let (m, n) = (self.n_cols, self.n_rows);
-        let mut t0 = 0;
-        while t0 < k {
-            let kc = multi_chunk(k - t0);
-            let ys = &mut y[t0 * n..(t0 + kc) * n];
-            self.spmv_multi_each(&x[t0 * m..(t0 + kc) * m], kc, |t, row, acc| {
-                ys[t * n + row] = acc;
-            });
-            t0 += kc;
-        }
+        let n = self.n_rows;
+        spmv_core::multi::chunked(
+            x,
+            y,
+            k,
+            |xc, yc| self.spmv_into(xc, yc),
+            |xi, yc, kc| self.spmv_tuples_each(xi, kc, |t, row, acc| yc[t * n + row] = acc),
+        );
     }
 }
 
 impl<T: SimdScalar> SpMvMultiAcc<T> for SellCSigma<T> {
-    fn spmv_multi_acc(&self, x: &[T], y: &mut [T], k: usize) {
-        spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
-        let (m, n) = (self.n_cols, self.n_rows);
-        let mut t0 = 0;
-        while t0 < k {
-            let kc = multi_chunk(k - t0);
-            let ys = &mut y[t0 * n..(t0 + kc) * n];
-            self.spmv_multi_each(&x[t0 * m..(t0 + kc) * m], kc, |t, row, acc| {
-                ys[t * n + row] += acc;
-            });
-            t0 += kc;
-        }
+    fn spmv_tuples_acc(&self, xi: &[T], y: &mut [T], kc: usize) {
+        spmv_core::traits::check_spmv_multi_dims(self, xi, y, kc);
+        let n = self.n_rows;
+        self.spmv_tuples_each(xi, kc, |t, row, acc| y[t * n + row] += acc);
     }
 }
 

@@ -1,6 +1,6 @@
 //! One-dimensional Variable Block Length (1D-VBL) storage.
 
-use crate::{SpMvAcc, SpMvMultiAcc};
+use crate::SpMvAcc;
 use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti};
 use spmv_kernels::registry::{dot_run, dot_run_multi};
 use spmv_kernels::simd::SimdScalar;
@@ -218,7 +218,7 @@ impl<T: SimdScalar> Vbl<T> {
         }
     }
 
-    /// Shared implementation of `spmv_multi_acc`: the run kernel is
+    /// `Y += A * X` for `spmv_multi_into`: the run kernel is
     /// runtime-`k`, so chunks of up to 8 vectors reuse each run's values
     /// while they are hot and the matrix streams once per chunk.
     fn spmv_multi_acc_impl(&self, x: &[T], y: &mut [T], k: usize) {
@@ -288,13 +288,6 @@ impl<T: SimdScalar> SpMvMulti<T> for Vbl<T> {
     fn spmv_multi_into(&self, x: &[T], y: &mut [T], k: usize) {
         spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
         y.fill(T::ZERO);
-        self.spmv_multi_acc_impl(x, y, k);
-    }
-}
-
-impl<T: SimdScalar> SpMvMultiAcc<T> for Vbl<T> {
-    fn spmv_multi_acc(&self, x: &[T], y: &mut [T], k: usize) {
-        spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
         self.spmv_multi_acc_impl(x, y, k);
     }
 }

@@ -7,7 +7,7 @@
 //! here as the §II completeness extension and exercised by the variable-
 //! block ablation bench.
 
-use crate::{SpMvAcc, SpMvMultiAcc};
+use crate::SpMvAcc;
 use spmv_core::{Csr, Error, Index, MatrixShape, Result, Scalar, SpMv, SpMvMulti};
 
 /// VBR: variable two-dimensional blocks from conforming row/column
@@ -259,7 +259,7 @@ impl<T: Scalar> Vbr<T> {
         }
     }
 
-    /// Shared implementation of `spmv_multi_acc`: each dense block row is
+    /// `Y += A * X` for `spmv_multi_into`: each dense block row is
     /// re-applied to every vector of a chunk while it is hot in cache, so
     /// the block values stream from memory once per chunk of up to 8
     /// vectors.
@@ -339,13 +339,6 @@ impl<T: Scalar> SpMvMulti<T> for Vbr<T> {
     fn spmv_multi_into(&self, x: &[T], y: &mut [T], k: usize) {
         spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
         y.fill(T::ZERO);
-        self.spmv_multi_acc_impl(x, y, k);
-    }
-}
-
-impl<T: Scalar> SpMvMultiAcc<T> for Vbr<T> {
-    fn spmv_multi_acc(&self, x: &[T], y: &mut [T], k: usize) {
-        spmv_core::traits::check_spmv_multi_dims(self, x, y, k);
         self.spmv_multi_acc_impl(x, y, k);
     }
 }

@@ -1,220 +1,51 @@
-//! The const-generic block core: one implementation per format, shared
-//! by every `(implementation, shape, vector count)` combination.
+//! The const-generic block cores: one implementation per format and
+//! vector layout, shared by every `(implementation, shape)` combination.
 //!
 //! Historically this crate carried three hand-written copies of every
 //! kernel — scalar, SSE2, and multi-vector variants of both — ~1.6k
-//! lines of triplicated loops. This module replaces them with one
-//! generic core per format, parameterized by a [`LaneEngine`]:
+//! lines of triplicated loops. This module replaces them with generic
+//! cores parameterized by a [`LaneEngine`]:
 //!
-//! * [`bcsr_core`] — one BCSR block row against `K` input vectors;
-//! * [`bcsd_core`] — one BCSD segment against `K` input vectors;
+//! * [`bcsr_row`] — one BCSR block row against one input vector;
+//! * [`bcsd_seg`] — one BCSD segment against one input vector;
+//! * [`bcsr_tuples`] / [`bcsd_tuples`] — the same against `K` vectors
+//!   read as `K`-tuples (`xi[j * K + t]`, see [`spmv_core::multi`]);
 //! * [`dot_run_core`] — a contiguous value run (1D-VBL inner kernel).
 //!
-//! Single-vector kernels are the `K = 1` instantiations ([`bcsr_row`],
-//! [`bcsd_seg`]); scalar kernels use [`ScalarEngine`]
-//! (`LANES = 1`, fused `mul_add`); SIMD kernels use the target's SSE
-//! engines. The loop structure is the old SIMD kernels' — per block
-//! value vector loaded once, then multiplied against all `K` columns —
-//! which at `LANES = 1`, `K = 1` degenerates to exactly the old scalar
-//! kernels' per-element order. Each accumulator therefore sees the same
-//! operation sequence the old hand-written kernels produced, and the
-//! 200-seed gate in this module's tests pins that equivalence bitwise
-//! against lane-exact simulators of the deleted kernels.
+//! Scalar kernels use [`ScalarEngine`] (`LANES = 1`, fused `mul_add`);
+//! SIMD kernels use the target's SSE engines. The single-vector loop is
+//! the old SIMD kernels' — per block value vector loaded once — which at
+//! `LANES = 1` degenerates to exactly the old scalar kernels'
+//! per-element order, and the 200-seed gate in this crate's tests pins
+//! that equivalence bitwise against lane-exact simulators of the deleted
+//! kernels.
+//!
+//! The k-tuple cores run every (row, vector) accumulator through the
+//! same operations in the same order as the single-vector core. Lane
+//! `q` of an engine's vector multiply-accumulate is one multiply and one
+//! add (its [`LaneEngine::tail_mul_add`]), which
+//! [`Scalar::mul_add_tuple`] runs across a tuple; so a row keeps `LANES`
+//! partial sums per vector plus its tail sum and combines them with
+//! [`LaneEngine::finish`], exactly as the vector register did. Each
+//! column of a `K`-vector call is therefore bitwise that column's
+//! single-vector call.
 //!
 //! All kernels accumulate (`+=`) into their output slice.
 
-use crate::engine::{LaneEngine, ScalarEngine};
+use crate::engine::{LaneEngine, ScalarEngine, MAX_LANES};
 use spmv_core::{Index, Scalar};
 
-/// One BCSR block row against `K` input vectors.
+/// One BCSR block row against one input vector.
 ///
 /// Blocks `kb` start at **absolute** column `bcols[kb]` with row-major
-/// values `bvals[kb*R*C .. (kb+1)*R*C]`. `x` holds `K` concatenated
-/// input vectors of stride `xs`, `y` holds `K` concatenated output
-/// vectors of stride `ys`; the block row's first output row is `y0`.
-/// Per output column the accumulation order is independent of `K`, so a
-/// `K`-vector call is bitwise-equal to `K` single-vector calls.
+/// values `bvals[kb*R*C .. (kb+1)*R*C]`; their products accumulate into
+/// the `R` entries of `yrow`.
 ///
 /// # Panics
 ///
-/// Panics (via slice indexing) if a block reads past a column of `x` —
+/// Panics (via slice indexing) if a block reads past the end of `x` —
 /// callers route boundary blocks to the clipped kernels in
 /// [`crate::scalar`] instead.
-#[inline]
-pub fn bcsr_core<T: Scalar, E: LaneEngine<T>, const R: usize, const C: usize, const K: usize>(
-    bvals: &[T],
-    bcols: &[Index],
-    x: &[T],
-    xs: usize,
-    y: &mut [T],
-    ys: usize,
-    y0: usize,
-) {
-    debug_assert_eq!(bvals.len(), bcols.len() * R * C);
-    debug_assert!(x.len() >= K * xs && y.len() >= K * ys);
-    let mut accv = [[E::zero(); K]; R];
-    let mut accs = [[T::ZERO; K]; R];
-    for (kb, &bc) in bcols.iter().enumerate() {
-        let b = &bvals[kb * (R * C)..kb * (R * C) + R * C];
-        bcsr_block_step::<T, E, R, C, K>(b, bc as usize, x, xs, &mut accv, &mut accs);
-    }
-    bcsr_epilogue::<T, E, R, C, K>(&accv, &accs, y, ys, y0);
-}
-
-/// Accumulates one dense `R x C` block (values `b`, absolute start column
-/// `x0`) into the block row's accumulator tile.
-#[inline(always)]
-fn bcsr_block_step<
-    T: Scalar,
-    E: LaneEngine<T>,
-    const R: usize,
-    const C: usize,
-    const K: usize,
->(
-    b: &[T],
-    x0: usize,
-    x: &[T],
-    xs: usize,
-    accv: &mut [[E::Vec; K]; R],
-    accs: &mut [[T; K]; R],
-) {
-    for i in 0..R {
-        let row = &b[i * C..i * C + C];
-        let mut j = 0;
-        while j + E::LANES <= C {
-            // SAFETY: `j + LANES <= C`, and each `xb` below is a
-            // length-C checked subslice.
-            let bv = unsafe { E::load(row.as_ptr().add(j)) };
-            for t in 0..K {
-                let xb = &x[t * xs + x0..t * xs + x0 + C];
-                let xv = unsafe { E::load(xb.as_ptr().add(j)) };
-                accv[i][t] = E::mul_acc(accv[i][t], bv, xv);
-            }
-            j += E::LANES;
-        }
-        while j < C {
-            for t in 0..K {
-                accs[i][t] = E::tail_mul_add(accs[i][t], row[j], x[t * xs + x0 + j]);
-            }
-            j += 1;
-        }
-    }
-}
-
-/// Flushes a BCSR accumulator tile into the output vectors.
-#[inline(always)]
-fn bcsr_epilogue<
-    T: Scalar,
-    E: LaneEngine<T>,
-    const R: usize,
-    const C: usize,
-    const K: usize,
->(
-    accv: &[[E::Vec; K]; R],
-    accs: &[[T; K]; R],
-    y: &mut [T],
-    ys: usize,
-    y0: usize,
-) {
-    for (i, (rowv, rows)) in accv.iter().zip(accs).enumerate() {
-        for t in 0..K {
-            y[t * ys + y0 + i] += E::finish(rowv[t], rows[t]);
-        }
-    }
-}
-
-/// One BCSD segment against `K` input vectors.
-///
-/// Diagonal blocks `kb` carry the `B` diagonal values
-/// `bvals[kb*B .. (kb+1)*B]`; `bcols[kb]` stores the block's start
-/// column **biased by `+B`** (`bcols[kb] = j0 + B`), which keeps
-/// left-edge blocks (negative true `j0`) representable in the unsigned
-/// index type. This interior kernel requires `bcols[kb] >= B`; edge
-/// blocks go through [`crate::scalar::bcsd_segment_clipped`]. Stride
-/// and offset conventions match [`bcsr_core`].
-#[inline]
-pub fn bcsd_core<T: Scalar, E: LaneEngine<T>, const B: usize, const K: usize>(
-    bvals: &[T],
-    bcols: &[Index],
-    x: &[T],
-    xs: usize,
-    y: &mut [T],
-    ys: usize,
-    y0: usize,
-) {
-    debug_assert_eq!(bvals.len(), bcols.len() * B);
-    debug_assert!(x.len() >= K * xs && y.len() >= K * ys);
-    // `B` lane groups cover every engine (LANES = 1 needs all of them);
-    // at most `LANES - 1 <= 7` tail positions.
-    let mut accv = [[E::zero(); K]; B];
-    let mut acct = [[T::ZERO; K]; 7];
-    for (kb, &j0) in bcols.iter().enumerate() {
-        let v = &bvals[kb * B..kb * B + B];
-        debug_assert!(j0 as usize >= B, "left-clipped block in interior kernel");
-        let j0 = j0 as usize - B;
-        bcsd_block_step::<T, E, B, K>(v, j0, x, xs, &mut accv, &mut acct);
-    }
-    bcsd_epilogue::<T, E, B, K>(&accv, &acct, y, ys, y0);
-}
-
-/// Accumulates one dense size-`B` diagonal block (values `v`, true start
-/// column `j0`, bias already removed) into the segment's accumulators.
-#[inline(always)]
-fn bcsd_block_step<T: Scalar, E: LaneEngine<T>, const B: usize, const K: usize>(
-    v: &[T],
-    j0: usize,
-    x: &[T],
-    xs: usize,
-    accv: &mut [[E::Vec; K]; B],
-    acct: &mut [[T; K]; 7],
-) {
-    let groups = B / E::LANES;
-    let tail = B % E::LANES;
-    for (q, acc) in accv.iter_mut().enumerate().take(groups) {
-        // SAFETY: `LANES * q + LANES <= B` for `q < groups`, inside
-        // the length-B checked subslices `v` and `xb`.
-        let bv = unsafe { E::load(v.as_ptr().add(E::LANES * q)) };
-        for (t, a) in acc.iter_mut().enumerate() {
-            let xb = &x[t * xs + j0..t * xs + j0 + B];
-            let xv = unsafe { E::load(xb.as_ptr().add(E::LANES * q)) };
-            *a = E::mul_acc(*a, bv, xv);
-        }
-    }
-    for (s, at) in acct.iter_mut().enumerate().take(tail) {
-        let p = groups * E::LANES + s;
-        for (t, a) in at.iter_mut().enumerate().take(K) {
-            *a = E::tail_mul_add(*a, v[p], x[t * xs + j0 + p]);
-        }
-    }
-}
-
-/// Flushes a BCSD accumulator set into the output vectors.
-#[inline(always)]
-fn bcsd_epilogue<T: Scalar, E: LaneEngine<T>, const B: usize, const K: usize>(
-    accv: &[[E::Vec; K]; B],
-    acct: &[[T; K]; 7],
-    y: &mut [T],
-    ys: usize,
-    y0: usize,
-) {
-    let groups = B / E::LANES;
-    let tail = B % E::LANES;
-    for (q, acc) in accv.iter().enumerate().take(groups) {
-        for (t, a) in acc.iter().enumerate() {
-            for l in 0..E::LANES {
-                y[t * ys + y0 + q * E::LANES + l] += E::lane(*a, l);
-            }
-        }
-    }
-    for (s, at) in acct.iter().enumerate().take(tail) {
-        for (t, &a) in at.iter().enumerate().take(K) {
-            y[t * ys + y0 + groups * E::LANES + s] += a;
-        }
-    }
-}
-
-/// Single-vector BCSR block-row kernel: the `K = 1` instantiation of
-/// [`bcsr_core`], with the classic `(bvals, bcols, x, yrow)` signature.
 #[inline]
 pub fn bcsr_row<T: Scalar, E: LaneEngine<T>, const R: usize, const C: usize>(
     bvals: &[T],
@@ -222,12 +53,200 @@ pub fn bcsr_row<T: Scalar, E: LaneEngine<T>, const R: usize, const C: usize>(
     x: &[T],
     yrow: &mut [T],
 ) {
+    debug_assert_eq!(bvals.len(), bcols.len() * R * C);
     debug_assert_eq!(yrow.len(), R);
-    bcsr_core::<T, E, R, C, 1>(bvals, bcols, x, 0, yrow, 0, 0);
+    let mut accv = [E::zero(); R];
+    let mut accs = [T::ZERO; R];
+    for (kb, &bc) in bcols.iter().enumerate() {
+        let b = &bvals[kb * (R * C)..kb * (R * C) + R * C];
+        let x0 = bc as usize;
+        for i in 0..R {
+            let row = &b[i * C..i * C + C];
+            let mut j = 0;
+            while j + E::LANES <= C {
+                // SAFETY: `j + LANES <= C`, and `xb` is a length-C
+                // checked subslice.
+                let bv = unsafe { E::load(row.as_ptr().add(j)) };
+                let xb = &x[x0..x0 + C];
+                let xv = unsafe { E::load(xb.as_ptr().add(j)) };
+                accv[i] = E::mul_acc(accv[i], bv, xv);
+                j += E::LANES;
+            }
+            while j < C {
+                accs[i] = E::tail_mul_add(accs[i], row[j], x[x0 + j]);
+                j += 1;
+            }
+        }
+    }
+    for (i, (v, &s)) in accv.iter().zip(&accs).enumerate() {
+        yrow[i] += E::finish(*v, s);
+    }
 }
 
-/// Single-vector BCSD segment kernel: the `K = 1` instantiation of
-/// [`bcsd_core`].
+/// Accumulator bytes one pass of a k-tuple core keeps live: 12 of the
+/// 16 SSE registers, leaving room for the broadcast value and the
+/// product. A block row (or segment, or slice) whose sums fit runs as
+/// one pass, so its rows' independent sums hide the add latency; a
+/// larger one runs [`rows_per_pass`] rows at a time, keeping their sums
+/// in registers instead of spilling them.
+pub const ACC_BYTES: usize = 192;
+
+/// Rows a k-tuple core walks per pass when each row keeps
+/// `bytes_per_row` of sums: all `rows` if they fit [`ACC_BYTES`],
+/// otherwise the largest of 4, 2 and 1 that fits (at least 1).
+pub const fn rows_per_pass(rows: usize, bytes_per_row: usize) -> usize {
+    let fit = ACC_BYTES / bytes_per_row;
+    if fit >= rows {
+        rows
+    } else if fit >= 4 {
+        4
+    } else if fit >= 2 {
+        2
+    } else {
+        1
+    }
+}
+
+/// Covers rows `0..$rows` with passes of `rows_per_pass($rows,
+/// $bytes_per_row)` rows and singles for the rest; `$pass!(N, i0)` runs
+/// one pass of the const width `N` from row `i0`. The widths are inline
+/// `const` conditions, so an instantiation compiles only the passes it
+/// runs.
+macro_rules! in_passes {
+    ($rows:expr, $bytes_per_row:expr, $pass:ident) => {{
+        let mut i = 0;
+        if const { rows_per_pass($rows, $bytes_per_row) == $rows } {
+            $pass!($rows, 0);
+            i = $rows;
+        } else if const { rows_per_pass($rows, $bytes_per_row) == 4 } {
+            while i + 4 <= $rows {
+                $pass!(4, i);
+                i += 4;
+            }
+        } else if const { rows_per_pass($rows, $bytes_per_row) == 2 } {
+            while i + 2 <= $rows {
+                $pass!(2, i);
+                i += 2;
+            }
+        }
+        while i < $rows {
+            $pass!(1, i);
+            i += 1;
+        }
+    }};
+}
+pub(crate) use in_passes;
+
+/// One BCSR block row against `K` input vectors read as `K`-tuples.
+///
+/// `xi[j * K + t]` is element `j` of vector `t`; `y` holds `K`
+/// column-major outputs of stride `ys`, and the block row's first output
+/// row is `y0`. Each (row, vector) pair keeps [`bcsr_row`]'s lane split:
+/// columns `j` of a block's full lane groups feed partial sum
+/// `j % LANES`, the rest feed a tail sum, and [`LaneEngine::finish`]
+/// combines them once per block row. Each stored element takes one
+/// contiguous tuple load; the rows run in passes ([`rows_per_pass`]).
+///
+/// # Panics
+///
+/// Panics (via slice indexing) if a block reads past the last tuple.
+#[inline]
+pub fn bcsr_tuples<
+    T: Scalar,
+    E: LaneEngine<T>,
+    const R: usize,
+    const C: usize,
+    const K: usize,
+>(
+    bvals: &[T],
+    bcols: &[Index],
+    xi: &[T],
+    y: &mut [T],
+    ys: usize,
+    y0: usize,
+) {
+    const { assert!(E::LANES <= MAX_LANES) };
+    debug_assert_eq!(bvals.len(), bcols.len() * R * C);
+    let (tuples, _) = xi.as_chunks::<K>();
+    macro_rules! pass {
+        ($n:tt, $i0:expr) => {
+            bcsr_tuple_rows::<T, E, R, C, K, $n>(bvals, bcols, tuples, $i0, y, ys, y0)
+        };
+    }
+    // Sums per row and vector: LANES partials if a lane group fits, plus
+    // a tail sum if columns are left over.
+    in_passes!(
+        R,
+        ((C / E::LANES > 0) as usize * E::LANES + !C.is_multiple_of(E::LANES) as usize)
+            * K
+            * size_of::<T>(),
+        pass
+    );
+}
+
+/// The `N` rows `i0 .. i0 + N` of a BCSR block row: one pass over its
+/// blocks with every (row, lane, vector) sum in a local, each stored
+/// value broadcast against its column's tuple.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn bcsr_tuple_rows<
+    T: Scalar,
+    E: LaneEngine<T>,
+    const R: usize,
+    const C: usize,
+    const K: usize,
+    const N: usize,
+>(
+    bvals: &[T],
+    bcols: &[Index],
+    tuples: &[[T; K]],
+    i0: usize,
+    y: &mut [T],
+    ys: usize,
+    y0: usize,
+) {
+    let mut accv = [[[T::ZERO; K]; MAX_LANES]; N];
+    let mut accs = [[T::ZERO; K]; N];
+    for (kb, &bc) in bcols.iter().enumerate() {
+        let b = &bvals[kb * (R * C) + i0 * C..kb * (R * C) + (i0 + N) * C];
+        let xb = &tuples[bc as usize..bc as usize + C];
+        let mut j = 0;
+        while j + E::LANES <= C {
+            for q in 0..E::LANES {
+                for (n, row) in accv.iter_mut().enumerate() {
+                    T::mul_add_tuple(&mut row[q], b[n * C + j + q], &xb[j + q]);
+                }
+            }
+            j += E::LANES;
+        }
+        while j < C {
+            for (n, sums) in accs.iter_mut().enumerate() {
+                T::mul_add_tuple(sums, b[n * C + j], &xb[j]);
+            }
+            j += 1;
+        }
+    }
+    for (n, (row, tails)) in accv.iter().zip(&accs).enumerate() {
+        for (t, &tail) in tails.iter().enumerate() {
+            let mut lanes = [T::ZERO; MAX_LANES];
+            for (l, sums) in lanes.iter_mut().zip(row).take(E::LANES) {
+                *l = sums[t];
+            }
+            // SAFETY: `LANES <= MAX_LANES` elements of `lanes`.
+            let v = unsafe { E::load(lanes.as_ptr()) };
+            y[t * ys + y0 + i0 + n] += E::finish(v, tail);
+        }
+    }
+}
+
+/// One BCSD segment against one input vector.
+///
+/// Diagonal blocks `kb` carry the `B` diagonal values
+/// `bvals[kb*B .. (kb+1)*B]`; `bcols[kb]` stores the block's start
+/// column **biased by `+B`** (`bcols[kb] = j0 + B`), which keeps
+/// left-edge blocks (negative true `j0`) representable in the unsigned
+/// index type. This interior kernel requires `bcols[kb] >= B`; edge
+/// blocks go through [`crate::scalar::bcsd_segment_clipped`].
 #[inline]
 pub fn bcsd_seg<T: Scalar, E: LaneEngine<T>, const B: usize>(
     bvals: &[T],
@@ -235,8 +254,98 @@ pub fn bcsd_seg<T: Scalar, E: LaneEngine<T>, const B: usize>(
     x: &[T],
     yseg: &mut [T],
 ) {
+    debug_assert_eq!(bvals.len(), bcols.len() * B);
     debug_assert_eq!(yseg.len(), B);
-    bcsd_core::<T, E, B, 1>(bvals, bcols, x, 0, yseg, 0, 0);
+    // `B` lane groups cover every engine (LANES = 1 needs all of them);
+    // at most `LANES - 1 <= 7` tail positions.
+    let mut accv = [E::zero(); B];
+    let mut acct = [T::ZERO; 7];
+    let groups = B / E::LANES;
+    let tail = B % E::LANES;
+    for (kb, &j0) in bcols.iter().enumerate() {
+        let v = &bvals[kb * B..kb * B + B];
+        debug_assert!(j0 as usize >= B, "left-clipped block in interior kernel");
+        let j0 = j0 as usize - B;
+        for (q, acc) in accv.iter_mut().enumerate().take(groups) {
+            // SAFETY: `LANES * q + LANES <= B` for `q < groups`, inside
+            // the length-B checked subslices `v` and `xb`.
+            let bv = unsafe { E::load(v.as_ptr().add(E::LANES * q)) };
+            let xb = &x[j0..j0 + B];
+            let xv = unsafe { E::load(xb.as_ptr().add(E::LANES * q)) };
+            *acc = E::mul_acc(*acc, bv, xv);
+        }
+        for (s, a) in acct.iter_mut().enumerate().take(tail) {
+            let p = groups * E::LANES + s;
+            *a = E::tail_mul_add(*a, v[p], x[j0 + p]);
+        }
+    }
+    for (q, acc) in accv.iter().enumerate().take(groups) {
+        for l in 0..E::LANES {
+            yseg[q * E::LANES + l] += E::lane(*acc, l);
+        }
+    }
+    for (s, &a) in acct.iter().enumerate().take(tail) {
+        yseg[groups * E::LANES + s] += a;
+    }
+}
+
+/// One BCSD segment against `K` input vectors read as `K`-tuples;
+/// layout and offsets as in [`bcsr_tuples`], block conventions as in
+/// [`bcsd_seg`].
+///
+/// Every diagonal position `s` has one sum per vector in [`bcsd_seg`]
+/// too, a lane of a vector accumulator or a tail slot, updated by the
+/// same per-lane operation and added to `y` once, so the columns match
+/// the single-vector kernel bitwise whatever its engine: one core serves
+/// both implementations. The positions run in passes
+/// ([`rows_per_pass`]).
+#[inline]
+pub fn bcsd_tuples<T: Scalar, const B: usize, const K: usize>(
+    bvals: &[T],
+    bcols: &[Index],
+    xi: &[T],
+    y: &mut [T],
+    ys: usize,
+    y0: usize,
+) {
+    debug_assert_eq!(bvals.len(), bcols.len() * B);
+    let (tuples, _) = xi.as_chunks::<K>();
+    macro_rules! pass {
+        ($n:tt, $s0:expr) => {
+            bcsd_tuple_diag::<T, B, K, $n>(bvals, bcols, tuples, $s0, y, ys, y0)
+        };
+    }
+    in_passes!(B, K * size_of::<T>(), pass);
+}
+
+/// The `N` diagonal positions `s0 .. s0 + N` of a BCSD segment: one pass
+/// over its blocks with every (position, vector) sum in a local.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn bcsd_tuple_diag<T: Scalar, const B: usize, const K: usize, const N: usize>(
+    bvals: &[T],
+    bcols: &[Index],
+    tuples: &[[T; K]],
+    s0: usize,
+    y: &mut [T],
+    ys: usize,
+    y0: usize,
+) {
+    let mut acc = [[T::ZERO; K]; N];
+    for (kb, &j0) in bcols.iter().enumerate() {
+        debug_assert!(j0 as usize >= B, "left-clipped block in interior kernel");
+        let v = &bvals[kb * B + s0..kb * B + s0 + N];
+        let x0 = j0 as usize - B + s0;
+        let xb = &tuples[x0..x0 + N];
+        for ((sums, &a), xt) in acc.iter_mut().zip(v).zip(xb) {
+            T::mul_add_tuple(sums, a, xt);
+        }
+    }
+    for (n, sums) in acc.iter().enumerate() {
+        for (t, &a) in sums.iter().enumerate() {
+            y[t * ys + y0 + s0 + n] += a;
+        }
+    }
 }
 
 /// Dot product of a contiguous value run against the matching slice of
@@ -402,6 +511,11 @@ mod tests {
         }
     }
 
+    /// `k` column-major vectors of length `m` as `k`-tuples.
+    fn tuples(x: &[f64], k: usize) -> Vec<f64> {
+        spmv_core::multi::with_tuples(x, k, <[f64]>::to_vec)
+    }
+
     #[test]
     fn bcsr_multi_matches_per_column_single() {
         let bvals = test_vectors(3 * 6); // three 2x3 blocks
@@ -410,7 +524,7 @@ mod tests {
         let ys = 5; // rows
         let x: Vec<f64> = test_vectors(4 * xs);
         let mut y = vec![0.0; 4 * ys];
-        bcsr_core::<f64, ScalarEngine, 2, 3, 4>(&bvals, &bcols, &x, xs, &mut y, ys, 2);
+        bcsr_tuples::<f64, ScalarEngine, 2, 3, 4>(&bvals, &bcols, &tuples(&x, 4), &mut y, ys, 2);
         for t in 0..4 {
             let mut yref = [0.0; 2];
             bcsr_row::<f64, ScalarEngine, 2, 3>(&bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);
@@ -427,7 +541,7 @@ mod tests {
         let ys = 6;
         let x: Vec<f64> = test_vectors(4 * xs);
         let mut y = vec![0.0; 4 * ys];
-        bcsd_core::<f64, ScalarEngine, 3, 4>(&bvals, &bcols, &x, xs, &mut y, ys, 1);
+        bcsd_tuples::<f64, 3, 4>(&bvals, &bcols, &tuples(&x, 4), &mut y, ys, 1);
         for t in 0..4 {
             let mut yref = [0.0; 3];
             bcsd_seg::<f64, ScalarEngine, 3>(&bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);
@@ -437,24 +551,32 @@ mod tests {
 
     #[test]
     fn simd_engine_multi_matches_per_column_single_bitwise() {
-        // The K-vector core must be bitwise-equal to K single calls for
-        // the SIMD engines too (per-accumulator order is K-independent).
+        // The K-tuple cores must be bitwise-equal to K single calls for
+        // the SIMD engines too: each lane of the vector accumulator and
+        // the tail become separate sums, combined in `finish` order.
         type E64 = <f64 as crate::simd::SimdScalar>::Engine;
-        let bvals = test_vectors(3 * 8); // three 2x4 blocks
-        let bcols = [0u32, 4, 8];
-        let xs = 16;
-        let ys = 4;
-        let x: Vec<f64> = test_vectors(4 * xs);
-        let mut y = vec![0.0; 4 * ys];
-        bcsr_core::<f64, E64, 2, 4, 4>(&bvals, &bcols, &x, xs, &mut y, ys, 1);
-        for t in 0..4 {
-            let mut yref = [0.0; 2];
-            bcsr_row::<f64, E64, 2, 4>(&bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);
-            assert_eq!(
-                &y[t * ys + 1..t * ys + 3].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                &yref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "column {t}"
-            );
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let x: Vec<f64> = (0..8 * 16).map(|i| 0.1 + (i % 13) as f64 / 7.0).collect();
+        let xi = tuples(&x, 8);
+        // 2x3 blocks: one lane group and a tail column per row.
+        let bvals: Vec<f64> = (0..3 * 6).map(|i| 1.0 / (i + 3) as f64).collect();
+        let bcols = [0u32, 5, 10];
+        let mut y = vec![0.25; 8 * 4];
+        bcsr_tuples::<f64, E64, 2, 3, 8>(&bvals, &bcols, &xi, &mut y, 4, 1);
+        for t in 0..8 {
+            let mut yref = [0.25; 2];
+            bcsr_row::<f64, E64, 2, 3>(&bvals, &bcols, &x[t * 16..(t + 1) * 16], &mut yref);
+            assert_eq!(bits(&y[t * 4 + 1..t * 4 + 3]), bits(&yref), "bcsr column {t}");
+        }
+        // Size-5 diagonal blocks: two lane groups and a tail position.
+        let bcols = biased(5, &[0, 7, 11]);
+        let bvals: Vec<f64> = (0..3 * 5).map(|i| 1.0 / (i + 2) as f64).collect();
+        let mut y = vec![0.5; 8 * 6];
+        bcsd_tuples::<f64, 5, 8>(&bvals, &bcols, &xi, &mut y, 6, 1);
+        for t in 0..8 {
+            let mut yref = [0.5; 5];
+            bcsd_seg::<f64, E64, 5>(&bvals, &bcols, &x[t * 16..(t + 1) * 16], &mut yref);
+            assert_eq!(bits(&y[t * 6 + 1..t * 6 + 6]), bits(&yref), "bcsd column {t}");
         }
     }
 

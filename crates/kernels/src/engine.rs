@@ -58,7 +58,10 @@ pub trait LaneEngine<T: Scalar>: 'static {
     fn hsum(v: Self::Vec) -> T;
 
     /// Scalar-tail accumulation `acc` updated with `a * x`, again in
-    /// the engine's native style.
+    /// the engine's native style. It is also what
+    /// [`LaneEngine::mul_acc`] does to each lane, which lets the k-tuple
+    /// cores in [`crate::block`] run a vector accumulator's lanes as
+    /// separate scalar sums.
     fn tail_mul_add(acc: T, a: T, x: T) -> T;
 
     /// Combines a row's vector accumulator with its scalar-tail
@@ -69,6 +72,9 @@ pub trait LaneEngine<T: Scalar>: 'static {
     /// an explicit zero could still flip a `-0.0` sum to `+0.0`.
     fn finish(acc: Self::Vec, tail: T) -> T;
 }
+
+/// The widest [`LaneEngine::LANES`] of any engine (`SseF32`).
+pub const MAX_LANES: usize = 4;
 
 /// The 1-lane engine: plain scalar accumulation with fused `mul_add`.
 pub struct ScalarEngine;
@@ -259,5 +265,34 @@ mod tests {
         }
         // (1 + 4) + (2 + 8)
         assert_eq!(<SseF32 as LaneEngine<f32>>::hsum(acc), 15.0);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_mul_acc_is_tail_mul_add_per_lane() {
+        let (acc, a, x) = ([0.1f64, -3.7], [1.0f64 / 3.0, 2.9], [7.3f64, -0.11]);
+        let v = unsafe {
+            <SseF64 as LaneEngine<f64>>::mul_acc(
+                SseF64::load(acc.as_ptr()),
+                SseF64::load(a.as_ptr()),
+                SseF64::load(x.as_ptr()),
+            )
+        };
+        for q in 0..2 {
+            let lane = <SseF64 as LaneEngine<f64>>::tail_mul_add(acc[q], a[q], x[q]);
+            assert_eq!(SseF64::lane(v, q).to_bits(), lane.to_bits());
+        }
+        let (acc, a, x) = ([0.1f32, -3.7, 5.5, 1e-3], [0.3f32, 2.9, -1.25, 7.0], [7.3f32, -0.11, 0.7, 3.3]);
+        let v = unsafe {
+            <SseF32 as LaneEngine<f32>>::mul_acc(
+                SseF32::load(acc.as_ptr()),
+                SseF32::load(a.as_ptr()),
+                SseF32::load(x.as_ptr()),
+            )
+        };
+        for q in 0..4 {
+            let lane = <SseF32 as LaneEngine<f32>>::tail_mul_add(acc[q], a[q], x[q]);
+            assert_eq!(SseF32::lane(v, q).to_bits(), lane.to_bits());
+        }
     }
 }

@@ -66,14 +66,14 @@ macro_rules! dispatch_size {
 }
 
 /// Expands to a `match` mapping a runtime vector count `k` onto a
-/// monomorphized kernel whose **last** const parameter is `K`; the
-/// leading generic parameters (scalar type, engine, shape dims) are
-/// passed through. Only the specialized counts `k ∈ {1, 2, 4, 8}` exist —
-/// other counts return `None` and callers chunk `k` greedily (8, 4, 2, 1).
+/// monomorphized k-tuple kernel whose **last** const parameter is `K`;
+/// the leading generic parameters (scalar type, engine, shape dims) are
+/// passed through. Only the chunk widths `k ∈ {2, 4, 8}` have k-tuple
+/// kernels — other counts return `None`; callers chunk `k` greedily
+/// (8, 4, 2, 1) and run a one-vector chunk on the single-vector kernel.
 macro_rules! dispatch_k {
     ($k:expr, [$($kern:tt)+], $ty:ty, $($dims:tt),+) => {
         match $k {
-            1 => Some($($kern)+::<$($dims),+, 1> as $ty),
             2 => Some($($kern)+::<$($dims),+, 2> as $ty),
             4 => Some($($kern)+::<$($dims),+, 4> as $ty),
             8 => Some($($kern)+::<$($dims),+, 8> as $ty),
@@ -92,16 +92,15 @@ pub type BcsrRowKernel<T> = fn(&[T], &[Index], &[T], &mut [T]);
 /// into the `b` entries of `yseg`.
 pub type BcsdSegKernel<T> = fn(&[T], &[Index], &[T], &mut [T]);
 
-/// A kernel processing one BCSR block row against several input vectors:
-/// `kernel(bvals, bcols, x, xstride, y, ystride, y0)` accumulates into the
-/// `K` output columns of `y` starting at row `y0`. `x`/`y` hold `K`
-/// concatenated vectors of stride `xstride`/`ystride` (column-major
-/// blocks).
-pub type BcsrRowMultiKernel<T> = fn(&[T], &[Index], &[T], usize, &mut [T], usize, usize);
+/// A kernel processing one BCSR block row against `K` input vectors read
+/// as `K`-tuples: `kernel(bvals, bcols, xi, y, ystride, y0)` accumulates
+/// into the `K` column-major outputs of `y` (stride `ystride`) from row
+/// `y0`, where `xi[j * K + t]` is element `j` of vector `t`.
+pub type BcsrRowMultiKernel<T> = fn(&[T], &[Index], &[T], &mut [T], usize, usize);
 
-/// A kernel processing one BCSD segment against several input vectors;
-/// same signature convention as [`BcsrRowMultiKernel`].
-pub type BcsdSegMultiKernel<T> = fn(&[T], &[Index], &[T], usize, &mut [T], usize, usize);
+/// A kernel processing one BCSD segment against `K` input vectors read as
+/// `K`-tuples; same signature convention as [`BcsrRowMultiKernel`].
+pub type BcsdSegMultiKernel<T> = fn(&[T], &[Index], &[T], &mut [T], usize, usize);
 
 fn bcsr_row_kernel_engine<T: Scalar, E: LaneEngine<T>>(
     shape: BlockShape,
@@ -129,23 +128,12 @@ fn bcsr_row_multi_kernel_engine<T: Scalar, E: LaneEngine<T>>(
 ) -> Option<BcsrRowMultiKernel<T>> {
     macro_rules! apply {
         ($r:literal, $c:literal) => {
-            dispatch_k!(k, [block::bcsr_core], BcsrRowMultiKernel<T>, T, E, $r, $c)
+            dispatch_k!(k, [block::bcsr_tuples], BcsrRowMultiKernel<T>, T, E, $r, $c)
         };
     }
     dispatch_shape!(shape, apply)
 }
 
-fn bcsd_seg_multi_kernel_engine<T: Scalar, E: LaneEngine<T>>(
-    b: usize,
-    k: usize,
-) -> Option<BcsdSegMultiKernel<T>> {
-    macro_rules! apply {
-        ($b:literal) => {
-            dispatch_k!(k, [block::bcsd_core], BcsdSegMultiKernel<T>, T, E, $b)
-        };
-    }
-    dispatch_size!(b, apply)
-}
 
 /// Scalar BCSR block-row kernel for `shape`.
 ///
@@ -197,30 +185,9 @@ pub fn dot_run<T: SimdScalar>(vals: &[T], x: &[T], imp: KernelImpl) -> T {
     }
 }
 
-/// Scalar multi-vector BCSR block-row kernel for `(shape, k)`, if `k` is
-/// one of the specialized counts `{1, 2, 4, 8}`.
-///
-/// Returns `None` for other counts (callers chunk `k` greedily into the
-/// specialized sizes).
-pub fn bcsr_row_multi_kernel_scalar<T: SimdScalar>(
-    shape: BlockShape,
-    k: usize,
-) -> Option<BcsrRowMultiKernel<T>> {
-    bcsr_row_multi_kernel_engine::<T, ScalarEngine>(shape, k)
-}
-
-/// Scalar multi-vector BCSD segment kernel for `(b, k)`; `None` for
-/// non-specialized `k` as in [`bcsr_row_multi_kernel_scalar`].
-pub fn bcsd_seg_multi_kernel_scalar<T: SimdScalar>(
-    b: usize,
-    k: usize,
-) -> Option<BcsdSegMultiKernel<T>> {
-    bcsd_seg_multi_kernel_engine::<T, ScalarEngine>(b, k)
-}
-
-/// Multi-vector BCSR block-row kernel for `(shape, k, imp)`, with the same
-/// transparent SIMD→scalar fallback as [`bcsr_row_kernel`]. `None` when
-/// `k` is not a specialized count.
+/// K-tuple BCSR block-row kernel for `(shape, k, imp)`, with the same
+/// transparent SIMD→scalar fallback as [`bcsr_row_kernel`]. `None`
+/// unless `k` is 2, 4 or 8.
 pub fn bcsr_row_multi_kernel<T: SimdScalar>(
     shape: BlockShape,
     k: usize,
@@ -232,17 +199,17 @@ pub fn bcsr_row_multi_kernel<T: SimdScalar>(
     }
 }
 
-/// Multi-vector BCSD segment kernel for `(b, k, imp)`, with SIMD→scalar
-/// fallback; `None` when `k` is not a specialized count.
-pub fn bcsd_seg_multi_kernel<T: SimdScalar>(
-    b: usize,
-    k: usize,
-    imp: KernelImpl,
-) -> Option<BcsdSegMultiKernel<T>> {
-    match imp {
-        KernelImpl::Scalar => bcsd_seg_multi_kernel_engine::<T, ScalarEngine>(b, k),
-        KernelImpl::Simd => bcsd_seg_multi_kernel_engine::<T, T::Engine>(b, k),
+/// K-tuple BCSD segment kernel for `(b, k)`; `None` unless `k` is 2, 4
+/// or 8. One core serves both implementations: every diagonal position
+/// keeps one sum per vector whichever engine the single-vector kernel
+/// uses (see [`block::bcsd_tuples`]).
+pub fn bcsd_seg_multi_kernel<T: SimdScalar>(b: usize, k: usize) -> Option<BcsdSegMultiKernel<T>> {
+    macro_rules! apply {
+        ($b:literal) => {
+            dispatch_k!(k, [block::bcsd_tuples], BcsdSegMultiKernel<T>, T, $b)
+        };
     }
+    dispatch_size!(b, apply)
 }
 
 /// Dot product of one contiguous value run against `acc.len()` input
@@ -311,22 +278,26 @@ mod tests {
 
     #[test]
     fn multi_kernels_dispatch_for_specialized_ks() {
+        // Every chunk width above 1 has a k-tuple kernel; a one-vector
+        // chunk runs the single-vector kernel instead.
         for shape in BlockShape::search_space() {
             for imp in KernelImpl::ALL {
-                for k in crate::MULTI_KS {
+                for k in [2, 4, 8] {
                     assert!(bcsr_row_multi_kernel::<f64>(shape, k, imp).is_some());
                     assert!(bcsr_row_multi_kernel::<f32>(shape, k, imp).is_some());
                 }
-                assert!(bcsr_row_multi_kernel::<f64>(shape, 3, imp).is_none());
+                for k in [1, 3] {
+                    assert!(bcsr_row_multi_kernel::<f64>(shape, k, imp).is_none());
+                }
             }
         }
         for b in 1..=8 {
-            for imp in KernelImpl::ALL {
-                for k in crate::MULTI_KS {
-                    assert!(bcsd_seg_multi_kernel::<f64>(b, k, imp).is_some());
-                    assert!(bcsd_seg_multi_kernel::<f32>(b, k, imp).is_some());
-                }
-                assert!(bcsd_seg_multi_kernel::<f64>(b, 5, imp).is_none());
+            for k in [2, 4, 8] {
+                assert!(bcsd_seg_multi_kernel::<f64>(b, k).is_some());
+                assert!(bcsd_seg_multi_kernel::<f32>(b, k).is_some());
+            }
+            for k in [1, 5] {
+                assert!(bcsd_seg_multi_kernel::<f64>(b, k).is_none());
             }
         }
     }

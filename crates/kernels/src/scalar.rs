@@ -18,7 +18,7 @@ use spmv_core::{Index, Scalar};
 /// may extend past the last column of `x` (a clipped final block column);
 /// out-of-matrix positions hold padding zeros in `bvals` and are skipped.
 /// `bcols` holds absolute start columns, as in
-/// [`crate::block::bcsr_core`].
+/// [`crate::block::bcsr_row`].
 pub fn bcsr_block_row_clipped<T: Scalar>(
     r: usize,
     c: usize,
@@ -48,7 +48,7 @@ pub fn bcsr_block_row_clipped<T: Scalar>(
 ///
 /// `yseg` may be shorter than `b` (clipped final segment) and diagonal
 /// blocks may be clipped at either edge: `bcols` carries the `+b` bias of
-/// [`crate::block::bcsd_core`], and positions with a negative true column
+/// [`crate::block::bcsd_seg`], and positions with a negative true column
 /// or a column `>= x.len()` are padding and are skipped.
 pub fn bcsd_segment_clipped<T: Scalar>(
     b: usize,
@@ -71,57 +71,61 @@ pub fn bcsd_segment_clipped<T: Scalar>(
     }
 }
 
-/// Boundary-safe multi-vector BCSR block-row kernel with runtime shape and
-/// vector count.
+/// Boundary-safe BCSR block-row kernel for `k ≤ 8` vectors read as
+/// `k`-tuples (`xi[j * k + t]`, `xi.len() / k` matrix columns).
 ///
-/// `rows_valid` is the number of in-matrix rows of this block row (may be
-/// less than `r` for the clipped final block row); blocks may extend past
-/// the last column (`xs` = matrix columns). Mirrors
-/// [`bcsr_block_row_clipped`] per output column.
+/// `rows_valid` is the number of in-matrix rows of this block row (less
+/// than `r` for the clipped final block row); `y` holds `k` column-major
+/// outputs of stride `ys` from row `y0`. Per output column it runs
+/// [`bcsr_block_row_clipped`]'s operations: one sum per block and row,
+/// added straight into `y`.
 #[allow(clippy::too_many_arguments)]
-pub fn bcsr_block_row_multi_clipped<T: Scalar>(
+pub fn bcsr_block_row_tuples_clipped<T: Scalar>(
     r: usize,
     c: usize,
     k: usize,
     bvals: &[T],
     bcols: &[Index],
-    x: &[T],
-    xs: usize,
+    xi: &[T],
     y: &mut [T],
     ys: usize,
     y0: usize,
     rows_valid: usize,
 ) {
-    debug_assert!(rows_valid <= r);
+    debug_assert!(rows_valid <= r && k <= 8);
     debug_assert_eq!(bvals.len(), bcols.len() * r * c);
+    let n_cols = xi.len() / k;
     for (kb, &bc) in bcols.iter().enumerate() {
         let x0 = bc as usize;
         let b = &bvals[kb * r * c..(kb + 1) * r * c];
-        let c_valid = c.min(xs.saturating_sub(x0));
-        for t in 0..k {
-            let xcol = &x[t * xs..(t + 1) * xs];
-            for i in 0..rows_valid {
-                let mut acc = T::ZERO;
-                for j in 0..c_valid {
-                    acc = b[i * c + j].mul_add(xcol[x0 + j], acc);
+        let c_valid = c.min(n_cols.saturating_sub(x0));
+        for i in 0..rows_valid {
+            let mut acc = [T::ZERO; 8];
+            for j in 0..c_valid {
+                let xt = &xi[(x0 + j) * k..(x0 + j + 1) * k];
+                for (a, &xv) in acc.iter_mut().zip(xt) {
+                    *a = b[i * c + j].mul_add(xv, *a);
                 }
-                y[t * ys + y0 + i] += acc;
+            }
+            for (t, &a) in acc[..k].iter().enumerate() {
+                y[t * ys + y0 + i] += a;
             }
         }
     }
 }
 
-/// Boundary-safe multi-vector BCSD segment kernel with runtime block size
-/// and vector count; `rows_valid` rows of the segment are inside the
-/// matrix. Mirrors [`bcsd_segment_clipped`] per output column.
+/// Boundary-safe BCSD segment kernel for `k` vectors read as `k`-tuples;
+/// `rows_valid` rows of the segment are inside the matrix, and layout
+/// and offsets are as in [`bcsr_block_row_tuples_clipped`]. Per output
+/// column it runs [`bcsd_segment_clipped`]'s operations, each product
+/// added straight into `y`.
 #[allow(clippy::too_many_arguments)]
-pub fn bcsd_segment_multi_clipped<T: Scalar>(
+pub fn bcsd_segment_tuples_clipped<T: Scalar>(
     b: usize,
     k: usize,
     bvals: &[T],
     bcols: &[Index],
-    x: &[T],
-    xs: usize,
+    xi: &[T],
     y: &mut [T],
     ys: usize,
     y0: usize,
@@ -129,17 +133,17 @@ pub fn bcsd_segment_multi_clipped<T: Scalar>(
 ) {
     debug_assert!(rows_valid <= b);
     debug_assert_eq!(bvals.len(), bcols.len() * b);
-    let n_cols = xs as isize;
+    let n_cols = (xi.len() / k) as isize;
     for (kb, &biased) in bcols.iter().enumerate() {
         let j0 = biased as isize - b as isize;
         let v = &bvals[kb * b..(kb + 1) * b];
-        let t_min = (-j0).max(0) as usize;
-        let t_max = rows_valid.min((n_cols - j0).max(0) as usize);
-        for t in 0..k {
-            let xcol = &x[t * xs..(t + 1) * xs];
-            for s in t_min..t_max {
+        let s_min = (-j0).max(0) as usize;
+        let s_max = rows_valid.min((n_cols - j0).max(0) as usize);
+        for (s, &a) in v.iter().enumerate().take(s_max).skip(s_min) {
+            let col = (j0 + s as isize) as usize;
+            for (t, &xv) in xi[col * k..(col + 1) * k].iter().enumerate() {
                 let yi = t * ys + y0 + s;
-                y[yi] = v[s].mul_add(xcol[(j0 + s as isize) as usize], y[yi]);
+                y[yi] = a.mul_add(xv, y[yi]);
             }
         }
     }
@@ -258,19 +262,27 @@ mod tests {
         assert_eq!(dot_run_scalar::<f64>(&[], &[]), 0.0);
     }
 
+    /// `k` column-major vectors of length `m` as `k`-tuples.
+    fn tuples(x: &[f64], k: usize) -> Vec<f64> {
+        spmv_core::multi::with_tuples(x, k, <[f64]>::to_vec)
+    }
+
     #[test]
     fn bcsr_multi_clipped_matches_per_column_single() {
         let bvals = test_vectors(2 * 6);
         let bcols = [2u32, 4]; // second block clips at column 6 of 7
         let xs = 7;
         let ys = 3;
-        let x: Vec<f64> = test_vectors(2 * xs);
-        let mut y = vec![0.0; 2 * ys];
-        bcsr_block_row_multi_clipped(2, 3, 2, &bvals, &bcols, &x, xs, &mut y, ys, 1, 2);
-        for t in 0..2 {
-            let mut yref = [0.0; 2];
-            bcsr_block_row_clipped(2, 3, &bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);
-            assert_eq!(&y[t * ys + 1..t * ys + 3], &yref, "column {t}");
+        for k in [2, 3, 8] {
+            let x: Vec<f64> = test_vectors(k * xs + 1)[1..].to_vec();
+            let mut y = vec![0.5; k * ys];
+            bcsr_block_row_tuples_clipped(2, 3, k, &bvals, &bcols, &tuples(&x, k), &mut y, ys, 1, 2);
+            for t in 0..k {
+                let mut yref = [0.5; 2];
+                bcsr_block_row_clipped(2, 3, &bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);
+                assert_eq!(&y[t * ys + 1..t * ys + 3], &yref, "k={k} column {t}");
+                assert_eq!(y[t * ys], 0.5, "rows outside the block row stay untouched");
+            }
         }
     }
 
@@ -280,13 +292,15 @@ mod tests {
         let bcols = biased(4, &[-2, 1, 4]); // left-clipped and right-clipped
         let xs = 6;
         let ys = 4;
-        let x: Vec<f64> = test_vectors(2 * xs);
-        let mut y = vec![0.0; 2 * ys];
-        bcsd_segment_multi_clipped(4, 2, &bvals, &bcols, &x, xs, &mut y, ys, 0, 3);
-        for t in 0..2 {
-            let mut yref = [0.0; 3];
-            bcsd_segment_clipped(4, &bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);
-            assert_eq!(&y[t * ys..t * ys + 3], &yref, "column {t}");
+        for k in [2, 5, 8] {
+            let x: Vec<f64> = test_vectors(k * xs + 3)[3..].to_vec();
+            let mut y = vec![0.25; k * ys];
+            bcsd_segment_tuples_clipped(4, k, &bvals, &bcols, &tuples(&x, k), &mut y, ys, 0, 3);
+            for t in 0..k {
+                let mut yref = [0.25; 3];
+                bcsd_segment_clipped(4, &bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);
+                assert_eq!(&y[t * ys..t * ys + 3], &yref, "k={k} column {t}");
+            }
         }
     }
 }

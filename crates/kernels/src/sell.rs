@@ -18,7 +18,15 @@
 //! vector load per lane group vs. scalar loads) and never the per-lane
 //! arithmetic, so scalar and SIMD kernels — and therefore SELL-C-σ and
 //! CSR — produce bitwise-identical results.
+//!
+//! **Multi-vector.** [`sell_slice_tuples`] reads `K` vectors as
+//! `K`-tuples (`xi[j * K + t]`, see [`spmv_core::multi`]): each stored
+//! element takes one contiguous tuple load into its lane's `K` chains,
+//! and padded slots are skipped by the same length guard. Each chain is
+//! the single-vector lane chain, so there is one core for both
+//! implementations.
 
+use crate::block::{in_passes, rows_per_pass};
 use crate::engine::{LaneEngine, ScalarEngine};
 use crate::simd::SimdScalar;
 use spmv_core::{Index, Scalar};
@@ -35,33 +43,31 @@ pub const SELL_HEIGHTS: [usize; 3] = [2, 4, 8];
 /// length of each lane.
 pub type SellSliceKernel<T> = fn(&[T], &[Index], &[Index], &[T], &mut [T]);
 
-/// A kernel processing one SELL slice against several input vectors:
-/// `kernel(vals, cols, lens, x, xstride, yslice)` assigns the chains for
-/// vector `t` into `yslice[t * C..(t + 1) * C]`; `x` holds `K`
-/// concatenated vectors of stride `xstride`.
-pub type SellSliceMultiKernel<T> = fn(&[T], &[Index], &[Index], &[T], usize, &mut [T]);
+/// A kernel processing one SELL slice against `K` input vectors read as
+/// `K`-tuples: `kernel(vals, cols, lens, xi, yslice)` assigns the chains
+/// for vector `t` into `yslice[t * C..(t + 1) * C]`.
+pub type SellSliceMultiKernel<T> = fn(&[T], &[Index], &[Index], &[T], &mut [T]);
 
-/// The generic SELL slice core: `C` lanes (rows) × `K` vectors.
+/// The single-vector SELL slice core: `C` lanes (rows).
 ///
 /// Walks the slice column-major (`j` outer, lane inner). Lane groups of
 /// `E::LANES` share one vector load of the value stream; lanes past the
 /// last full group (`C < E::LANES`) load scalar. Both paths feed the
 /// identical per-lane fused chain, so the engine choice never alters
 /// the result.
-pub fn sell_slice_core<T: Scalar, E: LaneEngine<T>, const C: usize, const K: usize>(
+fn sell_slice<T: Scalar, E: LaneEngine<T>, const C: usize>(
     vals: &[T],
     cols: &[Index],
     lens: &[Index],
     x: &[T],
-    xstride: usize,
     yslice: &mut [T],
 ) {
     debug_assert!(vals.len().is_multiple_of(C));
     debug_assert_eq!(cols.len(), vals.len());
     debug_assert_eq!(lens.len(), C);
-    debug_assert_eq!(yslice.len(), C * K);
+    debug_assert_eq!(yslice.len(), C);
     let width = vals.len() / C;
-    let mut acc = [[T::ZERO; K]; C];
+    let mut acc = [T::ZERO; C];
     for j in 0..width {
         let base = j * C;
         let mut l = 0;
@@ -73,9 +79,7 @@ pub fn sell_slice_core<T: Scalar, E: LaneEngine<T>, const C: usize, const K: usi
                 if j < lens[lane] as usize {
                     let a = E::lane(v, q);
                     let col = cols[base + lane] as usize;
-                    for t in 0..K {
-                        acc[lane][t] = a.mul_add(x[t * xstride + col], acc[lane][t]);
-                    }
+                    acc[lane] = a.mul_add(x[col], acc[lane]);
                 }
             }
             l += E::LANES;
@@ -85,29 +89,65 @@ pub fn sell_slice_core<T: Scalar, E: LaneEngine<T>, const C: usize, const K: usi
             if j < lens[l] as usize {
                 let a = vals[base + l];
                 let col = cols[base + l] as usize;
-                for t in 0..K {
-                    acc[l][t] = a.mul_add(x[t * xstride + col], acc[l][t]);
-                }
+                acc[l] = a.mul_add(x[col], acc[l]);
             }
             l += 1;
         }
     }
-    for (lane, a) in acc.iter().enumerate() {
-        for (t, &v) in a.iter().enumerate() {
-            yslice[t * C + lane] = v;
-        }
+    for (lane, &a) in acc.iter().enumerate() {
+        yslice[lane] = a;
     }
 }
 
-/// Single-vector wrapper over [`sell_slice_core`] with `K = 1`.
-fn sell_slice<T: Scalar, E: LaneEngine<T>, const C: usize>(
+/// The k-tuple SELL slice core: `C` lanes × `K` vectors, the lanes in
+/// passes ([`crate::block::rows_per_pass`]).
+pub fn sell_slice_tuples<T: Scalar, const C: usize, const K: usize>(
     vals: &[T],
     cols: &[Index],
     lens: &[Index],
-    x: &[T],
+    xi: &[T],
     yslice: &mut [T],
 ) {
-    sell_slice_core::<T, E, C, 1>(vals, cols, lens, x, 0, yslice);
+    debug_assert!(vals.len().is_multiple_of(C));
+    debug_assert_eq!(cols.len(), vals.len());
+    debug_assert_eq!(lens.len(), C);
+    debug_assert_eq!(yslice.len(), C * K);
+    let (tuples, _) = xi.as_chunks::<K>();
+    macro_rules! pass {
+        ($n:tt, $l0:expr) => {
+            sell_tuple_lanes::<T, C, K, $n>(vals, cols, lens, tuples, $l0, yslice)
+        };
+    }
+    in_passes!(C, K * size_of::<T>(), pass);
+}
+
+/// The `N` lanes `l0 .. l0 + N` of a SELL slice, column by column up to
+/// their longest row, each lane's chain guarded by its length.
+#[inline(always)]
+fn sell_tuple_lanes<T: Scalar, const C: usize, const K: usize, const N: usize>(
+    vals: &[T],
+    cols: &[Index],
+    lens: &[Index],
+    tuples: &[[T; K]],
+    l0: usize,
+    yslice: &mut [T],
+) {
+    let lens = &lens[l0..l0 + N];
+    let width = lens.iter().max().map_or(0, |&w| w as usize);
+    let mut acc = [[T::ZERO; K]; N];
+    for j in 0..width {
+        for (n, (sums, &len)) in acc.iter_mut().zip(lens).enumerate() {
+            if j < len as usize {
+                let a = vals[j * C + l0 + n];
+                T::mul_add_tuple(sums, a, &tuples[cols[j * C + l0 + n] as usize]);
+            }
+        }
+    }
+    for (n, sums) in acc.iter().enumerate() {
+        for (t, &s) in sums.iter().enumerate() {
+            yslice[t * C + l0 + n] = s;
+        }
+    }
 }
 
 macro_rules! dispatch_c {
@@ -130,24 +170,6 @@ fn sell_slice_kernel_engine<T: Scalar, E: LaneEngine<T>>(c: usize) -> Option<Sel
     dispatch_c!(c, apply)
 }
 
-fn sell_slice_multi_kernel_engine<T: Scalar, E: LaneEngine<T>>(
-    c: usize,
-    k: usize,
-) -> Option<SellSliceMultiKernel<T>> {
-    macro_rules! apply {
-        ($c:literal) => {
-            match k {
-                1 => Some(sell_slice_core::<T, E, $c, 1> as SellSliceMultiKernel<T>),
-                2 => Some(sell_slice_core::<T, E, $c, 2> as SellSliceMultiKernel<T>),
-                4 => Some(sell_slice_core::<T, E, $c, 4> as SellSliceMultiKernel<T>),
-                8 => Some(sell_slice_core::<T, E, $c, 8> as SellSliceMultiKernel<T>),
-                _ => None,
-            }
-        };
-    }
-    dispatch_c!(c, apply)
-}
-
 /// SELL slice kernel for `(c, imp)`, with the same transparent
 /// SIMD→scalar fallback as the block-kernel getters.
 ///
@@ -165,18 +187,21 @@ pub fn sell_slice_kernel<T: SimdScalar>(
     .unwrap_or_else(|| panic!("unsupported SELL slice height {c}"))
 }
 
-/// Multi-vector SELL slice kernel for `(c, k, imp)`; `None` when `k` is
-/// not a specialized count (callers chunk greedily, as with the block
-/// kernels).
-pub fn sell_slice_multi_kernel<T: SimdScalar>(
-    c: usize,
-    k: usize,
-    imp: crate::shapes::KernelImpl,
-) -> Option<SellSliceMultiKernel<T>> {
-    match imp {
-        crate::shapes::KernelImpl::Scalar => sell_slice_multi_kernel_engine::<T, ScalarEngine>(c, k),
-        crate::shapes::KernelImpl::Simd => sell_slice_multi_kernel_engine::<T, T::Engine>(c, k),
+/// K-tuple SELL slice kernel for `(c, k)`; `None` unless `k` is 2, 4 or
+/// 8 (callers chunk, as with the block kernels). One core serves both
+/// implementations: walking a lane's row leaves no value vector to load.
+pub fn sell_slice_multi_kernel<T: Scalar>(c: usize, k: usize) -> Option<SellSliceMultiKernel<T>> {
+    macro_rules! apply {
+        ($c:literal) => {
+            match k {
+                2 => Some(sell_slice_tuples::<T, $c, 2> as SellSliceMultiKernel<T>),
+                4 => Some(sell_slice_tuples::<T, $c, 4> as SellSliceMultiKernel<T>),
+                8 => Some(sell_slice_tuples::<T, $c, 8> as SellSliceMultiKernel<T>),
+                _ => None,
+            }
+        };
     }
+    dispatch_c!(c, apply)
 }
 
 #[cfg(test)]
@@ -257,17 +282,18 @@ mod tests {
         let lens: Vec<Index> = vec![4, 2, 0, 3];
         for lane in 0..c {
             for j in 0..lens[lane] as usize {
-                vals[j * c + lane] = (1 + lane * 5 + j) as f64 * 0.5;
+                vals[j * c + lane] = (1 + lane * 5 + j) as f64 * 0.3;
                 cols[j * c + lane] = ((lane + j * 2) % m) as Index;
             }
         }
-        for k in crate::MULTI_KS {
-            let x: Vec<f64> = (0..m * k).map(|i| 0.125 * (i as f64 + 1.0)).collect();
+        for k in [2, 4, 8] {
+            let x: Vec<f64> = (0..m * k).map(|i| 0.125 * (i as f64 + 1.0) / 3.0).collect();
+            let xi = spmv_core::multi::with_tuples(&x, k, <[f64]>::to_vec);
+            let multi = sell_slice_multi_kernel::<f64>(c, k).unwrap();
+            let mut ym = vec![f64::NAN; c * k];
+            multi(&vals, &cols, &lens, &xi, &mut ym);
             for imp in KernelImpl::ALL {
-                let multi = sell_slice_multi_kernel::<f64>(c, k, imp).unwrap();
                 let single = sell_slice_kernel::<f64>(c, imp);
-                let mut ym = vec![0.0f64; c * k];
-                multi(&vals, &cols, &lens, &x, m, &mut ym);
                 for t in 0..k {
                     let mut y1 = vec![0.0f64; c];
                     single(&vals, &cols, &lens, &x[t * m..(t + 1) * m], &mut y1);
@@ -281,8 +307,9 @@ mod tests {
                     );
                 }
             }
-            assert!(sell_slice_multi_kernel::<f64>(c, 3, KernelImpl::Scalar).is_none());
         }
+        assert!(sell_slice_multi_kernel::<f64>(c, 1).is_none());
+        assert!(sell_slice_multi_kernel::<f64>(c, 3).is_none());
     }
 
     #[test]

@@ -42,9 +42,11 @@
 //! Every dispatched chunk is timed. When the served matrix has a
 //! registered **expectation** ([`ServeEngine::expect`]: the publish
 //! version, a residual key, and the expected seconds per single-vector
-//! SpMV), the engine folds `(expected, measured_per_vector)` into its
-//! [`ResidualTracker`] tagged with the matrix id — the stream an online
-//! tuner drains to detect stale selections. Requests are stamped with
+//! SpMV), the engine folds `(expected, measured)` of each width-1 chunk
+//! into its [`ResidualTracker`] tagged with the matrix id — the stream an
+//! online tuner drains to detect stale selections. Wider chunks are not
+//! scored: a coalesced call costs less per vector than a single one, so
+//! its timing is not comparable with a single-vector expectation. Requests are stamped with
 //! the registry version they captured at submit, and a measurement is
 //! recorded only if that version still matches the expectation, so
 //! in-flight requests racing a hot-swap never poison the new version's
@@ -1000,7 +1002,9 @@ fn dispatch_chunk<T: SimdScalar>(shared: &EngineShared<T>, mut chunk: Chunk<T>) 
     let dispatch_secs = t0.elapsed().as_secs_f64();
     match y {
         Ok(y) => {
-            record_chunk_residual(shared, &chunk[0], k, dispatch_secs);
+            if k == 1 {
+                record_chunk_residual(shared, &chunk[0], dispatch_secs);
+            }
             // Count the batch before waking any waiter (same ordering
             // rule as `Pending::complete`).
             {
@@ -1024,16 +1028,15 @@ fn dispatch_chunk<T: SimdScalar>(shared: &EngineShared<T>, mut chunk: Chunk<T>) 
     }
 }
 
-/// Folds one successfully dispatched chunk into the residual stream:
-/// measured seconds per vector (`dispatch / k`, scaled by the injection
-/// seam) against the matrix's registered expectation — but only when the
-/// chunk's captured registry version still matches the expectation, so a
+/// Folds one successfully dispatched width-1 chunk into the residual
+/// stream: its measured seconds (scaled by the injection seam) against
+/// the matrix's registered expectation — but only when the request's
+/// captured registry version still matches the expectation, so a
 /// hot-swap never mixes the old format's timings into the new format's
 /// population.
 fn record_chunk_residual<T: SimdScalar>(
     shared: &EngineShared<T>,
     head: &Pending<T>,
-    k: usize,
     dispatch_secs: f64,
 ) {
     let exps = shared
@@ -1042,7 +1045,7 @@ fn record_chunk_residual<T: SimdScalar>(
         .unwrap_or_else(|e| e.into_inner());
     if let Some(e) = exps.get(&head.id.0) {
         if e.version == head.version {
-            let measured = dispatch_secs * shared.scale() / k as f64;
+            let measured = dispatch_secs * shared.scale();
             shared
                 .residuals
                 .record_for(head.id.0, &e.key, e.predicted, measured);
@@ -1408,5 +1411,39 @@ mod tests {
         // Bad scales are ignored.
         engine.set_residual_scale(f64::NAN);
         assert_eq!(engine.residual_scale(), 4.0);
+    }
+
+    #[test]
+    fn only_width_one_chunks_record_residuals() {
+        let (csr, registry, engine) = setup(
+            15,
+            EngineOptions {
+                start_paused: true,
+                ..EngineOptions::default()
+            },
+        );
+        let key = crate::residual_key_for(Config::CSR, spmv_model::Model::Overlap);
+        let v = registry.version_of(MatrixId(1)).unwrap();
+        engine.expect(MatrixId(1), v, key.clone(), 1e-6);
+        let x = vec![1.0; 15];
+        // Four requests queued while paused dispatch as one k = 4 chunk:
+        // replies arrive, but the coalesced timing is not scored.
+        let tickets: Vec<_> = (0..4)
+            .map(|_| engine.submit(MatrixId(1), x.clone()).unwrap())
+            .collect();
+        engine.resume();
+        assert_eq!(engine.fence(), 4);
+        for t in tickets {
+            assert_eq!(t.try_take().unwrap().unwrap(), csr.spmv(&x));
+        }
+        let report = engine.report();
+        assert_eq!(report.batches, 1);
+        assert_eq!(report.dispatches_by_k[2], (4, 1), "one k = 4 chunk");
+        assert!(engine.residuals().drain_events().is_empty());
+        assert!(engine.residuals().stats(&key).is_none());
+        // A lone request is a width-1 chunk and records one event.
+        engine.submit_wait(MatrixId(1), x).unwrap();
+        assert_eq!(engine.residuals().drain_events().len(), 1);
+        assert_eq!(engine.residuals().stats(&key).unwrap().n, 1);
     }
 }

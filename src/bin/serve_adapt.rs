@@ -323,13 +323,17 @@ fn main() {
     ));
 
     // Phase 2: structure drift. The "publisher" republishes a scattered
-    // matrix of the same dimensions under the OLD blocked config with
-    // its stale timing baseline — then the residuals must betray it.
+    // matrix of the same dimensions and mean row length under the OLD
+    // blocked config with its stale timing baseline — then the residuals
+    // must betray it. Blocking scattered entries stores several times
+    // the FEM matrix's values, so the drifted version runs measurably
+    // slower than the baseline; a sparser drift could run about as fast
+    // as the FEM matrix and never leave the detector's healthy band.
     let drifted: Arc<Csr<f64>> = Arc::new(
         GenSpec::Random {
             n,
             m: n,
-            nnz_per_row: 3,
+            nnz_per_row: fem.nnz() / n,
         }
         .build(opts.seed ^ 0xD81F7),
     );

@@ -4,17 +4,18 @@
 //! fixed integer-valued inputs and compared *bitwise*.
 //!
 //! Integer-valued inputs make every product and sum exact, so the SIMD
-//! variants and the multi-vector variants (which preserve the per-column
-//! accumulation order) must agree with the scalar single-vector kernel
-//! to the last bit; any deviation is a real indexing or ordering bug,
-//! not rounding.
+//! variants and the multi-vector variants (which read `x` as k-tuples
+//! and preserve the per-column accumulation order) must agree with the
+//! scalar single-vector kernel to the last bit; any deviation is a real
+//! indexing or ordering bug, not rounding.
 
 use blocked_spmv::kernels::registry::{
     bcsd_seg_kernel, bcsd_seg_multi_kernel, bcsr_row_kernel, bcsr_row_multi_kernel,
 };
 use blocked_spmv::kernels::simd::SimdScalar;
-use blocked_spmv::kernels::{BlockShape, KernelImpl, MULTI_KS};
+use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::Scalar;
+use blocked_spmv::core::multi::with_tuples;
 
 const NB: usize = 5; // blocks per row/segment
 const XLEN: usize = 64;
@@ -58,22 +59,23 @@ fn run_bcsr<T: SimdScalar>() {
         assert_eq!(want, got, "bcsr {shape} simd vs scalar");
 
         for imp in KernelImpl::ALL {
-            // Non-specialized vector counts have no kernel.
-            for k in [3usize, 5, 6, 7, 9] {
+            // Only the chunk widths 2, 4 and 8 have k-tuple kernels.
+            for k in [1usize, 3, 5, 6, 7, 9] {
                 assert!(
                     bcsr_row_multi_kernel::<T>(shape, k, imp).is_none(),
                     "bcsr {shape} k={k} {imp} should be unspecialized"
                 );
             }
-            for k in MULTI_KS {
+            for k in [2, 4, 8] {
                 let kern = bcsr_row_multi_kernel::<T>(shape, k, imp)
                     .unwrap_or_else(|| panic!("bcsr {shape} k={k} {imp} missing"));
-                // k input columns of stride XLEN; outputs of stride r+3
-                // starting at row y0, to exercise the stride arguments.
+                // k input columns of length XLEN, read as k-tuples;
+                // outputs of stride r+3 starting at row y0, to exercise
+                // the stride arguments.
                 let (ystride, y0) = (r + 3, 2usize);
                 let xs: Vec<T> = (0..k).flat_map(|t| xvec::<T>(t + 1)).collect();
                 let mut got = vec![T::from_f64(2.0); k * ystride];
-                kern(&vals, &cols, &xs, XLEN, &mut got, ystride, y0);
+                with_tuples(&xs, k, |xi| kern(&vals, &cols, xi, &mut got, ystride, y0));
                 for t in 0..k {
                     let mut want = vec![T::from_f64(2.0); r];
                     bcsr_row_kernel::<T>(shape, imp)(
@@ -113,20 +115,21 @@ fn run_bcsd<T: SimdScalar>() {
         bcsd_seg_kernel::<T>(b, KernelImpl::Simd)(&vals, &cols, &x, &mut got);
         assert_eq!(want, got, "bcsd {b} simd vs scalar");
 
-        for imp in KernelImpl::ALL {
-            for k in [3usize, 5, 6, 7, 9] {
-                assert!(
-                    bcsd_seg_multi_kernel::<T>(b, k, imp).is_none(),
-                    "bcsd {b} k={k} {imp} should be unspecialized"
-                );
-            }
-            for k in MULTI_KS {
-                let kern = bcsd_seg_multi_kernel::<T>(b, k, imp)
-                    .unwrap_or_else(|| panic!("bcsd {b} k={k} {imp} missing"));
-                let (ystride, y0) = (b + 2, 1usize);
-                let xs: Vec<T> = (0..k).flat_map(|t| xvec::<T>(t + 1)).collect();
-                let mut got = vec![T::from_f64(2.0); k * ystride];
-                kern(&vals, &cols, &xs, XLEN, &mut got, ystride, y0);
+        // One k-tuple core serves both implementations.
+        for k in [1usize, 3, 5, 6, 7, 9] {
+            assert!(
+                bcsd_seg_multi_kernel::<T>(b, k).is_none(),
+                "bcsd {b} k={k} should be unspecialized"
+            );
+        }
+        for k in [2, 4, 8] {
+            let kern = bcsd_seg_multi_kernel::<T>(b, k)
+                .unwrap_or_else(|| panic!("bcsd {b} k={k} missing"));
+            let (ystride, y0) = (b + 2, 1usize);
+            let xs: Vec<T> = (0..k).flat_map(|t| xvec::<T>(t + 1)).collect();
+            let mut got = vec![T::from_f64(2.0); k * ystride];
+            with_tuples(&xs, k, |xi| kern(&vals, &cols, xi, &mut got, ystride, y0));
+            for imp in KernelImpl::ALL {
                 for t in 0..k {
                     let mut want = vec![T::from_f64(2.0); b];
                     bcsd_seg_kernel::<T>(b, imp)(
