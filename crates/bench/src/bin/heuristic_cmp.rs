@@ -12,11 +12,9 @@ use spmv_bench::report::{f2, Table};
 use spmv_bench::Args;
 use spmv_core::MatrixShape;
 use spmv_gen::{random_vector, suite, Geometry};
-use spmv_model::timing::measure_spmv;
-use spmv_model::{
-    profile_dense, rank, select_bcsr_shape, BlockConfig, Config, Model,
-};
 use spmv_kernels::KernelImpl;
+use spmv_model::timing::measure_spmv;
+use spmv_model::{profile_dense, rank, select_bcsr_shape, BlockConfig, Config, Model};
 
 fn main() {
     let opts = Args::from_env().experiment_opts("heuristic_cmp", "");
@@ -55,10 +53,7 @@ fn main() {
                 (c, measure_spmv(&built, &x, opts.min_time, opts.batches))
             })
             .collect();
-        let best = reals
-            .iter()
-            .map(|&(_, t)| t)
-            .fold(f64::INFINITY, f64::min);
+        let best = reals.iter().map(|&(_, t)| t).fold(f64::INFINITY, f64::min);
         let real_of = |config: Config| -> f64 {
             reals
                 .iter()

@@ -6,7 +6,10 @@ use spmv_bench::Args;
 
 fn main() {
     let opts = Args::from_env().experiment_opts("table2", "");
-    eprintln!("sweeping {} configurations per matrix and precision ...", 106);
+    eprintln!(
+        "sweeping {} configurations per matrix and precision ...",
+        106
+    );
     let result = wins::run(&opts);
     println!("{}", wins::render_table2(&result));
     println!(

@@ -59,21 +59,30 @@ impl Args {
     /// Float option with default.
     pub fn get_f64(&self, name: &str, default: f64) -> f64 {
         self.get(name)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{name} expects a number")))
+            .map(|v| {
+                v.parse()
+                    .unwrap_or_else(|_| panic!("--{name} expects a number"))
+            })
             .unwrap_or(default)
     }
 
     /// Integer option with default.
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
         self.get(name)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{name} expects an integer")))
+            .map(|v| {
+                v.parse()
+                    .unwrap_or_else(|_| panic!("--{name} expects an integer"))
+            })
             .unwrap_or(default)
     }
 
     /// u64 option with default.
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
         self.get(name)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("--{name} expects an integer")))
+            .map(|v| {
+                v.parse()
+                    .unwrap_or_else(|_| panic!("--{name} expects an integer"))
+            })
             .unwrap_or(default)
     }
 

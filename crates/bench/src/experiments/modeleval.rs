@@ -69,11 +69,7 @@ impl ModelEvalResult {
         ];
         let n = self.per_matrix.len().max(1) as f64;
         for (mi, row) in out.iter_mut().enumerate() {
-            row.1 = self
-                .per_matrix
-                .iter()
-                .filter(|m| m.sel_correct[mi])
-                .count();
+            row.1 = self.per_matrix.iter().filter(|m| m.sel_correct[mi]).count();
             row.2 = self
                 .per_matrix
                 .iter()
@@ -101,8 +97,13 @@ impl ModelEvalResult {
 /// Calibrates the machine and kernel profile for the given working-set
 /// regime and returns them (exposed so binaries can reuse one
 /// calibration across precisions).
-pub fn calibrate<T: SimdScalar>(ws_hint_bytes: usize, opts: &ExpOpts) -> (MachineProfile, spmv_model::KernelProfile) {
-    let footprint = opts.calib_bytes.unwrap_or_else(|| ws_hint_bytes.max(8 << 20));
+pub fn calibrate<T: SimdScalar>(
+    ws_hint_bytes: usize,
+    opts: &ExpOpts,
+) -> (MachineProfile, spmv_model::KernelProfile) {
+    let footprint = opts
+        .calib_bytes
+        .unwrap_or_else(|| ws_hint_bytes.max(8 << 20));
     let machine = MachineProfile::detect_with(footprint);
     let profile = profile_kernels::<T>(
         &machine,
@@ -126,7 +127,10 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
         .collect();
 
     // Calibrate against the median evaluated working set.
-    let mut ws: Vec<usize> = matrices.iter().map(|(_, _, m)| m.working_set_bytes()).collect();
+    let mut ws: Vec<usize> = matrices
+        .iter()
+        .map(|(_, _, m)| m.working_set_bytes())
+        .collect();
     ws.sort_unstable();
     let ws_hint = ws.get(ws.len() / 2).copied().unwrap_or(8 << 20);
     let (machine, profile) = calibrate::<T>(ws_hint, opts);
@@ -142,7 +146,12 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
         // Real times for the whole model-space.
         let reals: Vec<(Config, f64)> = configs
             .iter()
-            .map(|&c| (c, measure_spmv(&c.build(csr), &x, opts.min_time, opts.batches)))
+            .map(|&c| {
+                (
+                    c,
+                    measure_spmv(&c.build(csr), &x, opts.min_time, opts.batches),
+                )
+            })
             .collect();
         let (best_config, best_real) = reals
             .iter()
@@ -204,7 +213,10 @@ pub fn run<T: SimdScalar>(opts: &ExpOpts) -> ModelEvalResult {
 pub fn render_figure3(result: &ModelEvalResult) -> Table {
     let dist = result.mean_abs_dist();
     let mut t = Table::new(vec![
-        "Matrix", "t_mem/t_real", "t_memcomp/t_real", "t_overlap/t_real",
+        "Matrix",
+        "t_mem/t_real",
+        "t_memcomp/t_real",
+        "t_overlap/t_real",
     ])
     .title(format!(
         "Figure 3 ({}): mean predicted/real per matrix | mean |pred-real|/real: \
@@ -262,8 +274,8 @@ pub fn render_table4(results: &[&ModelEvalResult]) -> Table {
         headers.push(format!("#correct ({})", r.precision.label()));
         headers.push(format!("off best ({})", r.precision.label()));
     }
-    let mut t = Table::new(headers)
-        .title("Table IV: optimal selections per model and distance from best");
+    let mut t =
+        Table::new(headers).title("Table IV: optimal selections per model and distance from best");
     for (mi, model) in Model::ALL.into_iter().enumerate() {
         let mut row = vec![model.label().to_string()];
         for r in results {
@@ -302,7 +314,9 @@ mod tests {
             }
         }
         let t4 = res.table4_rows();
-        assert!(t4.iter().all(|&(_, correct, off)| correct <= 2 && off >= -1e-12));
+        assert!(t4
+            .iter()
+            .all(|&(_, correct, off)| correct <= 2 && off >= -1e-12));
         // Render without panicking.
         let _ = render_figure3(&res).to_string();
         let _ = render_figure4(&res).to_string();
@@ -313,7 +327,10 @@ mod tests {
         assert!(!tracker.is_empty());
         let table = render_residuals();
         for needle in ["MEM", "OVERLAP", "CSR", "BCSR", "scalar"] {
-            assert!(table.contains(needle), "residual table misses {needle}:\n{table}");
+            assert!(
+                table.contains(needle),
+                "residual table misses {needle}:\n{table}"
+            );
         }
     }
 

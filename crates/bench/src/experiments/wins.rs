@@ -7,12 +7,10 @@
 //! double-precision scalar configuration.
 
 use crate::report::{f2, Table};
-use crate::sweep::{
-    build_both, column_label, ExpOpts, MatrixSweep, SpeedupStats, COLUMNS,
-};
+use crate::sweep::{build_both, column_label, ExpOpts, MatrixSweep, SpeedupStats, COLUMNS};
 use spmv_formats::FormatKind;
-use spmv_kernels::KernelImpl;
 use spmv_gen::{suite, Geometry};
+use spmv_kernels::KernelImpl;
 use std::collections::BTreeMap;
 
 /// Per-matrix sweep outcome.
@@ -97,9 +95,8 @@ impl WinsResult {
 pub fn render_table2(result: &WinsResult) -> Table {
     let mut headers = vec!["Method/Configuration".to_string()];
     headers.extend(COLUMNS.iter().map(|&(p, s)| column_label(p, s)));
-    let mut t = Table::new(headers).title(
-        "Table II: matrices won per format and configuration (specials excluded)",
-    );
+    let mut t = Table::new(headers)
+        .title("Table II: matrices won per format and configuration (specials excluded)");
     let counts = result.win_counts();
     for kind in FormatKind::EVALUATED {
         let c = counts.get(&kind).copied().unwrap_or([0; 4]);

@@ -205,10 +205,7 @@ pub struct SpeedupStats {
 
 /// Builds the suite matrix `entry` at both precisions from one `f64`
 /// build.
-pub fn build_both(
-    entry: &spmv_gen::SuiteMatrix,
-    seed: u64,
-) -> (Csr<f64>, Csr<f32>) {
+pub fn build_both(entry: &spmv_gen::SuiteMatrix, seed: u64) -> (Csr<f64>, Csr<f32>) {
     let m64 = entry.build(seed);
     let m32 = m64.cast::<f32>();
     (m64, m32)
@@ -225,11 +222,7 @@ pub const COLUMNS: [(Precision, bool); 4] = [
 
 /// Label of a configuration column (`"dp-simd"` etc.).
 pub fn column_label(precision: Precision, simd: bool) -> String {
-    format!(
-        "{}{}",
-        precision.label(),
-        if simd { "-simd" } else { "" }
-    )
+    format!("{}{}", precision.label(), if simd { "-simd" } else { "" })
 }
 
 #[cfg(test)]

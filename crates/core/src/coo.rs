@@ -160,16 +160,14 @@ mod tests {
 
     #[test]
     fn duplicates_are_summed() {
-        let coo =
-            Coo::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 0, 2.0), (1, 1, 3.0)]).unwrap();
+        let coo = Coo::from_triplets(2, 2, vec![(0, 0, 1.0), (0, 0, 2.0), (1, 1, 3.0)]).unwrap();
         let merged = coo.into_sorted_dedup();
         assert_eq!(merged, vec![(0, 0, 3.0), (1, 1, 3.0)]);
     }
 
     #[test]
     fn merged_zeros_are_dropped() {
-        let coo = Coo::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 0, -1.0), (0, 1, 2.0)])
-            .unwrap();
+        let coo = Coo::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 0, -1.0), (0, 1, 2.0)]).unwrap();
         let merged = coo.into_sorted_dedup();
         assert_eq!(merged, vec![(0, 1, 2.0)]);
     }

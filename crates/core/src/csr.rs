@@ -425,8 +425,12 @@ mod tests {
         // [0 0 0]
         // [3 4 0]
         Csr::from_coo(
-            &Coo::from_triplets(3, 3, vec![(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)])
-                .unwrap(),
+            &Coo::from_triplets(
+                3,
+                3,
+                vec![(0, 0, 1.0), (0, 2, 2.0), (2, 0, 3.0), (2, 1, 4.0)],
+            )
+            .unwrap(),
         )
     }
 
@@ -559,9 +563,15 @@ mod tests {
         // 0-row shape where `n_rows + 1 == 1 != 0`.
         for n_rows in [0usize, 2] {
             let bad = Csr::<f64>::from_raw(n_rows, 2, vec![], vec![], vec![]);
-            assert!(matches!(bad, Err(Error::InvalidStructure(_))), "{n_rows} rows");
+            assert!(
+                matches!(bad, Err(Error::InvalidStructure(_))),
+                "{n_rows} rows"
+            );
             let bad = Csr::<f64>::from_raw_unchecked(n_rows, 2, vec![], vec![], vec![]);
-            assert!(matches!(bad, Err(Error::InvalidStructure(_))), "{n_rows} rows");
+            assert!(
+                matches!(bad, Err(Error::InvalidStructure(_))),
+                "{n_rows} rows"
+            );
         }
     }
 

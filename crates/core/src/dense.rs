@@ -49,7 +49,9 @@ impl<T: Scalar> DenseMatrix<T> {
     /// as the profiling workload (every entry nonzero, values bounded so
     /// sums stay exact in both precisions).
     pub fn profiling(n_rows: usize, n_cols: usize) -> Self {
-        Self::from_fn(n_rows, n_cols, |i, j| T::from_f64(1.0 + ((i + j) % 7) as f64))
+        Self::from_fn(n_rows, n_cols, |i, j| {
+            T::from_f64(1.0 + ((i + j) % 7) as f64)
+        })
     }
 
     /// Element accessor.

@@ -124,7 +124,9 @@ impl Scalar for f32 {
     fn mul_add_tuple<const K: usize>(acc: &mut [f32; K], a: f32, x: &[f32; K]) {
         #[cfg(target_arch = "x86_64")]
         if K.is_multiple_of(4) {
-            use core::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps};
+            use core::arch::x86_64::{
+                _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps,
+            };
             // SAFETY: SSE2 is part of the x86-64 baseline, and every
             // four-lane access starts at `u + 4 <= K`.
             unsafe {
@@ -177,7 +179,9 @@ impl Scalar for f64 {
     fn mul_add_tuple<const K: usize>(acc: &mut [f64; K], a: f64, x: &[f64; K]) {
         #[cfg(target_arch = "x86_64")]
         if K.is_multiple_of(2) {
-            use core::arch::x86_64::{_mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_storeu_pd};
+            use core::arch::x86_64::{
+                _mm_add_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_storeu_pd,
+            };
             // SAFETY: SSE2 is part of the x86-64 baseline, and every
             // two-lane access starts at `u + 2 <= K`.
             unsafe {

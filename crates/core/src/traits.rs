@@ -82,7 +82,11 @@ pub trait SpMvMulti<T: Scalar>: SpMv<T> {
     fn spmv_multi_into(&self, x: &[T], y: &mut [T], k: usize) {
         check_spmv_multi_dims(self, x, y, k);
         let (m, n) = (self.n_cols(), self.n_rows());
-        for (xs, ys) in x.chunks_exact(m.max(1)).zip(y.chunks_exact_mut(n.max(1))).take(k) {
+        for (xs, ys) in x
+            .chunks_exact(m.max(1))
+            .zip(y.chunks_exact_mut(n.max(1)))
+            .take(k)
+        {
             self.spmv_into(xs, ys);
         }
         // Degenerate extents (m == 0 or n == 0) stream nothing; the only
@@ -130,7 +134,12 @@ pub fn check_spmv_dims<T: Scalar, M: MatrixShape>(m: &M, x: &[T], y: &[T]) {
 /// Asserts the multi-vector block dimensions; shared by all
 /// `spmv_multi_into` implementations so the panic message is uniform.
 #[inline]
-pub fn check_spmv_multi_dims<T: Scalar, M: MatrixShape + ?Sized>(m: &M, x: &[T], y: &[T], k: usize) {
+pub fn check_spmv_multi_dims<T: Scalar, M: MatrixShape + ?Sized>(
+    m: &M,
+    x: &[T],
+    y: &[T],
+    k: usize,
+) {
     assert!(k > 0, "k must be at least 1");
     assert_eq!(
         x.len(),

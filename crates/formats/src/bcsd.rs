@@ -195,10 +195,7 @@ impl<T: SimdScalar> Bcsd<T> {
                     let row = s * b + t;
                     let col = j0 + t as i64;
                     let v = self.bval[k * b + t];
-                    if row < self.n_rows
-                        && (0..self.n_cols as i64).contains(&col)
-                        && v != T::ZERO
-                    {
+                    if row < self.n_rows && (0..self.n_cols as i64).contains(&col) && v != T::ZERO {
                         coo.push(row, col as usize, v).expect("inside matrix");
                     }
                 }
@@ -368,7 +365,10 @@ impl<T: SimdScalar> SpMvMultiAcc<T> for Bcsd<T> {
                 continue;
             }
             let y0 = s * b;
-            let (bvals, bcols) = (&self.bval[start * b..end * b], &self.bcol_biased[start..end]);
+            let (bvals, bcols) = (
+                &self.bval[start * b..end * b],
+                &self.bcol_biased[start..end],
+            );
             if y0 + b <= n {
                 let mut lo = 0;
                 while lo < bcols.len() && (bcols[lo] as usize) < b {
@@ -479,8 +479,7 @@ mod tests {
     fn left_edge_negative_start_columns() {
         // Element (3, 0) in a b=4 segment has t=3, so its block starts at
         // column -3 and is clipped to a single in-matrix position.
-        let csr =
-            Csr::from_coo(&Coo::from_triplets(4, 4, vec![(3, 0, 7.0)]).unwrap());
+        let csr = Csr::from_coo(&Coo::from_triplets(4, 4, vec![(3, 0, 7.0)]).unwrap());
         let bcsd = Bcsd::from_csr(&csr, 4, KernelImpl::Scalar);
         bcsd.validate().unwrap();
         assert_eq!(bcsd.n_blocks(), 1);

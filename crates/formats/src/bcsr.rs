@@ -335,9 +335,7 @@ impl<T: SimdScalar> Bcsr<T> {
                 // the right edge (starts are sorted, so they are a suffix).
                 let yrow = &mut y[y0..y0 + r];
                 let mut fast_end = end;
-                while fast_end > start
-                    && self.bcol_start[fast_end - 1] as usize + c > self.n_cols
-                {
+                while fast_end > start && self.bcol_start[fast_end - 1] as usize + c > self.n_cols {
                     fast_end -= 1;
                 }
                 if fast_end > start {
@@ -434,7 +432,10 @@ impl<T: SimdScalar> SpMvMultiAcc<T> for Bcsr<T> {
                 continue;
             }
             let y0 = rb * r;
-            let (bvals, bcols) = (&self.bval[start * rc..end * rc], &self.bcol_start[start..end]);
+            let (bvals, bcols) = (
+                &self.bval[start * rc..end * rc],
+                &self.bcol_start[start..end],
+            );
             if y0 + r <= n {
                 let mut fast = end - start;
                 while fast > 0 && bcols[fast - 1] as usize + c > m {
@@ -504,10 +505,7 @@ mod tests {
                 bcsr.validate().unwrap();
                 let got = bcsr.spmv(&x);
                 for (a, b) in want.iter().zip(&got) {
-                    assert!(
-                        (a - b).abs() < 1e-9,
-                        "shape {shape} imp {imp}: {a} vs {b}"
-                    );
+                    assert!((a - b).abs() < 1e-9, "shape {shape} imp {imp}: {a} vs {b}");
                 }
             }
         }
@@ -546,9 +544,7 @@ mod tests {
     fn alignment_forces_padding() {
         // A single 1x2 run at an odd column must be split by alignment
         // into two padded blocks, but fits one unaligned block.
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(1, 6, vec![(0, 1, 1.0), (0, 2, 1.0)]).unwrap(),
-        );
+        let csr = Csr::from_coo(&Coo::from_triplets(1, 6, vec![(0, 1, 1.0), (0, 2, 1.0)]).unwrap());
         let shape = BlockShape::new(1, 2).unwrap();
         let aligned = Bcsr::from_csr(&csr, shape, KernelImpl::Scalar);
         let unaligned = Bcsr::from_csr_with(&csr, shape, KernelImpl::Scalar, false);
@@ -604,7 +600,10 @@ mod tests {
     #[test]
     fn multi_matches_per_column_spmv() {
         let csr = fixture_csr(23, 31, 7);
-        for shape in [BlockShape::new(2, 2).unwrap(), BlockShape::new(3, 2).unwrap()] {
+        for shape in [
+            BlockShape::new(2, 2).unwrap(),
+            BlockShape::new(3, 2).unwrap(),
+        ] {
             for imp in KernelImpl::ALL {
                 let bcsr = Bcsr::from_csr(&csr, shape, imp);
                 // k = 7 exercises the 4 + 2 + 1 greedy chunking.

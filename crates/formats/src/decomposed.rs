@@ -198,8 +198,16 @@ impl<T: SimdScalar> BcsdDec<T> {
         }
 
         let main_nnz = bval.len();
-        let main =
-            Bcsd::from_parts(n_rows, n_cols, b, imp, brow_ptr, bcol_biased, bval, main_nnz);
+        let main = Bcsd::from_parts(
+            n_rows,
+            n_cols,
+            b,
+            imp,
+            brow_ptr,
+            bcol_biased,
+            bval,
+            main_nnz,
+        );
         Decomposed {
             main,
             rest: Csr::from_coo(&rest),
@@ -228,11 +236,7 @@ where
     where
         M: ToCsrPart<T>,
     {
-        let mut coo = Coo::with_capacity(
-            self.main.n_rows(),
-            self.main.n_cols(),
-            self.nnz_stored(),
-        );
+        let mut coo = Coo::with_capacity(self.main.n_rows(), self.main.n_cols(), self.nnz_stored());
         for (i, j, v) in self.main.to_csr_part().iter() {
             coo.push(i, j, v).expect("inside matrix");
         }
@@ -244,9 +248,7 @@ where
 
     /// Checks dimension agreement between the two submatrices.
     pub fn validate(&self) -> Result<()> {
-        if self.main.n_rows() != self.rest.n_rows()
-            || self.main.n_cols() != self.rest.n_cols()
-        {
+        if self.main.n_rows() != self.rest.n_rows() || self.main.n_cols() != self.rest.n_cols() {
             return Err(spmv_core::Error::InvalidStructure(
                 "decomposed submatrices disagree on dimensions".into(),
             ));
@@ -444,8 +446,16 @@ mod tests {
                 let got_d = ddec.spmv_multi(&x, k);
                 for t in 0..k {
                     let xs = &x[t * 27..(t + 1) * 27];
-                    assert_eq!(got_b[t * 22..(t + 1) * 22], bdec.spmv(xs), "bcsr k={k} t={t}");
-                    assert_eq!(got_d[t * 22..(t + 1) * 22], ddec.spmv(xs), "bcsd k={k} t={t}");
+                    assert_eq!(
+                        got_b[t * 22..(t + 1) * 22],
+                        bdec.spmv(xs),
+                        "bcsr k={k} t={t}"
+                    );
+                    assert_eq!(
+                        got_d[t * 22..(t + 1) * 22],
+                        ddec.spmv(xs),
+                        "bcsd k={k} t={t}"
+                    );
                 }
             }
         }

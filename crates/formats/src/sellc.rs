@@ -106,7 +106,11 @@ impl<T: SimdScalar> SellCSigma<T> {
         // keeps equal-length rows in original order, which pins the
         // permutation (and therefore the bitwise output of any
         // row-order-sensitive consumer) uniquely.
-        let sigma_eff = if sigma == SELL_SIGMA_FULL { n_rows.max(1) } else { sigma };
+        let sigma_eff = if sigma == SELL_SIGMA_FULL {
+            n_rows.max(1)
+        } else {
+            sigma
+        };
         let mut perm: Vec<Index> = (0..n_rows as Index).collect();
         for w0 in (0..n_rows).step_by(sigma_eff) {
             let w1 = (w0 + sigma_eff).min(n_rows);
@@ -263,7 +267,9 @@ impl<T: SimdScalar> SellCSigma<T> {
             return Err(Error::InvalidStructure("slice_ptr endpoints wrong".into()));
         }
         if self.lens.len() != n_slices * self.c {
-            return Err(Error::InvalidStructure("one length per lane required".into()));
+            return Err(Error::InvalidStructure(
+                "one length per lane required".into(),
+            ));
         }
         if self.col.len() != self.val.len() {
             return Err(Error::InvalidStructure("col and val lengths differ".into()));
@@ -483,7 +489,11 @@ mod tests {
     fn sigma_one_is_identity_permutation() {
         let csr = fixture_csr(17, 13, 5);
         let sell = SellCSigma::from_csr(&csr, 4, 1, KernelImpl::Scalar);
-        assert!(sell.perm().iter().enumerate().all(|(p, &r)| p == r as usize));
+        assert!(sell
+            .perm()
+            .iter()
+            .enumerate()
+            .all(|(p, &r)| p == r as usize));
     }
 
     #[test]
@@ -514,7 +524,11 @@ mod tests {
                 let got = sell.spmv_multi(&x, k);
                 for t in 0..k {
                     let xcol = &x[t * 15..(t + 1) * 15];
-                    assert_eq!(got[t * 19..(t + 1) * 19], sell.spmv(xcol), "k={k} t={t} {imp}");
+                    assert_eq!(
+                        got[t * 19..(t + 1) * 19],
+                        sell.spmv(xcol),
+                        "k={k} t={t} {imp}"
+                    );
                 }
             }
         }

@@ -303,7 +303,13 @@ mod tests {
             &Coo::from_triplets(
                 1,
                 10,
-                vec![(0, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0), (0, 4, 1.0), (0, 5, 1.0)],
+                vec![
+                    (0, 0, 1.0),
+                    (0, 1, 1.0),
+                    (0, 2, 1.0),
+                    (0, 4, 1.0),
+                    (0, 5, 1.0),
+                ],
             )
             .unwrap(),
         );
@@ -380,9 +386,7 @@ mod tests {
 
     #[test]
     fn empty_rows_and_empty_matrix() {
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(4, 4, vec![(1, 1, 5.0)]).unwrap(),
-        );
+        let csr = Csr::from_coo(&Coo::from_triplets(4, 4, vec![(1, 1, 5.0)]).unwrap());
         let vbl = Vbl::from_csr(&csr, KernelImpl::Scalar);
         vbl.validate().unwrap();
         assert_eq!(vbl.spmv(&[1.0; 4]), vec![0.0, 5.0, 0.0, 0.0]);
@@ -425,9 +429,7 @@ mod tests {
 
     #[test]
     fn spmv_acc_accumulates() {
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(2, 2, vec![(0, 0, 3.0), (1, 1, 4.0)]).unwrap(),
-        );
+        let csr = Csr::from_coo(&Coo::from_triplets(2, 2, vec![(0, 0, 3.0), (1, 1, 4.0)]).unwrap());
         let vbl = Vbl::from_csr(&csr, KernelImpl::Scalar);
         let mut y = vec![1.0, 1.0];
         vbl.spmv_acc(&[1.0, 1.0], &mut y);

@@ -444,9 +444,7 @@ mod tests {
 
     #[test]
     fn empty_rows_are_their_own_partition() {
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(4, 4, vec![(0, 0, 1.0), (3, 3, 2.0)]).unwrap(),
-        );
+        let csr = Csr::from_coo(&Coo::from_triplets(4, 4, vec![(0, 0, 1.0), (3, 3, 2.0)]).unwrap());
         let vbr = Vbr::from_csr(&csr);
         vbr.validate().unwrap();
         let x = vec![2.0; 4];

@@ -116,8 +116,16 @@ pub fn analyze<T: Scalar>(csr: &Csr<T>) -> MatrixAnalysis {
         },
         max_row_nnz,
         bandwidth,
-        diagonal_fraction: if nnz == 0 { 0.0 } else { diag as f64 / nnz as f64 },
-        avg_run_length: if runs == 0 { 0.0 } else { nnz as f64 / runs as f64 },
+        diagonal_fraction: if nnz == 0 {
+            0.0
+        } else {
+            diag as f64 / nnz as f64
+        },
+        avg_run_length: if runs == 0 {
+            0.0
+        } else {
+            nnz as f64 / runs as f64
+        },
         pattern_symmetric,
     }
 }
@@ -138,7 +146,13 @@ mod tests {
             &Coo::from_triplets(
                 4,
                 4,
-                vec![(0, 0, 1.0), (0, 1, 1.0), (1, 3, 1.0), (3, 0, 1.0), (3, 3, 1.0)],
+                vec![
+                    (0, 0, 1.0),
+                    (0, 1, 1.0),
+                    (1, 3, 1.0),
+                    (3, 0, 1.0),
+                    (3, 3, 1.0),
+                ],
             )
             .unwrap(),
         );
@@ -166,23 +180,27 @@ mod tests {
 
     #[test]
     fn power_law_has_high_skew() {
-        let a = analyze(&GenSpec::PowerLaw {
-            n: 600,
-            avg_deg: 5,
-            alpha: 1.7,
-        }
-        .build(2));
+        let a = analyze(
+            &GenSpec::PowerLaw {
+                n: 600,
+                avg_deg: 5,
+                alpha: 1.7,
+            }
+            .build(2),
+        );
         assert!(a.row_skew() > 3.0, "skew = {}", a.row_skew());
     }
 
     #[test]
     fn fem_blocks_have_long_runs() {
-        let a = analyze(&GenSpec::FemBlocks {
-            nodes: 50,
-            dof: 3,
-            neighbors: 5,
-        }
-        .build(1));
+        let a = analyze(
+            &GenSpec::FemBlocks {
+                nodes: 50,
+                dof: 3,
+                neighbors: 5,
+            }
+            .build(1),
+        );
         assert!(
             a.avg_run_length >= 3.0,
             "3-dof FEM rows must run in multiples of 3, got {}",
@@ -193,11 +211,13 @@ mod tests {
 
     #[test]
     fn circuit_has_full_diagonal_and_symmetry() {
-        let a = analyze(&GenSpec::Circuit {
-            n: 120,
-            off_per_row: 2,
-        }
-        .build(4));
+        let a = analyze(
+            &GenSpec::Circuit {
+                n: 120,
+                off_per_row: 2,
+            }
+            .build(4),
+        );
         assert!(a.pattern_symmetric, "nodal stamps are symmetric");
         assert!(a.diagonal_fraction > 0.1);
         assert_eq!(a.empty_rows, 0);
@@ -210,13 +230,15 @@ mod tests {
         assert_eq!(a.avg_run_length, 0.0);
         assert!(a.pattern_symmetric); // vacuously square
 
-        let rect = analyze(&GenSpec::Lp {
-            rows: 10,
-            cols: 50,
-            runs_per_row: 2,
-            run_len: 3,
-        }
-        .build(1));
+        let rect = analyze(
+            &GenSpec::Lp {
+                rows: 10,
+                cols: 50,
+                runs_per_row: 2,
+                run_len: 3,
+            }
+            .build(1),
+        );
         assert!(!rect.pattern_symmetric, "rectangular is never symmetric");
     }
 

@@ -531,7 +531,10 @@ mod tests {
         // Every stored entry belongs to a full aligned 3x1 (and 1x3)
         // block — the search-space shapes that tile the natural 3x3
         // node-coupling blocks.
-        for shape in [BlockShape::new(3, 1).unwrap(), BlockShape::new(1, 3).unwrap()] {
+        for shape in [
+            BlockShape::new(3, 1).unwrap(),
+            BlockShape::new(1, 3).unwrap(),
+        ] {
             let st = bcsr_dec_stats(&csr, shape);
             assert_eq!(st.rest_nnz, 0, "FEM generator must emit pure 3x3 blocks");
             assert_eq!(st.stored, csr.nnz());

@@ -194,9 +194,8 @@ pub fn read<T: Scalar, R: BufRead>(mut reader: R) -> Result<Csr<T>, MmError> {
                 .and_then(|s| s.parse::<f64>().ok())
                 .ok_or_else(|| parse_err(lineno, "bad value"))?,
         };
-        coo.push(i - 1, j - 1, T::from_f64(v)).map_err(|e| {
-            parse_err(lineno, &e.to_string())
-        })?;
+        coo.push(i - 1, j - 1, T::from_f64(v))
+            .map_err(|e| parse_err(lineno, &e.to_string()))?;
         match symmetry {
             Symmetry::General => {}
             Symmetry::Symmetric if i != j => {
@@ -238,12 +237,7 @@ mod tests {
 
     fn sample() -> Csr<f64> {
         Csr::from_coo(
-            &Coo::from_triplets(
-                3,
-                4,
-                vec![(0, 0, 1.5), (0, 3, -2.0), (2, 1, 0.25)],
-            )
-            .unwrap(),
+            &Coo::from_triplets(3, 4, vec![(0, 0, 1.5), (0, 3, -2.0), (2, 1, 0.25)]).unwrap(),
         )
     }
 
@@ -289,10 +283,9 @@ mod tests {
             "%%MatrixMarket matrix coordinate complex general\n1 1 0\n".as_bytes()
         )
         .is_err());
-        assert!(read::<f64, _>(
-            "%%MatrixMarket matrix array real general\n1 1\n".as_bytes()
-        )
-        .is_err());
+        assert!(
+            read::<f64, _>("%%MatrixMarket matrix array real general\n1 1\n".as_bytes()).is_err()
+        );
     }
 
     #[test]
@@ -329,9 +322,7 @@ mod tests {
     fn rejects_overflowing_indices_and_counts() {
         // Numbers that do not fit usize fail the parse, they do not wrap.
         let huge = "99999999999999999999999999999";
-        let text = format!(
-            "%%MatrixMarket matrix coordinate real general\n2 2 1\n{huge} 1 1.0\n"
-        );
+        let text = format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n{huge} 1 1.0\n");
         assert!(matches!(
             read::<f64, _>(text.as_bytes()).unwrap_err(),
             MmError::Parse { line: 3, .. }
@@ -399,7 +390,8 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_are_skipped() {
-        let text = "%%MatrixMarket matrix coordinate real general\n% a\n\n% b\n2 2 1\n% mid\n1 2 7.0\n";
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n% a\n\n% b\n2 2 1\n% mid\n1 2 7.0\n";
         let csr: Csr<f64> = read(text.as_bytes()).unwrap();
         assert_eq!(csr.to_dense().get(0, 1), 7.0);
     }

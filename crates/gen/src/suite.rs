@@ -75,36 +75,332 @@ pub fn suite(scale: f64) -> Vec<SuiteMatrix> {
         spec,
     };
     vec![
-        e(1, "dense", "special", Special, Dense { n: s2(180, scale), m: s2(180, scale) }),
-        e(2, "random", "special", Special, Random { n: s(30_000, scale), m: s(30_000, scale), nnz_per_row: 8 }),
-        e(3, "cfd2", "CFD", NonGeometric, Banded { n: s(22_000, scale), bandwidth: 40, fill: 0.30 }),
-        e(4, "parabolic_fem", "CFD", NonGeometric, Stencil2d { nx: s2(170, scale), ny: s2(170, scale) }),
-        e(5, "Ga41As41H72", "Chemistry", NonGeometric, ClusteredRandom { n: s(8_000, scale), m: s(8_000, scale), runs_per_row: 9, run_len: 4 }),
-        e(6, "ASIC_680k", "Circuit", NonGeometric, Circuit { n: s(30_000, scale), off_per_row: 2 }),
-        e(7, "G3_circuit", "Circuit", NonGeometric, Circuit { n: s(50_000, scale), off_per_row: 1 }),
-        e(8, "Hamrle3", "Circuit", NonGeometric, DiagRuns { n: s(40_000, scale), n_diags: 4 }),
-        e(9, "rajat31", "Circuit", NonGeometric, Circuit { n: s(55_000, scale), off_per_row: 2 }),
-        e(10, "cage15", "Graph", NonGeometric, Banded { n: s(30_000, scale), bandwidth: 30, fill: 0.30 }),
-        e(11, "wb-edu", "Graph", NonGeometric, PowerLaw { n: s(50_000, scale), avg_deg: 6, alpha: 1.9 }),
-        e(12, "wikipedia", "Graph", NonGeometric, PowerLaw { n: s(35_000, scale), avg_deg: 12, alpha: 1.6 }),
-        e(13, "degme", "Lin. Prog.", NonGeometric, Lp { rows: s(8_000, scale), cols: s(12_000, scale), runs_per_row: 3, run_len: 4 }),
-        e(14, "rail4284", "Lin. Prog.", NonGeometric, Lp { rows: s(1_500, scale), cols: s(50_000, scale), runs_per_row: 40, run_len: 8 }),
-        e(15, "spal_004", "Lin. Prog.", NonGeometric, Lp { rows: s(4_000, scale), cols: s(32_000, scale), runs_per_row: 35, run_len: 4 }),
-        e(16, "bone010", "Other", NonGeometric, FemBlocks { nodes: s(10_000, scale), dof: 3, neighbors: 11 }),
-        e(17, "kkt_power", "Power", Geometric, Circuit { n: s(55_000, scale), off_per_row: 1 }),
-        e(18, "largebasis", "Opt.", Geometric, DiagRuns { n: s(30_000, scale), n_diags: 12 }),
-        e(19, "TSOPF_RS", "Opt.", Geometric, ClusteredRandom { n: s(1_500, scale), m: s(1_500, scale), runs_per_row: 40, run_len: 8 }),
-        e(20, "af_shell10", "Struct.", Geometric, FemBlocks { nodes: s(12_000, scale), dof: 3, neighbors: 5 }),
-        e(21, "audikw_1", "Struct.", Geometric, FemBlocks { nodes: s(8_000, scale), dof: 3, neighbors: 12 }),
-        e(22, "F1", "Struct.", Geometric, FemBlocks { nodes: s(8_000, scale), dof: 3, neighbors: 13 }),
-        e(23, "fdiff", "Struct.", Geometric, Stencil3d { nx: s3(32, scale), ny: s3(32, scale), nz: s3(32, scale) }),
-        e(24, "gearbox", "Struct.", Geometric, FemBlocks { nodes: s(6_000, scale), dof: 3, neighbors: 9 }),
-        e(25, "inline_1", "Struct.", Geometric, FemBlocks { nodes: s(10_000, scale), dof: 3, neighbors: 11 }),
-        e(26, "ldoor", "Struct.", Geometric, FemBlocks { nodes: s(12_000, scale), dof: 3, neighbors: 7 }),
-        e(27, "pwtk", "Struct.", Geometric, FemBlocks { nodes: s(7_000, scale), dof: 3, neighbors: 8 }),
-        e(28, "thermal2", "Other", Geometric, UnstructuredMesh { nodes: s(45_000, scale), avg_deg: 3 }),
-        e(29, "nd24k", "Other", Geometric, ClusteredRandom { n: s(3_000, scale), m: s(3_000, scale), runs_per_row: 25, run_len: 8 }),
-        e(30, "stomach", "Other", Geometric, UnstructuredMesh { nodes: s(18_000, scale), avg_deg: 6 }),
+        e(
+            1,
+            "dense",
+            "special",
+            Special,
+            Dense {
+                n: s2(180, scale),
+                m: s2(180, scale),
+            },
+        ),
+        e(
+            2,
+            "random",
+            "special",
+            Special,
+            Random {
+                n: s(30_000, scale),
+                m: s(30_000, scale),
+                nnz_per_row: 8,
+            },
+        ),
+        e(
+            3,
+            "cfd2",
+            "CFD",
+            NonGeometric,
+            Banded {
+                n: s(22_000, scale),
+                bandwidth: 40,
+                fill: 0.30,
+            },
+        ),
+        e(
+            4,
+            "parabolic_fem",
+            "CFD",
+            NonGeometric,
+            Stencil2d {
+                nx: s2(170, scale),
+                ny: s2(170, scale),
+            },
+        ),
+        e(
+            5,
+            "Ga41As41H72",
+            "Chemistry",
+            NonGeometric,
+            ClusteredRandom {
+                n: s(8_000, scale),
+                m: s(8_000, scale),
+                runs_per_row: 9,
+                run_len: 4,
+            },
+        ),
+        e(
+            6,
+            "ASIC_680k",
+            "Circuit",
+            NonGeometric,
+            Circuit {
+                n: s(30_000, scale),
+                off_per_row: 2,
+            },
+        ),
+        e(
+            7,
+            "G3_circuit",
+            "Circuit",
+            NonGeometric,
+            Circuit {
+                n: s(50_000, scale),
+                off_per_row: 1,
+            },
+        ),
+        e(
+            8,
+            "Hamrle3",
+            "Circuit",
+            NonGeometric,
+            DiagRuns {
+                n: s(40_000, scale),
+                n_diags: 4,
+            },
+        ),
+        e(
+            9,
+            "rajat31",
+            "Circuit",
+            NonGeometric,
+            Circuit {
+                n: s(55_000, scale),
+                off_per_row: 2,
+            },
+        ),
+        e(
+            10,
+            "cage15",
+            "Graph",
+            NonGeometric,
+            Banded {
+                n: s(30_000, scale),
+                bandwidth: 30,
+                fill: 0.30,
+            },
+        ),
+        e(
+            11,
+            "wb-edu",
+            "Graph",
+            NonGeometric,
+            PowerLaw {
+                n: s(50_000, scale),
+                avg_deg: 6,
+                alpha: 1.9,
+            },
+        ),
+        e(
+            12,
+            "wikipedia",
+            "Graph",
+            NonGeometric,
+            PowerLaw {
+                n: s(35_000, scale),
+                avg_deg: 12,
+                alpha: 1.6,
+            },
+        ),
+        e(
+            13,
+            "degme",
+            "Lin. Prog.",
+            NonGeometric,
+            Lp {
+                rows: s(8_000, scale),
+                cols: s(12_000, scale),
+                runs_per_row: 3,
+                run_len: 4,
+            },
+        ),
+        e(
+            14,
+            "rail4284",
+            "Lin. Prog.",
+            NonGeometric,
+            Lp {
+                rows: s(1_500, scale),
+                cols: s(50_000, scale),
+                runs_per_row: 40,
+                run_len: 8,
+            },
+        ),
+        e(
+            15,
+            "spal_004",
+            "Lin. Prog.",
+            NonGeometric,
+            Lp {
+                rows: s(4_000, scale),
+                cols: s(32_000, scale),
+                runs_per_row: 35,
+                run_len: 4,
+            },
+        ),
+        e(
+            16,
+            "bone010",
+            "Other",
+            NonGeometric,
+            FemBlocks {
+                nodes: s(10_000, scale),
+                dof: 3,
+                neighbors: 11,
+            },
+        ),
+        e(
+            17,
+            "kkt_power",
+            "Power",
+            Geometric,
+            Circuit {
+                n: s(55_000, scale),
+                off_per_row: 1,
+            },
+        ),
+        e(
+            18,
+            "largebasis",
+            "Opt.",
+            Geometric,
+            DiagRuns {
+                n: s(30_000, scale),
+                n_diags: 12,
+            },
+        ),
+        e(
+            19,
+            "TSOPF_RS",
+            "Opt.",
+            Geometric,
+            ClusteredRandom {
+                n: s(1_500, scale),
+                m: s(1_500, scale),
+                runs_per_row: 40,
+                run_len: 8,
+            },
+        ),
+        e(
+            20,
+            "af_shell10",
+            "Struct.",
+            Geometric,
+            FemBlocks {
+                nodes: s(12_000, scale),
+                dof: 3,
+                neighbors: 5,
+            },
+        ),
+        e(
+            21,
+            "audikw_1",
+            "Struct.",
+            Geometric,
+            FemBlocks {
+                nodes: s(8_000, scale),
+                dof: 3,
+                neighbors: 12,
+            },
+        ),
+        e(
+            22,
+            "F1",
+            "Struct.",
+            Geometric,
+            FemBlocks {
+                nodes: s(8_000, scale),
+                dof: 3,
+                neighbors: 13,
+            },
+        ),
+        e(
+            23,
+            "fdiff",
+            "Struct.",
+            Geometric,
+            Stencil3d {
+                nx: s3(32, scale),
+                ny: s3(32, scale),
+                nz: s3(32, scale),
+            },
+        ),
+        e(
+            24,
+            "gearbox",
+            "Struct.",
+            Geometric,
+            FemBlocks {
+                nodes: s(6_000, scale),
+                dof: 3,
+                neighbors: 9,
+            },
+        ),
+        e(
+            25,
+            "inline_1",
+            "Struct.",
+            Geometric,
+            FemBlocks {
+                nodes: s(10_000, scale),
+                dof: 3,
+                neighbors: 11,
+            },
+        ),
+        e(
+            26,
+            "ldoor",
+            "Struct.",
+            Geometric,
+            FemBlocks {
+                nodes: s(12_000, scale),
+                dof: 3,
+                neighbors: 7,
+            },
+        ),
+        e(
+            27,
+            "pwtk",
+            "Struct.",
+            Geometric,
+            FemBlocks {
+                nodes: s(7_000, scale),
+                dof: 3,
+                neighbors: 8,
+            },
+        ),
+        e(
+            28,
+            "thermal2",
+            "Other",
+            Geometric,
+            UnstructuredMesh {
+                nodes: s(45_000, scale),
+                avg_deg: 3,
+            },
+        ),
+        e(
+            29,
+            "nd24k",
+            "Other",
+            Geometric,
+            ClusteredRandom {
+                n: s(3_000, scale),
+                m: s(3_000, scale),
+                runs_per_row: 25,
+                run_len: 8,
+            },
+        ),
+        e(
+            30,
+            "stomach",
+            "Other",
+            Geometric,
+            UnstructuredMesh {
+                nodes: s(18_000, scale),
+                avg_deg: 6,
+            },
+        ),
     ]
 }
 
@@ -136,8 +432,7 @@ mod tests {
     fn all_entries_build_valid_matrices_at_tiny_scale() {
         for m in suite(0.02) {
             let csr = m.build(1);
-            csr.validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", m.name));
+            csr.validate().unwrap_or_else(|e| panic!("{}: {e}", m.name));
             assert!(csr.nnz() > 0, "{} is empty", m.name);
         }
     }

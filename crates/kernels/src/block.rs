@@ -151,13 +151,7 @@ pub(crate) use in_passes;
 ///
 /// Panics (via slice indexing) if a block reads past the last tuple.
 #[inline]
-pub fn bcsr_tuples<
-    T: Scalar,
-    E: LaneEngine<T>,
-    const R: usize,
-    const C: usize,
-    const K: usize,
->(
+pub fn bcsr_tuples<T: Scalar, E: LaneEngine<T>, const R: usize, const C: usize, const K: usize>(
     bvals: &[T],
     bcols: &[Index],
     xi: &[T],
@@ -364,7 +358,11 @@ pub fn dot_run_core<T: Scalar, E: LaneEngine<T>>(vals: &[T], x: &[T]) -> T {
     while j + E::LANES <= n {
         // SAFETY: `j + LANES <= n` bounds both loads.
         unsafe {
-            acc = E::mul_acc(acc, E::load(vals.as_ptr().add(j)), E::load(x.as_ptr().add(j)));
+            acc = E::mul_acc(
+                acc,
+                E::load(vals.as_ptr().add(j)),
+                E::load(x.as_ptr().add(j)),
+            );
         }
         j += E::LANES;
     }
@@ -496,7 +494,10 @@ mod tests {
     fn bcsd_all_sizes_match_scalar_engine_both_impls() {
         for b in 1..=8usize {
             let nb = 5;
-            let bcols: Vec<Index> = [0i64, 1, 4, 7, 9].iter().map(|&j0| (j0 + b as i64) as Index).collect();
+            let bcols: Vec<Index> = [0i64, 1, 4, 7, 9]
+                .iter()
+                .map(|&j0| (j0 + b as i64) as Index)
+                .collect();
             let bvals = test_vectors(nb * b);
             let x = test_vectors(9 + b);
             let mut yref = vec![0.5; b];
@@ -527,7 +528,12 @@ mod tests {
         bcsr_tuples::<f64, ScalarEngine, 2, 3, 4>(&bvals, &bcols, &tuples(&x, 4), &mut y, ys, 2);
         for t in 0..4 {
             let mut yref = [0.0; 2];
-            bcsr_row::<f64, ScalarEngine, 2, 3>(&bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);
+            bcsr_row::<f64, ScalarEngine, 2, 3>(
+                &bvals,
+                &bcols,
+                &x[t * xs..(t + 1) * xs],
+                &mut yref,
+            );
             assert_eq!(&y[t * ys + 2..t * ys + 4], &yref, "column {t}");
             assert_eq!(y[t * ys], 0.0, "rows outside the block row stay untouched");
         }
@@ -566,7 +572,11 @@ mod tests {
         for t in 0..8 {
             let mut yref = [0.25; 2];
             bcsr_row::<f64, E64, 2, 3>(&bvals, &bcols, &x[t * 16..(t + 1) * 16], &mut yref);
-            assert_eq!(bits(&y[t * 4 + 1..t * 4 + 3]), bits(&yref), "bcsr column {t}");
+            assert_eq!(
+                bits(&y[t * 4 + 1..t * 4 + 3]),
+                bits(&yref),
+                "bcsr column {t}"
+            );
         }
         // Size-5 diagonal blocks: two lane groups and a tail position.
         let bcols = biased(5, &[0, 7, 11]);
@@ -576,7 +586,11 @@ mod tests {
         for t in 0..8 {
             let mut yref = [0.5; 5];
             bcsd_seg::<f64, E64, 5>(&bvals, &bcols, &x[t * 16..(t + 1) * 16], &mut yref);
-            assert_eq!(bits(&y[t * 6 + 1..t * 6 + 6]), bits(&yref), "bcsd column {t}");
+            assert_eq!(
+                bits(&y[t * 6 + 1..t * 6 + 6]),
+                bits(&yref),
+                "bcsd column {t}"
+            );
         }
     }
 

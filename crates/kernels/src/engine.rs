@@ -282,7 +282,11 @@ mod tests {
             let lane = <SseF64 as LaneEngine<f64>>::tail_mul_add(acc[q], a[q], x[q]);
             assert_eq!(SseF64::lane(v, q).to_bits(), lane.to_bits());
         }
-        let (acc, a, x) = ([0.1f32, -3.7, 5.5, 1e-3], [0.3f32, 2.9, -1.25, 7.0], [7.3f32, -0.11, 0.7, 3.3]);
+        let (acc, a, x) = (
+            [0.1f32, -3.7, 5.5, 1e-3],
+            [0.3f32, 2.9, -1.25, 7.0],
+            [7.3f32, -0.11, 0.7, 3.3],
+        );
         let v = unsafe {
             <SseF32 as LaneEngine<f32>>::mul_acc(
                 SseF32::load(acc.as_ptr()),

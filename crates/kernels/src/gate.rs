@@ -28,7 +28,9 @@ use spmv_core::{Index, Scalar};
 const SEEDS: u64 = 200;
 
 fn rand_vals<T: Scalar>(rng: &mut Rng, n: usize) -> Vec<T> {
-    (0..n).map(|_| T::from_f64(rng.unit() * 4.0 - 2.0)).collect()
+    (0..n)
+        .map(|_| T::from_f64(rng.unit() * 4.0 - 2.0))
+        .collect()
 }
 
 /// Lane count the dispatched kernel uses for `(T, imp)` on this target.
@@ -60,8 +62,8 @@ fn mul_acc<T: Scalar>(lanes: usize, acc: T, a: T, x: T) -> T {
 fn hsum<T: Scalar>(acc: &[T]) -> T {
     match acc.len() {
         1 => acc[0],
-        2 => acc[0] + acc[1],                         // cvtsd + unpackhi
-        4 => (acc[0] + acc[2]) + (acc[1] + acc[3]),   // movehl/shuffle
+        2 => acc[0] + acc[1],                       // cvtsd + unpackhi
+        4 => (acc[0] + acc[2]) + (acc[1] + acc[3]), // movehl/shuffle
         n => panic!("no engine has {n} lanes"),
     }
 }
@@ -235,8 +237,14 @@ fn gate_bcsr<T: SimdScalar>(imp: KernelImpl) {
                 let mut ysim = yinit;
                 let kern = bcsr_row_multi_kernel::<T>(shape, k, imp).unwrap();
                 with_tuples(&x, k, |xi| kern(&bvals, &bcols, xi, &mut y, ys_stride, y0));
-                sim_bcsr(lanes, r, c, k, &bvals, &bcols, &x, xs, &mut ysim, ys_stride, y0);
-                assert_bits(&y, &ysim, &format!("bcsr {shape} {imp:?} k={k} seed {seed}"));
+                sim_bcsr(
+                    lanes, r, c, k, &bvals, &bcols, &x, xs, &mut ysim, ys_stride, y0,
+                );
+                assert_bits(
+                    &y,
+                    &ysim,
+                    &format!("bcsr {shape} {imp:?} k={k} seed {seed}"),
+                );
             }
         }
     }
@@ -271,7 +279,9 @@ fn gate_bcsd<T: SimdScalar>(imp: KernelImpl) {
                 let mut ysim = yinit;
                 let kern = bcsd_seg_multi_kernel::<T>(b, k).unwrap();
                 with_tuples(&x, k, |xi| kern(&bvals, &bcols, xi, &mut y, ys_stride, y0));
-                sim_bcsd(lanes, b, k, &bvals, &bcols, &x, xs, &mut ysim, ys_stride, y0);
+                sim_bcsd(
+                    lanes, b, k, &bvals, &bcols, &x, xs, &mut ysim, ys_stride, y0,
+                );
                 assert_bits(&y, &ysim, &format!("bcsd b={b} {imp:?} k={k} seed {seed}"));
             }
         }

@@ -37,7 +37,6 @@ pub use registry::{
     dot_run_multi, BcsdSegKernel, BcsdSegMultiKernel, BcsrRowKernel, BcsrRowMultiKernel,
 };
 pub use sell::{
-    sell_slice_kernel, sell_slice_multi_kernel, SellSliceKernel, SellSliceMultiKernel,
-    SELL_HEIGHTS,
+    sell_slice_kernel, sell_slice_multi_kernel, SellSliceKernel, SellSliceMultiKernel, SELL_HEIGHTS,
 };
 pub use shapes::{BlockShape, KernelImpl, BCSD_SIZES, MAX_BLOCK_ELEMS};

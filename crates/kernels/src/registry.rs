@@ -134,7 +134,6 @@ fn bcsr_row_multi_kernel_engine<T: Scalar, E: LaneEngine<T>>(
     dispatch_shape!(shape, apply)
 }
 
-
 /// Scalar BCSR block-row kernel for `shape`.
 ///
 /// # Panics

@@ -276,7 +276,18 @@ mod tests {
         for k in [2, 3, 8] {
             let x: Vec<f64> = test_vectors(k * xs + 1)[1..].to_vec();
             let mut y = vec![0.5; k * ys];
-            bcsr_block_row_tuples_clipped(2, 3, k, &bvals, &bcols, &tuples(&x, k), &mut y, ys, 1, 2);
+            bcsr_block_row_tuples_clipped(
+                2,
+                3,
+                k,
+                &bvals,
+                &bcols,
+                &tuples(&x, k),
+                &mut y,
+                ys,
+                1,
+                2,
+            );
             for t in 0..k {
                 let mut yref = [0.5; 2];
                 bcsr_block_row_clipped(2, 3, &bvals, &bcols, &x[t * xs..(t + 1) * xs], &mut yref);

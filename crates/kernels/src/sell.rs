@@ -211,7 +211,14 @@ mod tests {
 
     /// The CSR reference chain for one lane: fused mul_add in column
     /// order from zero, padded slots untouched.
-    fn reference_lane(vals: &[f64], cols: &[Index], len: usize, c: usize, lane: usize, x: &[f64]) -> f64 {
+    fn reference_lane(
+        vals: &[f64],
+        cols: &[Index],
+        len: usize,
+        c: usize,
+        lane: usize,
+        x: &[f64],
+    ) -> f64 {
         let mut acc = 0.0f64;
         for j in 0..len {
             acc = vals[j * c + lane].mul_add(x[cols[j * c + lane] as usize], acc);
@@ -253,7 +260,9 @@ mod tests {
             let width = 5usize;
             let mut vals = vec![0.0f32; width * c];
             let mut cols = vec![0 as Index; width * c];
-            let lens: Vec<Index> = (0..c).map(|l| ((l * 3 + 1) % (width + 1)) as Index).collect();
+            let lens: Vec<Index> = (0..c)
+                .map(|l| ((l * 3 + 1) % (width + 1)) as Index)
+                .collect();
             for lane in 0..c {
                 for j in 0..lens[lane] as usize {
                     vals[j * c + lane] = 0.1 + (lane + j) as f32;

@@ -148,9 +148,7 @@ mod tests {
         for r in 1..=8usize {
             for c in 1..=8usize {
                 let expect = r * c <= 8 && (r, c) != (1, 1);
-                let present = shapes
-                    .iter()
-                    .any(|s| s.rows() == r && s.cols() == c);
+                let present = shapes.iter().any(|s| s.rows() == r && s.cols() == c);
                 assert_eq!(present, expect, "shape {r}x{c}");
             }
         }

@@ -175,7 +175,10 @@ mod tests {
         .build(2);
         let machine = machine_small_cache();
         let misses = input_vector_miss_estimate(&scatter, &machine, 8);
-        assert!(misses > 0.5 * scatter.nnz() as f64 * 0.5, "misses = {misses}");
+        assert!(
+            misses > 0.5 * scatter.nnz() as f64 * 0.5,
+            "misses = {misses}"
+        );
         let profile = KernelProfile::uniform(1e-9, 0.5);
         let lat = LatencyProfile {
             load_latency: 1e-7,

@@ -76,7 +76,9 @@ pub fn cache_sizes() -> (usize, usize) {
         let level: u32 = read("level")
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(0);
-        let ctype = read("type").map(|s| s.trim().to_string()).unwrap_or_default();
+        let ctype = read("type")
+            .map(|s| s.trim().to_string())
+            .unwrap_or_default();
         if level == 1 && ctype != "Instruction" {
             l1 = Some(bytes);
         }
@@ -125,12 +127,7 @@ pub fn stream_triad_bandwidth(elems: usize, min_time: f64) -> f64 {
 /// remote (interconnect) stream the paper's single-socket testbed never
 /// sees. `a.len()` elements are streamed; `b` and `c` must be at least
 /// as long.
-pub fn stream_triad_bandwidth_with(
-    a: &mut [f64],
-    b: &[f64],
-    c: &[f64],
-    min_time: f64,
-) -> f64 {
+pub fn stream_triad_bandwidth_with(a: &mut [f64], b: &[f64], c: &[f64], min_time: f64) -> f64 {
     assert!(
         b.len() >= a.len() && c.len() >= a.len(),
         "triad source arrays shorter than destination"

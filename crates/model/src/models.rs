@@ -198,7 +198,13 @@ mod tests {
     #[test]
     fn nof_zero_makes_overlap_equal_mem() {
         let mut p = KernelProfile::uniform(1e-8, 0.0);
-        p.set(KernelKey::Csr, BlockTimes { t_b: 1e-8, nof: 0.0 });
+        p.set(
+            KernelKey::Csr,
+            BlockTimes {
+                t_b: 1e-8,
+                nof: 0.0,
+            },
+        );
         let stats = [stat(1_000, 50)];
         let m = machine();
         assert_eq!(

@@ -202,7 +202,10 @@ pub fn predict_threaded_hierarchy<T: Scalar>(
         }
         None => (0..threads).map(|s| s % nd).collect(),
     };
-    assert!(exec.iter().all(|&d| d < nd), "execution domain out of range");
+    assert!(
+        exec.iter().all(|&d| d < nd),
+        "execution domain out of range"
+    );
     if let Some(p) = pages_on {
         assert!(p < nd, "pages domain out of range");
     }
@@ -357,9 +360,18 @@ mod tests {
         let h = BandwidthHierarchy::flat(machine().bandwidth);
         for model in Model::ALL {
             for threads in 1..=6 {
-                let flat = predict_threaded(model, &csr, &Config::CSR, threads, &machine(), &profile);
+                let flat =
+                    predict_threaded(model, &csr, &Config::CSR, threads, &machine(), &profile);
                 let hier = predict_threaded_hierarchy(
-                    model, &csr, &Config::CSR, threads, &machine(), &profile, &h, None, None,
+                    model,
+                    &csr,
+                    &Config::CSR,
+                    threads,
+                    &machine(),
+                    &profile,
+                    &h,
+                    None,
+                    None,
                 );
                 assert_eq!(flat, hier, "{model:?} t={threads}");
             }
@@ -386,10 +398,26 @@ mod tests {
             2
         ]);
         let first_touch = predict_threaded_hierarchy(
-            Model::Mem, &csr, &Config::CSR, 4, &machine(), &profile, &h, None, None,
+            Model::Mem,
+            &csr,
+            &Config::CSR,
+            4,
+            &machine(),
+            &profile,
+            &h,
+            None,
+            None,
         );
         let all_on_zero = predict_threaded_hierarchy(
-            Model::Mem, &csr, &Config::CSR, 4, &machine(), &profile, &h, None, Some(0),
+            Model::Mem,
+            &csr,
+            &Config::CSR,
+            4,
+            &machine(),
+            &profile,
+            &h,
+            None,
+            Some(0),
         );
         assert!(
             all_on_zero > 1.2 * first_touch,
@@ -418,10 +446,26 @@ mod tests {
             2
         ]);
         let shared = predict_threaded_hierarchy(
-            Model::Mem, &csr, &Config::CSR, 4, &machine(), &profile, &one, None, None,
+            Model::Mem,
+            &csr,
+            &Config::CSR,
+            4,
+            &machine(),
+            &profile,
+            &one,
+            None,
+            None,
         );
         let spread = predict_threaded_hierarchy(
-            Model::Mem, &csr, &Config::CSR, 4, &machine(), &profile, &two, None, None,
+            Model::Mem,
+            &csr,
+            &Config::CSR,
+            4,
+            &machine(),
+            &profile,
+            &two,
+            None,
+            None,
         );
         assert!(
             spread < 0.7 * shared,
@@ -459,14 +503,8 @@ mod tests {
         }
         .build(5);
         let profile = KernelProfile::uniform(1e-10, 0.1);
-        let sat = predicted_saturation_point(
-            Model::Overlap,
-            &csr,
-            &Config::CSR,
-            8,
-            &machine(),
-            &profile,
-        );
+        let sat =
+            predicted_saturation_point(Model::Overlap, &csr, &Config::CSR, 8, &machine(), &profile);
         assert!(sat <= 4, "streaming SpMV should saturate early, got {sat}");
     }
 }

@@ -188,9 +188,7 @@ pub fn read_profile<R: BufRead>(r: R) -> Result<(MachineProfile, KernelProfile)>
     let bad = |line: usize, msg: &str| Error::InvalidStructure(format!("line {line}: {msg}"));
     let mut lines = r.lines().enumerate();
 
-    let (_, first) = lines
-        .next()
-        .ok_or_else(|| bad(1, "empty profile file"))?;
+    let (_, first) = lines.next().ok_or_else(|| bad(1, "empty profile file"))?;
     let first = first.map_err(|e| bad(1, &e.to_string()))?;
     if first.trim() != MAGIC {
         return Err(bad(1, "missing profile header"));

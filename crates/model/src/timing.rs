@@ -70,13 +70,7 @@ where
 
 /// Mean seconds per `k`-vector call of `mat` over `x` (which holds `k`
 /// concatenated input vectors), with one warm-up pass.
-pub fn measure_spmv_multi<T, M>(
-    mat: &M,
-    x: &[T],
-    k: usize,
-    min_time: f64,
-    batches: usize,
-) -> f64
+pub fn measure_spmv_multi<T, M>(mat: &M, x: &[T], k: usize, min_time: f64, batches: usize) -> f64
 where
     T: spmv_core::Scalar,
     M: spmv_core::SpMvMulti<T>,
@@ -112,7 +106,10 @@ mod tests {
             2,
         );
         assert!(t > 0.0);
-        assert!(t < 0.005, "per-call time {t} should be far below the window");
+        assert!(
+            t < 0.005,
+            "per-call time {t} should be far below the window"
+        );
     }
 
     #[test]

@@ -92,10 +92,7 @@ pub fn heavy_unit(weights: &[u64], parts: usize) -> Option<usize> {
     if parts <= 1 || weights.is_empty() {
         return None;
     }
-    let (idx, &max) = weights
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &w)| w)?;
+    let (idx, &max) = weights.iter().enumerate().max_by_key(|&(_, &w)| w)?;
     let total: u64 = weights.iter().sum();
     // Strict inequality on the cross-multiplied form: max > total/parts
     // without integer-division truncation.
@@ -399,9 +396,9 @@ mod tests {
                 for pair in segs.windows(2) {
                     assert_eq!(pair[0].end, pair[1].start);
                 }
-                let (min, max) = segs
-                    .iter()
-                    .fold((usize::MAX, 0), |(lo, hi), r| (lo.min(r.len()), hi.max(r.len())));
+                let (min, max) = segs.iter().fold((usize::MAX, 0), |(lo, hi), r| {
+                    (lo.min(r.len()), hi.max(r.len()))
+                });
                 assert!(max - min <= 1, "nnz={nnz} parts={parts}: {segs:?}");
             }
         }
@@ -415,7 +412,13 @@ mod tests {
             &Coo::from_triplets(
                 3,
                 4,
-                vec![(0, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 0, 1.0)],
+                vec![
+                    (0, 0, 1.0),
+                    (0, 1, 1.0),
+                    (0, 2, 1.0),
+                    (1, 3, 1.0),
+                    (2, 0, 1.0),
+                ],
             )
             .unwrap(),
         );

@@ -465,7 +465,10 @@ impl<T: Scalar> SpmvPool<T> {
                 .collect();
         let mut prev_end = 0usize;
         for rows in &strip_rows {
-            assert!(rows.start >= prev_end, "strips overlap or are unsorted at {rows:?}");
+            assert!(
+                rows.start >= prev_end,
+                "strips overlap or are unsorted at {rows:?}"
+            );
             assert!(rows.end <= n_rows, "strip {rows:?} exceeds {n_rows} rows");
             prev_end = rows.end;
         }
@@ -525,7 +528,11 @@ impl<T: Scalar> SpmvPool<T> {
             let build = Arc::clone(&build);
             let build_strip = move || {
                 let m = build(&sub);
-                assert_eq!(m.n_rows(), sub.n_rows(), "strip shape disagrees with its range");
+                assert_eq!(
+                    m.n_rows(),
+                    sub.n_rows(),
+                    "strip shape disagrees with its range"
+                );
                 assert_eq!(m.n_cols(), sub.n_cols(), "strip column count disagrees");
                 m
             };
@@ -1043,7 +1050,11 @@ mod tests {
         let ids = pool.worker_thread_ids();
         assert_eq!(ids.len(), pool.n_workers());
         for per_strip in &ids {
-            assert_eq!(per_strip.len(), 1, "strip was served by more than one thread");
+            assert_eq!(
+                per_strip.len(),
+                1,
+                "strip was served by more than one thread"
+            );
         }
         for report in pool.strip_reports() {
             assert_eq!(report.iterations, 1000);
@@ -1064,7 +1075,11 @@ mod tests {
                 let got = pool.spmv_multi(&x, k);
                 for t in 0..k {
                     let want = csr.spmv(&x[t * 67..(t + 1) * 67]);
-                    assert_eq!(got[t * 113..(t + 1) * 113], want, "threads={threads} k={k} t={t}");
+                    assert_eq!(
+                        got[t * 113..(t + 1) * 113],
+                        want,
+                        "threads={threads} k={k} t={t}"
+                    );
                 }
             }
         }
@@ -1081,7 +1096,10 @@ mod tests {
             assert_eq!(pool.spmv(&x1), want1);
             let got = pool.spmv_multi(&x4, 4);
             for t in 0..4 {
-                assert_eq!(got[t * 48..(t + 1) * 48], csr.spmv(&x4[t * 48..(t + 1) * 48]));
+                assert_eq!(
+                    got[t * 48..(t + 1) * 48],
+                    csr.spmv(&x4[t * 48..(t + 1) * 48])
+                );
             }
         }
     }
@@ -1172,7 +1190,10 @@ mod tests {
             let pool = pool_for(&csr, threads);
             assert!(pool.n_workers() >= 1);
             for rows in pool.strip_rows() {
-                assert!(!rows.is_empty(), "{n} rows / {threads} threads left an empty strip");
+                assert!(
+                    !rows.is_empty(),
+                    "{n} rows / {threads} threads left an empty strip"
+                );
             }
         }
     }
@@ -1199,9 +1220,7 @@ mod tests {
     fn single_worker_overwrites_stale_output() {
         // One worker over a matrix whose trailing rows hold no nonzeros:
         // every output row must still be written.
-        let csr = Csr::from_coo(
-            &Coo::from_triplets(6, 4, vec![(0, 0, 2.0), (1, 3, 4.0)]).unwrap(),
-        );
+        let csr = Csr::from_coo(&Coo::from_triplets(6, 4, vec![(0, 0, 2.0), (1, 3, 4.0)]).unwrap());
         let pool = pool_for(&csr, 1);
         assert_eq!(pool.n_workers(), 1);
         let mut y = vec![f64::NAN; 6]; // poison: stale values must be overwritten
@@ -1220,7 +1239,7 @@ mod tests {
         pool.shutdown();
         assert!(pool.is_shut_down());
         pool.shutdown(); // second call is a no-op
-        // Metadata stays readable after shutdown.
+                         // Metadata stays readable after shutdown.
         assert_eq!(pool.iterations(), 1);
         for report in pool.strip_reports() {
             assert_eq!(report.iterations, 1);

@@ -61,7 +61,10 @@ impl Topology {
     /// domains.
     pub fn from_domains(domains: Vec<Vec<usize>>) -> Self {
         let domains: Vec<Vec<usize>> = domains.into_iter().filter(|d| !d.is_empty()).collect();
-        assert!(!domains.is_empty(), "topology needs at least one non-empty domain");
+        assert!(
+            !domains.is_empty(),
+            "topology needs at least one non-empty domain"
+        );
         let mut seen = std::collections::BTreeSet::new();
         for core in domains.iter().flatten() {
             assert!(seen.insert(*core), "core {core} appears in two domains");
@@ -86,7 +89,9 @@ impl Topology {
         for entry in std::fs::read_dir(root).ok()?.flatten() {
             let name = entry.file_name();
             let name = name.to_string_lossy();
-            let Some(idx) = name.strip_prefix("node").and_then(|s| s.parse::<usize>().ok())
+            let Some(idx) = name
+                .strip_prefix("node")
+                .and_then(|s| s.parse::<usize>().ok())
             else {
                 continue;
             };

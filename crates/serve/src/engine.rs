@@ -583,7 +583,11 @@ impl<T: SimdScalar> ServeEngine<T> {
 
     /// Requests currently queued (excludes in-flight dispatches).
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
     }
 
     /// Pauses dispatching; queued and newly submitted requests wait (or
@@ -627,7 +631,9 @@ impl<T: SimdScalar> ServeEngine<T> {
                 (8, s.by_width[3]),
             ],
             latency: percentiles(&s.latencies_ns),
-            window_latency: percentiles(&s.latencies_ns[s.window_start.min(s.latencies_ns.len())..]),
+            window_latency: percentiles(
+                &s.latencies_ns[s.window_start.min(s.latencies_ns.len())..],
+            ),
             warnings,
         }
     }
@@ -1090,7 +1096,10 @@ mod tests {
     fn single_request_roundtrip() {
         let (csr, _r, engine) = setup(17, EngineOptions::default());
         let x: Vec<f64> = (0..17).map(|i| 1.0 + i as f64).collect();
-        assert_eq!(engine.submit_wait(MatrixId(1), x.clone()).unwrap(), csr.spmv(&x));
+        assert_eq!(
+            engine.submit_wait(MatrixId(1), x.clone()).unwrap(),
+            csr.spmv(&x)
+        );
         let rep = engine.report();
         assert_eq!(rep.completed, 1);
         assert!(rep.latency.unwrap().p50_ns > 0);
@@ -1105,7 +1114,10 @@ mod tests {
         );
         assert_eq!(
             engine.submit(MatrixId(1), vec![1.0; 4]).unwrap_err(),
-            ServeError::BadLength { expected: 5, got: 4 }
+            ServeError::BadLength {
+                expected: 5,
+                got: 4
+            }
         );
         let rep = engine.report();
         assert_eq!(rep.submitted, 0);
@@ -1313,7 +1325,10 @@ mod tests {
         let (csr, _r, engine) = setup(9, EngineOptions::default());
         let x = vec![1.0; 9];
         for _ in 0..4 {
-            assert_eq!(engine.submit_wait(MatrixId(1), x.clone()).unwrap(), csr.spmv(&x));
+            assert_eq!(
+                engine.submit_wait(MatrixId(1), x.clone()).unwrap(),
+                csr.spmv(&x)
+            );
         }
         let before = engine.report();
         // No window begun: the window is the whole run.
@@ -1389,7 +1404,11 @@ mod tests {
         let v2 = registry.publish(MatrixId(1), PreparedMatrix::from_config(Config::CSR, &csr));
         assert!(v2 > v1);
         engine.submit_wait(MatrixId(1), x.clone()).unwrap();
-        assert_eq!(engine.residuals().stats(&key).unwrap().n, 1, "stale version not recorded");
+        assert_eq!(
+            engine.residuals().stats(&key).unwrap().n,
+            1,
+            "stale version not recorded"
+        );
 
         // Re-arm for v2 with an injected 4x slowdown: the recorded
         // measurement scales, the reply does not.

@@ -143,15 +143,23 @@ mod tests {
         assert_eq!(span.get("dur").and_then(Value::as_f64), Some(0.5));
         assert_eq!(span.get("tid").and_then(Value::as_f64), Some(3.0));
         assert_eq!(
-            events[1].get("args").and_then(|a| a.get("delta")).and_then(Value::as_f64),
+            events[1]
+                .get("args")
+                .and_then(|a| a.get("delta"))
+                .and_then(Value::as_f64),
             Some(-4.0)
         );
         assert_eq!(
-            events[2].get("args").and_then(|a| a.get("value")).and_then(Value::as_f64),
+            events[2]
+                .get("args")
+                .and_then(|a| a.get("value"))
+                .and_then(Value::as_f64),
             Some(2.5)
         );
         assert_eq!(
-            doc.get("otherData").and_then(|o| o.get("dropped")).and_then(Value::as_f64),
+            doc.get("otherData")
+                .and_then(|o| o.get("dropped"))
+                .and_then(Value::as_f64),
             Some(2.0)
         );
     }

@@ -325,7 +325,10 @@ mod tests {
         assert_eq!(arr[0].as_f64(), Some(1.0));
         assert_eq!(arr[1].get("b").and_then(Value::as_str), Some("x"));
         assert_eq!(arr[2], Value::Null);
-        assert_eq!(v.get("c").and_then(|c| c.get("d")), Some(&Value::Bool(true)));
+        assert_eq!(
+            v.get("c").and_then(|c| c.get("d")),
+            Some(&Value::Bool(true))
+        );
     }
 
     #[test]
@@ -339,8 +342,17 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,", "{\"a\"1}", "tru", "1.2.3", "\"unterminated",
-            "[1] garbage", "{\"a\":}", "\"\\ud800\"", "\"\\q\"",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"1}",
+            "tru",
+            "1.2.3",
+            "\"unterminated",
+            "[1] garbage",
+            "{\"a\":}",
+            "\"\\ud800\"",
+            "\"\\q\"",
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} should fail");
         }

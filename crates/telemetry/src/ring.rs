@@ -49,7 +49,9 @@ impl Ring {
             tid,
             head: AtomicU64::new(0),
             floor: AtomicU64::new(0),
-            slots: (0..RING_CAPACITY * SLOT_WORDS).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..RING_CAPACITY * SLOT_WORDS)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
         }
     }
 
@@ -155,10 +157,7 @@ pub(crate) fn record(ev: Event) {
 
 /// Copies every registered ring into one time-ordered snapshot.
 pub(crate) fn snapshot_all() -> Snapshot {
-    let rings: Vec<Arc<Ring>> = registry()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
+    let rings: Vec<Arc<Ring>> = registry().lock().unwrap_or_else(|e| e.into_inner()).clone();
     let mut snap = Snapshot {
         events: Vec::new(),
         dropped: 0,
@@ -226,7 +225,8 @@ mod tests {
         for i in 0..10 {
             ring.push(&ev("ring.floor", i));
         }
-        ring.floor.store(ring.head.load(Ordering::Acquire), Ordering::Release);
+        ring.floor
+            .store(ring.head.load(Ordering::Acquire), Ordering::Release);
         for i in 10..13 {
             ring.push(&ev("ring.floor", i));
         }
@@ -267,7 +267,11 @@ mod tests {
             let mut out = Vec::new();
             let _ = ring.drain_into(&mut out);
             for e in &out {
-                let want = if e.arg % 2 == 0 { ("ring.even", 2) } else { ("ring.odd", 3) };
+                let want = if e.arg % 2 == 0 {
+                    ("ring.even", 2)
+                } else {
+                    ("ring.odd", 3)
+                };
                 assert_eq!((e.name, e.value), want, "torn event {e:?}");
                 assert_eq!(e.ts_ns, e.arg);
             }

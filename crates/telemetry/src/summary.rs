@@ -75,7 +75,9 @@ pub fn aggregate(snap: &Snapshot) -> BTreeMap<&'static str, NameStats> {
                 }
             }
             EventKind::Counter => {
-                let e = out.entry(ev.name).or_insert(NameStats::Counter { count: 0, sum: 0 });
+                let e = out
+                    .entry(ev.name)
+                    .or_insert(NameStats::Counter { count: 0, sum: 0 });
                 if let NameStats::Counter { count, sum } = e {
                     *count += 1;
                     *sum += ev.counter_delta();
@@ -103,7 +105,9 @@ pub fn aggregate(snap: &Snapshot) -> BTreeMap<&'static str, NameStats> {
                 }
             }
             EventKind::Instant => {
-                let e = out.entry(ev.name).or_insert(NameStats::Instant { count: 0 });
+                let e = out
+                    .entry(ev.name)
+                    .or_insert(NameStats::Instant { count: 0 });
                 if let NameStats::Instant { count } = e {
                     *count += 1;
                 }

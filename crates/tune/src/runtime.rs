@@ -165,7 +165,11 @@ impl std::fmt::Display for TimelineEvent {
             }
             TimelineKind::Reprofiled { keys } => write!(f, "reprofiled {keys} kernel key(s)"),
             TimelineKind::Reranked { config, predicted } => {
-                write!(f, "reranked -> {config} (predicted {:.3} ms)", predicted * 1e3)
+                write!(
+                    f,
+                    "reranked -> {config} (predicted {:.3} ms)",
+                    predicted * 1e3
+                )
             }
             TimelineKind::Swapped { version, from, to } => {
                 write!(f, "SWAPPED {from} -> {to} (v{version})")
@@ -282,9 +286,12 @@ impl<T: SimdScalar> Tuner<T> {
             );
             engine.expect(id, version, residual_key_for(current, model), baseline);
         }
-        self.push_event(id.0, TimelineKind::Watch {
-            config: current.to_string(),
-        });
+        self.push_event(
+            id.0,
+            TimelineKind::Watch {
+                config: current.to_string(),
+            },
+        );
         true
     }
 
@@ -427,12 +434,18 @@ impl<T: SimdScalar> Tuner<T> {
         let mut core = lock(&state.core);
         for tr in core.observe_events(&events) {
             match tr.verdict {
-                Verdict::Stale => push(tr.matrix, TimelineKind::Stale {
-                    windowed: tr.windowed,
-                }),
-                Verdict::Recovered => push(tr.matrix, TimelineKind::Recovered {
-                    windowed: tr.windowed,
-                }),
+                Verdict::Stale => push(
+                    tr.matrix,
+                    TimelineKind::Stale {
+                        windowed: tr.windowed,
+                    },
+                ),
+                Verdict::Recovered => push(
+                    tr.matrix,
+                    TimelineKind::Recovered {
+                        windowed: tr.windowed,
+                    },
+                ),
                 _ => {}
             }
         }
@@ -453,10 +466,13 @@ impl<T: SimdScalar> Tuner<T> {
             let Some(winner) = core.choose(matrix, &overrides) else {
                 continue;
             };
-            push(matrix, TimelineKind::Reranked {
-                config: winner.config.to_string(),
-                predicted: winner.predicted,
-            });
+            push(
+                matrix,
+                TimelineKind::Reranked {
+                    config: winner.config.to_string(),
+                    predicted: winner.predicted,
+                },
+            );
 
             let Some(target) = core.target(matrix) else {
                 continue;
@@ -485,22 +501,33 @@ impl<T: SimdScalar> Tuner<T> {
                     state.opts.calibrate_reps,
                     winner.predicted,
                 );
-                engine.expect(id, version, residual_key_for(winner.config, model), baseline);
+                engine.expect(
+                    id,
+                    version,
+                    residual_key_for(winner.config, model),
+                    baseline,
+                );
                 engine.begin_latency_window();
                 engine.fence();
             }
 
             if winner.config != from {
-                push(matrix, TimelineKind::Swapped {
-                    version,
-                    from: from.to_string(),
-                    to: winner.config.to_string(),
-                });
+                push(
+                    matrix,
+                    TimelineKind::Swapped {
+                        version,
+                        from: from.to_string(),
+                        to: winner.config.to_string(),
+                    },
+                );
             } else {
-                push(matrix, TimelineKind::Confirmed {
-                    version,
-                    config: winner.config.to_string(),
-                });
+                push(
+                    matrix,
+                    TimelineKind::Confirmed {
+                        version,
+                        config: winner.config.to_string(),
+                    },
+                );
             }
             core.apply_swap(matrix, winner.config);
         }
@@ -617,10 +644,7 @@ mod tests {
         );
         let csr = small_csr();
         assert!(!tuner.watch(MatrixId(1), spec(&csr)));
-        registry.publish(
-            MatrixId(1),
-            PreparedMatrix::from_config(Config::CSR, &csr),
-        );
+        registry.publish(MatrixId(1), PreparedMatrix::from_config(Config::CSR, &csr));
         assert!(tuner.watch(MatrixId(1), spec(&csr)));
         assert_eq!(tuner.current_config(MatrixId(1)), Some(Config::CSR));
         assert!(matches!(
@@ -633,10 +657,7 @@ mod tests {
     fn a_pass_with_no_events_does_nothing() {
         let registry: Arc<Registry<f64>> = Arc::new(Registry::new());
         let csr = small_csr();
-        registry.publish(
-            MatrixId(1),
-            PreparedMatrix::from_config(Config::CSR, &csr),
-        );
+        registry.publish(MatrixId(1), PreparedMatrix::from_config(Config::CSR, &csr));
         let tuner = Tuner::new(
             Arc::clone(&registry),
             None,
@@ -653,10 +674,7 @@ mod tests {
     fn manual_clock_stamps_the_timeline() {
         let registry: Arc<Registry<f64>> = Arc::new(Registry::new());
         let csr = small_csr();
-        registry.publish(
-            MatrixId(1),
-            PreparedMatrix::from_config(Config::CSR, &csr),
-        );
+        registry.publish(MatrixId(1), PreparedMatrix::from_config(Config::CSR, &csr));
         let clock = Arc::new(ManualClock::new(1_000));
         let tuner = Tuner::new(
             Arc::clone(&registry),
@@ -677,10 +695,7 @@ mod tests {
     fn background_thread_starts_kicks_and_stops() {
         let registry: Arc<Registry<f64>> = Arc::new(Registry::new());
         let csr = small_csr();
-        registry.publish(
-            MatrixId(1),
-            PreparedMatrix::from_config(Config::CSR, &csr),
-        );
+        registry.publish(MatrixId(1), PreparedMatrix::from_config(Config::CSR, &csr));
         let mut tuner = Tuner::new(
             Arc::clone(&registry),
             None,

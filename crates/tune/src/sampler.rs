@@ -255,13 +255,22 @@ mod tests {
     #[test]
     fn canned_sampler_filters_to_requested_keys_and_counts_calls() {
         let s = CannedSampler::new().with_bandwidth(5e9).with_kernels(vec![
-            (KernelKey::Csr, BlockTimes { t_b: 1e-9, nof: 0.5 }),
+            (
+                KernelKey::Csr,
+                BlockTimes {
+                    t_b: 1e-9,
+                    nof: 0.5,
+                },
+            ),
             (
                 KernelKey::Sell {
                     c: 4,
                     imp: spmv_kernels::KernelImpl::Scalar,
                 },
-                BlockTimes { t_b: 2e-9, nof: 0.4 },
+                BlockTimes {
+                    t_b: 2e-9,
+                    nof: 0.4,
+                },
             ),
         ]);
         assert_eq!(s.bandwidth(), Some(5e9));

@@ -17,9 +17,7 @@
 use blocked_spmv::core::MatrixShape;
 use blocked_spmv::gen::{random_vector, GenSpec};
 use blocked_spmv::model::timing::measure_spmv;
-use blocked_spmv::model::{
-    profile_kernels, select, Config, MachineProfile, Model, ProfileOptions,
-};
+use blocked_spmv::model::{profile_kernels, select, Config, MachineProfile, Model, ProfileOptions};
 
 fn main() {
     let workloads: Vec<(&str, GenSpec)> = vec![
@@ -65,11 +63,7 @@ fn main() {
 
     for (name, spec) in workloads {
         let csr = spec.build(7);
-        println!(
-            "== {name}: {} rows, {} nnz",
-            csr.n_rows(),
-            csr.nnz()
-        );
+        println!("== {name}: {} rows, {} nnz", csr.n_rows(), csr.nnz());
 
         // Exhaustive measurement of the model space.
         let x: Vec<f64> = random_vector(csr.n_cols(), 7);

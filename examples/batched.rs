@@ -115,10 +115,7 @@ fn main() {
             }
         }
     }
-    println!(
-        "\nbest measured amortization: {:.2}x ({})",
-        best.0, best.1
-    );
+    println!("\nbest measured amortization: {:.2}x ({})", best.0, best.1);
     println!(
         "note: amortization is a single-call vs batched-call ratio, so it is \
          meaningful even on a single-core host."

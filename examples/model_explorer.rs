@@ -13,9 +13,7 @@
 use blocked_spmv::core::MatrixShape;
 use blocked_spmv::gen::{random_vector, suite};
 use blocked_spmv::model::timing::measure_spmv;
-use blocked_spmv::model::{
-    profile_kernels, Config, MachineProfile, Model, ProfileOptions,
-};
+use blocked_spmv::model::{profile_kernels, Config, MachineProfile, Model, ProfileOptions};
 
 fn arg(name: &str) -> Option<String> {
     std::env::args().skip_while(|a| a != name).nth(1)
@@ -82,7 +80,10 @@ fn main() {
 
     // Term breakdown for the measured winner.
     let (best, real, _) = rows[0];
-    println!("\nOVERLAP breakdown for the winner ({best}, real {:.4} ms):", real * 1e3);
+    println!(
+        "\nOVERLAP breakdown for the winner ({best}, real {:.4} ms):",
+        real * 1e3
+    );
     for (i, s) in best.substats(&csr).iter().enumerate() {
         let t = profile.get(s.key);
         let mem = s.ws_bytes as f64 / machine.bandwidth;

@@ -38,7 +38,9 @@ fn main() {
     );
     println!(
         "host parallelism: {} hardware thread(s)\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     );
 
     let x: Vec<f64> = random_vector(csr.n_cols(), 3);

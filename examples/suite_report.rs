@@ -27,7 +27,16 @@ fn main() {
 
     println!(
         "{:<18} {:>9} {:>10} | {:>8} {:>8} {:>8} {:>8} {:>7} {:>6} {:>5}",
-        "matrix", "rows", "nnz", "fill2x2", "full2x2", "fill-d4", "run-len", "nnz/row", "skew", "sym"
+        "matrix",
+        "rows",
+        "nnz",
+        "fill2x2",
+        "full2x2",
+        "fill-d4",
+        "run-len",
+        "nnz/row",
+        "skew",
+        "sym"
     );
     for entry in suite(scale) {
         let csr = entry.build(42);

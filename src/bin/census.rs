@@ -177,7 +177,13 @@ fn render(opts: &Opts, machine: &MachineProfile, filled: usize, census: &[Matrix
     );
 
     let mut per_matrix = Table::new(vec![
-        "Matrix", "nnz", "OVERLAP selects", "sel/CSR", "sel/best", "fastest", "best/CSR",
+        "Matrix",
+        "nnz",
+        "OVERLAP selects",
+        "sel/CSR",
+        "sel/best",
+        "fastest",
+        "best/CSR",
     ]);
     for m in census {
         let (best, best_r) = m.best();
@@ -224,7 +230,10 @@ fn render(opts: &Opts, machine: &MachineProfile, filled: usize, census: &[Matrix
         "slower than CSR",
     ]);
     for family in families {
-        let n_configs = configs.iter().filter(|c| c.block.kind().label() == family).count();
+        let n_configs = configs
+            .iter()
+            .filter(|c| c.block.kind().label() == family)
+            .count();
         let mut wins = 0;
         let mut near = Vec::new();
         let (mut lo, mut hi, mut slower) = (f64::INFINITY, 0.0f64, 0);

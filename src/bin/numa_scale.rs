@@ -63,12 +63,10 @@ fn parse_opts() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs an integer argument");
-                    std::process::exit(2);
-                })
+            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("{name} needs an integer argument");
+                std::process::exit(2);
+            })
         };
         match a.as_str() {
             "--threads" => opts.threads = num("--threads") as usize,

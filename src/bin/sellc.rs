@@ -53,12 +53,10 @@ fn parse_opts() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs an integer argument");
-                    std::process::exit(2);
-                })
+            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("{name} needs an integer argument");
+                std::process::exit(2);
+            })
         };
         match a.as_str() {
             "--n" => opts.n = num("--n").max(256) as usize,
@@ -219,7 +217,11 @@ fn main() {
         min_time: 2e-3,
         ..ProfileOptions::default()
     };
-    let mut keys = vec![Config { block: BlockConfig::Csr, imp }.kernel_key()];
+    let mut keys = vec![Config {
+        block: BlockConfig::Csr,
+        imp,
+    }
+    .kernel_key()];
     for &c in &SELL_HEIGHTS {
         let block = BlockConfig::SellCSigma { c, sigma: 1 };
         keys.push(Config { block, imp }.kernel_key());

@@ -69,12 +69,10 @@ fn parse_opts() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs an integer argument");
-                    std::process::exit(2);
-                })
+            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("{name} needs an integer argument");
+                std::process::exit(2);
+            })
         };
         match a.as_str() {
             "--nodes" => opts.nodes = num("--nodes").max(100) as usize,
@@ -340,10 +338,7 @@ fn main() {
     let stale_baseline = engine
         .calibrate(id, &h.xs[0], 3)
         .expect("calibrating the pre-drift version");
-    let drift_version = registry.publish(
-        id,
-        PreparedMatrix::from_config(initial_config, &drifted),
-    );
+    let drift_version = registry.publish(id, PreparedMatrix::from_config(initial_config, &drifted));
     engine.expect(
         id,
         drift_version,
@@ -360,8 +355,7 @@ fn main() {
     ));
 
     h.batches_until("structure-drift swap", opts.batch, opts.max_batches, |k| {
-        k.iter()
-            .any(|e| matches!(e, TimelineKind::Swapped { .. }))
+        k.iter().any(|e| matches!(e, TimelineKind::Swapped { .. }))
     });
     let swapped_to = h
         .tuner
@@ -398,19 +392,29 @@ fn main() {
     // residuals re-center.
     engine.set_residual_scale(4.0);
     let confirmed_since = h.tuner.timeline().len();
-    h.batches_until("bandwidth-perturbation republish", opts.batch, opts.max_batches, |k| {
-        k[confirmed_since.min(k.len())..].iter().any(|e| {
-            matches!(
-                e,
-                TimelineKind::Confirmed { .. } | TimelineKind::Swapped { .. }
-            )
-        })
-    });
-    h.batches_until("post-perturbation recovery", opts.batch, opts.max_batches, |k| {
-        k[confirmed_since.min(k.len())..]
-            .iter()
-            .any(|e| matches!(e, TimelineKind::Recovered { .. }))
-    });
+    h.batches_until(
+        "bandwidth-perturbation republish",
+        opts.batch,
+        opts.max_batches,
+        |k| {
+            k[confirmed_since.min(k.len())..].iter().any(|e| {
+                matches!(
+                    e,
+                    TimelineKind::Confirmed { .. } | TimelineKind::Swapped { .. }
+                )
+            })
+        },
+    );
+    h.batches_until(
+        "post-perturbation recovery",
+        opts.batch,
+        opts.max_batches,
+        |k| {
+            k[confirmed_since.min(k.len())..]
+                .iter()
+                .any(|e| matches!(e, TimelineKind::Recovered { .. }))
+        },
+    );
     h.log.push_str(
         "phase bandwidth: 4x residual scale detected, baseline recalibrated, recovered\n",
     );

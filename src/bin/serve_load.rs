@@ -30,7 +30,9 @@ use blocked_spmv::core::rng::Rng;
 use blocked_spmv::core::{Csr, MatrixShape, SpMv};
 use blocked_spmv::gen::GenSpec;
 use blocked_spmv::model::{KernelProfile, MachineProfile, Model};
-use blocked_spmv::serve::{EngineOptions, EngineReport, MatrixId, PreparedMatrix, Registry, ServeEngine};
+use blocked_spmv::serve::{
+    EngineOptions, EngineReport, MatrixId, PreparedMatrix, Registry, ServeEngine,
+};
 use blocked_spmv::telemetry;
 
 /// Distinct input vectors canned per matrix; references are precomputed
@@ -64,12 +66,10 @@ fn parse_opts() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{name} needs an integer argument");
-                    std::process::exit(2);
-                })
+            args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("{name} needs an integer argument");
+                std::process::exit(2);
+            })
         };
         match a.as_str() {
             "--requests" => opts.requests = num("--requests"),
@@ -242,8 +242,11 @@ fn run_traffic(
         "served results must be bitwise-equal to single-vector SpMV"
     );
     let report = engine.report();
-    let request_pcts =
-        telemetry::summary::span_percentiles(&telemetry::snapshot(), "serve.request", &[50.0, 95.0, 99.0]);
+    let request_pcts = telemetry::summary::span_percentiles(
+        &telemetry::snapshot(),
+        "serve.request",
+        &[50.0, 95.0, 99.0],
+    );
     RunOutcome {
         elapsed,
         report,
@@ -356,13 +359,27 @@ fn main() {
         un_trials.push(run_traffic(&registry, &workloads, &opts, 1));
         co_trials.push(run_traffic(&registry, &workloads, &opts, 8));
     }
-    let best = |v: Vec<RunOutcome>| v.into_iter().min_by_key(|o| o.elapsed).expect("trials >= 1");
+    let best = |v: Vec<RunOutcome>| {
+        v.into_iter()
+            .min_by_key(|o| o.elapsed)
+            .expect("trials >= 1")
+    };
     let uncoalesced = best(un_trials);
     let coalesced = best(co_trials);
 
     let mut body = String::new();
-    describe("uncoalesced (max_batch=1)", &uncoalesced, opts.requests, &mut body);
-    describe("coalesced   (max_batch=8)", &coalesced, opts.requests, &mut body);
+    describe(
+        "uncoalesced (max_batch=1)",
+        &uncoalesced,
+        opts.requests,
+        &mut body,
+    );
+    describe(
+        "coalesced   (max_batch=8)",
+        &coalesced,
+        opts.requests,
+        &mut body,
+    );
     let gain = uncoalesced.elapsed.as_secs_f64() / coalesced.elapsed.as_secs_f64();
     body.push_str(&format!(
         "coalescing gain: {gain:.2}x throughput at fan-in {}\n",

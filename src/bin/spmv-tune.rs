@@ -161,8 +161,7 @@ fn main() {
         let configs = candidate_configs(Model::Overlap, include_simd);
         let ranked = rank(Model::Overlap, &csr, &machine, &profile, &configs);
         let x: Vec<f64> = random_vector(csr.n_cols(), 1);
-        let mut to_measure: Vec<Config> =
-            ranked.iter().take(5).map(|c| c.config).collect();
+        let mut to_measure: Vec<Config> = ranked.iter().take(5).map(|c| c.config).collect();
         if !to_measure.contains(&Config::CSR) {
             to_measure.push(Config::CSR);
         }

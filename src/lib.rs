@@ -47,10 +47,6 @@ pub use spmv_serve as serve;
 pub use spmv_telemetry as telemetry;
 pub use spmv_tune as tune;
 
-pub use spmv_core::{
-    Coo, Csr, DenseMatrix, Error, Precision, Result, Scalar, SpMv, SpMvMulti,
-};
-pub use spmv_formats::{
-    Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl, Vbr,
-};
+pub use spmv_core::{Coo, Csr, DenseMatrix, Error, Precision, Result, Scalar, SpMv, SpMvMulti};
+pub use spmv_formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl, Vbr};
 pub use spmv_kernels::{BlockShape, KernelImpl};

@@ -134,8 +134,9 @@ fn publish_during_dispatch_replies_match_some_version_bitwise() {
 /// selection. Further passes are no-ops instead of repeated panics.
 #[test]
 fn tuner_panic_is_isolated_and_last_good_selection_keeps_serving() {
-    let trips: Vec<(usize, usize, f64)> =
-        (0..64).map(|i| (i % 16, (i * 5) % 16, 0.5 + i as f64)).collect();
+    let trips: Vec<(usize, usize, f64)> = (0..64)
+        .map(|i| (i % 16, (i * 5) % 16, 0.5 + i as f64))
+        .collect();
     let csr = Arc::new(Csr::from_coo(
         &Coo::from_triplets(16, 16, trips).expect("triplets in range"),
     ));
@@ -181,10 +182,7 @@ fn tuner_panic_is_isolated_and_last_good_selection_keeps_serving() {
     let version_before = registry.version_of(id).expect("published");
 
     // Force staleness so the pass reaches the (panicking) reprofile.
-    let key = residual_key_for(
-        tuner.current_config(id).expect("watched"),
-        Model::Overlap,
-    );
+    let key = residual_key_for(tuner.current_config(id).expect("watched"), Model::Overlap);
     for _ in 0..4 {
         tuner.residuals().record_for(id.0, &key, 1e-6, 1e-4);
     }

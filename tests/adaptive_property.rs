@@ -151,8 +151,7 @@ fn tuner_choice_matches_select_extended_measured_with_overrides() {
             bandwidth,
             kernels: rows.into_iter().filter(|(k, _)| *k == suspect).collect(),
         };
-        let expected =
-            select_extended_measured(model, &csr, &machine, &profile, true, &overrides);
+        let expected = select_extended_measured(model, &csr, &machine, &profile, true, &overrides);
         assert_eq!(chosen, expected.config);
     });
 }

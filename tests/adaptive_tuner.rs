@@ -53,7 +53,12 @@ fn watched_tuner(
     );
     let spec = WatchSpec {
         detector,
-        ..WatchSpec::new(csr, Model::Overlap, machine(), KernelProfile::uniform(1e-9, 0.5))
+        ..WatchSpec::new(
+            csr,
+            Model::Overlap,
+            machine(),
+            KernelProfile::uniform(1e-9, 0.5),
+        )
     };
     assert!(tuner.watch(id, spec), "matrix is published, watch succeeds");
     (registry, tuner, id)
@@ -66,7 +71,9 @@ fn record_rel(tuner: &Tuner<f64>, id: MatrixId, model: Model, rel: f64) {
     let key = residual_key_for(config, model);
     let predicted = 1e-5;
     let measured = predicted / (1.0 + rel);
-    tuner.residuals().record_for(id.0, &key, predicted, measured);
+    tuner
+        .residuals()
+        .record_for(id.0, &key, predicted, measured);
 }
 
 // ---------------------------------------------------------------------
@@ -225,7 +232,10 @@ fn tuner_replays_full_episode_under_manual_clock() {
     for _ in 0..4 {
         record_rel(&tuner, id, Model::Overlap, 0.02);
     }
-    assert!(tuner.run_once().is_empty(), "healthy pass publishes nothing");
+    assert!(
+        tuner.run_once().is_empty(),
+        "healthy pass publishes nothing"
+    );
     assert_eq!(tuner.verdict_for(id), Some(Verdict::Healthy));
     assert_eq!(registry.version_of(id), Some(1));
 
@@ -249,8 +259,10 @@ fn tuner_replays_full_episode_under_manual_clock() {
         )),
         "a stale pass must republish: {events:?}"
     );
-    assert!(events.iter().all(|e| e.t_ns == 5_000),
-        "timestamps come from the injected clock only: {events:?}");
+    assert!(
+        events.iter().all(|e| e.t_ns == 5_000),
+        "timestamps come from the injected clock only: {events:?}"
+    );
     let v2 = registry.version_of(id).expect("still published");
     assert!(v2 > 1, "stale pass must bump the registry version");
     assert_eq!(tuner.verdict_for(id), Some(Verdict::CoolingDown));
@@ -304,7 +316,11 @@ fn tuner_decisions_are_clock_independent() {
             if advance {
                 clock.advance(1_000 + step);
             }
-            let rel = if step % 3 == 2 { 3.0 } else { rng.f64_in(0.0, 0.1) };
+            let rel = if step % 3 == 2 {
+                3.0
+            } else {
+                rng.f64_in(0.0, 0.1)
+            };
             for _ in 0..3 {
                 record_rel(&tuner, id, Model::Overlap, rel);
             }

@@ -109,7 +109,14 @@ fn run<T: SimdScalar>(k: usize) {
             check(&Vbl::from_csr(&csr, imp), &x, &yref, &mag, k, &t);
         }
         // VBR has no SIMD kernels; one scalar pass covers it.
-        check(&Vbr::from_csr(&csr), &x, &yref, &mag, k, &format!("seed {seed} vbr"));
+        check(
+            &Vbr::from_csr(&csr),
+            &x,
+            &yref,
+            &mag,
+            k,
+            &format!("seed {seed} vbr"),
+        );
     }
 }
 
@@ -142,9 +149,7 @@ fn multi_vector_is_bitwise_per_column() {
         let case = structured_case(seed);
         let (n, m) = (case.n, case.m);
         let csr: Csr<f64> = case.csr();
-        let x: Vec<f64> = (0..m * K)
-            .map(|i| 0.25 * (i % 9) as f64 - 1.0)
-            .collect();
+        let x: Vec<f64> = (0..m * K).map(|i| 0.25 * (i % 9) as f64 - 1.0).collect();
         let shape = BlockShape::new(2, 2).unwrap();
         for imp in KernelImpl::ALL {
             let formats: Vec<(&str, Box<dyn SpMvMulti<f64>>)> = vec![

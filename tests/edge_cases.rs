@@ -40,7 +40,10 @@ fn check_all(coo: &Coo<f64>, what: &str) {
                 format!("bcsr-dec {imp}"),
                 Box::new(BcsrDec::from_csr(&csr, shape, imp)),
             ),
-            (format!("bcsd {imp}"), Box::new(Bcsd::from_csr(&csr, 4, imp))),
+            (
+                format!("bcsd {imp}"),
+                Box::new(Bcsd::from_csr(&csr, 4, imp)),
+            ),
             (
                 format!("bcsd-dec {imp}"),
                 Box::new(BcsdDec::from_csr(&csr, 4, imp)),

@@ -135,7 +135,10 @@ fn latency_extension_orders_matrices_by_irregularity() {
     ];
     let miss0 = input_vector_miss_estimate(&mats[0], &m, 8);
     let miss1 = input_vector_miss_estimate(&mats[1], &m, 8);
-    assert!(miss1 > 4.0 * miss0, "irregular should miss far more: {miss0} vs {miss1}");
+    assert!(
+        miss1 > 4.0 * miss0,
+        "irregular should miss far more: {miss0} vs {miss1}"
+    );
     let t0 = predict_overlap_lat(&mats[0], &Config::CSR, &m, &profile, &lat);
     let t1 = predict_overlap_lat(&mats[1], &Config::CSR, &m, &profile, &lat);
     assert!(t1 > t0);
@@ -171,5 +174,8 @@ fn committed_benchmark_profile_covers_the_extended_candidates() {
     // `read_profile` checks their lines and skips them.)
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/profile.txt");
     let (machine, mut profile) = load_profile(path).expect("the committed calibration loads");
-    assert_eq!(profile.fill_missing::<f64>(&machine, &ProfileOptions::default()), 0);
+    assert_eq!(
+        profile.fill_missing::<f64>(&machine, &ProfileOptions::default()),
+        0
+    );
 }

@@ -89,7 +89,13 @@ fn suite_matrices_are_unchanged() {
     let rows: Vec<_> = suite(0.02)
         .iter()
         .zip(SUITE)
-        .map(|(entry, want)| (format!("suite #{}", entry.id), csr_sum(&entry.build(7)), want))
+        .map(|(entry, want)| {
+            (
+                format!("suite #{}", entry.id),
+                csr_sum(&entry.build(7)),
+                want,
+            )
+        })
         .collect();
     assert_eq!(rows.len(), 30);
     check(&rows);

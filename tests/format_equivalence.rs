@@ -101,22 +101,26 @@ fn bcsd_matches_dense_any_size() {
 
 #[test]
 fn decomposed_match_dense_and_conserve_nnz() {
-    prop::run("decomposed_match_dense_and_conserve_nnz", 64, |rng, size| {
-        let (n, m, entries) = gen_matrix(rng, size);
-        let (csr, dense) = build(n, m, &entries);
-        let x = x_for(m);
+    prop::run(
+        "decomposed_match_dense_and_conserve_nnz",
+        64,
+        |rng, size| {
+            let (n, m, entries) = gen_matrix(rng, size);
+            let (csr, dense) = build(n, m, &entries);
+            let x = x_for(m);
 
-        let shape = any_shape(rng);
-        let dec = BcsrDec::from_csr(&csr, shape, KernelImpl::Scalar);
-        assert_close(&dense.spmv(&x), &dec.spmv(&x), &format!("BCSR-DEC {shape}"));
-        assert_eq!(dec.nnz_stored(), csr.nnz(), "DEC must not pad");
-        assert_eq!(dec.main().padding(), 0);
+            let shape = any_shape(rng);
+            let dec = BcsrDec::from_csr(&csr, shape, KernelImpl::Scalar);
+            assert_close(&dense.spmv(&x), &dec.spmv(&x), &format!("BCSR-DEC {shape}"));
+            assert_eq!(dec.nnz_stored(), csr.nnz(), "DEC must not pad");
+            assert_eq!(dec.main().padding(), 0);
 
-        let b = any_bcsd(rng);
-        let dec = BcsdDec::from_csr(&csr, b, KernelImpl::Scalar);
-        assert_close(&dense.spmv(&x), &dec.spmv(&x), &format!("BCSD-DEC {b}"));
-        assert_eq!(dec.nnz_stored(), csr.nnz());
-    });
+            let b = any_bcsd(rng);
+            let dec = BcsdDec::from_csr(&csr, b, KernelImpl::Scalar);
+            assert_close(&dense.spmv(&x), &dec.spmv(&x), &format!("BCSD-DEC {b}"));
+            assert_eq!(dec.nnz_stored(), csr.nnz());
+        },
+    );
 }
 
 #[test]
@@ -139,22 +143,26 @@ fn variable_formats_match_dense() {
 
 #[test]
 fn single_precision_formats_agree_with_double() {
-    prop::run("single_precision_formats_agree_with_double", 64, |rng, size| {
-        let (n, m, entries) = gen_matrix(rng, size);
-        let (csr64, _) = build(n, m, &entries);
-        let csr32 = csr64.cast::<f32>();
-        let shape = any_shape(rng);
-        let b64 = Bcsr::from_csr(&csr64, shape, KernelImpl::Simd);
-        let b32 = Bcsr::from_csr(&csr32, shape, KernelImpl::Simd);
-        let x64 = x_for(m);
-        let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-        for (a, b) in b64.spmv(&x64).iter().zip(b32.spmv(&x32)) {
-            assert!(
-                (*a - b as f64).abs() <= 1e-3 * (1.0 + a.abs()),
-                "precisions diverged: {a} vs {b}"
-            );
-        }
-    });
+    prop::run(
+        "single_precision_formats_agree_with_double",
+        64,
+        |rng, size| {
+            let (n, m, entries) = gen_matrix(rng, size);
+            let (csr64, _) = build(n, m, &entries);
+            let csr32 = csr64.cast::<f32>();
+            let shape = any_shape(rng);
+            let b64 = Bcsr::from_csr(&csr64, shape, KernelImpl::Simd);
+            let b32 = Bcsr::from_csr(&csr32, shape, KernelImpl::Simd);
+            let x64 = x_for(m);
+            let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
+            for (a, b) in b64.spmv(&x64).iter().zip(b32.spmv(&x32)) {
+                assert!(
+                    (*a - b as f64).abs() <= 1e-3 * (1.0 + a.abs()),
+                    "precisions diverged: {a} vs {b}"
+                );
+            }
+        },
+    );
 }
 
 #[test]

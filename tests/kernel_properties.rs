@@ -33,35 +33,39 @@ fn bcsr_case(rng: &mut Rng, shape: BlockShape) -> (Vec<f64>, Vec<u32>, Vec<f64>)
 
 #[test]
 fn simd_equals_scalar_for_every_bcsr_shape() {
-    prop::run("simd_equals_scalar_for_every_bcsr_shape", 40, |rng, _size| {
-        let space = BlockShape::search_space();
-        let shape = space[rng.index(space.len())];
-        let seed = rng.next_u64() % 1000;
-        // Simple structured data derived from the seed: block values,
-        // disjoint starts with a seed-dependent stride, and a matching x.
-        let (r, c) = (shape.rows(), shape.cols());
-        let nb = 1 + (seed as usize) % 5;
-        let vals: Vec<f64> = (0..nb * r * c)
-            .map(|i| ((seed + i as u64) % 17) as f64 * 0.25 - 2.0)
-            .collect();
-        let starts: Vec<u32> = (0..nb)
-            .map(|k| (k * (c + 1 + (seed as usize) % 3)) as u32)
-            .collect();
-        let x_len = starts.last().map(|&s| s as usize + c).unwrap_or(c) + 2;
-        let x: Vec<f64> = (0..x_len)
-            .map(|i| ((seed ^ i as u64) % 11) as f64 * 0.5 - 2.0)
-            .collect();
+    prop::run(
+        "simd_equals_scalar_for_every_bcsr_shape",
+        40,
+        |rng, _size| {
+            let space = BlockShape::search_space();
+            let shape = space[rng.index(space.len())];
+            let seed = rng.next_u64() % 1000;
+            // Simple structured data derived from the seed: block values,
+            // disjoint starts with a seed-dependent stride, and a matching x.
+            let (r, c) = (shape.rows(), shape.cols());
+            let nb = 1 + (seed as usize) % 5;
+            let vals: Vec<f64> = (0..nb * r * c)
+                .map(|i| ((seed + i as u64) % 17) as f64 * 0.25 - 2.0)
+                .collect();
+            let starts: Vec<u32> = (0..nb)
+                .map(|k| (k * (c + 1 + (seed as usize) % 3)) as u32)
+                .collect();
+            let x_len = starts.last().map(|&s| s as usize + c).unwrap_or(c) + 2;
+            let x: Vec<f64> = (0..x_len)
+                .map(|i| ((seed ^ i as u64) % 11) as f64 * 0.5 - 2.0)
+                .collect();
 
-        let scalar = bcsr_row_kernel::<f64>(shape, KernelImpl::Scalar);
-        let simd = bcsr_row_kernel::<f64>(shape, KernelImpl::Simd);
-        let mut ys = vec![0.5f64; r];
-        let mut yv = vec![0.5f64; r];
-        scalar(&vals, &starts, &x, &mut ys);
-        simd(&vals, &starts, &x, &mut yv);
-        for (a, b) in ys.iter().zip(&yv) {
-            assert!((a - b).abs() < 1e-9, "{shape}: {a} vs {b}");
-        }
-    });
+            let scalar = bcsr_row_kernel::<f64>(shape, KernelImpl::Scalar);
+            let simd = bcsr_row_kernel::<f64>(shape, KernelImpl::Simd);
+            let mut ys = vec![0.5f64; r];
+            let mut yv = vec![0.5f64; r];
+            scalar(&vals, &starts, &x, &mut ys);
+            simd(&vals, &starts, &x, &mut yv);
+            for (a, b) in ys.iter().zip(&yv) {
+                assert!((a - b).abs() < 1e-9, "{shape}: {a} vs {b}");
+            }
+        },
+    );
 }
 
 #[test]
@@ -121,32 +125,36 @@ fn bcsd_simd_equals_scalar() {
 
 #[test]
 fn bcsd_clipped_skips_out_of_matrix_positions() {
-    prop::run("bcsd_clipped_skips_out_of_matrix_positions", 40, |rng, _size| {
-        let b = BCSD_SIZES[rng.index(BCSD_SIZES.len())];
-        let n_cols = rng.usize_in(1, 16);
-        // Rejection-sample the diagonal offset until it overlaps the
-        // matrix (the proptest version used prop_assume! here).
-        let j0 = loop {
-            let j0 = rng.usize_in(0, 27) as i64 - 7;
-            if j0 + (b as i64) > 0 && j0 < n_cols as i64 {
-                break j0;
-            }
-        };
-        let vals: Vec<f64> = (0..b).map(|t| 1.0 + t as f64).collect();
-        let starts = [(j0 + b as i64) as u32];
-        let x: Vec<f64> = (0..n_cols).map(|i| 2.0 + i as f64).collect();
-        let mut y = vec![0.0; b];
-        bcsd_segment_clipped(b, &vals, &starts, &x, &mut y);
-        for (t, &yt) in y.iter().enumerate() {
-            let col = j0 + t as i64;
-            let want = if (0..n_cols as i64).contains(&col) {
-                vals[t] * x[col as usize]
-            } else {
-                0.0
+    prop::run(
+        "bcsd_clipped_skips_out_of_matrix_positions",
+        40,
+        |rng, _size| {
+            let b = BCSD_SIZES[rng.index(BCSD_SIZES.len())];
+            let n_cols = rng.usize_in(1, 16);
+            // Rejection-sample the diagonal offset until it overlaps the
+            // matrix (the proptest version used prop_assume! here).
+            let j0 = loop {
+                let j0 = rng.usize_in(0, 27) as i64 - 7;
+                if j0 + (b as i64) > 0 && j0 < n_cols as i64 {
+                    break j0;
+                }
             };
-            assert!((yt - want).abs() < 1e-12, "t={t}");
-        }
-    });
+            let vals: Vec<f64> = (0..b).map(|t| 1.0 + t as f64).collect();
+            let starts = [(j0 + b as i64) as u32];
+            let x: Vec<f64> = (0..n_cols).map(|i| 2.0 + i as f64).collect();
+            let mut y = vec![0.0; b];
+            bcsd_segment_clipped(b, &vals, &starts, &x, &mut y);
+            for (t, &yt) in y.iter().enumerate() {
+                let col = j0 + t as i64;
+                let want = if (0..n_cols as i64).contains(&col) {
+                    vals[t] * x[col as usize]
+                } else {
+                    0.0
+                };
+                assert!((yt - want).abs() < 1e-12, "t={t}");
+            }
+        },
+    );
 }
 
 #[test]

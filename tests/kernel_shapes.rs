@@ -9,13 +9,13 @@
 //! scalar single-vector kernel to the last bit; any deviation is a real
 //! indexing or ordering bug, not rounding.
 
+use blocked_spmv::core::multi::with_tuples;
 use blocked_spmv::kernels::registry::{
     bcsd_seg_kernel, bcsd_seg_multi_kernel, bcsr_row_kernel, bcsr_row_multi_kernel,
 };
 use blocked_spmv::kernels::simd::SimdScalar;
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::Scalar;
-use blocked_spmv::core::multi::with_tuples;
 
 const NB: usize = 5; // blocks per row/segment
 const XLEN: usize = 64;
@@ -106,7 +106,9 @@ fn run_bcsd<T: SimdScalar>() {
         let vals = bvals::<T>(NB * b);
         // Stored columns carry the +b bias of the BCSD layout.
         let cols = bcols(b);
-        assert!(cols.iter().all(|&j| (j as usize) >= b && (j as usize - b) + b <= XLEN));
+        assert!(cols
+            .iter()
+            .all(|&j| (j as usize) >= b && (j as usize - b) + b <= XLEN));
         let x = xvec::<T>(1);
 
         let mut want = vec![T::from_f64(1.0); b];

@@ -71,22 +71,26 @@ fn model_predictions_are_ordered() {
 
 #[test]
 fn predictions_scale_linearly_with_bandwidth() {
-    prop::run("predictions_scale_linearly_with_bandwidth", 48, |rng, size| {
-        // Doubling BW must halve the MEM prediction exactly.
-        let csr = gen_csr(rng, size);
-        let profile = KernelProfile::uniform(1e-9, 0.5);
-        let m1 = machine();
-        let m2 = MachineProfile {
-            bandwidth: 2.0 * m1.bandwidth,
-            ..m1
-        };
-        for config in Config::enumerate(false).into_iter().take(8) {
-            let stats = config.substats(&csr);
-            let t1 = Model::Mem.predict(&stats, &m1, &profile);
-            let t2 = Model::Mem.predict(&stats, &m2, &profile);
-            assert!((t1 - 2.0 * t2).abs() <= 1e-15 + 1e-9 * t1);
-        }
-    });
+    prop::run(
+        "predictions_scale_linearly_with_bandwidth",
+        48,
+        |rng, size| {
+            // Doubling BW must halve the MEM prediction exactly.
+            let csr = gen_csr(rng, size);
+            let profile = KernelProfile::uniform(1e-9, 0.5);
+            let m1 = machine();
+            let m2 = MachineProfile {
+                bandwidth: 2.0 * m1.bandwidth,
+                ..m1
+            };
+            for config in Config::enumerate(false).into_iter().take(8) {
+                let stats = config.substats(&csr);
+                let t1 = Model::Mem.predict(&stats, &m1, &profile);
+                let t2 = Model::Mem.predict(&stats, &m2, &profile);
+                assert!((t1 - 2.0 * t2).abs() <= 1e-15 + 1e-9 * t1);
+            }
+        },
+    );
 }
 
 #[test]
@@ -171,11 +175,7 @@ fn diagonal_matrix_prefers_bcsd_family_under_mem() {
     // A pure multi-diagonal matrix: BCSD's working set is the smallest
     // possible (one index per b elements, no padding in the interior), so
     // the MEM model must choose the BCSD family.
-    let csr = GenSpec::DiagRuns {
-        n: 600,
-        n_diags: 3,
-    }
-    .build(1);
+    let csr = GenSpec::DiagRuns { n: 600, n_diags: 3 }.build(1);
     let profile = KernelProfile::uniform(1e-9, 0.5);
     let pick = select(Model::Mem, &csr, &machine(), &profile, false);
     match pick.config.block {

@@ -32,7 +32,9 @@ const STRIDE: u64 = 8;
 
 fn random_block<T: Scalar>(len: usize, seed: u64) -> Vec<T> {
     let mut rng = Rng::new(seed);
-    (0..len).map(|_| T::from_f64(rng.unit() * 4.0 - 2.0)).collect()
+    (0..len)
+        .map(|_| T::from_f64(rng.unit() * 4.0 - 2.0))
+        .collect()
 }
 
 fn bits<T: Scalar>(v: &[T]) -> Vec<u64> {
@@ -61,7 +63,8 @@ fn sweep<T: SimdScalar>(csr: &Csr<T>, label: &str, pooled: bool) {
         .collect();
     for config in Config::enumerate_extended(true) {
         let built = config.build(csr);
-        let pool = pooled.then(|| PreparedMatrix::from_config_pooled(config, csr, 2, PinPolicy::None));
+        let pool =
+            pooled.then(|| PreparedMatrix::from_config_pooled(config, csr, 2, PinPolicy::None));
         for (&k, xk) in KS.iter().zip(&xs) {
             check(&built, xk, k, &|| format!("{label} {config} serial"));
             if let Some(pool) = &pool {

@@ -118,9 +118,9 @@ fn split_segments_partition_the_nnz_range() {
             pos = s.end;
         }
         assert_eq!(pos, nnz, "segments must cover all nnz");
-        let (min, max) = segs
-            .iter()
-            .fold((usize::MAX, 0), |(lo, hi), s| (lo.min(s.len()), hi.max(s.len())));
+        let (min, max) = segs.iter().fold((usize::MAX, 0), |(lo, hi), s| {
+            (lo.min(s.len()), hi.max(s.len()))
+        });
         assert!(max - min <= 1, "near-equal segment sizes: {min}..{max}");
     });
 }
@@ -149,7 +149,9 @@ fn nnz_split_pools_are_bitwise_equal_to_serial() {
 
         // Multi-vector: k columns, each column bitwise its serial SpMV.
         let k = rng.usize_in(1, 5);
-        let xs: Vec<Vec<f64>> = (0..k).map(|_| rng.f64_vec(csr.n_cols(), -1.0, 1.0)).collect();
+        let xs: Vec<Vec<f64>> = (0..k)
+            .map(|_| rng.f64_vec(csr.n_cols(), -1.0, 1.0))
+            .collect();
         let flat: Vec<f64> = xs.iter().flatten().copied().collect();
         let mut ys = vec![0.0; k * csr.n_rows()];
         pool.spmv_multi_into(&flat, &mut ys, k);

@@ -22,13 +22,13 @@ fn csr_col_ind_is_almost_half_the_working_set_in_sp() {
     let csr32 = csr64.cast::<f32>();
     let col_bytes = csr32.nnz() * 4;
     let frac = col_bytes as f64 / csr32.matrix_bytes() as f64;
-    assert!(
-        (0.40..0.52).contains(&frac),
-        "sp col_ind fraction = {frac}"
-    );
+    assert!((0.40..0.52).contains(&frac), "sp col_ind fraction = {frac}");
     // In double precision it is a third.
     let frac64 = (csr64.nnz() * 4) as f64 / csr64.matrix_bytes() as f64;
-    assert!((0.28..0.37).contains(&frac64), "dp col_ind fraction = {frac64}");
+    assert!(
+        (0.28..0.37).contains(&frac64),
+        "dp col_ind fraction = {frac64}"
+    );
 }
 
 /// §III: "blocking methods maintain a single index for each block …

@@ -16,8 +16,7 @@ use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::model::{BlockConfig, Config};
 use blocked_spmv::parallel::{
-    bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, partition_units, PinPolicy,
-    SpmvPool,
+    bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, partition_units, PinPolicy, SpmvPool,
 };
 
 #[path = "support/prop.rs"]

@@ -125,7 +125,11 @@ fn permutation_is_window_local_stable_descending_sort() {
                 let sell = SellCSigma::from_csr(&csr, c, sigma, KernelImpl::Scalar);
                 let perm = sell.perm();
                 assert_eq!(perm.len(), n);
-                let sigma_eff = if sigma == SELL_SIGMA_FULL { n.max(1) } else { sigma };
+                let sigma_eff = if sigma == SELL_SIGMA_FULL {
+                    n.max(1)
+                } else {
+                    sigma
+                };
                 let mut w0 = 0;
                 while w0 < n {
                     let w1 = (w0 + sigma_eff).min(n);
@@ -187,7 +191,10 @@ fn sigma_one_permutation_is_identity() {
         for &c in &SELL_HEIGHTS {
             let sell = SellCSigma::from_csr(&csr, c, 1, KernelImpl::Scalar);
             assert!(
-                sell.perm().iter().enumerate().all(|(i, &r)| i == r as usize),
+                sell.perm()
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &r)| i == r as usize),
                 "seed {seed} c={c}: sigma=1 permutation is not the identity"
             );
         }

@@ -18,7 +18,8 @@ use blocked_spmv::serve::{
 };
 
 fn csr_from(rng: &mut prop::Rng, size: usize) -> Csr<f64> {
-    let (n, m, trips) = prop::sparse_triplets(rng, 2 + size * 4, 2 + size * 4, size * 12, -4.0, 4.0);
+    let (n, m, trips) =
+        prop::sparse_triplets(rng, 2 + size * 4, 2 + size * 4, size * 12, -4.0, 4.0);
     Csr::from_coo(&Coo::from_triplets(n, m, trips).expect("triplets in range"))
 }
 
@@ -61,7 +62,11 @@ fn batched_dispatch_is_bitwise_equal_to_serial() {
             .collect();
         let tickets: Vec<_> = xs
             .iter()
-            .map(|x| engine.submit(id, x.clone()).expect("known id, right length"))
+            .map(|x| {
+                engine
+                    .submit(id, x.clone())
+                    .expect("known id, right length")
+            })
             .collect();
         // Resuming after the whole fan is queued forces coalescing: the
         // dispatcher sees all `fan` requests in a single drain.
@@ -150,8 +155,12 @@ fn registry_stays_consistent_under_publish_while_read() {
 #[test]
 fn backpressure_rejects_instead_of_blocking() {
     let csr = Csr::<f64>::from_coo(
-        &Coo::from_triplets(6, 6, (0..6).map(|i| (i, i, 1.0 + i as f64)).collect::<Vec<_>>())
-            .unwrap(),
+        &Coo::from_triplets(
+            6,
+            6,
+            (0..6).map(|i| (i, i, 1.0 + i as f64)).collect::<Vec<_>>(),
+        )
+        .unwrap(),
     );
     let registry = Arc::new(Registry::new());
     let id = MatrixId(3);

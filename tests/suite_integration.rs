@@ -36,7 +36,10 @@ fn every_suite_entry_runs_every_format_family() {
                 );
             }
         };
-        check(Bcsr::from_csr(&csr, shape, KernelImpl::Simd).spmv(&x), "BCSR");
+        check(
+            Bcsr::from_csr(&csr, shape, KernelImpl::Simd).spmv(&x),
+            "BCSR",
+        );
         check(
             BcsrDec::from_csr(&csr, shape, KernelImpl::Scalar).spmv(&x),
             "BCSR-DEC",
@@ -64,7 +67,9 @@ fn table1_rows_are_structurally_sound() {
     // 14 geometric.
     use blocked_spmv::gen::Geometry;
     assert_eq!(
-        rows.iter().filter(|r| r.geometry == Geometry::Special).count(),
+        rows.iter()
+            .filter(|r| r.geometry == Geometry::Special)
+            .count(),
         2
     );
     assert_eq!(
@@ -74,7 +79,9 @@ fn table1_rows_are_structurally_sound() {
         14
     );
     assert_eq!(
-        rows.iter().filter(|r| r.geometry == Geometry::Geometric).count(),
+        rows.iter()
+            .filter(|r| r.geometry == Geometry::Geometric)
+            .count(),
         14
     );
 }

@@ -133,7 +133,11 @@ pub fn structured_case(seed: u64) -> Case {
             trips.push((i, j, val(&mut rng)));
         }
     }
-    let n = if seed.is_multiple_of(7) { n + rng.usize_in(1, 4) } else { n };
+    let n = if seed.is_multiple_of(7) {
+        n + rng.usize_in(1, 4)
+    } else {
+        n
+    };
     Case { n, m, trips }
 }
 

@@ -103,9 +103,8 @@ where
     for case in 0..cases {
         let seed = case_seed(base, case);
         let size = size_for(case, cases);
-        let attempt = |s: usize| {
-            catch_unwind(AssertUnwindSafe(|| property(&mut Rng::new(seed), s)))
-        };
+        let attempt =
+            |s: usize| catch_unwind(AssertUnwindSafe(|| property(&mut Rng::new(seed), s)));
         if let Err(first) = attempt(size) {
             // Bounded shrink: replay the same seed at halved sizes and
             // keep the smallest one that still fails.

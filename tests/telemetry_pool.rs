@@ -87,8 +87,16 @@ fn enabling_recording_captures_epoch_and_strip_spans() {
     telemetry::set_enabled(false);
 
     let snap = telemetry::snapshot();
-    let epochs = snap.events.iter().filter(|e| e.name == "pool.epoch").count();
-    let strips = snap.events.iter().filter(|e| e.name == "pool.strip").count();
+    let epochs = snap
+        .events
+        .iter()
+        .filter(|e| e.name == "pool.epoch")
+        .count();
+    let strips = snap
+        .events
+        .iter()
+        .filter(|e| e.name == "pool.strip")
+        .count();
     assert_eq!(epochs, calls, "one pool.epoch span per call");
     assert_eq!(
         strips,
