@@ -17,9 +17,9 @@
 use crate::machine::MachineProfile;
 use crate::timing::measure_spmv;
 use spmv_core::{Csr, DenseMatrix, Scalar};
-use spmv_formats::{bcsr_stats, Bcsr};
+use spmv_formats::{bcsr_lane_counts, Bcsr, LaneCounts};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::{BlockShape, KernelImpl};
+use spmv_kernels::{BlockShape, KernelImpl, MAX_BLOCK_ELEMS};
 use std::collections::HashMap;
 
 /// Measured dense-matrix SpMV rates per (shape, implementation), in
@@ -88,10 +88,14 @@ pub fn select_bcsr_shape<T: Scalar>(
 ) -> (BlockShape, KernelImpl, f64) {
     assert!(!dense.is_empty(), "dense profile required");
     let nnz = csr.nnz().max(1) as f64;
+    // One lane pass per block width counts every height of that width.
+    let widths: Vec<LaneCounts> = (1..=MAX_BLOCK_ELEMS)
+        .map(|c| bcsr_lane_counts(csr, c))
+        .collect();
     let mut best: Option<(BlockShape, KernelImpl, f64)> = None;
     for shape in BlockShape::search_space() {
-        let stats = bcsr_stats(csr, shape);
-        let fill = stats.stored as f64 / nnz;
+        let counts = widths[shape.cols() - 1].height(shape.rows());
+        let fill = counts.padded::<T>(shape.elems(), csr.nnz()).stored as f64 / nnz;
         for imp in KernelImpl::ALL {
             if imp == KernelImpl::Simd && !include_simd {
                 continue;
@@ -111,6 +115,7 @@ pub fn select_bcsr_shape<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spmv_formats::bcsr_stats;
     use spmv_gen::GenSpec;
 
     /// A synthetic dense profile where the rate grows with block size —

@@ -2,13 +2,14 @@
 # Tier-1 verify loop, cargo only. The workspace has no registry
 # dependencies, so every step runs with --offline:
 #
-#   build, clippy on all targets, workspace tests (doctests included),
-#   the telemetry-disabled test runs, the serve tests on one CPU (where
-#   the engine starts no helper thread), rustdoc with warnings denied, the
-#   benchmark package's API tripwire, the harness-bin smokes (serve_load,
-#   serve_adapt, numa_scale, sellc in both telemetry configs, census at a
-#   small scale), spmv-tune on a calibration cut short after its CSR
-#   line, and the runtime examples.
+#   rustfmt on every workspace member, build, clippy on all targets,
+#   workspace tests (doctests included), the telemetry-disabled test
+#   runs, the serve tests on one CPU (where the engine starts no helper
+#   thread), rustdoc with warnings denied, the benchmark package's API
+#   tripwire, the harness-bin smokes (serve_load, serve_adapt,
+#   numa_scale, sellc in both telemetry configs, census at a small
+#   scale), spmv-tune on a calibration cut short after its CSR line, and
+#   the runtime examples.
 #
 # See docs/TESTING.md for what each tier covers.
 #
@@ -31,6 +32,7 @@ smoke() {
     test -s "$out" || { echo "check.sh: $out is empty" >&2; exit 1; }
 }
 
+run cargo fmt --all --check
 run cargo build --offline --release --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo test --offline --workspace --quiet

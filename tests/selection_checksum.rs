@@ -20,7 +20,7 @@
 //!
 //! Updating the expected values is only right for an intended change to
 //! the models or to the candidate list; a speed-up of the statistics path
-//! (`ArenaStats`, the counting scans of `spmv_formats::stats`) must leave
+//! (`ArenaStats`, the lane passes of `spmv_formats::stats`) must leave
 //! them unchanged.
 
 #[path = "support/fnv.rs"]
