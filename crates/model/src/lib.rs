@@ -27,7 +27,7 @@
 //!
 //! For batched right-hand sides (SpMM), [`Model::predict_multi`] extends
 //! each model to `k`-vector calls — matrix traffic is paid once, vector
-//! traffic and compute `k` times — and [`select_multi`] ranks
+//! traffic and compute `k` times — and [`rank_multi`] ranks
 //! (format, block, implementation, `k`) candidates by predicted time per
 //! vector.
 //!
@@ -70,7 +70,6 @@ pub use multicore::{
 pub use persist::{load_profile, read_profile, save_profile, write_profile};
 pub use profile::{profile_kernels, profile_keys, BlockTimes, KernelProfile, ProfileOptions};
 pub use select::{
-    candidate_configs, candidate_configs_extended, rank, rank_extended_measured, rank_multi,
-    select, select_extended, select_extended_measured, select_multi, select_multi_extended,
-    select_multi_extended_measured, Candidate, MeasuredOverrides, MultiCandidate,
+    candidate_configs, candidate_configs_extended, rank, rank_multi, select, select_extended,
+    select_extended_measured, Candidate, MeasuredOverrides, MultiCandidate,
 };

@@ -5,8 +5,8 @@
 //! The threaded execution model is `spmv-parallel`'s pool: the matrix is
 //! split row-wise into the strips `SpmvPool::from_csr` runs for the
 //! configuration — its [`Config::pool_units`] weights through the pool's
-//! partition — and the strips run concurrently. Two effects change the
-//! prediction:
+//! [`strip_plan`] — and the strips run concurrently. Two effects change
+//! the prediction:
 //!
 //! 1. **bandwidth sharing** — the strips stream simultaneously from the
 //!    same memory controller, so each strip sees `BW / threads`
@@ -24,36 +24,18 @@
 //!
 //! The `max` in effect assumes every strip runs as its structure
 //! predicts, but runtime effects (cache topology, pinning, SMT siblings,
-//! OS noise) skew real strips further apart. The persistent pool
-//! (`SpmvPool::measured_strip_seconds`) reports the *measured* median
-//! time per strip, and [`imbalance_factor`] condenses it to the
-//! slowest strip over the mean.
-
-use core::ops::Range;
+//! OS noise) skew real strips further apart. With telemetry recording
+//! on, the persistent pool emits one `pool.strip` span per strip per
+//! call (arg = strip index); the per-strip medians of those spans are
+//! the *measured* strip times, and [`imbalance_factor`] condenses them
+//! to the slowest strip over the mean.
 
 use crate::config::Config;
 use crate::machine::MachineProfile;
 use crate::models::Model;
 use crate::profile::KernelProfile;
 use spmv_core::{Csr, MatrixShape, Scalar};
-use spmv_parallel::{heavy_unit, partition_units, units_to_rows};
-
-/// The row strips `SpmvPool::from_csr` hosts `config` on with `threads`
-/// workers: the [`Config::pool_units`] weights split by the pool's
-/// partition steps, with a heavy single row left out of the balance as
-/// the pool shears it, and empty strips dropped.
-fn pool_strips<T: Scalar>(csr: &Csr<T>, config: &Config, threads: usize) -> Vec<Range<usize>> {
-    let (mut weights, height) = config.pool_units(csr);
-    if height == 1 {
-        if let Some(row) = heavy_unit(&weights, threads) {
-            weights[row] = 0;
-        }
-    }
-    units_to_rows(&partition_units(&weights, threads), height, csr.n_rows())
-        .into_iter()
-        .filter(|rows| !rows.is_empty())
-        .collect()
-}
+use spmv_parallel::strip_plan;
 
 /// Predicted seconds per SpMV for `config` on `csr` executed with
 /// `threads` bandwidth-sharing threads: [`predict_threaded_hierarchy`]
@@ -78,8 +60,8 @@ pub fn predict_threaded<T: Scalar>(
 /// `1.0` means perfectly balanced strips (and is returned for empty or
 /// degenerate profiles); `2.0` means the critical strip ran twice as
 /// long as the average, so half the aggregate compute capacity was idle
-/// at the barrier. Feed this from
-/// `spmv_parallel::SpmvPool::measured_strip_seconds`.
+/// at the barrier. Feed this the per-strip medians of a recorded run's
+/// `pool.strip` spans (grouped by their arg, the strip index).
 pub fn imbalance_factor(per_strip_seconds: &[f64]) -> f64 {
     if per_strip_seconds.is_empty() {
         return 1.0;
@@ -214,7 +196,9 @@ pub fn predict_threaded_hierarchy<T: Scalar>(
     for &p in &pages {
         sharers[p] += 1;
     }
-    pool_strips(csr, config, threads)
+    let (weights, height) = config.pool_units(csr);
+    strip_plan(&weights, height, csr.n_rows(), threads)
+        .0
         .into_iter()
         .enumerate()
         .map(|(s, rows)| {
@@ -284,9 +268,9 @@ mod tests {
         }
         .build(2);
         for config in Config::enumerate_extended(false) {
-            let (_, height) = config.pool_units(&csr);
+            let (weights, height) = config.pool_units(&csr);
             for threads in 1..6 {
-                let strips = pool_strips(&csr, &config, threads);
+                let (strips, _) = strip_plan(&weights, height, 101, threads);
                 assert!(!strips.is_empty() && strips.len() <= threads, "{config}");
                 assert_eq!(strips[0].start, 0, "{config}");
                 assert_eq!(strips.last().unwrap().end, 101, "{config}");

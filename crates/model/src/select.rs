@@ -113,8 +113,8 @@ pub fn select_extended<T: Scalar>(
 /// kernels implicated by bad residuals — and re-ranks with everything
 /// else unchanged. `MeasuredOverrides` carries those re-measurements.
 /// Applying them produces ordinary [`MachineProfile`]/[`KernelProfile`]
-/// values, so the measured entry points below are *thin wrappers* over
-/// [`rank`]/[`select_extended`]: an adaptive layer on top of them adds
+/// values, so [`select_extended_measured`] is a *thin wrapper* over
+/// [`select_extended`]: an adaptive layer on top of it adds
 /// no selection logic of its own, which is what makes its choices
 /// property-testable against the offline selector.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -154,23 +154,7 @@ impl MeasuredOverrides {
     }
 }
 
-/// [`rank`] over the extended candidate set with measured overrides
-/// applied first. Ascending by predicted time, like [`rank`].
-pub fn rank_extended_measured<T: Scalar>(
-    model: Model,
-    csr: &Csr<T>,
-    machine: &MachineProfile,
-    profile: &KernelProfile,
-    include_simd: bool,
-    overrides: &MeasuredOverrides,
-) -> Vec<Candidate> {
-    let (m, p) = overrides.apply(machine, profile);
-    let configs = candidate_configs_extended(model, include_simd);
-    rank(model, csr, &m, &p, &configs)
-}
-
-/// [`select_extended`] with measured overrides applied first: exactly
-/// the first entry of [`rank_extended_measured`].
+/// [`select_extended`] with measured overrides applied first.
 pub fn select_extended_measured<T: Scalar>(
     model: Model,
     csr: &Csr<T>,
@@ -234,55 +218,6 @@ pub fn rank_multi<T: Scalar>(
     }
     out.sort_by(|a, b| a.per_vector.total_cmp(&b.per_vector));
     out
-}
-
-/// Returns the model's multi-vector selection: the (config, k) pair with
-/// the minimum predicted time per vector over the model-appropriate
-/// candidate set.
-pub fn select_multi<T: Scalar>(
-    model: Model,
-    csr: &Csr<T>,
-    machine: &MachineProfile,
-    profile: &KernelProfile,
-    include_simd: bool,
-    ks: &[usize],
-) -> MultiCandidate {
-    let configs = candidate_configs(model, include_simd);
-    rank_multi(model, csr, machine, profile, &configs, ks)
-        .into_iter()
-        .next()
-        .expect("candidate set is never empty")
-}
-
-/// [`select_multi`] over the extended candidate set
-/// ([`candidate_configs_extended`]).
-pub fn select_multi_extended<T: Scalar>(
-    model: Model,
-    csr: &Csr<T>,
-    machine: &MachineProfile,
-    profile: &KernelProfile,
-    include_simd: bool,
-    ks: &[usize],
-) -> MultiCandidate {
-    let configs = candidate_configs_extended(model, include_simd);
-    rank_multi(model, csr, machine, profile, &configs, ks)
-        .into_iter()
-        .next()
-        .expect("candidate set is never empty")
-}
-
-/// [`select_multi_extended`] with measured overrides applied first.
-pub fn select_multi_extended_measured<T: Scalar>(
-    model: Model,
-    csr: &Csr<T>,
-    machine: &MachineProfile,
-    profile: &KernelProfile,
-    include_simd: bool,
-    ks: &[usize],
-    overrides: &MeasuredOverrides,
-) -> MultiCandidate {
-    let (m, p) = overrides.apply(machine, profile);
-    select_multi_extended(model, csr, &m, &p, include_simd, ks)
 }
 
 #[cfg(test)]
@@ -511,8 +446,16 @@ mod tests {
         // the largest offered k.
         let csr = GenSpec::Stencil2d { nx: 16, ny: 16 }.build(0);
         let profile = KernelProfile::uniform(1e-9, 0.5);
-        let best = select_multi(Model::Mem, &csr, &machine(), &profile, false, &[1, 2, 4, 8]);
-        assert_eq!(best.k, 8);
+        let configs = candidate_configs(Model::Mem, false);
+        let ranked = rank_multi(
+            Model::Mem,
+            &csr,
+            &machine(),
+            &profile,
+            &configs,
+            &[1, 2, 4, 8],
+        );
+        assert_eq!(ranked[0].k, 8);
         // And for a fixed config, per-vector time is non-increasing in k.
         let stats = Config::CSR.substats(&csr);
         let mut prev = f64::INFINITY;
@@ -604,11 +547,6 @@ mod tests {
             let direct = select_extended(model, &csr, &m2, &p2, true);
             let wrapped = select_extended_measured(model, &csr, &m, &p, true, &ovr);
             assert_eq!(direct, wrapped, "{model}");
-            let ranked = rank_extended_measured(model, &csr, &m, &p, true, &ovr);
-            assert_eq!(ranked[0], wrapped, "{model} rank head");
-            let multi = select_multi_extended_measured(model, &csr, &m, &p, true, &[1, 4], &ovr);
-            let direct_multi = select_multi_extended(model, &csr, &m2, &p2, true, &[1, 4]);
-            assert_eq!(multi, direct_multi, "{model} multi");
         }
     }
 

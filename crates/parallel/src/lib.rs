@@ -9,8 +9,8 @@
 //! includes the padding zeros. [`partition`] computes the weights and the
 //! split; [`SpmvPool`] hosts the strips on long-lived workers driven by an
 //! epoch barrier, with optional core pinning ([`affinity`]), each worker
-//! converting its own strip, and per-strip timing hooks for the
-//! multicore model.
+//! converting its own strip, and a `pool.strip` telemetry span per strip
+//! per call for measuring imbalance.
 //!
 //! # Example
 //!
@@ -36,7 +36,7 @@ pub mod topology;
 pub use affinity::{run_pinned, PinPolicy};
 pub use partition::{
     bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, heavy_unit, partition_units,
-    sell_unit_weights, split_segments, units_to_rows,
+    sell_unit_weights, split_segments, strip_plan, units_to_rows,
 };
 pub use pool::{SpmvPool, StripReport};
 pub use topology::Topology;

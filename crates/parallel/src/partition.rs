@@ -153,6 +153,44 @@ pub fn units_to_rows(
         .collect()
 }
 
+/// The strips a pool of `parts` workers runs, and the row it shears.
+///
+/// `weights` holds one weight per unit of `unit_height` rows over
+/// `n_rows` rows. With single-row units, the row [`heavy_unit`] finds
+/// too heavy for any split is returned beside the strips and balanced
+/// as weight zero: the pool empties it in its strip and spreads its
+/// products over every worker. The rest is split by [`partition_units`]
+/// and scaled by [`units_to_rows`]; empty strips are dropped.
+///
+/// ```
+/// use spmv_parallel::strip_plan;
+/// // Row 1 holds 90 of 100 nonzeros: sheared, the rest split 2,0,3 | 5.
+/// assert_eq!(strip_plan(&[2, 90, 3, 5], 1, 4, 2), (vec![0..3, 3..4], Some(1)));
+/// // Block rows of height 3 are never sheared; the empty tail is dropped.
+/// assert_eq!(strip_plan(&[4, 4], 3, 5, 3), (vec![0..3, 3..5], None));
+/// ```
+pub fn strip_plan(
+    weights: &[u64],
+    unit_height: usize,
+    n_rows: usize,
+    parts: usize,
+) -> (Vec<Range<usize>>, Option<usize>) {
+    let heavy = if unit_height == 1 {
+        heavy_unit(weights, parts)
+    } else {
+        None
+    };
+    let mut balanced = weights.to_vec();
+    if let Some(row) = heavy {
+        balanced[row] = 0;
+    }
+    let strips = units_to_rows(&partition_units(&balanced, parts), unit_height, n_rows)
+        .into_iter()
+        .filter(|r| !r.is_empty())
+        .collect();
+    (strips, heavy)
+}
+
 /// Per-row weights for CSR: the nonzero count of each row
 /// (`unit_height = 1`; CSR stores no padding, so weight = nnz).
 ///

@@ -12,18 +12,16 @@
 //! * every [`SpMv::spmv_into`] call is one *epoch*: the driver publishes
 //!   the input vector, bumps an atomic epoch counter, and the workers —
 //!   spinning briefly, then parked — wake, multiply their strip into a
-//!   disjoint slice of a shared output buffer, and report completion;
-//! * per-strip wall-clock timings (min / median nanoseconds per
-//!   iteration) are recorded on every epoch, so the multicore model
-//!   (`spmv-model::multicore`) can consume *measured* per-thread
-//!   imbalance instead of assuming perfect static balance.
+//!   disjoint slice of a shared output buffer, and report completion.
 //!
-//! When `spmv-telemetry` recording is enabled, every epoch additionally
-//! emits a `pool.epoch` span (driver side, arg = vector count) and one
-//! `pool.strip` span per worker (arg = strip index), so a chrome trace
-//! shows the dispatch/imbalance structure of a run. With telemetry
-//! disabled (the default) the cost is one relaxed atomic load per epoch
-//! per thread.
+//! When `spmv-telemetry` recording is enabled, every epoch emits a
+//! `pool.epoch` span (driver side, arg = vector count) and one
+//! `pool.strip` span per worker (arg = strip index, recorded in that
+//! worker's ring). The strip spans are the pool's only per-strip timer:
+//! their per-strip medians give the *measured* imbalance
+//! (`spmv_model::multicore::imbalance_factor`), and their ring `tid`s
+//! show which thread served each strip. With recording off (the
+//! default) the cost is one relaxed atomic load per epoch per thread.
 //!
 //! # Example
 //!
@@ -37,15 +35,18 @@
 //! let pool = SpmvPool::from_csr(
 //!     &csr, 2, &csr_unit_weights(&csr), 1, Csr::clone, PinPolicy::None,
 //! );
+//! spmv_telemetry::set_enabled(true);
 //! for _ in 0..10 {
 //!     assert_eq!(pool.spmv(&[1.0; 4]), csr.spmv(&[1.0; 4]));
 //! }
+//! spmv_telemetry::set_enabled(false);
 //! assert_eq!(pool.iterations(), 10);
-//! // The same two OS threads served all ten calls.
-//! for report in pool.strip_reports() {
-//!     assert_eq!(report.iterations, 10);
-//!     assert!(!report.respawned);
-//! }
+//! // One `pool.strip` span per worker per call, arg = strip index.
+//! let strips = spmv_telemetry::snapshot()
+//!     .events
+//!     .into_iter()
+//!     .filter(|e| e.name == "pool.strip");
+//! assert_eq!(strips.count(), 10 * pool.n_workers());
 //! ```
 
 use core::ops::Range;
@@ -53,13 +54,12 @@ use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle, Thread, ThreadId};
-use std::time::{Duration, Instant};
+use std::thread::{self, JoinHandle, Thread};
+use std::time::Duration;
 
 use crate::affinity::PinPolicy;
-use crate::partition::{heavy_unit, partition_units, split_segments, units_to_rows};
+use crate::partition::{split_segments, strip_plan};
 use spmv_core::{Csr, MatrixShape, Scalar, SpMv, SpMvMulti};
-use spmv_telemetry::window::SampleWindow;
 
 /// Epoch value ordering workers to exit. Driver epochs count up from 1,
 /// so this sentinel is unreachable in any realistic run.
@@ -228,79 +228,25 @@ impl<T: Scalar> SharedOutput<T> {
     }
 }
 
-/// Per-strip timing history, updated by its worker on every epoch: a
-/// bounded [`SampleWindow`] (whole-history count and min, windowed
-/// median) plus the OS threads that have served the strip.
-#[derive(Debug)]
-struct StripTiming {
-    window: SampleWindow,
-    thread_ids: Vec<ThreadId>,
-    /// Pin outcome of the serving worker: `None` while unknown or when
-    /// the policy did not ask for a core, `Some(ok)` after the attempt.
-    pinned: Option<bool>,
-}
-
-impl StripTiming {
-    fn new() -> Self {
-        StripTiming {
-            window: SampleWindow::default(),
-            thread_ids: Vec::new(),
-            pinned: None,
-        }
-    }
-
-    fn note_thread(&mut self, id: ThreadId) {
-        if !self.thread_ids.contains(&id) {
-            self.thread_ids.push(id);
-        }
-    }
-
-    fn record(&mut self, ns: u64, id: ThreadId) {
-        self.window.record(ns);
-        self.note_thread(id);
-    }
-}
-
-/// Timing summary for one strip of a [`SpmvPool`].
+/// What one strip's worker reported when it started (per-strip time
+/// is the `pool.strip` span, see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct StripReport {
     /// The rows this strip covers.
     pub rows: Range<usize>,
-    /// Iterations executed by this strip's worker so far.
-    pub iterations: u64,
-    /// Fastest observed iteration, in nanoseconds (0 before the first).
-    pub min_ns: u64,
-    /// Median of the most recent iterations (a window of
-    /// [`spmv_telemetry::window::DEFAULT_WINDOW`] samples; 0 before the
-    /// first).
-    pub median_ns: u64,
-    /// `true` if more than one OS thread ever served this strip — always
-    /// `false` for a healthy pool, since workers live for the pool's
-    /// whole lifetime.
-    pub respawned: bool,
     /// Whether the worker's pin attempt succeeded: `None` when the
-    /// policy asked for no core (or the worker has not reported yet),
-    /// `Some(false)` when `sched_setaffinity` rejected the mask — the
-    /// pool keeps running unpinned, but placement-sensitive callers
-    /// (e.g. a NUMA sweep) can see the degradation here.
+    /// policy asked for no core, `Some(false)` when `sched_setaffinity`
+    /// rejected the mask — the pool keeps running unpinned, but
+    /// placement-sensitive callers (e.g. a NUMA sweep) can see the
+    /// degradation here.
     pub pinned: Option<bool>,
 }
 
-/// One worker's synchronization + instrumentation state, cache-line
-/// padded so the per-worker `done` counters never false-share.
+/// One worker's completed-epoch counter, cache-line padded so the
+/// counters never false-share.
 #[repr(align(64))]
 struct WorkerState {
     done: AtomicU64,
-    timing: Mutex<StripTiming>,
-}
-
-impl WorkerState {
-    fn new() -> Self {
-        WorkerState {
-            done: AtomicU64::new(0),
-            timing: Mutex::new(StripTiming::new()),
-        }
-    }
 }
 
 /// Driver-side state of an active heavy-row nnz split (see
@@ -396,6 +342,8 @@ pub struct SpmvPool<T: Scalar> {
     worker_threads: Vec<Thread>,
     handles: Vec<JoinHandle<()>>,
     strip_rows: Vec<Range<usize>>,
+    /// Each strip's pin outcome, as its worker reported it at startup.
+    pinned: Vec<Option<bool>>,
     n_rows: usize,
     n_cols: usize,
     nnz_stored: usize,
@@ -445,24 +393,11 @@ impl<T: Scalar> SpmvPool<T> {
             n_rows.div_ceil(unit_height),
             "one weight per unit expected"
         );
-        let split_row = if unit_height == 1 {
-            heavy_unit(unit_weights, n_threads)
-        } else {
-            None
-        };
+        let (strip_rows, split_row) = strip_plan(unit_weights, unit_height, n_rows, n_threads);
         // With a sheared row, the strips are built from the matrix with
-        // that row emptied and the partition re-balanced without it.
-        let mut weights = unit_weights.to_vec();
-        let rest = split_row.map(|row| {
-            weights[row] = 0;
-            remove_row(csr, row)
-        });
+        // that row emptied.
+        let rest = split_row.map(|row| remove_row(csr, row));
         let source = rest.as_ref().unwrap_or(csr);
-        let strip_rows: Vec<Range<usize>> =
-            units_to_rows(&partition_units(&weights, n_threads), unit_height, n_rows)
-                .into_iter()
-                .filter(|r| !r.is_empty())
-                .collect();
         let mut prev_end = 0usize;
         for rows in &strip_rows {
             assert!(
@@ -514,7 +449,11 @@ impl<T: Scalar> SpmvPool<T> {
             y: SharedOutput::zeroed(n_rows),
             y_multi: SharedOutput::zeroed(n_rows * POOL_EPOCH_K),
             split,
-            workers: (0..n_strips).map(|_| WorkerState::new()).collect(),
+            workers: (0..n_strips)
+                .map(|_| WorkerState {
+                    done: AtomicU64::new(0),
+                })
+                .collect(),
         });
 
         let build = Arc::new(build);
@@ -549,9 +488,11 @@ impl<T: Scalar> SpmvPool<T> {
         // Block until every strip is built (also the moment any build
         // failure surfaces — tear the pool down and propagate).
         let mut failures: Vec<String> = Vec::new();
+        let mut pinned = vec![None; n_strips];
         for _ in 0..n_strips {
             match stats_rx.recv() {
-                Ok(Ok((nnz, bytes))) => {
+                Ok(Ok((idx, pin, nnz, bytes))) => {
+                    pinned[idx] = pin;
                     nnz_stored += nnz;
                     matrix_bytes += bytes;
                 }
@@ -576,6 +517,7 @@ impl<T: Scalar> SpmvPool<T> {
             worker_threads,
             handles,
             strip_rows,
+            pinned,
             n_rows,
             n_cols,
             nnz_stored,
@@ -612,53 +554,16 @@ impl<T: Scalar> SpmvPool<T> {
         self.driver.lock().unwrap_or_else(|e| e.into_inner()).epoch
     }
 
-    /// Per-strip timing summaries (see [`StripReport`]).
+    /// Each strip's rows and pin outcome (see [`StripReport`]).
     pub fn strip_reports(&self) -> Vec<StripReport> {
         self.strip_rows
             .iter()
-            .zip(&self.shared.workers)
-            .map(|(rows, w)| {
-                let t = w.timing.lock().unwrap_or_else(|e| e.into_inner());
-                StripReport {
-                    rows: rows.clone(),
-                    iterations: t.window.count(),
-                    min_ns: t.window.min(),
-                    median_ns: t.window.median(),
-                    respawned: t.thread_ids.len() > 1,
-                    pinned: t.pinned,
-                }
+            .zip(&self.pinned)
+            .map(|(rows, &pinned)| StripReport {
+                rows: rows.clone(),
+                pinned,
             })
             .collect()
-    }
-
-    /// The distinct OS thread ids that have served each strip, in order
-    /// of first observation. A healthy pool has exactly one per strip —
-    /// the respawn-detection hook used by the equivalence tests.
-    pub fn worker_thread_ids(&self) -> Vec<Vec<ThreadId>> {
-        self.shared
-            .workers
-            .iter()
-            .map(|w| {
-                w.timing
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .thread_ids
-                    .clone()
-            })
-            .collect()
-    }
-
-    /// Median measured seconds per iteration for every strip — the
-    /// input to `spmv_model::multicore::imbalance_factor`.
-    ///
-    /// Returns `None` until every strip has completed at least one
-    /// timed iteration (run a warm-up [`SpMv::spmv`] first).
-    pub fn measured_strip_seconds(&self) -> Option<Vec<f64>> {
-        let reports = self.strip_reports();
-        if reports.is_empty() || reports.iter().any(|r| r.iterations == 0) {
-            return None;
-        }
-        Some(reports.iter().map(|r| r.median_ns as f64 * 1e-9).collect())
     }
 
     /// Shuts the workers down and joins them. Idempotent: the first call
@@ -852,6 +757,10 @@ impl<T: Scalar> Drop for SpmvPool<T> {
     }
 }
 
+/// What a worker reports once its strip is built: strip index, pin
+/// outcome, stored nonzeros and matrix bytes — or why the build failed.
+type StripBuilt = Result<(usize, Option<bool>, usize, usize), String>;
+
 /// The body of one pool worker: pin, convert the strip (so its pages are
 /// first-touched on this worker's memory domain), report the strip's
 /// stats, then serve epochs until shutdown.
@@ -862,22 +771,17 @@ fn worker_loop<T: Scalar, F: SpMvMulti<T>>(
     core: Option<usize>,
     build: impl FnOnce() -> F,
     split_seg: Option<SplitSeg<T>>,
-    stats: std::sync::mpsc::Sender<Result<(usize, usize), String>>,
+    stats: std::sync::mpsc::Sender<StripBuilt>,
 ) {
     // Best-effort: a rejected mask (e.g. restricted cpuset) leaves the
-    // worker unpinned but fully functional; the outcome is recorded so
+    // worker unpinned but fully functional; the outcome is reported so
     // placement-sensitive callers can detect the degradation.
     let pin_result = core.map(crate::affinity::pin_current_thread);
     let me = &shared.workers[idx];
-    {
-        let mut t = me.timing.lock().unwrap_or_else(|e| e.into_inner());
-        t.note_thread(thread::current().id());
-        t.pinned = pin_result;
-    }
 
     let mat = match catch_unwind(AssertUnwindSafe(build)) {
         Ok(m) => {
-            let _ = stats.send(Ok((m.nnz_stored(), m.matrix_bytes())));
+            let _ = stats.send(Ok((idx, pin_result, m.nnz_stored(), m.matrix_bytes())));
             m
         }
         Err(_) => {
@@ -910,12 +814,9 @@ fn worker_loop<T: Scalar, F: SpMvMulti<T>>(
             }
         }
 
-        // Latch the telemetry decision for the whole strip: if recording
-        // is enabled mid-strip, `ts0` would still be the bogus epoch
-        // anchor 0, so the span must not be emitted this round.
-        let armed = spmv_telemetry::enabled();
-        let ts0 = if armed { spmv_telemetry::now_ns() } else { 0 };
-        let t0 = Instant::now();
+        // Armed only if recording is on as the strip starts; disarmed,
+        // the span reads no clock.
+        let strip_span = spmv_telemetry::span_with("pool.strip", idx as u64);
         let result = catch_unwind(AssertUnwindSafe(|| {
             // SAFETY: we are inside epoch `target`: the driver published
             // `x` before the epoch store we just observed, blocks until
@@ -949,17 +850,9 @@ fn worker_loop<T: Scalar, F: SpMvMulti<T>>(
                 }
             }
         }));
-        let ns = t0.elapsed().as_nanos() as u64;
-        if armed {
-            spmv_telemetry::complete("pool.strip", ts0, ns, idx as u64);
-        }
-        match result {
-            Ok(()) => me
-                .timing
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(ns, thread::current().id()),
-            Err(_) => shared.poisoned.store(true, Ordering::Release),
+        drop(strip_span);
+        if result.is_err() {
+            shared.poisoned.store(true, Ordering::Release);
         }
         done = target;
         me.done.store(done, Ordering::Release);
@@ -1047,21 +940,8 @@ mod tests {
         }
         assert_eq!(y, want);
         assert_eq!(pool.iterations(), 1000);
-        let ids = pool.worker_thread_ids();
-        assert_eq!(ids.len(), pool.n_workers());
-        for per_strip in &ids {
-            assert_eq!(
-                per_strip.len(),
-                1,
-                "strip was served by more than one thread"
-            );
-        }
-        for report in pool.strip_reports() {
-            assert_eq!(report.iterations, 1000);
-            assert!(!report.respawned);
-            assert!(report.min_ns > 0);
-            assert!(report.median_ns >= report.min_ns);
-        }
+        // One thread per strip throughout is checked from the
+        // `pool.strip` spans in tests/telemetry_pool.rs.
     }
 
     #[test]
@@ -1102,17 +982,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn timings_become_available_after_first_call() {
-        let csr = fixture(40, 40);
-        let pool = pool_for(&csr, 2);
-        assert!(pool.measured_strip_seconds().is_none());
-        let _ = pool.spmv(&vec![1.0; 40]);
-        let t = pool.measured_strip_seconds().expect("timed after one call");
-        assert_eq!(t.len(), pool.n_workers());
-        assert!(t.iter().all(|&s| s > 0.0));
     }
 
     #[test]
@@ -1241,9 +1110,7 @@ mod tests {
         pool.shutdown(); // second call is a no-op
                          // Metadata stays readable after shutdown.
         assert_eq!(pool.iterations(), 1);
-        for report in pool.strip_reports() {
-            assert_eq!(report.iterations, 1);
-        }
+        assert_eq!(pool.strip_reports().len(), pool.n_workers());
         // Drop after explicit shutdown must not hang or double-join.
         drop(pool);
     }

@@ -34,8 +34,8 @@
 //! thread ran the chunk), and `serve.request`
 //! (one request's full submit→complete latency, arg = matrix id) spans.
 //! The engine also keeps its own latency record so
-//! [`ServeEngine::report`] can summarize p50/p95/p99 even in
-//! telemetry-disabled builds.
+//! [`ServeEngine::report`] can summarize p50/p95/p99 even with
+//! recording off.
 //!
 //! # Residual feeding
 //!

@@ -13,10 +13,8 @@
 //! * **Spans** ([`span`], [`complete`]) record named durations,
 //!   **counters** ([`counter`]) additive deltas, **gauges** ([`gauge`])
 //!   sampled values, and [`instant`] point marks.
-//! * Recording is gated by a **runtime flag** ([`set_enabled`]; the
-//!   disabled hot path is one relaxed atomic load) and by the
-//!   **`disabled` cargo feature**, which compiles every entry point to an
-//!   empty `#[inline]` body for zero-cost removal.
+//! * Recording is gated by one **runtime flag** ([`set_enabled`]; the
+//!   disabled hot path is one relaxed atomic load).
 //! * [`snapshot`] copies every ring into a time-ordered [`Snapshot`],
 //!   exported as chrome://tracing JSON ([`chrome`]) or a flat-text
 //!   aggregate ([`summary`]).
@@ -36,11 +34,7 @@
 //!     spmv_telemetry::counter("example.items", 3);
 //! }
 //! let snap = spmv_telemetry::snapshot();
-//! // Under the `disabled` feature nothing records, so only assert when
-//! // the build can actually observe events.
-//! if spmv_telemetry::enabled() {
-//!     assert!(snap.events.iter().any(|e| e.name == "example.outer"));
-//! }
+//! assert!(snap.events.iter().any(|e| e.name == "example.outer"));
 //! spmv_telemetry::set_enabled(false);
 //! spmv_telemetry::clear();
 //! ```
@@ -48,10 +42,8 @@
 pub mod chrome;
 pub mod json;
 pub mod residual;
-#[cfg(not(feature = "disabled"))]
 pub mod ring;
 pub mod summary;
-pub mod window;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -71,7 +63,6 @@ pub enum EventKind {
     Instant,
 }
 
-#[cfg(not(feature = "disabled"))]
 impl EventKind {
     fn from_u64(v: u64) -> EventKind {
         match v {
@@ -149,14 +140,7 @@ pub fn set_enabled(on: bool) {
 /// Whether event recording is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "disabled")]
-    {
-        false
-    }
-    #[cfg(not(feature = "disabled"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
 fn trace_epoch() -> Instant {
@@ -223,93 +207,65 @@ pub fn span_with(name: &'static str, arg: u64) -> Span {
 
 /// Records an already-measured duration as a span event.
 ///
-/// For hot paths that time themselves anyway (the pool's per-strip
-/// timing): `start_ns` comes from [`now_ns`], `dur_ns` from the caller's
-/// own measurement.
+/// For durations that begin before the recording call site (the serving
+/// engine's submit-to-reply request latency): `start_ns` comes from
+/// [`now_ns`], `dur_ns` from the caller's own measurement.
 #[inline]
 pub fn complete(name: &'static str, start_ns: u64, dur_ns: u64, arg: u64) {
-    #[cfg(feature = "disabled")]
-    {
-        let _ = (name, start_ns, dur_ns, arg);
-    }
-    #[cfg(not(feature = "disabled"))]
-    {
-        if enabled() {
-            ring::record(Event {
-                name,
-                kind: EventKind::Span,
-                tid: 0,
-                ts_ns: start_ns,
-                value: dur_ns,
-                arg,
-            });
-        }
+    if enabled() {
+        ring::record(Event {
+            name,
+            kind: EventKind::Span,
+            tid: 0,
+            ts_ns: start_ns,
+            value: dur_ns,
+            arg,
+        });
     }
 }
 
 /// Records an additive counter delta.
 #[inline]
 pub fn counter(name: &'static str, delta: i64) {
-    #[cfg(feature = "disabled")]
-    {
-        let _ = (name, delta);
-    }
-    #[cfg(not(feature = "disabled"))]
-    {
-        if enabled() {
-            ring::record(Event {
-                name,
-                kind: EventKind::Counter,
-                tid: 0,
-                ts_ns: now_ns(),
-                value: delta as u64,
-                arg: 0,
-            });
-        }
+    if enabled() {
+        ring::record(Event {
+            name,
+            kind: EventKind::Counter,
+            tid: 0,
+            ts_ns: now_ns(),
+            value: delta as u64,
+            arg: 0,
+        });
     }
 }
 
 /// Records a sampled gauge value.
 #[inline]
 pub fn gauge(name: &'static str, value: f64) {
-    #[cfg(feature = "disabled")]
-    {
-        let _ = (name, value);
-    }
-    #[cfg(not(feature = "disabled"))]
-    {
-        if enabled() {
-            ring::record(Event {
-                name,
-                kind: EventKind::Gauge,
-                tid: 0,
-                ts_ns: now_ns(),
-                value: value.to_bits(),
-                arg: 0,
-            });
-        }
+    if enabled() {
+        ring::record(Event {
+            name,
+            kind: EventKind::Gauge,
+            tid: 0,
+            ts_ns: now_ns(),
+            value: value.to_bits(),
+            arg: 0,
+        });
     }
 }
 
 /// Records a point-in-time mark.
 #[inline]
 pub fn instant(name: &'static str, arg: u64) {
-    #[cfg(feature = "disabled")]
-    {
-        let _ = (name, arg);
-    }
-    #[cfg(not(feature = "disabled"))]
-    {
-        if enabled() {
-            ring::record(Event {
-                name,
-                kind: EventKind::Instant,
-                tid: 0,
-                ts_ns: now_ns(),
-                value: 0,
-                arg,
-            });
-        }
+    if enabled() {
+        ring::record(Event {
+            name,
+            kind: EventKind::Instant,
+            tid: 0,
+            ts_ns: now_ns(),
+            value: 0,
+            arg,
+        });
     }
 }
 
@@ -318,14 +274,7 @@ pub fn instant(name: &'static str, arg: u64) {
 /// Concurrent writers keep running; entries they overwrite mid-copy are
 /// detected and counted as dropped rather than returned torn.
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "disabled")]
-    {
-        Snapshot::default()
-    }
-    #[cfg(not(feature = "disabled"))]
-    {
-        ring::snapshot_all()
-    }
+    ring::snapshot_all()
 }
 
 /// Forgets all recorded events (and the dropped count) in every ring.
@@ -336,13 +285,10 @@ pub fn snapshot() -> Snapshot {
 /// ring storage by clearing. Tests use this to isolate scenarios inside
 /// one process.
 pub fn clear() {
-    #[cfg(not(feature = "disabled"))]
-    {
-        ring::clear_all();
-    }
+    ring::clear_all();
 }
 
-#[cfg(all(test, not(feature = "disabled")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -42,7 +42,7 @@
 //! use spmv_model::{Config, KernelProfile, MachineProfile, Model};
 //! use spmv_serve::{residual_key_for, MatrixId, PreparedMatrix, Registry};
 //! use spmv_tune::{
-//!     CannedSampler, DetectorConfig, ManualClock, TuneOptions, Tuner, WatchSpec,
+//!     CannedSampler, DetectorConfig, ManualClock, Tuner, WatchSpec,
 //! };
 //!
 //! let csr = Arc::new(Csr::from_coo(&Coo::from_triplets(8, 8, vec![
@@ -57,7 +57,6 @@
 //!     None,                                 // no engine: residuals by hand
 //!     Arc::new(ManualClock::new(0)),
 //!     Box::new(CannedSampler::new()),
-//!     TuneOptions::default(),
 //! );
 //! let machine = MachineProfile { bandwidth: 8e9, l1_bytes: 32 << 10, llc_bytes: 8 << 20 };
 //! let spec = WatchSpec {
@@ -88,5 +87,5 @@ pub mod sampler;
 pub use clock::{ManualClock, SystemClock, TuneClock};
 pub use core::{Transition, TunerCore, WatchSpec};
 pub use detector::{DetectorConfig, StalenessDetector, Verdict};
-pub use runtime::{TimelineEvent, TimelineKind, TuneOptions, Tuner};
+pub use runtime::{TimelineEvent, TimelineKind, Tuner};
 pub use sampler::{CannedSampler, MeasuredSampler, NullSampler, Sampler};

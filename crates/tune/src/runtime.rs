@@ -36,7 +36,7 @@
 //! The decision path reads no wall clock and takes no sleeps: detectors
 //! advance per observation, and passes happen when [`Tuner::run_once`]
 //! is called (tests) or when the background thread wakes (production,
-//! [`TuneOptions::poll_interval`] or a [`Tuner::kick`]). Under a
+//! every 50 ms or on a [`Tuner::kick`]). Under a
 //! [`ManualClock`](crate::clock::ManualClock) and a seeded residual
 //! stream, every transition and timeline entry is reproducible.
 
@@ -57,29 +57,13 @@ use crate::core::{TunerCore, WatchSpec};
 use crate::detector::Verdict;
 use crate::sampler::Sampler;
 
-/// Knobs for the tuner runtime (the decision *thresholds* live on each
-/// target's [`WatchSpec`]).
-#[derive(Debug, Clone)]
-pub struct TuneOptions {
-    /// How long the background thread sleeps between passes when nobody
-    /// kicks it.
-    pub poll_interval: Duration,
-    /// Whether stale targets trigger a bounded kernel re-profile (via
-    /// the sampler) before reranking.
-    pub reprofile: bool,
-    /// Repetitions for the post-publish calibration measurement.
-    pub calibrate_reps: usize,
-}
+/// How long the background thread sleeps between passes when nobody
+/// kicks it (the decision *thresholds* live on each target's
+/// [`WatchSpec`]).
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
-impl Default for TuneOptions {
-    fn default() -> Self {
-        Self {
-            poll_interval: Duration::from_millis(50),
-            reprofile: true,
-            calibrate_reps: 3,
-        }
-    }
-}
+/// Repetitions for the post-publish calibration measurement.
+const CALIBRATE_REPS: usize = 3;
 
 /// One entry in the tuner's recovery timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,7 +177,6 @@ struct TunerState<T: SimdScalar> {
     tracker: Arc<ResidualTracker>,
     clock: Arc<dyn TuneClock>,
     sampler: Box<dyn Sampler>,
-    opts: TuneOptions,
     core: Mutex<TunerCore<T>>,
     timeline: Mutex<Vec<TimelineEvent>>,
     panicked: AtomicBool,
@@ -225,7 +208,6 @@ impl<T: SimdScalar> Tuner<T> {
         engine: Option<Arc<ServeEngine<T>>>,
         clock: Arc<dyn TuneClock>,
         sampler: Box<dyn Sampler>,
-        opts: TuneOptions,
     ) -> Self {
         let tracker = engine
             .as_ref()
@@ -238,7 +220,6 @@ impl<T: SimdScalar> Tuner<T> {
                 tracker,
                 clock,
                 sampler,
-                opts,
                 core: Mutex::new(TunerCore::new()),
                 timeline: Mutex::new(Vec::new()),
                 panicked: AtomicBool::new(false),
@@ -281,7 +262,7 @@ impl<T: SimdScalar> Tuner<T> {
                 engine,
                 id,
                 prepared.n_cols(),
-                self.state.opts.calibrate_reps,
+                CALIBRATE_REPS,
                 prepared.selection().map(|s| s.predicted).unwrap_or(0.0),
             );
             engine.expect(id, version, residual_key_for(current, model), baseline);
@@ -316,7 +297,7 @@ impl<T: SimdScalar> Tuner<T> {
     }
 
     /// Spawns the background thread (idempotent). It runs a pass every
-    /// [`TuneOptions::poll_interval`], or sooner when kicked.
+    /// 50 ms, or sooner when kicked.
     pub fn start(&mut self) {
         if self.thread.is_some() {
             return;
@@ -331,7 +312,7 @@ impl<T: SimdScalar> Tuner<T> {
                         if !*kicked {
                             let (g, _) = state
                                 .kick_cv
-                                .wait_timeout(kicked, state.opts.poll_interval)
+                                .wait_timeout(kicked, POLL_INTERVAL)
                                 .unwrap_or_else(|e| e.into_inner());
                             kicked = g;
                         }
@@ -451,18 +432,17 @@ impl<T: SimdScalar> Tuner<T> {
         }
 
         for matrix in core.stale_targets() {
-            let mut overrides = MeasuredOverrides {
-                bandwidth: state.sampler.bandwidth(),
-                kernels: Vec::new(),
-            };
-            if state.opts.reprofile {
-                let keys = core.suspect_keys(matrix);
-                let rows = state.sampler.reprofile(&keys);
-                if !rows.is_empty() {
-                    push(matrix, TimelineKind::Reprofiled { keys: rows.len() });
-                }
-                overrides.kernels = rows;
+            let bandwidth = state.sampler.bandwidth();
+            let kernels = state.sampler.reprofile(&core.suspect_keys(matrix));
+            if !kernels.is_empty() {
+                push(
+                    matrix,
+                    TimelineKind::Reprofiled {
+                        keys: kernels.len(),
+                    },
+                );
             }
+            let overrides = MeasuredOverrides { bandwidth, kernels };
             let Some(winner) = core.choose(matrix, &overrides) else {
                 continue;
             };
@@ -498,7 +478,7 @@ impl<T: SimdScalar> Tuner<T> {
                     engine,
                     id,
                     spec_csr.n_cols(),
-                    state.opts.calibrate_reps,
+                    CALIBRATE_REPS,
                     winner.predicted,
                 );
                 engine.expect(
@@ -640,7 +620,6 @@ mod tests {
             None,
             Arc::new(ManualClock::new(0)),
             Box::new(CannedSampler::new()),
-            TuneOptions::default(),
         );
         let csr = small_csr();
         assert!(!tuner.watch(MatrixId(1), spec(&csr)));
@@ -663,7 +642,6 @@ mod tests {
             None,
             Arc::new(ManualClock::new(0)),
             Box::new(CannedSampler::new()),
-            TuneOptions::default(),
         );
         tuner.watch(MatrixId(1), spec(&csr));
         assert!(tuner.run_once().is_empty());
@@ -681,7 +659,6 @@ mod tests {
             None,
             Arc::clone(&clock) as Arc<dyn TuneClock>,
             Box::new(CannedSampler::new()),
-            TuneOptions::default(),
         );
         tuner.watch(MatrixId(1), spec(&csr));
         assert_eq!(tuner.timeline()[0].t_ns, 1_000);
@@ -701,10 +678,6 @@ mod tests {
             None,
             Arc::new(ManualClock::new(0)),
             Box::new(CannedSampler::new()),
-            TuneOptions {
-                poll_interval: Duration::from_millis(5),
-                ..TuneOptions::default()
-            },
         );
         tuner.watch(MatrixId(1), spec(&csr));
         tuner.start();

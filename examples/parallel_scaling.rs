@@ -6,13 +6,15 @@
 //! padding for the padded formats), and every strip runs on its own
 //! long-lived, core-pinned worker (`SpmvPool`). Prints the measured time
 //! per SpMV at 1, 2, and 4 threads for CSR and the best BCSR shape, the
-//! strip boundaries so the balancing is visible, and each strip's
-//! measured per-iteration time — whose max/mean ratio is the measured
-//! imbalance (`spmv_model::multicore::imbalance_factor`).
+//! strip boundaries so the balancing is visible, and each strip's median
+//! `pool.strip` span from a short recorded loop — whose max/mean ratio
+//! is the measured imbalance (`spmv_model::multicore::imbalance_factor`).
 //!
 //! ```sh
 //! cargo run --release --example parallel_scaling
 //! ```
+
+use std::collections::BTreeMap;
 
 use blocked_spmv::core::{Csr, MatrixShape, SpMv};
 use blocked_spmv::formats::Bcsr;
@@ -21,6 +23,11 @@ use blocked_spmv::kernels::{BlockShape, KernelImpl};
 use blocked_spmv::model::multicore::imbalance_factor;
 use blocked_spmv::model::timing::measure_spmv;
 use blocked_spmv::parallel::{bcsr_unit_weights, csr_unit_weights, PinPolicy, SpmvPool};
+use blocked_spmv::telemetry;
+
+/// Recorded calls per pool whose `pool.strip` spans give the per-strip
+/// medians.
+const RECORDED_CALLS: usize = 100;
 
 fn main() {
     let csr: Csr<f64> = GenSpec::FemBlocks {
@@ -90,17 +97,37 @@ fn main() {
                 .map(|r| format!("{}..{}", r.start, r.end))
                 .collect::<Vec<_>>()
         );
-        if let Some(per_strip) = pool_bcsr.measured_strip_seconds() {
-            let medians: Vec<String> = per_strip
-                .iter()
-                .map(|s| format!("{:.3} ms", s * 1e3))
-                .collect();
-            println!(
-                "            per-strip medians {:?} -> measured imbalance {:.3}",
-                medians,
-                imbalance_factor(&per_strip)
-            );
+
+        // Recorded after the timed loop, so the times above are measured
+        // with recording off.
+        telemetry::set_enabled(true);
+        for _ in 0..RECORDED_CALLS {
+            let _ = pool_bcsr.spmv(&x);
         }
+        telemetry::set_enabled(false);
+        let mut by_strip: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for e in telemetry::snapshot().events {
+            if e.name == "pool.strip" {
+                by_strip.entry(e.arg).or_default().push(e.value);
+            }
+        }
+        telemetry::clear();
+        let per_strip: Vec<f64> = by_strip
+            .into_values()
+            .map(|mut ns| {
+                ns.sort_unstable();
+                ns[ns.len() / 2] as f64 * 1e-9
+            })
+            .collect();
+        let medians: Vec<String> = per_strip
+            .iter()
+            .map(|s| format!("{:.3} ms", s * 1e3))
+            .collect();
+        println!(
+            "            per-strip medians {:?} -> measured imbalance {:.3}",
+            medians,
+            imbalance_factor(&per_strip)
+        );
     }
 
     println!(

@@ -3,11 +3,10 @@
 # dependencies, so every step runs with --offline:
 #
 #   rustfmt on every workspace member, build, clippy on all targets,
-#   workspace tests (doctests included), the telemetry-disabled test
-#   runs, the serve tests on one CPU (where the engine starts no helper
-#   thread), rustdoc with warnings denied, the benchmark package's API
-#   tripwire, the harness-bin smokes (serve_load, serve_adapt,
-#   numa_scale, sellc in both telemetry configs, census at a small
+#   workspace tests (doctests included), the serve tests on one CPU
+#   (where the engine starts no helper thread), rustdoc with warnings
+#   denied, the benchmark package's API tripwire, the harness-bin smokes
+#   (serve_load, serve_adapt, numa_scale, sellc, census at a small
 #   scale), spmv-tune on a calibration cut short after its CSR line, and
 #   the runtime examples.
 #
@@ -36,9 +35,6 @@ run cargo fmt --all --check
 run cargo build --offline --release --workspace
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo test --offline --workspace --quiet
-run cargo test --offline -p spmv-telemetry --features disabled --quiet
-run cargo test --offline -p spmv-serve --features telemetry-disabled --quiet
-run cargo test --offline -p spmv-tune --features telemetry-disabled --quiet
 # One CPU in the affinity mask: `available_parallelism()` is 1, so the
 # engine starts no helper and the dispatcher drains every round alone.
 run taskset -c 0 cargo test --offline -p spmv-serve --quiet
@@ -53,8 +49,6 @@ smoke target/adaptive-smoke.txt --bin serve_adapt -- --nodes 1200
 smoke target/numa-smoke.txt --bin numa_scale -- \
     --flat --threads 2 --n 4000 --reps 5 --trials 2
 smoke target/sellc-smoke.txt --bin sellc -- --n 20000 --reps 2 --trials 1
-smoke target/sellc-notel-smoke.txt --features spmv-telemetry/disabled --bin sellc -- \
-    --n 20000 --reps 2 --trials 1
 smoke target/census-smoke.txt --bin census -- --scale 0.02 --trials 1 --min-time 0.0002 \
     --profile benchmark/profile.txt
 

@@ -44,7 +44,7 @@ use blocked_spmv::model::{
 };
 use blocked_spmv::serve::{EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine};
 use blocked_spmv::tune::{
-    CannedSampler, DetectorConfig, SystemClock, TimelineKind, TuneOptions, Tuner, WatchSpec,
+    CannedSampler, DetectorConfig, SystemClock, TimelineKind, Tuner, WatchSpec,
 };
 
 /// Distinct canned input vectors (references precomputed per version).
@@ -255,7 +255,6 @@ fn main() {
         Some(Arc::clone(&engine)),
         Arc::new(SystemClock::new()),
         Box::new(sampler),
-        TuneOptions::default(),
     );
     let spec = WatchSpec {
         detector: DetectorConfig {

@@ -15,7 +15,7 @@ use blocked_spmv::serve::{
     residual_key_for, EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine,
 };
 use blocked_spmv::tune::{
-    CannedSampler, DetectorConfig, ManualClock, TimelineKind, TuneOptions, Tuner, WatchSpec,
+    CannedSampler, DetectorConfig, ManualClock, TimelineKind, Tuner, WatchSpec,
 };
 
 fn machine() -> MachineProfile {
@@ -162,7 +162,6 @@ fn tuner_panic_is_isolated_and_last_good_selection_keeps_serving() {
         Some(Arc::clone(&engine)),
         Arc::new(ManualClock::new(0)),
         Box::new(CannedSampler::new().panicking()),
-        TuneOptions::default(),
     );
     let spec = WatchSpec {
         detector: DetectorConfig {

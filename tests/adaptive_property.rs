@@ -15,9 +15,7 @@ use blocked_spmv::model::{
     KernelProfile, MachineProfile, MeasuredOverrides, Model,
 };
 use blocked_spmv::serve::{residual_key_for, MatrixId, PreparedMatrix, Registry};
-use blocked_spmv::tune::{
-    CannedSampler, DetectorConfig, ManualClock, TuneOptions, Tuner, WatchSpec,
-};
+use blocked_spmv::tune::{CannedSampler, DetectorConfig, ManualClock, Tuner, WatchSpec};
 
 fn random_model(rng: &mut prop::Rng) -> Model {
     match rng.index(3) {
@@ -52,7 +50,6 @@ fn tuner_choice(
         None,
         Arc::new(ManualClock::new(0)),
         Box::new(sampler),
-        TuneOptions::default(),
     );
     let spec = WatchSpec {
         detector: DetectorConfig {

@@ -13,8 +13,8 @@ use blocked_spmv::core::{Coo, Csr};
 use blocked_spmv::model::{Config, KernelProfile, MachineProfile, Model};
 use blocked_spmv::serve::{residual_key_for, MatrixId, PreparedMatrix, Registry};
 use blocked_spmv::tune::{
-    CannedSampler, DetectorConfig, ManualClock, StalenessDetector, TimelineKind, TuneOptions,
-    Tuner, Verdict, WatchSpec,
+    CannedSampler, DetectorConfig, ManualClock, StalenessDetector, TimelineKind, Tuner, Verdict,
+    WatchSpec,
 };
 
 fn machine() -> MachineProfile {
@@ -49,7 +49,6 @@ fn watched_tuner(
         None,
         clock,
         Box::new(CannedSampler::new()),
-        TuneOptions::default(),
     );
     let spec = WatchSpec {
         detector,

@@ -3,9 +3,8 @@
 //! for every format and thread count.
 //!
 //! The deterministic tests at the bottom pin pooled results bit-identical
-//! to serial `Csr::spmv` for every format, and check that the pool really
-//! does reuse its threads across thousands of calls instead of
-//! respawning.
+//! to serial `Csr::spmv` for every format, also across a thousand calls
+//! on one pool.
 //!
 //! The property tests run on the in-repo seeded harness
 //! (`tests/support/prop.rs`), not proptest, so the suite builds and
@@ -161,7 +160,7 @@ fn padded_weights_dominate_nnz_weights() {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic pool tests: exact equivalence and thread persistence.
+// Deterministic pool tests: exact equivalence, also over repeated calls.
 // ---------------------------------------------------------------------------
 
 /// Deterministic sparse fixture (xorshift-seeded, strictly positive
@@ -301,15 +300,7 @@ fn pool_survives_a_thousand_calls_without_respawning() {
         assert_eq!(pool.spmv(&x), want, "call {call}");
     }
     assert_eq!(pool.iterations(), 1000);
-    // Every strip must have been served by exactly one OS thread for the
-    // whole run: the pool never respawned a worker.
-    let ids = pool.worker_thread_ids();
-    assert_eq!(ids.len(), pool.n_workers());
-    for (strip, ids) in ids.iter().enumerate() {
-        assert_eq!(ids.len(), 1, "strip {strip} saw threads {ids:?}");
-    }
-    for report in pool.strip_reports() {
-        assert!(!report.respawned);
-        assert_eq!(report.iterations, 1000);
-    }
+    // That one thread served each strip throughout is read from the
+    // `pool.strip` spans in tests/telemetry_pool.rs, whose tests own the
+    // process-global recording switch.
 }
