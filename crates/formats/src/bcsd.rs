@@ -1,7 +1,8 @@
 //! Blocked Compressed Sparse Diagonal (BCSD) with zero padding.
 
+use crate::gather::{bcsd_place, gather, Blocks};
 use crate::{SpMvAcc, SpMvMultiAcc};
-use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
+use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti};
 use spmv_kernels::registry::{bcsd_seg_kernel, bcsd_seg_multi_kernel, BcsdSegKernel};
 use spmv_kernels::scalar::{bcsd_segment_clipped, bcsd_segment_tuples_clipped};
 use spmv_kernels::simd::SimdScalar;
@@ -61,84 +62,28 @@ impl<T: SimdScalar> Bcsd<T> {
     /// `u32` index type.
     pub fn from_csr(csr: &Csr<T>, b: usize, imp: KernelImpl) -> Self {
         assert!((1..=8).contains(&b), "BCSD block size must be in 1..=8");
-        let n_rows = csr.n_rows();
-        let n_cols = csr.n_cols();
-        let n_segs = n_rows.div_ceil(b);
-
-        let mut brow_ptr: Vec<Index> = Vec::with_capacity(n_segs + 1);
-        brow_ptr.push(0);
-        let mut bcol_biased: Vec<Index> = Vec::new();
-        let mut bval: Vec<T> = Vec::new();
-
-        let mut temp: Vec<(Index, usize, T)> = Vec::new(); // (biased start, t, value)
-        let mut starts: Vec<Index> = Vec::new();
-
-        for s in 0..n_segs {
-            temp.clear();
-            starts.clear();
-            let row_hi = ((s + 1) * b).min(n_rows);
-            for i in s * b..row_hi {
-                let t = i - s * b;
-                let (rcols, rvals) = csr.row(i);
-                for (&j, &v) in rcols.iter().zip(rvals) {
-                    // True start column j0 = j - t may be negative; the +b
-                    // bias keeps it unsigned.
-                    let biased = (j as i64 - t as i64 + b as i64) as Index;
-                    temp.push((biased, t, v));
-                }
-            }
-            starts.extend(temp.iter().map(|e| e.0));
-            starts.sort_unstable();
-            starts.dedup();
-
-            let base = bcol_biased.len();
-            assert!(
-                base + starts.len() <= MAX_INDEX,
-                "BCSD block count overflows u32"
-            );
-            bcol_biased.extend_from_slice(&starts);
-            bval.resize(bval.len() + starts.len() * b, T::ZERO);
-            for &(biased, t, v) in &temp {
-                let k = base + starts.binary_search(&biased).expect("start recorded");
-                bval[k * b + t] = v;
-            }
-            brow_ptr.push(bcol_biased.len() as Index);
-        }
-
-        Bcsd {
-            n_rows,
-            n_cols,
-            b,
-            imp,
-            brow_ptr,
-            bcol_biased,
-            bval,
-            nnz_orig: csr.nnz(),
-        }
+        let blocks = gather(csr, b, b, None, bcsd_place(b));
+        Self::from_parts(csr.n_rows(), csr.n_cols(), b, imp, blocks)
     }
 
-    /// Assembles a BCSD matrix from prebuilt arrays (used by the
-    /// decomposed constructor, which extracts only full blocks).
-    #[allow(clippy::too_many_arguments)] // mirrors the stored fields one-to-one
+    /// Assembles a BCSD matrix from gathered blocks (the decomposed
+    /// constructor passes only the full ones).
     pub(crate) fn from_parts(
         n_rows: usize,
         n_cols: usize,
         b: usize,
         imp: KernelImpl,
-        brow_ptr: Vec<Index>,
-        bcol_biased: Vec<Index>,
-        bval: Vec<T>,
-        nnz_orig: usize,
+        blocks: Blocks<T>,
     ) -> Self {
         let bcsd = Bcsd {
             n_rows,
             n_cols,
             b,
             imp,
-            brow_ptr,
-            bcol_biased,
-            bval,
-            nnz_orig,
+            brow_ptr: blocks.brow_ptr,
+            bcol_biased: blocks.keys,
+            bval: blocks.bval,
+            nnz_orig: blocks.nnz,
         };
         debug_assert!(bcsd.validate().is_ok());
         bcsd

@@ -1,7 +1,8 @@
 //! Blocked Compressed Sparse Row (BCSR) with zero padding.
 
+use crate::gather::{bcsr_place, gather, Blocks};
 use crate::{SpMvAcc, SpMvMultiAcc};
-use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti, MAX_INDEX};
+use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti};
 use spmv_kernels::registry::{bcsr_row_kernel, bcsr_row_multi_kernel, BcsrRowKernel};
 use spmv_kernels::scalar::{bcsr_block_row_clipped, bcsr_block_row_tuples_clipped};
 use spmv_kernels::simd::SimdScalar;
@@ -15,11 +16,8 @@ use spmv_kernels::{BlockShape, KernelImpl};
 /// materialized in full; missing positions hold explicit zeros — that
 /// padding is the price of the uniform, fully unrolled kernels.
 ///
-/// In the paper's (default) *aligned* variant every block starts at
-/// `(i, j)` with `i % r == 0` and `j % c == 0`. The *unaligned* variant
-/// (cf. the UBCSR remark in §II-A, exercised by the alignment ablation)
-/// keeps row alignment but packs blocks greedily at arbitrary start
-/// columns, trading construction simplicity for less padding.
+/// Every block starts at `(i, j)` with `i % r == 0` and `j % c == 0`
+/// (the paper's aligned variant).
 ///
 /// ```
 /// use spmv_core::{Coo, Csr, SpMv};
@@ -40,7 +38,6 @@ pub struct Bcsr<T> {
     n_rows: usize,
     n_cols: usize,
     shape: BlockShape,
-    aligned: bool,
     imp: KernelImpl,
     /// Offset of each block row's first block; `n_brows + 1` entries.
     brow_ptr: Vec<Index>,
@@ -53,137 +50,35 @@ pub struct Bcsr<T> {
 }
 
 impl<T: SimdScalar> Bcsr<T> {
-    /// Converts `csr` to aligned BCSR with the given block shape.
+    /// Converts `csr` to BCSR with the given block shape.
     ///
     /// # Panics
     ///
     /// Panics if the block count would overflow the `u32` index type.
     pub fn from_csr(csr: &Csr<T>, shape: BlockShape, imp: KernelImpl) -> Self {
-        Self::from_csr_with(csr, shape, imp, true)
-    }
-
-    /// Converts `csr` to BCSR, choosing block alignment.
-    ///
-    /// With `aligned == false`, blocks still cover whole block rows but may
-    /// start at any column; starts are chosen greedily left-to-right, which
-    /// covers each block row's nonzero columns with pairwise-disjoint
-    /// blocks.
-    pub fn from_csr_with(csr: &Csr<T>, shape: BlockShape, imp: KernelImpl, aligned: bool) -> Self {
         let (r, c) = (shape.rows(), shape.cols());
-        let n_rows = csr.n_rows();
-        let n_cols = csr.n_cols();
-        let n_brows = n_rows.div_ceil(r);
-
-        let mut brow_ptr: Vec<Index> = Vec::with_capacity(n_brows + 1);
-        brow_ptr.push(0);
-        let mut bcol_start: Vec<Index> = Vec::new();
-        let mut bval: Vec<T> = Vec::new();
-
-        // Scratch reused across block rows.
-        let mut temp: Vec<(Index, usize, T)> = Vec::new(); // (start col, slot, value)
-        let mut cols: Vec<Index> = Vec::new();
-        let mut starts: Vec<Index> = Vec::new();
-
-        for rb in 0..n_brows {
-            temp.clear();
-            starts.clear();
-            let row_hi = ((rb + 1) * r).min(n_rows);
-
-            if aligned {
-                for i in rb * r..row_hi {
-                    let il = i - rb * r;
-                    let (rcols, rvals) = csr.row(i);
-                    for (&j, &v) in rcols.iter().zip(rvals) {
-                        let j0 = j / c as Index * c as Index;
-                        temp.push((j0, il * c + (j - j0) as usize, v));
-                    }
-                }
-                starts.extend(temp.iter().map(|t| t.0));
-                starts.sort_unstable();
-                starts.dedup();
-            } else {
-                // Greedy unaligned packing over the union of the block
-                // row's nonzero columns.
-                cols.clear();
-                for i in rb * r..row_hi {
-                    cols.extend_from_slice(csr.row(i).0);
-                }
-                cols.sort_unstable();
-                cols.dedup();
-                let mut cover_end = 0 as Index;
-                for &j in &cols {
-                    if j >= cover_end || starts.is_empty() {
-                        starts.push(j);
-                        cover_end = j + c as Index;
-                    }
-                }
-                for i in rb * r..row_hi {
-                    let il = i - rb * r;
-                    let (rcols, rvals) = csr.row(i);
-                    for (&j, &v) in rcols.iter().zip(rvals) {
-                        // The covering block is the last start <= j.
-                        let k = match starts.binary_search(&j) {
-                            Ok(k) => k,
-                            Err(k) => k - 1,
-                        };
-                        let j0 = starts[k];
-                        debug_assert!(j < j0 + c as Index);
-                        temp.push((j0, il * c + (j - j0) as usize, v));
-                    }
-                }
-            }
-
-            let base = bcol_start.len();
-            assert!(
-                base + starts.len() <= MAX_INDEX,
-                "BCSR block count overflows u32"
-            );
-            bcol_start.extend_from_slice(&starts);
-            bval.resize(bval.len() + starts.len() * r * c, T::ZERO);
-            for &(j0, slot, v) in &temp {
-                let k = base + starts.binary_search(&j0).expect("start recorded above");
-                bval[k * r * c + slot] = v;
-            }
-            brow_ptr.push(bcol_start.len() as Index);
-        }
-
-        Bcsr {
-            n_rows,
-            n_cols,
-            shape,
-            aligned,
-            imp,
-            brow_ptr,
-            bcol_start,
-            bval,
-            nnz_orig: csr.nnz(),
-        }
+        let blocks = gather(csr, r, r * c, None, bcsr_place(c));
+        Self::from_parts(csr.n_rows(), csr.n_cols(), shape, imp, blocks)
     }
 
-    /// Assembles a BCSR matrix from prebuilt arrays (used by the
-    /// decomposed constructor, which extracts only full blocks).
-    #[allow(clippy::too_many_arguments)] // mirrors the stored fields one-to-one
+    /// Assembles a BCSR matrix from gathered blocks (the decomposed
+    /// constructor passes only the full ones).
     pub(crate) fn from_parts(
         n_rows: usize,
         n_cols: usize,
         shape: BlockShape,
-        aligned: bool,
         imp: KernelImpl,
-        brow_ptr: Vec<Index>,
-        bcol_start: Vec<Index>,
-        bval: Vec<T>,
-        nnz_orig: usize,
+        blocks: Blocks<T>,
     ) -> Self {
         let bcsr = Bcsr {
             n_rows,
             n_cols,
             shape,
-            aligned,
             imp,
-            brow_ptr,
-            bcol_start,
-            bval,
-            nnz_orig,
+            brow_ptr: blocks.brow_ptr,
+            bcol_start: blocks.keys,
+            bval: blocks.bval,
+            nnz_orig: blocks.nnz,
         };
         debug_assert!(bcsr.validate().is_ok());
         bcsr
@@ -192,11 +87,6 @@ impl<T: SimdScalar> Bcsr<T> {
     /// The block shape `r x c`.
     pub fn shape(&self) -> BlockShape {
         self.shape
-    }
-
-    /// Whether blocks are aligned at `r`/`c` boundaries.
-    pub fn aligned(&self) -> bool {
-        self.aligned
     }
 
     /// The kernel implementation used by `spmv`.
@@ -289,16 +179,15 @@ impl<T: SimdScalar> Bcsr<T> {
         for rb in 0..n_brows {
             let range = self.brow_ptr[rb] as usize..self.brow_ptr[rb + 1] as usize;
             for k in range.clone().skip(1) {
-                // Aligned blocks are c apart; unaligned merely disjoint.
-                if self.bcol_start[k] < self.bcol_start[k - 1] + c as Index {
+                if self.bcol_start[k - 1] >= self.bcol_start[k] {
                     return Err(Error::InvalidStructure(format!(
-                        "block row {rb}: overlapping or unsorted blocks"
+                        "block row {rb}: duplicate or unsorted blocks"
                     )));
                 }
             }
             for k in range {
                 let j0 = self.bcol_start[k];
-                if self.aligned && !(j0 as usize).is_multiple_of(c) {
+                if !(j0 as usize).is_multiple_of(c) {
                     return Err(Error::InvalidStructure(format!(
                         "block row {rb}: start column {j0} breaks alignment"
                     )));
@@ -512,24 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn unaligned_matches_csr_and_pads_less() {
-        let csr = fixture_csr(40, 40, 3);
-        let x: Vec<f64> = (0..40).map(|i| (i as f64).sin() + 2.0).collect();
-        let want = csr.spmv(&x);
-        let shape = BlockShape::new(1, 4).unwrap();
-        let aligned = Bcsr::from_csr_with(&csr, shape, KernelImpl::Scalar, true);
-        let unaligned = Bcsr::from_csr_with(&csr, shape, KernelImpl::Scalar, false);
-        aligned.validate().unwrap();
-        unaligned.validate().unwrap();
-        for (a, b) in want.iter().zip(unaligned.spmv(&x)) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        // Greedy unaligned packing never needs more blocks than aligned.
-        assert!(unaligned.n_blocks() <= aligned.n_blocks());
-        assert!(unaligned.padding() <= aligned.padding());
-    }
-
-    #[test]
     fn dense_2x2_blocks_have_zero_padding() {
         // An 8x8 dense matrix blocks perfectly for any shape dividing 8.
         let dense = spmv_core::DenseMatrix::<f64>::profiling(8, 8);
@@ -543,15 +414,11 @@ mod tests {
     #[test]
     fn alignment_forces_padding() {
         // A single 1x2 run at an odd column must be split by alignment
-        // into two padded blocks, but fits one unaligned block.
+        // into two padded blocks.
         let csr = Csr::from_coo(&Coo::from_triplets(1, 6, vec![(0, 1, 1.0), (0, 2, 1.0)]).unwrap());
-        let shape = BlockShape::new(1, 2).unwrap();
-        let aligned = Bcsr::from_csr(&csr, shape, KernelImpl::Scalar);
-        let unaligned = Bcsr::from_csr_with(&csr, shape, KernelImpl::Scalar, false);
-        assert_eq!(aligned.n_blocks(), 2);
-        assert_eq!(aligned.padding(), 2);
-        assert_eq!(unaligned.n_blocks(), 1);
-        assert_eq!(unaligned.padding(), 0);
+        let bcsr = Bcsr::from_csr(&csr, BlockShape::new(1, 2).unwrap(), KernelImpl::Scalar);
+        assert_eq!(bcsr.n_blocks(), 2);
+        assert_eq!(bcsr.padding(), 2);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! (so it carries zero padding), the second every remaining nonzero in
 //! CSR.
 
+use crate::gather::{bcsd_place, bcsr_place, gather};
 use crate::{Bcsd, Bcsr, SpMvAcc, SpMvMultiAcc};
-use spmv_core::{Coo, Csr, Index, MatrixShape, Result, Scalar, SpMv, SpMvMulti};
+use spmv_core::{Coo, Csr, MatrixShape, Result, Scalar, SpMv, SpMvMulti};
 use spmv_kernels::simd::SimdScalar;
 use spmv_kernels::{BlockShape, KernelImpl};
 
@@ -65,70 +66,10 @@ impl<T: SimdScalar> BcsrDec<T> {
     /// remainder.
     pub fn from_csr(csr: &Csr<T>, shape: BlockShape, imp: KernelImpl) -> Self {
         let (r, c) = (shape.rows(), shape.cols());
-        let n_rows = csr.n_rows();
-        let n_cols = csr.n_cols();
-        let n_brows = n_rows.div_ceil(r);
-
-        let mut brow_ptr: Vec<Index> = Vec::with_capacity(n_brows + 1);
-        brow_ptr.push(0);
-        let mut bcol_start: Vec<Index> = Vec::new();
-        let mut bval: Vec<T> = Vec::new();
-        let mut rest = Coo::<T>::with_capacity(n_rows, n_cols, 0);
-
-        let mut temp: Vec<(Index, usize, usize, T)> = Vec::new(); // (start, slot, row, value)
-        let mut starts: Vec<Index> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
-
-        for rb in 0..n_brows {
-            temp.clear();
-            starts.clear();
-            let row_hi = ((rb + 1) * r).min(n_rows);
-            for i in rb * r..row_hi {
-                let il = i - rb * r;
-                let (rcols, rvals) = csr.row(i);
-                for (&j, &v) in rcols.iter().zip(rvals) {
-                    let j0 = j / c as Index * c as Index;
-                    temp.push((j0, il * c + (j - j0) as usize, i, v));
-                }
-            }
-            starts.extend(temp.iter().map(|e| e.0));
-            starts.sort_unstable();
-            starts.dedup();
-            counts.clear();
-            counts.resize(starts.len(), 0);
-            for &(j0, ..) in &temp {
-                counts[starts.binary_search(&j0).expect("recorded")] += 1;
-            }
-
-            // Keep only completely full blocks in the main submatrix; a
-            // clipped boundary block can never reach r*c in-matrix
-            // elements, so full blocks are automatically interior.
-            let mut full_index = vec![usize::MAX; starts.len()];
-            for (k, (&j0, &cnt)) in starts.iter().zip(&counts).enumerate() {
-                if cnt as usize == r * c {
-                    full_index[k] = bcol_start.len();
-                    bcol_start.push(j0);
-                    bval.resize(bval.len() + r * c, T::ZERO);
-                }
-            }
-            for &(j0, slot, i, v) in &temp {
-                let k = starts.binary_search(&j0).expect("recorded");
-                if full_index[k] != usize::MAX {
-                    bval[full_index[k] * r * c + slot] = v;
-                } else {
-                    let j = j0 as usize + slot % c;
-                    rest.push(i, j, v).expect("coords from source matrix");
-                }
-            }
-            brow_ptr.push(bcol_start.len() as Index);
-        }
-
-        let main_nnz = bval.len(); // full blocks: stored == nonzeros
-        let main = Bcsr::from_parts(
-            n_rows, n_cols, shape, true, imp, brow_ptr, bcol_start, bval, main_nnz,
-        );
+        let mut rest = Coo::with_capacity(csr.n_rows(), csr.n_cols(), 0);
+        let blocks = gather(csr, r, r * c, Some(&mut rest), bcsr_place(c));
         Decomposed {
-            main,
+            main: Bcsr::from_parts(csr.n_rows(), csr.n_cols(), shape, imp, blocks),
             rest: Csr::from_coo(&rest),
         }
     }
@@ -139,77 +80,10 @@ impl<T: SimdScalar> BcsdDec<T> {
     /// remainder.
     pub fn from_csr(csr: &Csr<T>, b: usize, imp: KernelImpl) -> Self {
         assert!((1..=8).contains(&b), "BCSD block size must be in 1..=8");
-        let n_rows = csr.n_rows();
-        let n_cols = csr.n_cols();
-        let n_segs = n_rows.div_ceil(b);
-
-        let mut brow_ptr: Vec<Index> = Vec::with_capacity(n_segs + 1);
-        brow_ptr.push(0);
-        let mut bcol_biased: Vec<Index> = Vec::new();
-        let mut bval: Vec<T> = Vec::new();
-        let mut rest = Coo::<T>::with_capacity(n_rows, n_cols, 0);
-
-        let mut temp: Vec<(Index, usize, usize, T)> = Vec::new(); // (biased, t, row, value)
-        let mut starts: Vec<Index> = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
-
-        for s in 0..n_segs {
-            temp.clear();
-            starts.clear();
-            let row_hi = ((s + 1) * b).min(n_rows);
-            for i in s * b..row_hi {
-                let t = i - s * b;
-                let (rcols, rvals) = csr.row(i);
-                for (&j, &v) in rcols.iter().zip(rvals) {
-                    let biased = (j as i64 - t as i64 + b as i64) as Index;
-                    temp.push((biased, t, i, v));
-                }
-            }
-            starts.extend(temp.iter().map(|e| e.0));
-            starts.sort_unstable();
-            starts.dedup();
-            counts.clear();
-            counts.resize(starts.len(), 0);
-            for &(biased, ..) in &temp {
-                counts[starts.binary_search(&biased).expect("recorded")] += 1;
-            }
-
-            let mut full_index = vec![usize::MAX; starts.len()];
-            for (k, (&biased, &cnt)) in starts.iter().zip(&counts).enumerate() {
-                // A clipped block (either edge, or a short final segment)
-                // cannot hold b in-matrix elements, so count == b implies
-                // an interior full block.
-                if cnt as usize == b {
-                    full_index[k] = bcol_biased.len();
-                    bcol_biased.push(biased);
-                    bval.resize(bval.len() + b, T::ZERO);
-                }
-            }
-            for &(biased, t, i, v) in &temp {
-                let k = starts.binary_search(&biased).expect("recorded");
-                if full_index[k] != usize::MAX {
-                    bval[full_index[k] * b + t] = v;
-                } else {
-                    let j = (biased as i64 - b as i64 + t as i64) as usize;
-                    rest.push(i, j, v).expect("coords from source matrix");
-                }
-            }
-            brow_ptr.push(bcol_biased.len() as Index);
-        }
-
-        let main_nnz = bval.len();
-        let main = Bcsd::from_parts(
-            n_rows,
-            n_cols,
-            b,
-            imp,
-            brow_ptr,
-            bcol_biased,
-            bval,
-            main_nnz,
-        );
+        let mut rest = Coo::with_capacity(csr.n_rows(), csr.n_cols(), 0);
+        let blocks = gather(csr, b, b, Some(&mut rest), bcsd_place(b));
         Decomposed {
-            main,
+            main: Bcsd::from_parts(csr.n_rows(), csr.n_cols(), b, imp, blocks),
             rest: Csr::from_coo(&rest),
         }
     }

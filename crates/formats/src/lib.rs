@@ -12,8 +12,13 @@
 //! | [`BcsrDec`] | BCSR-DEC | decomposed: full BCSR blocks + CSR rest |
 //! | [`BcsdDec`] | BCSD-DEC | decomposed: full BCSD blocks + CSR rest |
 //! | [`Vbl`] | 1D-VBL | variable-size 1-D blocks, no padding |
-//! | [`Vbr`] | VBR | variable-size 2-D blocks (described in §II, not in the model study) |
 //! | [`SellCSigma`] | SELL-C-σ | sliced ELLPACK, σ-windowed row sorting, padding (extension) |
+//!
+//! BCSR, BCSD and their decomposed forms are built by one block gather:
+//! each cuts the matrix into bands of aligned rows and groups a band's
+//! entries into fixed-size blocks, and they differ only in how a column
+//! maps to a block and a slot. The padded forms keep every block; the
+//! decomposed forms keep the full ones and leave the rest to CSR.
 //!
 //! Every format implements [`spmv_core::SpMv`] plus the accumulate variant
 //! [`SpMvAcc`] that decomposed formats need, and the multi-vector (SpMM)
@@ -27,10 +32,10 @@
 pub mod bcsd;
 pub mod bcsr;
 pub mod decomposed;
+mod gather;
 pub mod sellc;
 pub mod stats;
 pub mod vbl;
-pub mod vbr;
 
 pub use bcsd::Bcsd;
 pub use bcsr::Bcsr;
@@ -42,7 +47,6 @@ pub use stats::{
     BlockCounts, FormatStats, LaneCounts,
 };
 pub use vbl::Vbl;
-pub use vbr::Vbr;
 
 use core::fmt;
 use spmv_core::{Csr, Scalar, SpMv, SpMvMulti};
@@ -131,8 +135,6 @@ pub enum FormatKind {
     BcsdDec,
     /// One-dimensional Variable Block Length.
     Vbl,
-    /// Variable Block Row (§II extension; not part of the model study).
-    Vbr,
     /// SELL-C-σ: sliced ELLPACK with σ-windowed row sorting
     /// (padding-dominated extension beyond the paper).
     SellCSigma,
@@ -148,7 +150,6 @@ impl FormatKind {
             FormatKind::Bcsd => "BCSD",
             FormatKind::BcsdDec => "BCSD-DEC",
             FormatKind::Vbl => "1D-VBL",
-            FormatKind::Vbr => "VBR",
             FormatKind::SellCSigma => "SELL",
         }
     }
@@ -218,7 +219,6 @@ mod tests {
     #[test]
     fn modeled_excludes_variable_size() {
         assert!(!FormatKind::MODELED.contains(&FormatKind::Vbl));
-        assert!(!FormatKind::MODELED.contains(&FormatKind::Vbr));
         assert!(FormatKind::MODELED.contains(&FormatKind::Csr));
     }
 

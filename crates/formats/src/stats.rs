@@ -54,11 +54,6 @@ impl FormatStats {
     pub fn padding(&self, nnz: usize) -> usize {
         self.stored.saturating_sub(nnz - self.rest_nnz)
     }
-
-    /// Total values the format stores across submatrices.
-    pub fn total_stored(&self) -> usize {
-        self.stored + self.rest_nnz
-    }
 }
 
 /// The blocks of one fixed-size block geometry (an `r x c` BCSR shape or

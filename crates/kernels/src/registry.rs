@@ -134,23 +134,6 @@ fn bcsr_row_multi_kernel_engine<T: Scalar, E: LaneEngine<T>>(
     dispatch_shape!(shape, apply)
 }
 
-/// Scalar BCSR block-row kernel for `shape`.
-///
-/// # Panics
-///
-/// Panics if `shape` is outside the supported search space (which
-/// [`BlockShape::new`] prevents constructing).
-pub fn bcsr_row_kernel_scalar<T: SimdScalar>(shape: BlockShape) -> BcsrRowKernel<T> {
-    bcsr_row_kernel_engine::<T, ScalarEngine>(shape)
-        .unwrap_or_else(|| panic!("unsupported BCSR shape {shape}"))
-}
-
-/// Scalar BCSD segment kernel for diagonal size `b` (1 ≤ b ≤ 8).
-pub fn bcsd_seg_kernel_scalar<T: SimdScalar>(b: usize) -> BcsdSegKernel<T> {
-    bcsd_seg_kernel_engine::<T, ScalarEngine>(b)
-        .unwrap_or_else(|| panic!("unsupported BCSD size {b}"))
-}
-
 /// BCSR block-row kernel for `(shape, imp)`.
 ///
 /// Requesting [`KernelImpl::Simd`] on a target without SIMD support
@@ -260,7 +243,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unsupported BCSD size")]
     fn oversized_bcsd_panics() {
-        let _ = bcsd_seg_kernel_scalar::<f64>(9);
+        let _ = bcsd_seg_kernel::<f64>(9, KernelImpl::Scalar);
     }
 
     #[test]

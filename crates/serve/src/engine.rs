@@ -253,7 +253,7 @@ impl<T: SimdScalar> Pending<T> {
             self.slot.complete(r);
             if ok {
                 s.completed += 1;
-                s.latencies_ns.push(latency);
+                s.record_latency(latency);
             } else {
                 s.failed += 1;
             }
@@ -284,6 +284,11 @@ impl<T: SimdScalar> Drop for Pending<T> {
     }
 }
 
+/// Completion latencies the engine keeps: the most recent this many
+/// (8 MiB), so a long-lived engine's record and the copy each report
+/// sorts stay bounded.
+const LATENCY_SAMPLES: usize = 1 << 20;
+
 /// Counters the engine keeps regardless of telemetry state.
 #[derive(Debug, Clone, Default)]
 struct Stats {
@@ -295,10 +300,23 @@ struct Stats {
     /// Dispatches by chunk width, indexed by `log2(k)` for k in
     /// {1, 2, 4, 8}.
     by_width: [u64; 4],
-    latencies_ns: Vec<u64>,
-    /// Start index into `latencies_ns` of the current report window
-    /// (see [`ServeEngine::begin_latency_window`]).
+    /// The latencies of the most recent completions, oldest first; at
+    /// most [`LATENCY_SAMPLES`].
+    latencies_ns: VecDeque<u64>,
+    /// Index into `latencies_ns` of the current report window's first
+    /// sample (see [`ServeEngine::begin_latency_window`]). It moves down
+    /// as old samples drop, so the window keeps only its own.
     window_start: usize,
+}
+
+impl Stats {
+    fn record_latency(&mut self, ns: u64) {
+        if self.latencies_ns.len() == LATENCY_SAMPLES {
+            self.latencies_ns.pop_front();
+            self.window_start = self.window_start.saturating_sub(1);
+        }
+        self.latencies_ns.push_back(ns);
+    }
 }
 
 /// The expectation live measurements of one matrix are compared against.
@@ -342,11 +360,13 @@ pub struct EngineReport {
     pub batches: u64,
     /// Dispatch counts per chunk width `k` = 1, 2, 4, 8.
     pub dispatches_by_k: [(usize, u64); 4],
-    /// Latency percentiles, when any request has completed.
+    /// Latency percentiles over the most recent 2^20 completed requests
+    /// (older ones drop from the record), when any has completed.
     pub latency: Option<LatencySummary>,
     /// Latency percentiles over only the completions since the last
-    /// [`ServeEngine::begin_latency_window`] call (the whole run until
-    /// the first call). `None` while the window has no completions.
+    /// [`ServeEngine::begin_latency_window`] call (the whole record
+    /// until the first call), within the same 2^20 most recent ones.
+    /// `None` while the window has no completions.
     /// This is what separates pre- from post-swap latency in an
     /// adaptive run: `latency` would smear both regimes together.
     pub window_latency: Option<LatencySummary>,
@@ -369,12 +389,11 @@ impl EngineReport {
     }
 }
 
-/// Nearest-rank percentile over an unsorted sample (copied + sorted).
-fn percentiles(samples: &[u64]) -> Option<LatencySummary> {
-    if samples.is_empty() {
+/// Nearest-rank percentiles over an unsorted sample (sorted in place).
+fn percentiles(mut v: Vec<u64>) -> Option<LatencySummary> {
+    if v.is_empty() {
         return None;
     }
-    let mut v = samples.to_vec();
     v.sort_unstable();
     let rank = |p: f64| {
         let idx = ((p / 100.0) * v.len() as f64).ceil() as usize;
@@ -466,16 +485,6 @@ pub struct ServeEngine<T: SimdScalar> {
 impl<T: SimdScalar> ServeEngine<T> {
     /// Starts an engine (and its dispatcher thread) over `registry`.
     pub fn new(registry: Arc<Registry<T>>, opts: EngineOptions) -> Self {
-        Self::with_residuals(registry, opts, Arc::new(ResidualTracker::new()))
-    }
-
-    /// Like [`ServeEngine::new`], recording dispatch residuals into a
-    /// caller-supplied tracker (so a background tuner can share it).
-    pub fn with_residuals(
-        registry: Arc<Registry<T>>,
-        opts: EngineOptions,
-        residuals: Arc<ResidualTracker>,
-    ) -> Self {
         let shared = Arc::new(EngineShared {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
@@ -493,7 +502,7 @@ impl<T: SimdScalar> ServeEngine<T> {
                 done: Condvar::new(),
             }),
             expectations: Mutex::new(HashMap::new()),
-            residuals,
+            residuals: Arc::new(ResidualTracker::new()),
             residual_scale: AtomicU64::new(1.0f64.to_bits()),
         });
         let dispatcher = Arc::clone(&shared);
@@ -618,7 +627,7 @@ impl<T: SimdScalar> ServeEngine<T> {
             }
         }
         let s = self.stats_lock();
-        EngineReport {
+        let mut report = EngineReport {
             submitted: s.submitted,
             rejected: s.rejected,
             completed: s.completed,
@@ -630,12 +639,19 @@ impl<T: SimdScalar> ServeEngine<T> {
                 (4, s.by_width[2]),
                 (8, s.by_width[3]),
             ],
-            latency: percentiles(&s.latencies_ns),
-            window_latency: percentiles(
-                &s.latencies_ns[s.window_start.min(s.latencies_ns.len())..],
-            ),
+            latency: None,
+            window_latency: None,
             warnings,
-        }
+        };
+        // Copy the record under the stats lock, which every submit and
+        // completion takes, and sort after releasing it.
+        let (old, new) = s.latencies_ns.as_slices();
+        let samples = [old, new].concat();
+        let window_start = s.window_start;
+        drop(s);
+        report.window_latency = percentiles(samples[window_start..].to_vec());
+        report.latency = percentiles(samples);
+        report
     }
 
     /// Starts a new latency window at the current completion count:
@@ -670,15 +686,6 @@ impl<T: SimdScalar> ServeEngine<T> {
                     predicted,
                 },
             );
-    }
-
-    /// Drops `id`'s residual expectation; its dispatches stop recording.
-    pub fn clear_expectation(&self, id: MatrixId) {
-        self.shared
-            .expectations
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&id.0);
     }
 
     /// Multiplies every *recorded* measurement by `scale` (replies are
@@ -1310,13 +1317,13 @@ mod tests {
     #[test]
     fn percentile_ranks_are_nearest_rank() {
         let samples: Vec<u64> = (1..=100).collect();
-        let s = percentiles(&samples).unwrap();
+        let s = percentiles(samples).unwrap();
         assert_eq!(s.p50_ns, 50);
         assert_eq!(s.p95_ns, 95);
         assert_eq!(s.p99_ns, 99);
         assert_eq!(s.max_ns, 100);
-        assert_eq!(percentiles(&[]), None);
-        let one = percentiles(&[7]).unwrap();
+        assert_eq!(percentiles(Vec::new()), None);
+        let one = percentiles(vec![7]).unwrap();
         assert_eq!((one.p50_ns, one.p99_ns, one.max_ns), (7, 7, 7));
     }
 
@@ -1356,6 +1363,34 @@ mod tests {
         // Re-beginning moves the boundary again.
         engine.begin_latency_window();
         assert_eq!(engine.report().window_latency, None);
+    }
+
+    #[test]
+    fn latency_record_keeps_the_most_recent_samples() {
+        let (_csr, _r, engine) = setup(5, EngineOptions::default());
+        // Fill the record to five short of the cap with 1 ns samples,
+        // begin a window, then record ten 7 ns samples: the five oldest
+        // drop, and the window still holds exactly its own ten.
+        {
+            let mut s = engine.stats_lock();
+            for _ in 0..LATENCY_SAMPLES - 5 {
+                s.record_latency(1);
+            }
+        }
+        engine.begin_latency_window();
+        {
+            let mut s = engine.stats_lock();
+            for _ in 0..10 {
+                s.record_latency(7);
+            }
+        }
+        let report = engine.report();
+        let all = report.latency.unwrap();
+        assert_eq!(all.count, LATENCY_SAMPLES as u64);
+        assert_eq!((all.p50_ns, all.max_ns), (1, 7));
+        let window = report.window_latency.unwrap();
+        assert_eq!(window.count, 10);
+        assert_eq!((window.p50_ns, window.max_ns), (7, 7));
     }
 
     #[test]
@@ -1423,10 +1458,6 @@ mod tests {
         let cal = engine.calibrate(MatrixId(1), &x, 3).unwrap();
         assert!(cal > 0.0);
 
-        // Clearing the expectation stops recording entirely.
-        engine.clear_expectation(MatrixId(1));
-        engine.submit_wait(MatrixId(1), x).unwrap();
-        assert!(engine.residuals().drain_events().is_empty());
         // Bad scales are ignored.
         engine.set_residual_scale(f64::NAN);
         assert_eq!(engine.residual_scale(), 4.0);

@@ -122,11 +122,6 @@ impl<T: SimdScalar> TunerCore<T> {
         );
     }
 
-    /// Stops watching `matrix`. Returns whether it was watched.
-    pub fn unwatch(&mut self, matrix: u64) -> bool {
-        self.targets.remove(&matrix).is_some()
-    }
-
     /// Ids currently watched, ascending.
     pub fn watched(&self) -> Vec<u64> {
         self.targets.keys().copied().collect()

@@ -8,7 +8,8 @@
 #   denied, the benchmark package's API tripwire, the harness-bin smokes
 #   (serve_load, serve_adapt, numa_scale, sellc, census at a small
 #   scale), spmv-tune on a calibration cut short after its CSR line, and
-#   the runtime examples.
+#   the runtime examples (quickstart asserts its BCSR, BCSR-DEC, BCSD and
+#   1D-VBL products against CSR in a release build).
 #
 # See docs/TESTING.md for what each tier covers.
 #
@@ -57,6 +58,7 @@ head -n 3 benchmark/profile.txt > target/profile-head.txt
 run cargo run --offline --release --quiet --bin spmv-tune -- --suite 5 --scale 0.05 \
     --profile target/profile-head.txt --verify > /dev/null
 
+run cargo run --offline --release --quiet --example quickstart > /dev/null
 run cargo run --offline --release --quiet --example parallel_scaling > /dev/null
 run cargo run --offline --release --quiet --example batched -- 0.1 > /dev/null
 

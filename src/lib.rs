@@ -12,8 +12,8 @@
 //!   [`SpMv`] trait;
 //! * [`kernels`] — per-shape block multiply kernels
 //!   (scalar and SSE2);
-//! * [`formats`] — BCSR, BCSD, BCSR-DEC, BCSD-DEC, 1D-VBL, VBR,
-//!   and SELL-C-σ storage;
+//! * [`formats`] — BCSR, BCSD, BCSR-DEC, BCSD-DEC, 1D-VBL and
+//!   SELL-C-σ storage;
 //! * [`gen`] — synthetic matrix generators, the 30-matrix
 //!   evaluation suite, MatrixMarket I/O;
 //! * [`model`] — the MEM / MEMCOMP / OVERLAP performance
@@ -48,5 +48,5 @@ pub use spmv_telemetry as telemetry;
 pub use spmv_tune as tune;
 
 pub use spmv_core::{Coo, Csr, DenseMatrix, Error, Precision, Result, Scalar, SpMv, SpMvMulti};
-pub use spmv_formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl, Vbr};
+pub use spmv_formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SpMvAcc, SpMvMultiAcc, Vbl};
 pub use spmv_kernels::{BlockShape, KernelImpl};

@@ -13,7 +13,7 @@
 //! failures reproduce from the seed alone.
 
 use blocked_spmv::core::{Csr, Precision, Scalar, SpMvMulti};
-use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl, Vbr};
+use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
 use blocked_spmv::kernels::simd::SimdScalar;
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
 #[path = "support/corpus.rs"]
@@ -108,15 +108,6 @@ fn run<T: SimdScalar>(k: usize) {
             let t = format!("seed {seed} vbl {imp}");
             check(&Vbl::from_csr(&csr, imp), &x, &yref, &mag, k, &t);
         }
-        // VBR has no SIMD kernels; one scalar pass covers it.
-        check(
-            &Vbr::from_csr(&csr),
-            &x,
-            &yref,
-            &mag,
-            k,
-            &format!("seed {seed} vbr"),
-        );
     }
 }
 
@@ -159,7 +150,6 @@ fn multi_vector_is_bitwise_per_column() {
                 ("bcsd", Box::new(Bcsd::from_csr(&csr, 4, imp))),
                 ("bcsd-dec", Box::new(BcsdDec::from_csr(&csr, 4, imp))),
                 ("vbl", Box::new(Vbl::from_csr(&csr, imp))),
-                ("vbr", Box::new(Vbr::from_csr(&csr))),
             ];
             for (label, mat) in &formats {
                 let multi = mat.spmv_multi(&x, K);

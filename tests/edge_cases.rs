@@ -2,11 +2,13 @@
 //! multi-vector: empty matrices, single-row / single-column matrices, a
 //! fully dense row, the 1D-VBL `u8` run-length boundary (a dense row
 //! wider than 255 columns must split into multiple runs), rows whose
-//! column gaps pass 255, and rows whose column gaps pass `u16::MAX`.
+//! column gaps pass 255, rows whose column gaps pass `u16::MAX`, and
+//! unchecked rows that repeat a column.
 
-use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMvMulti};
-use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl, Vbr};
+use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
+use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl};
+use blocked_spmv::model::Config;
 
 const K: usize = 4;
 
@@ -49,7 +51,6 @@ fn check_all(coo: &Coo<f64>, what: &str) {
                 Box::new(BcsdDec::from_csr(&csr, 4, imp)),
             ),
             (format!("vbl {imp}"), Box::new(Vbl::from_csr(&csr, imp))),
-            ("vbr".to_string(), Box::new(Vbr::from_csr(&csr))),
         ];
         for (label, mat) in &formats {
             assert_eq!((mat.n_rows(), mat.n_cols()), (n, m), "{what} {label}");
@@ -169,4 +170,43 @@ fn multi_with_zero_rows_or_cols() {
     let tall: Csr<f64> = Csr::from_coo(&Coo::new(6, 0));
     let y = tall.spmv_multi(&[], K);
     assert_eq!(y, vec![0.0; 6 * K]);
+}
+
+#[test]
+fn repeated_columns_add_up_in_every_configuration() {
+    // `Csr::from_raw_unchecked` keeps a row that names a column twice,
+    // and CSR adds both products. Every blocked build must add the two
+    // entries into their slot too. Small integers keep every sum exact.
+    let cases = [
+        // Row 0 holds columns [0, 0, 1]: y0 = 1 + 1 + 2 = 4 for
+        // x = [1, 2, 3, 4], where keeping only the last entry gives 3.
+        Csr::from_raw_unchecked(2, 4, vec![0, 3, 3], vec![0, 0, 1], vec![1.0; 3]),
+        // Unsorted rows with repeats that are not adjacent. Row 4's two
+        // entries in column 0 fill a 1x2 and a b = 2 block's entry count,
+        // so the decomposed builds keep those blocks as full.
+        Csr::from_raw_unchecked(
+            5,
+            7,
+            vec![0, 4, 7, 7, 11, 13],
+            vec![3, 1, 3, 0, 2, 5, 2, 6, 5, 6, 4, 0, 0],
+            vec![
+                2.0, -1.0, 3.0, 1.0, 1.0, 2.0, -3.0, 1.0, 1.0, 2.0, -2.0, 4.0, 5.0,
+            ],
+        ),
+    ];
+    for (case, csr) in cases.into_iter().enumerate() {
+        let csr = csr.unwrap();
+        let m = csr.n_cols();
+        let x: Vec<f64> = (0..m * K).map(|i| (i + 1) as f64).collect();
+        let (want, want_multi) = (csr.spmv(&x[..m]), csr.spmv_multi(&x, K));
+        for config in Config::enumerate_extended(true) {
+            let built = config.build(&csr);
+            assert_eq!(built.spmv(&x[..m]), want, "case {case} {config}");
+            assert_eq!(
+                built.spmv_multi(&x, K),
+                want_multi,
+                "case {case} {config} k={K}"
+            );
+        }
+    }
 }

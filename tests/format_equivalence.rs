@@ -6,7 +6,7 @@
 //! proptest, so the suite builds and shrinks offline.
 
 use blocked_spmv::core::{Coo, Csr, DenseMatrix, SpMv};
-use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl, Vbr};
+use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl, BCSD_SIZES};
 
 #[path = "support/prop.rs"]
@@ -75,8 +75,7 @@ fn bcsr_matches_dense_any_shape() {
         let (n, m, entries) = gen_matrix(rng, size);
         let (csr, dense) = build(n, m, &entries);
         let shape = any_shape(rng);
-        let (imp, aligned) = (any_impl(rng), rng.bool());
-        let bcsr = Bcsr::from_csr_with(&csr, shape, imp, aligned);
+        let bcsr = Bcsr::from_csr(&csr, shape, any_impl(rng));
         bcsr.validate().unwrap();
         let x = x_for(m);
         assert_close(&dense.spmv(&x), &bcsr.spmv(&x), &format!("BCSR {shape}"));
@@ -133,11 +132,6 @@ fn variable_formats_match_dense() {
         vbl.validate().unwrap();
         assert_close(&dense.spmv(&x), &vbl.spmv(&x), "1D-VBL");
         assert_eq!(vbl.nnz_stored(), csr.nnz(), "VBL must not pad");
-
-        let vbr = Vbr::from_csr(&csr);
-        vbr.validate().unwrap();
-        assert_close(&dense.spmv(&x), &vbr.spmv(&x), "VBR");
-        assert_eq!(vbr.nnz_stored(), csr.nnz(), "VBR must not pad");
     });
 }
 
@@ -189,11 +183,6 @@ fn every_format_roundtrips_to_csr() {
             "BCSR {shape}"
         );
         assert_eq!(
-            Bcsr::from_csr_with(&csr, shape, KernelImpl::Scalar, false).to_csr(),
-            csr,
-            "unaligned BCSR {shape}"
-        );
-        assert_eq!(
             Bcsd::from_csr(&csr, b, KernelImpl::Scalar).to_csr(),
             csr,
             "BCSD {b}"
@@ -209,7 +198,6 @@ fn every_format_roundtrips_to_csr() {
             "BCSD-DEC {b}"
         );
         assert_eq!(Vbl::from_csr(&csr, KernelImpl::Scalar).to_csr(), csr);
-        assert_eq!(Vbr::from_csr(&csr).to_csr(), csr);
     });
 }
 

@@ -104,25 +104,6 @@ fn csr_is_the_degenerate_one_by_one_config() {
     assert_eq!(stats[0].nb, csr.nnz());
 }
 
-/// §II-A: alignment "leads generally to more padding" than unaligned
-/// placement — checked across the whole synthetic suite.
-#[test]
-fn alignment_never_reduces_padding_across_the_suite() {
-    let shape = BlockShape::new(1, 4).unwrap();
-    for entry in suite(0.02) {
-        let csr = entry.build(1);
-        let aligned = Bcsr::from_csr_with(&csr, shape, KernelImpl::Scalar, true);
-        let unaligned = Bcsr::from_csr_with(&csr, shape, KernelImpl::Scalar, false);
-        assert!(
-            aligned.padding() >= unaligned.padding(),
-            "{}: aligned {} < unaligned {}",
-            entry.name,
-            aligned.padding(),
-            unaligned.padding()
-        );
-    }
-}
-
 /// §III (decomposed methods): "the remainder CSR matrix will have very
 /// short rows" — on a half-blocked matrix the remainder's mean row
 /// length must be well below the original's.
