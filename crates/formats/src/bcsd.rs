@@ -50,6 +50,9 @@ pub struct Bcsd<T> {
     /// Block values, `b` per block (diagonal order).
     bval: Vec<T>,
     nnz_orig: usize,
+    /// Slots of `bval` an entry of the source reached; below `nnz_orig`
+    /// only when a row repeats a column.
+    filled: usize,
 }
 
 impl<T: SimdScalar> Bcsd<T> {
@@ -84,6 +87,7 @@ impl<T: SimdScalar> Bcsd<T> {
             bcol_biased: blocks.keys,
             bval: blocks.bval,
             nnz_orig: blocks.nnz,
+            filled: blocks.filled,
         };
         debug_assert!(bcsd.validate().is_ok());
         bcsd
@@ -109,9 +113,10 @@ impl<T: SimdScalar> Bcsd<T> {
         self.bcol_biased.len()
     }
 
-    /// Explicit zeros added to complete blocks.
+    /// Explicit zeros added to complete blocks: the stored slots no
+    /// entry of the source reached.
     pub fn padding(&self) -> usize {
-        self.bval.len() - self.nnz_orig
+        self.bval.len() - self.filled
     }
 
     /// Nonzeros of the source matrix.
@@ -119,12 +124,13 @@ impl<T: SimdScalar> Bcsd<T> {
         self.nnz_orig
     }
 
-    /// Fraction of stored values that are true nonzeros.
+    /// Fraction of stored slots that hold an entry of the source,
+    /// `nnz / (nb*b)` when no row repeats a column.
     pub fn fill_ratio(&self) -> f64 {
         if self.bval.is_empty() {
             1.0
         } else {
-            self.nnz_orig as f64 / self.bval.len() as f64
+            self.filled as f64 / self.bval.len() as f64
         }
     }
 

@@ -47,6 +47,9 @@ pub struct Bcsr<T> {
     bval: Vec<T>,
     /// Nonzeros of the source matrix (excludes padding).
     nnz_orig: usize,
+    /// Slots of `bval` an entry of the source reached; below `nnz_orig`
+    /// only when a row repeats a column.
+    filled: usize,
 }
 
 impl<T: SimdScalar> Bcsr<T> {
@@ -79,6 +82,7 @@ impl<T: SimdScalar> Bcsr<T> {
             bcol_start: blocks.keys,
             bval: blocks.bval,
             nnz_orig: blocks.nnz,
+            filled: blocks.filled,
         };
         debug_assert!(bcsr.validate().is_ok());
         bcsr
@@ -104,9 +108,10 @@ impl<T: SimdScalar> Bcsr<T> {
         self.bcol_start.len()
     }
 
-    /// Explicit zeros added to complete blocks.
+    /// Explicit zeros added to complete blocks: the stored slots no
+    /// entry of the source reached.
     pub fn padding(&self) -> usize {
-        self.bval.len() - self.nnz_orig
+        self.bval.len() - self.filled
     }
 
     /// Nonzeros of the source matrix.
@@ -114,12 +119,13 @@ impl<T: SimdScalar> Bcsr<T> {
         self.nnz_orig
     }
 
-    /// Fraction of stored values that are true nonzeros, `nnz / (nb*r*c)`.
+    /// Fraction of stored slots that hold an entry of the source,
+    /// `nnz / (nb*r*c)` when no row repeats a column.
     pub fn fill_ratio(&self) -> f64 {
         if self.bval.is_empty() {
             1.0
         } else {
-            self.nnz_orig as f64 / self.bval.len() as f64
+            self.filled as f64 / self.bval.len() as f64
         }
     }
 

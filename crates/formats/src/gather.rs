@@ -20,6 +20,9 @@ pub(crate) struct Blocks<T> {
     pub bval: Vec<T>,
     /// Entries of the source matrix placed in these blocks.
     pub nnz: usize,
+    /// Slots at least one entry reached: `nnz` less the entries that
+    /// repeat an earlier entry's row and column, and so its slot.
+    pub filled: usize,
 }
 
 /// BCSR's aligned grid of `r x c` blocks: an entry in row `il` of its
@@ -55,7 +58,7 @@ pub(crate) fn bcsd_place(b: usize) -> impl Fn(usize, Index) -> (Index, usize) {
 /// `Csr::from_raw_unchecked` admits) add up: a slot that still holds zero
 /// takes an entry as it is, and a nonzero slot adds it. Valid input puts
 /// at most one entry in a slot, so its values, `-0.0` included, are
-/// stored bit for bit.
+/// stored bit for bit. Such a slot counts once in [`Blocks::filled`].
 ///
 /// # Panics
 ///
@@ -70,12 +73,14 @@ pub(crate) fn gather<T: Scalar>(
     let n_rows = csr.n_rows();
     let mut brow_ptr: Vec<Index> = Vec::with_capacity(n_rows.div_ceil(h) + 1);
     brow_ptr.push(0);
-    let (mut keys, mut bval, mut nnz) = (Vec::new(), Vec::new(), 0);
+    let (mut keys, mut bval, mut nnz, mut repeats) = (Vec::new(), Vec::new(), 0, 0);
 
-    // Scratch reused across bands: every entry's key and slot, and the
-    // keys sorted.
+    // Scratch reused across bands: every entry's key and slot, the keys
+    // sorted, and the kept columns of a row that is not strictly
+    // increasing.
     let mut placed: Vec<(Index, usize)> = Vec::new();
     let mut sorted: Vec<Index> = Vec::new();
+    let mut row_cols: Vec<Index> = Vec::new();
 
     for lo in (0..n_rows).step_by(h) {
         let rows = lo..(lo + h).min(n_rows);
@@ -111,6 +116,17 @@ pub(crate) fn gather<T: Scalar>(
                         .expect("entry of the source matrix");
                 }
             }
+            // Both geometries give distinct columns of a row distinct
+            // slots, so only a repeated column shares one.
+            if !cols.is_sorted_by(|a, b| a < b) {
+                row_cols.clear();
+                row_cols.extend(
+                    cols.iter()
+                        .filter(|&&j| kept.binary_search(&place(i - lo, j).0).is_ok()),
+                );
+                row_cols.sort_unstable();
+                repeats += row_cols.len() - row_cols.chunk_by(|a, b| a == b).count();
+            }
         }
         brow_ptr.push(keys.len() as Index);
     }
@@ -120,5 +136,6 @@ pub(crate) fn gather<T: Scalar>(
         keys,
         bval,
         nnz,
+        filled: nnz - repeats,
     }
 }

@@ -34,8 +34,8 @@ use crate::config::Config;
 use crate::machine::MachineProfile;
 use crate::models::Model;
 use crate::profile::KernelProfile;
-use spmv_core::{Csr, MatrixShape, Scalar};
-use spmv_parallel::strip_plan;
+use spmv_core::{Csr, Index, MatrixShape, Scalar};
+use spmv_parallel::{remove_row, split_segments, strip_plan};
 
 /// Predicted seconds per SpMV for `config` on `csr` executed with
 /// `threads` bandwidth-sharing threads: [`predict_threaded_hierarchy`]
@@ -163,6 +163,10 @@ impl BandwidthHierarchy {
 /// its pages live on, and the SpMV finishes when the slowest strip does.
 /// A matrix with fewer units than `threads` runs on fewer strips, each
 /// still sharing its controller with `threads` sharers.
+///
+/// When the strip plan shears a heavy row, each strip is priced as the
+/// pool runs it: its rows with that row emptied, plus its worker's
+/// [`split_segments`] share of the row's nonzeros as a one-row CSR pass.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_threaded_hierarchy<T: Scalar>(
     model: Model,
@@ -197,8 +201,26 @@ pub fn predict_threaded_hierarchy<T: Scalar>(
         sharers[p] += 1;
     }
     let (weights, height) = config.pool_units(csr);
-    strip_plan(&weights, height, csr.n_rows(), threads)
-        .0
+    let (strips, sheared) = strip_plan(&weights, height, csr.n_rows(), threads);
+    let rest = sheared.map(|row| remove_row(csr, row));
+    let shares = sheared.map(|row| {
+        let (cols, vals) = csr.row(row);
+        split_segments(cols.len(), strips.len())
+            .into_iter()
+            .map(|seg| {
+                let nnz = seg.len() as Index;
+                Csr::from_raw_unchecked(
+                    1,
+                    csr.n_cols(),
+                    vec![0, nnz],
+                    cols[seg.clone()].to_vec(),
+                    vals[seg].to_vec(),
+                )
+                .expect("a segment of a valid row")
+            })
+            .collect::<Vec<_>>()
+    });
+    strips
         .into_iter()
         .enumerate()
         .map(|(s, rows)| {
@@ -206,8 +228,14 @@ pub fn predict_threaded_hierarchy<T: Scalar>(
                 bandwidth: hierarchy.strip_bandwidth(exec[s], pages[s], sharers[pages[s]]),
                 ..*machine
             };
-            let strip = csr.row_slice(rows);
-            model.predict(&config.substats(&strip), &eff, profile)
+            let strip = rest.as_ref().unwrap_or(csr).row_slice(rows);
+            let mut stats = config.substats(&strip);
+            if let Some(share) = shares.as_ref().map(|shares| &shares[s]) {
+                if share.nnz() > 0 {
+                    stats.extend(Config::CSR.substats(share));
+                }
+            }
+            model.predict(&stats, &eff, profile)
         })
         .fold(0.0, f64::max)
 }

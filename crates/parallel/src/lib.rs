@@ -36,7 +36,7 @@ pub mod topology;
 pub use affinity::{run_pinned, PinPolicy};
 pub use partition::{
     bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, heavy_unit, partition_units,
-    sell_unit_weights, split_segments, strip_plan, units_to_rows,
+    remove_row, sell_unit_weights, split_segments, strip_plan, units_to_rows,
 };
 pub use pool::{SpmvPool, StripReport};
 pub use topology::Topology;

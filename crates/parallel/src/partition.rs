@@ -191,6 +191,41 @@ pub fn strip_plan(
     (strips, heavy)
 }
 
+/// A copy of `csr` with row `row`'s nonzeros dropped — the row itself
+/// stays (empty), so shapes and strip boundaries are unchanged. Every
+/// other row keeps its arrays exactly, entry order included, so the
+/// rest-matrix rows stay bitwise-identical to the original rows. The
+/// pool builds its strips from this copy when [`strip_plan`] shears a
+/// row.
+///
+/// ```
+/// use spmv_core::{Coo, Csr, MatrixShape};
+/// use spmv_parallel::remove_row;
+/// let csr = Csr::from_coo(&Coo::from_triplets(3, 3, vec![
+///     (0, 0, 1.0), (1, 0, 2.0), (1, 2, 3.0), (2, 1, 4.0),
+/// ]).unwrap());
+/// let rest = remove_row(&csr, 1);
+/// assert_eq!((rest.n_rows(), rest.nnz(), rest.row_nnz(1)), (3, 2, 0));
+/// assert_eq!(rest.row(2), csr.row(2));
+/// ```
+pub fn remove_row<T: Scalar>(csr: &Csr<T>, row: usize) -> Csr<T> {
+    let ptr = csr.row_ptr();
+    let (lo, hi) = (ptr[row] as usize, ptr[row + 1] as usize);
+    let row_ptr = ptr[..=row]
+        .iter()
+        .copied()
+        .chain(ptr[row + 1..].iter().map(|&p| p - ptr[row + 1] + ptr[row]))
+        .collect();
+    Csr::from_raw_unchecked(
+        csr.n_rows(),
+        csr.n_cols(),
+        row_ptr,
+        [&csr.col_ind()[..lo], &csr.col_ind()[hi..]].concat(),
+        [&csr.val()[..lo], &csr.val()[hi..]].concat(),
+    )
+    .expect("a valid CSR minus one row is valid")
+}
+
 /// Per-row weights for CSR: the nonzero count of each row
 /// (`unit_height = 1`; CSR stores no padding, so weight = nnz).
 ///

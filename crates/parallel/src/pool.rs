@@ -58,7 +58,7 @@ use std::thread::{self, JoinHandle, Thread};
 use std::time::Duration;
 
 use crate::affinity::PinPolicy;
-use crate::partition::{split_segments, strip_plan};
+use crate::partition::{remove_row, split_segments, strip_plan};
 use spmv_core::{Csr, MatrixShape, Scalar, SpMv, SpMvMulti};
 
 /// Epoch value ordering workers to exit. Driver epochs count up from 1,
@@ -857,28 +857,6 @@ fn worker_loop<T: Scalar, F: SpMvMulti<T>>(
         done = target;
         me.done.store(done, Ordering::Release);
     }
-}
-
-/// A copy of `csr` with row `row`'s nonzeros dropped — the row itself
-/// stays (empty), so shapes and strip boundaries are unchanged. Every
-/// other row keeps its arrays exactly, entry order included, so the
-/// rest-matrix rows stay bitwise-identical to the original rows.
-fn remove_row<T: Scalar>(csr: &Csr<T>, row: usize) -> Csr<T> {
-    let ptr = csr.row_ptr();
-    let (lo, hi) = (ptr[row] as usize, ptr[row + 1] as usize);
-    let row_ptr = ptr[..=row]
-        .iter()
-        .copied()
-        .chain(ptr[row + 1..].iter().map(|&p| p - ptr[row + 1] + ptr[row]))
-        .collect();
-    Csr::from_raw_unchecked(
-        csr.n_rows(),
-        csr.n_cols(),
-        row_ptr,
-        [&csr.col_ind()[..lo], &csr.col_ind()[hi..]].concat(),
-        [&csr.val()[..lo], &csr.val()[hi..]].concat(),
-    )
-    .expect("a valid CSR minus one row is valid")
 }
 
 #[cfg(test)]

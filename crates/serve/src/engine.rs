@@ -5,10 +5,12 @@
 //! the matrix arrays once for `k` products (measured 1.41–1.90× per-
 //! vector amortization in this workspace). The engine exploits that by
 //! **coalescing**: submissions land in one bounded queue; a dedicated
-//! dispatcher thread drains it, groups requests by matrix, greedily
-//! chunks each group into the kernel-specialized widths `k ∈ {8, 4, 2,
-//! 1}`, and runs each chunk as a single [`SpMvMulti::spmv_multi`] call
-//! on the registry's prepared matrix.
+//! dispatcher thread drains it the moment it wakes, groups requests by
+//! matrix, greedily chunks each group into the kernel-specialized widths
+//! `k ∈ {8, 4, 2, 1}`, and runs each chunk as a single
+//! [`SpMvMulti::spmv_multi`] call on the registry's prepared matrix. It
+//! never waits for a batch to fill: requests that arrive while a round
+//! runs queue up and make the next round's chunks wide.
 //!
 //! A round's chunks are independent, so the dispatcher does not run them
 //! alone: it and up to `available_parallelism() − 1` persistent helper
@@ -30,9 +32,10 @@
 //! With telemetry recording enabled the engine emits `serve.enqueue`
 //! (submit call, arg = queue depth after the push), `serve.batch` (one
 //! coalesced chunk: assemble + dispatch + complete, arg = k),
-//! `serve.dispatch` (the SpMM call alone, arg = k; both on whichever
-//! thread ran the chunk), and `serve.request`
-//! (one request's full submit→complete latency, arg = matrix id) spans.
+//! `serve.wait` (one request's submit → start of its chunk's dispatch,
+//! arg = matrix id), `serve.dispatch` (the SpMM call alone, arg = k; these
+//! three on whichever thread ran the chunk), and `serve.request` (one
+//! request's full submit→complete latency, arg = matrix id) spans.
 //! The engine also keeps its own latency record so
 //! [`ServeEngine::report`] can summarize p50/p95/p99 even with
 //! recording off.
@@ -116,17 +119,15 @@ impl fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Tuning knobs for a [`ServeEngine`].
+///
+/// There is no coalescing window: the dispatcher drains the queue as
+/// soon as it wakes, and a batch is whatever queued up while the
+/// previous round ran.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
     /// Bounded queue size; submissions beyond it are rejected with
     /// [`ServeError::Saturated`].
     pub capacity: usize,
-    /// The coalescing window: after waking on a non-empty queue the
-    /// dispatcher sleeps this long before draining, so concurrent
-    /// requests for the same matrix can pile into one batch. It is also
-    /// the latency floor a lone request pays — keep it well under the
-    /// matrix's own SpMV time. Zero dispatches immediately.
-    pub window: Duration,
     /// Upper bound on the chunk width `k` (clamped to 8, the widest
     /// specialized kernel). 1 disables coalescing — every request runs
     /// as its own dispatch, the baseline `serve_load` compares against.
@@ -140,7 +141,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             capacity: 1024,
-            window: Duration::from_micros(200),
             max_batch: 8,
             start_paused: false,
         }
@@ -506,11 +506,10 @@ impl<T: SimdScalar> ServeEngine<T> {
             residual_scale: AtomicU64::new(1.0f64.to_bits()),
         });
         let dispatcher = Arc::clone(&shared);
-        let window = opts.window;
         let max_batch = opts.max_batch.clamp(1, *CHUNK_WIDTHS.first().unwrap());
         let handle = std::thread::Builder::new()
             .name("spmv-serve-dispatch".into())
-            .spawn(move || dispatcher_loop(dispatcher, window, max_batch))
+            .spawn(move || dispatcher_loop(dispatcher, max_batch))
             .expect("spawn serve dispatcher");
         ServeEngine {
             registry,
@@ -785,19 +784,14 @@ impl<T: SimdScalar> fmt::Debug for ServeEngine<T> {
     }
 }
 
-/// The dispatcher: wake on work, give the coalescing window a chance to
-/// fill, drain, cut the round into chunks and run them with its helpers,
-/// repeat until shut down and drained. Its helpers are joined when it
-/// returns.
-fn dispatcher_loop<T: SimdScalar>(
-    shared: Arc<EngineShared<T>>,
-    window: Duration,
-    max_batch: usize,
-) {
+/// The dispatcher: wake on work, drain at once, cut the round into
+/// chunks and run them with its helpers, repeat until shut down and
+/// drained. Requests that arrive while a round runs wait in the queue
+/// and form the next round. Its helpers are joined when it returns.
+fn dispatcher_loop<T: SimdScalar>(shared: Arc<EngineShared<T>>, max_batch: usize) {
     let mut helpers = Helpers::new(Arc::clone(&shared));
     loop {
-        // Phase 1: wait for work (or shutdown).
-        {
+        let drained: Vec<Pending<T>> = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 let down = shared.shutdown.load(Ordering::Acquire);
@@ -814,17 +808,6 @@ fn dispatcher_loop<T: SimdScalar>(
                     .unwrap_or_else(|e| e.into_inner());
                 q = g;
             }
-        }
-
-        // Phase 2: the coalescing window — let concurrent submitters for
-        // the same matrix land in this round's drain.
-        if !window.is_zero() && !shared.shutdown.load(Ordering::Acquire) {
-            std::thread::sleep(window);
-        }
-
-        // Phase 3: drain, cut and run.
-        let drained: Vec<Pending<T>> = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             q.drain(..).collect()
         };
         run_round(&shared, &mut helpers, cut_round(drained, max_batch));
@@ -995,9 +978,21 @@ fn dispatch_chunk<T: SimdScalar>(shared: &EngineShared<T>, mut chunk: Chunk<T>) 
     let _batch_span = spmv_telemetry::span_with("serve.batch", k as u64);
     let prepared = Arc::clone(&chunk[0].prepared);
     let (m, n) = (prepared.n_cols(), prepared.n_rows());
-    let mut x_cat = Vec::with_capacity(m * k);
-    for p in &chunk {
-        x_cat.extend_from_slice(&p.x);
+    // A lone request runs on its own `x`; a wider chunk concatenates its
+    // vectors column-major for the multi-vector call.
+    let x_cat = (k > 1).then(|| {
+        let mut x_cat = Vec::with_capacity(m * k);
+        for p in &chunk {
+            x_cat.extend_from_slice(&p.x);
+        }
+        x_cat
+    });
+    if spmv_telemetry::enabled() {
+        let start = spmv_telemetry::now_ns();
+        for p in &chunk {
+            let wait = start.saturating_sub(p.submitted_ns);
+            spmv_telemetry::complete("serve.wait", p.submitted_ns, wait, p.id.0);
+        }
     }
     let t0 = Instant::now();
     let y = {
@@ -1006,11 +1001,10 @@ fn dispatch_chunk<T: SimdScalar>(shared: &EngineShared<T>, mut chunk: Chunk<T>) 
         // multi-kernel overhead, and its timing is directly comparable
         // to the `calibrate` baselines the residual tracker scores
         // dispatches against.
-        if k == 1 {
-            catch_unwind(AssertUnwindSafe(|| prepared.spmv(&x_cat)))
-        } else {
-            catch_unwind(AssertUnwindSafe(|| prepared.spmv_multi(&x_cat, k)))
-        }
+        catch_unwind(AssertUnwindSafe(|| match &x_cat {
+            None => prepared.spmv(&chunk[0].x),
+            Some(x_cat) => prepared.spmv_multi(x_cat, k),
+        }))
     };
     let dispatch_secs = t0.elapsed().as_secs_f64();
     match y {
@@ -1029,8 +1023,12 @@ fn dispatch_chunk<T: SimdScalar>(shared: &EngineShared<T>, mut chunk: Chunk<T>) 
                 s.batches += 1;
                 s.by_width[k.trailing_zeros() as usize] += 1;
             }
-            for (t, p) in chunk.iter_mut().enumerate() {
-                p.complete(Ok(y[t * n..(t + 1) * n].to_vec()));
+            if k == 1 {
+                chunk[0].complete(Ok(y));
+            } else {
+                for (t, p) in chunk.iter_mut().enumerate() {
+                    p.complete(Ok(y[t * n..(t + 1) * n].to_vec()));
+                }
             }
         }
         Err(_) => {
@@ -1136,7 +1134,6 @@ mod tests {
             23,
             EngineOptions {
                 start_paused: true,
-                window: Duration::ZERO,
                 ..EngineOptions::default()
             },
         );
@@ -1176,7 +1173,6 @@ mod tests {
             Arc::clone(&registry),
             EngineOptions {
                 start_paused: true,
-                window: Duration::ZERO,
                 ..EngineOptions::default()
             },
         );
@@ -1215,7 +1211,6 @@ mod tests {
             11,
             EngineOptions {
                 start_paused: true,
-                window: Duration::ZERO,
                 max_batch: 1,
                 ..EngineOptions::default()
             },
@@ -1240,7 +1235,6 @@ mod tests {
             EngineOptions {
                 capacity: 3,
                 start_paused: true,
-                window: Duration::ZERO,
                 ..EngineOptions::default()
             },
         );
@@ -1271,7 +1265,6 @@ mod tests {
             13,
             EngineOptions {
                 start_paused: true,
-                window: Duration::ZERO,
                 ..EngineOptions::default()
             },
         );
@@ -1296,7 +1289,6 @@ mod tests {
             7,
             EngineOptions {
                 start_paused: true,
-                window: Duration::ZERO,
                 ..EngineOptions::default()
             },
         );
@@ -1399,7 +1391,6 @@ mod tests {
             11,
             EngineOptions {
                 start_paused: true,
-                window: Duration::ZERO,
                 ..EngineOptions::default()
             },
         );

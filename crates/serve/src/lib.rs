@@ -14,13 +14,14 @@
 //!   item hot-swaps through.
 //! * [`ServeEngine`] — an async-free batched front door. Submissions
 //!   land in a bounded queue (admission control rejects, never blocks);
-//!   a dispatcher coalesces same-matrix requests inside a bounded window
-//!   into `k ∈ {1, 2, 4, 8}` multi-vector dispatches, which it and its
+//!   a dispatcher drains it as soon as it wakes and coalesces the
+//!   same-matrix requests that queued up while its last round ran into
+//!   `k ∈ {1, 2, 4, 8}` multi-vector dispatches, which it and its
 //!   helper threads run on every CPU, exploiting the
 //!   SpMM path's measured 1.41–1.90× per-vector amortization; per-request
 //!   latency lands in `spmv-telemetry` spans (`serve.enqueue`,
-//!   `serve.batch`, `serve.dispatch`, `serve.request`) and in the
-//!   engine's own p50/p95/p99 [`EngineReport`].
+//!   `serve.wait`, `serve.batch`, `serve.dispatch`, `serve.request`) and
+//!   in the engine's own p50/p95/p99 [`EngineReport`].
 //!
 //! The engine also feeds the adaptive loop: dispatches are timed, and
 //! matrices with a registered expectation ([`ServeEngine::expect`])

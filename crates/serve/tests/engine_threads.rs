@@ -59,7 +59,6 @@ fn dropping_an_engine_joins_its_dispatcher_and_helpers() {
             Arc::clone(&registry),
             EngineOptions {
                 start_paused: true,
-                window: Duration::ZERO,
                 ..EngineOptions::default()
             },
         );

@@ -34,7 +34,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use blocked_spmv::core::rng::Rng;
 use blocked_spmv::core::{Csr, MatrixShape, SpMv};
@@ -228,10 +227,7 @@ fn main() {
     registry.publish(id, prepared);
     let engine = Arc::new(ServeEngine::new(
         Arc::clone(&registry),
-        EngineOptions {
-            window: Duration::from_micros(50),
-            ..EngineOptions::default()
-        },
+        EngineOptions::default(),
     ));
 
     // The sampler is scripted with the stored profile's own numbers: the

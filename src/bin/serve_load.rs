@@ -18,8 +18,8 @@
 //! by Zipf(`--skew`) popularity, pick one of its canned input vectors,
 //! submit, wait, verify } until `--requests` total replies have been
 //! verified. Closed-loop fan-in is what creates coalescing opportunity:
-//! the dispatcher's window (`--window-us`) collects the concurrent
-//! submissions aimed at the same (popular) matrix into one SpMM call.
+//! the submissions that queue up while the dispatcher runs a round, aimed
+//! at the same (popular) matrix, go out together in one SpMM call.
 //! See `docs/SERVING.md` for the architecture this exercises.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,7 +45,6 @@ struct Opts {
     fanin: usize,
     depth: usize,
     trials: usize,
-    window_us: u64,
     seed: u64,
     skew: f64,
     out: String,
@@ -58,7 +57,6 @@ fn parse_opts() -> Opts {
         fanin: 8,
         depth: 8,
         trials: 3,
-        window_us: 200,
         seed: 7,
         skew: 1.2,
         out: "results/serving.txt".to_string(),
@@ -77,7 +75,6 @@ fn parse_opts() -> Opts {
             "--fanin" => opts.fanin = num("--fanin").max(1) as usize,
             "--depth" => opts.depth = num("--depth").max(1) as usize,
             "--trials" => opts.trials = num("--trials").max(1) as usize,
-            "--window-us" => opts.window_us = num("--window-us"),
             "--seed" => opts.seed = num("--seed"),
             "--skew" => {
                 opts.skew = args.next().and_then(|v| v.parse().ok()).unwrap_or(1.2);
@@ -91,7 +88,7 @@ fn parse_opts() -> Opts {
             "--help" | "-h" => {
                 println!(
                     "usage: serve_load [--requests N] [--matrices M] [--fanin F] \
-                     [--depth D] [--trials T] [--window-us W] [--seed S] [--skew A] \
+                     [--depth D] [--trials T] [--seed S] [--skew A] \
                      [--out FILE]"
                 );
                 std::process::exit(0);
@@ -185,7 +182,6 @@ fn run_traffic(
     let engine = Arc::new(ServeEngine::new(
         Arc::clone(registry),
         EngineOptions {
-            window: Duration::from_micros(opts.window_us),
             max_batch,
             ..EngineOptions::default()
         },
@@ -312,16 +308,8 @@ fn main() {
     let mut workloads = Vec::new();
     let mut header = String::new();
     header.push_str(&format!(
-        "serve_load: requests={} matrices={} fanin={} depth={} trials={} window_us={} seed={} \
-         skew={}\n",
-        opts.requests,
-        opts.matrices,
-        opts.fanin,
-        opts.depth,
-        opts.trials,
-        opts.window_us,
-        opts.seed,
-        opts.skew
+        "serve_load: requests={} matrices={} fanin={} depth={} trials={} seed={} skew={}\n",
+        opts.requests, opts.matrices, opts.fanin, opts.depth, opts.trials, opts.seed, opts.skew
     ));
     for (i, spec) in specs(opts.matrices).iter().enumerate() {
         let csr: Csr<f64> = spec.build(opts.seed ^ i as u64);

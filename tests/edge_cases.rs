@@ -7,7 +7,7 @@
 
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
 use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
-use blocked_spmv::kernels::{BlockShape, KernelImpl};
+use blocked_spmv::kernels::{BlockShape, KernelImpl, BCSD_SIZES};
 use blocked_spmv::model::Config;
 
 const K: usize = 4;
@@ -207,6 +207,32 @@ fn repeated_columns_add_up_in_every_configuration() {
                 want_multi,
                 "case {case} {config} k={K}"
             );
+        }
+        // Padding is the stored slots no entry reached: two entries that
+        // share a slot fill it once, so padding never passes the stored
+        // count and the fill never passes 1.
+        let imp = KernelImpl::Scalar;
+        for shape in BlockShape::search_space() {
+            let bcsr = Bcsr::from_csr(&csr, shape, imp);
+            let dec = BcsrDec::from_csr(&csr, shape, imp);
+            for (what, b) in [("bcsr", &bcsr), ("bcsr-dec", dec.main())] {
+                assert!(b.padding() <= b.nnz_stored(), "case {case} {what} {shape}");
+                assert!(b.fill_ratio() <= 1.0, "case {case} {what} {shape}");
+            }
+        }
+        for b in BCSD_SIZES {
+            let bcsd = Bcsd::from_csr(&csr, b, imp);
+            let dec = BcsdDec::from_csr(&csr, b, imp);
+            for (what, d) in [("bcsd", &bcsd), ("bcsd-dec", dec.main())] {
+                assert!(d.padding() <= d.nnz_stored(), "case {case} {what} b={b}");
+                assert!(d.fill_ratio() <= 1.0, "case {case} {what} b={b}");
+            }
+        }
+        if case == 0 {
+            // Row 0's three entries reach both slots of one 1x2 block.
+            let bcsr = Bcsr::from_csr(&csr, BlockShape::new(1, 2).unwrap(), imp);
+            assert_eq!((bcsr.n_blocks(), bcsr.nnz_orig()), (1, 3));
+            assert_eq!((bcsr.padding(), bcsr.fill_ratio()), (0, 1.0));
         }
     }
 }

@@ -13,7 +13,8 @@ use blocked_spmv::model::{
     predict_threaded, BlockConfig, Config, KernelProfile, MachineProfile, Model,
 };
 use blocked_spmv::parallel::{
-    csr_unit_weights, heavy_unit, partition_units, split_segments, PinPolicy, SpmvPool, Topology,
+    csr_unit_weights, heavy_unit, partition_units, remove_row, split_segments, PinPolicy, SpmvPool,
+    Topology,
 };
 use blocked_spmv::serve::{EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine};
 
@@ -207,7 +208,8 @@ fn single_heavy_row_matrix_splits_and_stays_bitwise() {
 /// family: `predict_threaded` is the largest prediction over the pool's
 /// own `strip_rows()`, each strip priced at `bandwidth / threads`. 40
 /// seeded matrices, half with a heavy row the pool shears out of the
-/// balance.
+/// balance: a strip then holds its rows with that row emptied, plus its
+/// worker's segment of the row priced as a one-row CSR pass.
 #[test]
 fn predict_threaded_prices_the_pool_strips() {
     let imp = KernelImpl::Scalar;
@@ -244,11 +246,37 @@ fn predict_threaded_prices_the_pool_strips() {
                     bandwidth: machine.bandwidth / threads as f64,
                     ..machine
                 };
+                let strip_rows = pool.strip_rows();
+                let sheared = pool.split_row();
+                let rest = sheared.map(|row| remove_row(&csr, row));
+                let stats: Vec<_> = strip_rows
+                    .iter()
+                    .enumerate()
+                    .map(|(s, rows)| {
+                        let strip = rest.as_ref().unwrap_or(&csr).row_slice(rows.clone());
+                        let mut stats = config.substats(&strip);
+                        if let Some(row) = sheared {
+                            let (cols, vals) = csr.row(row);
+                            let seg = split_segments(cols.len(), strip_rows.len())[s].clone();
+                            if !seg.is_empty() {
+                                let share = Csr::from_raw(
+                                    1,
+                                    csr.n_cols(),
+                                    vec![0, seg.len() as u32],
+                                    cols[seg.clone()].to_vec(),
+                                    vals[seg].to_vec(),
+                                )
+                                .unwrap();
+                                stats.extend(Config::CSR.substats(&share));
+                            }
+                        }
+                        stats
+                    })
+                    .collect();
                 for model in Model::ALL {
-                    let strips = pool.strip_rows().into_iter().map(|rows| {
-                        let stats = config.substats(&csr.row_slice(rows));
-                        model.predict(&stats, &shared, &profile)
-                    });
+                    let strips = stats
+                        .iter()
+                        .map(|stats| model.predict(stats, &shared, &profile));
                     assert_eq!(
                         predict_threaded(model, &csr, &config, threads, &machine, &profile),
                         strips.fold(0.0, f64::max),

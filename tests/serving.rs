@@ -50,7 +50,6 @@ fn batched_dispatch_is_bitwise_equal_to_serial() {
         let engine = ServeEngine::new(
             Arc::clone(&registry),
             EngineOptions {
-                window: Duration::ZERO,
                 start_paused: true,
                 ..EngineOptions::default()
             },
@@ -169,7 +168,6 @@ fn backpressure_rejects_instead_of_blocking() {
         Arc::clone(&registry),
         EngineOptions {
             capacity: 4,
-            window: Duration::ZERO,
             start_paused: true,
             ..EngineOptions::default()
         },

@@ -1,15 +1,16 @@
 //! End-to-end trace validation: record real nested spans across two OS
 //! threads through the public facade, export chrome-trace JSON, parse it
 //! back with the in-repo JSON parser, and check the schema — phase tags,
-//! time ordering, span nesting, and thread ids. Plus hand-computed
+//! time ordering, span nesting, and thread ids. The spans `prepare` and
+//! the serving engine emit are checked the same way. Plus hand-computed
 //! checks on the prediction-residual tracker that `modeleval` feeds.
 
 use blocked_spmv::gen::GenSpec;
-use blocked_spmv::model::{select_extended, KernelProfile, MachineProfile, Model};
+use blocked_spmv::model::{select_extended, Config, KernelProfile, MachineProfile, Model};
 use blocked_spmv::parallel::PinPolicy;
-use blocked_spmv::serve::PreparedMatrix;
+use blocked_spmv::serve::{EngineOptions, MatrixId, PreparedMatrix, Registry, ServeEngine};
 use blocked_spmv::telemetry::{self, json::Value, EventKind};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Telemetry state is process-global; serialize tests and leave
 /// recording disabled on exit.
@@ -243,6 +244,88 @@ fn prepare_runs_each_structural_pass_once_inside_its_ranking() {
     assert_eq!(args("model.stats.bcsr"), [1, 2, 3, 4, 5, 6, 7, 8]);
     assert_eq!(args("model.stats.bcsd").len(), 1);
     assert_eq!(args("model.stats.sell"), [1, 2, 4, 8, 64, 900]);
+}
+
+#[test]
+fn serve_spans_attribute_every_request() {
+    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let csr = GenSpec::Stencil2d { nx: 20, ny: 20 }.build(0);
+    let registry = Arc::new(Registry::new());
+    let id = MatrixId(5);
+    registry.publish(id, PreparedMatrix::from_config(Config::CSR, &csr));
+    let x = |t: usize| -> Vec<f64> { (0..400).map(|i| (i % 7 + t) as f64).collect() };
+    telemetry::set_enabled(true);
+    telemetry::clear();
+    {
+        let engine = ServeEngine::new(
+            Arc::clone(&registry),
+            EngineOptions {
+                start_paused: true,
+                ..EngineOptions::default()
+            },
+        );
+        // Five requests queued while paused run as one round of a k = 4
+        // and a k = 1 chunk; three more run alone.
+        let tickets: Vec<_> = (0..5).map(|t| engine.submit(id, x(t)).unwrap()).collect();
+        engine.resume();
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        for t in 5..8 {
+            engine.submit_wait(id, x(t)).unwrap();
+        }
+        // Dropping the engine joins the threads that recorded the spans.
+    }
+    telemetry::set_enabled(false);
+    let snap = telemetry::snapshot();
+    telemetry::clear();
+
+    let spans = |name: &str| -> Vec<telemetry::Event> {
+        let mut spans: Vec<_> = snap
+            .events
+            .iter()
+            .filter(|e| e.name == name && e.kind == EventKind::Span)
+            .copied()
+            .collect();
+        spans.sort_by_key(|e| (e.ts_ns, e.value));
+        spans
+    };
+    let end = |e: &telemetry::Event| e.ts_ns + e.value;
+    let inside = |outer: &telemetry::Event, ts: u64| outer.ts_ns <= ts && ts <= end(outer);
+    // One `serve.request` and one `serve.wait` per request, both from
+    // its submit (arg = matrix id); the wait is no longer than the
+    // request.
+    let (requests, waits) = (spans("serve.request"), spans("serve.wait"));
+    assert_eq!((requests.len(), waits.len()), (8, 8));
+    for (request, wait) in requests.iter().zip(&waits) {
+        assert_eq!((request.arg, wait.arg), (id.0, id.0));
+        assert_eq!(wait.ts_ns, request.ts_ns, "a wait starts at its submit");
+        assert!(wait.value <= request.value, "wait outlasts its request");
+    }
+    // Every `serve.dispatch` lies in a `serve.batch` of the same width on
+    // its thread, and the batches cover the eight requests.
+    let (batches, dispatches) = (spans("serve.batch"), spans("serve.dispatch"));
+    assert_eq!(batches.len(), dispatches.len());
+    assert_eq!(batches.iter().map(|b| b.arg).sum::<u64>(), 8);
+    assert!(batches.iter().any(|b| b.arg == 4));
+    let batch_of = |d: &telemetry::Event| {
+        batches
+            .iter()
+            .find(|b| b.tid == d.tid && inside(b, d.ts_ns) && inside(b, end(d)))
+            .unwrap_or_else(|| panic!("serve.dispatch at {} outside any serve.batch", d.ts_ns))
+    };
+    for d in &dispatches {
+        assert_eq!(batch_of(d).arg, d.arg);
+    }
+    // A wait ends, on the thread that runs its chunk, before that
+    // chunk's dispatch starts.
+    for wait in &waits {
+        let runs = dispatches.iter().any(|d| {
+            let b = batch_of(d);
+            b.tid == wait.tid && inside(b, end(wait)) && end(wait) <= d.ts_ns
+        });
+        assert!(runs, "serve.wait at {} ends outside its chunk", wait.ts_ns);
+    }
 }
 
 #[test]
