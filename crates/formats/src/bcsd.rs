@@ -1,6 +1,6 @@
 //! Blocked Compressed Sparse Diagonal (BCSD) with zero padding.
 
-use crate::gather::{bcsd_place, gather, Blocks};
+use crate::gather::{bcsd_grid, gather, Blocks};
 use crate::{SpMvAcc, SpMvMultiAcc};
 use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti};
 use spmv_kernels::registry::{bcsd_seg_kernel, bcsd_seg_multi_kernel, BcsdSegKernel};
@@ -65,7 +65,7 @@ impl<T: SimdScalar> Bcsd<T> {
     /// `u32` index type.
     pub fn from_csr(csr: &Csr<T>, b: usize, imp: KernelImpl) -> Self {
         assert!((1..=8).contains(&b), "BCSD block size must be in 1..=8");
-        let blocks = gather(csr, b, b, None, bcsd_place(b));
+        let blocks = gather(csr, &bcsd_grid(csr.n_cols(), b), None);
         Self::from_parts(csr.n_rows(), csr.n_cols(), b, imp, blocks)
     }
 

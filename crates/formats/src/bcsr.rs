@@ -1,6 +1,6 @@
 //! Blocked Compressed Sparse Row (BCSR) with zero padding.
 
-use crate::gather::{bcsr_place, gather, Blocks};
+use crate::gather::{bcsr_grid, gather, Blocks};
 use crate::{SpMvAcc, SpMvMultiAcc};
 use spmv_core::{Csr, Error, Index, MatrixShape, Result, SpMv, SpMvMulti};
 use spmv_kernels::registry::{bcsr_row_kernel, bcsr_row_multi_kernel, BcsrRowKernel};
@@ -59,8 +59,8 @@ impl<T: SimdScalar> Bcsr<T> {
     ///
     /// Panics if the block count would overflow the `u32` index type.
     pub fn from_csr(csr: &Csr<T>, shape: BlockShape, imp: KernelImpl) -> Self {
-        let (r, c) = (shape.rows(), shape.cols());
-        let blocks = gather(csr, r, r * c, None, bcsr_place(c));
+        let grid = bcsr_grid(csr.n_cols(), shape.rows(), shape.cols());
+        let blocks = gather(csr, &grid, None);
         Self::from_parts(csr.n_rows(), csr.n_cols(), shape, imp, blocks)
     }
 

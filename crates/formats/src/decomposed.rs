@@ -8,7 +8,7 @@
 //! (so it carries zero padding), the second every remaining nonzero in
 //! CSR.
 
-use crate::gather::{bcsd_place, bcsr_place, gather};
+use crate::gather::{bcsd_grid, bcsr_grid, gather, Rest};
 use crate::{Bcsd, Bcsr, SpMvAcc, SpMvMultiAcc};
 use spmv_core::{Coo, Csr, MatrixShape, Result, Scalar, SpMv, SpMvMulti};
 use spmv_kernels::simd::SimdScalar;
@@ -65,12 +65,12 @@ impl<T: SimdScalar> BcsrDec<T> {
     /// Decomposes `csr` into full aligned `shape` blocks plus a CSR
     /// remainder.
     pub fn from_csr(csr: &Csr<T>, shape: BlockShape, imp: KernelImpl) -> Self {
-        let (r, c) = (shape.rows(), shape.cols());
-        let mut rest = Coo::with_capacity(csr.n_rows(), csr.n_cols(), 0);
-        let blocks = gather(csr, r, r * c, Some(&mut rest), bcsr_place(c));
+        let grid = bcsr_grid(csr.n_cols(), shape.rows(), shape.cols());
+        let mut rest = Rest::new();
+        let blocks = gather(csr, &grid, Some(&mut rest));
         Decomposed {
             main: Bcsr::from_parts(csr.n_rows(), csr.n_cols(), shape, imp, blocks),
-            rest: Csr::from_coo(&rest),
+            rest: rest.into_csr(csr),
         }
     }
 }
@@ -80,11 +80,11 @@ impl<T: SimdScalar> BcsdDec<T> {
     /// remainder.
     pub fn from_csr(csr: &Csr<T>, b: usize, imp: KernelImpl) -> Self {
         assert!((1..=8).contains(&b), "BCSD block size must be in 1..=8");
-        let mut rest = Coo::with_capacity(csr.n_rows(), csr.n_cols(), 0);
-        let blocks = gather(csr, b, b, Some(&mut rest), bcsd_place(b));
+        let mut rest = Rest::new();
+        let blocks = gather(csr, &bcsd_grid(csr.n_cols(), b), Some(&mut rest));
         Decomposed {
             main: Bcsd::from_parts(csr.n_rows(), csr.n_cols(), b, imp, blocks),
-            rest: Csr::from_coo(&rest),
+            rest: rest.into_csr(csr),
         }
     }
 }

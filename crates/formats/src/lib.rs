@@ -33,6 +33,7 @@ pub mod bcsd;
 pub mod bcsr;
 pub mod decomposed;
 mod gather;
+mod keys;
 pub mod sellc;
 pub mod stats;
 pub mod vbl;
@@ -43,8 +44,8 @@ pub use decomposed::{BcsdDec, BcsrDec, Decomposed};
 pub use sellc::{sell_sigmas, SellCSigma, SELL_SIGMA_FULL};
 pub use stats::{
     bcsd_counts, bcsd_dec_stats, bcsd_lane_counts, bcsd_stats, bcsr_counts, bcsr_dec_stats,
-    bcsr_lane_counts, bcsr_stats, sell_sorted_lengths, sellc_stats, sellc_stats_sorted, vbl_stats,
-    BlockCounts, FormatStats, LaneCounts,
+    bcsr_lane_counts, bcsr_run_counts, bcsr_stats, sell_sorted_lengths, sellc_stats,
+    sellc_stats_sorted, vbl_stats, BlockCounts, FormatStats, LaneCounts, RUN_WIDTHS,
 };
 pub use vbl::Vbl;
 

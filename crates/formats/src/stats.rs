@@ -9,22 +9,25 @@
 //! estimators play in SPARSITY/OSKI-style autotuners.
 //!
 //! Those numbers depend on the block geometry alone, not on the kernel
-//! implementation or decomposition, and one `O(nnz)` *lane pass* counts
-//! the blocks of many geometries at once: [`bcsr_lane_counts`] every
-//! BCSR height of one block width, [`bcsd_lane_counts`] every BCSD size.
-//! [`bcsr_counts`] and [`bcsd_counts`] read one lane of a pass as
-//! [`BlockCounts`], and the padded and decomposed statistics of a
+//! implementation or decomposition, and one `O(nnz)` pass counts the
+//! blocks of many geometries at once: a *lane pass*
+//! ([`bcsr_lane_counts`]) every BCSR height of one block width up to 4,
+//! the *run pass* ([`bcsr_run_counts`]) the one-row blocks of every
+//! wider width, and the diagonal lane pass ([`bcsd_lane_counts`]) every
+//! BCSD size. [`bcsr_counts`] and [`bcsd_counts`] read one lane of a
+//! pass as [`BlockCounts`], and the padded and decomposed statistics of a
 //! geometry are derivations of that ([`BlockCounts::padded`],
 //! [`BlockCounts::decomposed`]). Likewise SELL-C-σ needs only the row
 //! lengths sorted per σ window ([`sell_sorted_lengths`]), shared by every
 //! slice height. Ranking the 129-configuration extended space therefore
-//! needs nine passes, one per block width and one over the diagonals,
-//! when the caller keeps the per-pass results
-//! (`spmv_model::config::ArenaStats` does).
+//! needs six passes, one per block width up to 4, the run pass for
+//! widths 5 to 8 and one over the diagonals, when the caller keeps the
+//! per-pass results (`spmv_model::config::ArenaStats` does).
 //!
 //! Every estimator is exact and is verified against the materialized
 //! formats by the test suite.
 
+use crate::keys::KeyRows;
 use spmv_core::{Csr, Index, MatrixShape, Scalar};
 use spmv_kernels::{BlockShape, MAX_BLOCK_ELEMS};
 
@@ -136,16 +139,17 @@ impl LaneCounts {
     }
 }
 
-/// One lane pass over the block columns of width `c`: the counts of
-/// every `r x c` shape with `r * c <= 8`, without building anything.
+/// The counts of every `r x c` shape with `r * c <= 8` of block width
+/// `c`, without building anything: one lane pass over the block columns
+/// for `c <= 4`, and a read of [`bcsr_run_counts`] for a width in
+/// [`RUN_WIDTHS`].
 ///
 /// # Panics
 ///
 /// Panics unless `1 <= c <= 8`.
 pub fn bcsr_lane_counts<T: Scalar>(csr: &Csr<T>, c: usize) -> LaneCounts {
     // Compiled per width, so `j / C` divides by a constant. Widths 1-4
-    // count their two to eight heights on vector lanes; a wider block is
-    // one row tall, and its pass is a plain stamp-and-count scan.
+    // count their two to eight heights on vector lanes.
     fn pass<T: Scalar, U: Lanes, const C: usize>(csr: &Csr<T>) -> LaneCounts {
         lane_pass::<T, U>(csr, C, csr.n_cols().div_ceil(C), |_, j| j as usize / C)
     }
@@ -154,12 +158,75 @@ pub fn bcsr_lane_counts<T: Scalar>(csr: &Csr<T>, c: usize) -> LaneCounts {
         2 => pass::<T, Vector<Narrow>, 2>(csr),
         3 => pass::<T, Vector<Narrow>, 3>(csr),
         4 => pass::<T, Vector<Narrow>, 4>(csr),
-        5 => pass::<T, Scan, 5>(csr),
-        6 => pass::<T, Scan, 6>(csr),
-        7 => pass::<T, Scan, 7>(csr),
-        8 => pass::<T, Scan, 8>(csr),
+        _ if RUN_WIDTHS.contains(&c) => bcsr_run_counts(csr)[c - RUN_WIDTHS.start()],
         _ => panic!("block width {c} is outside 1..={LANES}"),
     }
+}
+
+/// The block widths whose blocks are one row tall: a block two rows tall
+/// would hold more than [`MAX_BLOCK_ELEMS`] elements.
+pub const RUN_WIDTHS: core::ops::RangeInclusive<usize> = LANES / 2 + 1..=LANES;
+
+/// The run pass: the counts of the one-row blocks of every width in
+/// [`RUN_WIDTHS`], widths 5, 6, 7 and 8 in that order, from one pass over
+/// each row's columns and without a table.
+///
+/// In a row whose columns never decrease, the entries of a block are
+/// adjacent: a block of width `c` opens where `j / c` changes, and it is
+/// full when its run ends at exactly `c` entries. A row out of order
+/// (only `Csr::from_raw_unchecked` admits one) is counted on a sorted
+/// copy: a one-row block depends only on which columns the row holds, and
+/// how often, so the counts stay exact for any CSR.
+pub fn bcsr_run_counts<T: Scalar>(csr: &Csr<T>) -> [LaneCounts; 4] {
+    let (mut nb, mut full) = ([0; 4], [0; 4]);
+    let mut sorted = Vec::new();
+    for i in 0..csr.n_rows() {
+        let mut cols = csr.row(i).0;
+        if !cols.is_sorted() {
+            sorted.clear();
+            sorted.extend_from_slice(cols);
+            sorted.sort_unstable();
+            cols = &sorted;
+        }
+        let (opened, ended) = count_runs(cols);
+        for w in 0..4 {
+            nb[w] += opened[w];
+            full[w] += ended[w];
+        }
+    }
+    let one_row = |count: usize| core::array::from_fn(|h| if h == 0 { count } else { 0 });
+    core::array::from_fn(|w| LaneCounts {
+        nb: one_row(nb[w]),
+        nb_full: one_row(full[w]),
+        heights: 1,
+        n_rows: csr.n_rows(),
+    })
+}
+
+/// The blocks of widths 5 to 8 one ordered row opens, and those of them
+/// that are full.
+#[inline(always)]
+fn count_runs(cols: &[Index]) -> ([usize; 4], [usize; 4]) {
+    const WIDTHS: [Index; 4] = [5, 6, 7, 8];
+    let (mut opened, mut full) = ([0; 4], [0; 4]);
+    // No column divides to `Index::MAX`, so the first entry opens a block
+    // in every width, with nothing before it to end.
+    let mut block = [Index::MAX; 4];
+    let mut len: [Index; 4] = [0; 4];
+    for &j in cols {
+        for w in 0..4 {
+            let q = j / WIDTHS[w];
+            let open = q != block[w];
+            opened[w] += usize::from(open);
+            full[w] += usize::from(open && len[w] == WIDTHS[w]);
+            len[w] = if open { 1 } else { len[w] + 1 };
+            block[w] = q;
+        }
+    }
+    for w in 0..4 {
+        full[w] += usize::from(len[w] == WIDTHS[w]);
+    }
+    (opened, full)
 }
 
 /// One lane pass over the diagonals `j - i`: the counts of every BCSD
@@ -204,11 +271,31 @@ pub fn bcsd_counts<T: Scalar>(csr: &Csr<T>, b: usize) -> BlockCounts {
 /// the step onto that count and taking back a step past it gives the
 /// answer without a second pass over the touched blocks, for any CSR,
 /// unsorted rows and repeated columns included.
+///
+/// The slots are a table with one row per key ([`KeyRows`] ranks the keys
+/// of a matrix whose key range is too wide).
 fn lane_pass<T: Scalar, U: Lanes>(
     csr: &Csr<T>,
     width: usize,
     n_keys: usize,
     key: impl Fn(usize, Index) -> usize,
+) -> LaneCounts {
+    match KeyRows::new(csr, n_keys, &key) {
+        KeyRows::Direct => count_lanes::<T, U>(csr, width, n_keys, |_, i, j| key(i, j)),
+        KeyRows::Ranked { ranks, keys } => {
+            count_lanes::<T, U>(csr, width, keys.len(), |e, _, _| ranks[e] as usize)
+        }
+    }
+}
+
+/// [`lane_pass`] over a table of `n_slots` slots; `slot(entry, i, j)` is
+/// the slot of the entry at position `entry` of `col_ind`, in row `i`
+/// and column `j`.
+fn count_lanes<T: Scalar, U: Lanes>(
+    csr: &Csr<T>,
+    width: usize,
+    n_slots: usize,
+    slot: impl Fn(usize, usize, Index) -> usize,
 ) -> LaneCounts {
     let n_rows = csr.n_rows();
     assert!(
@@ -216,14 +303,15 @@ fn lane_pass<T: Scalar, U: Lanes>(
         "{n_rows} rows overflow a row stamp"
     );
     let (row_ptr, col_ind) = (csr.row_ptr(), csr.col_ind());
-    let mut slots = vec![U::Slot::EMPTY; n_keys];
+    let mut slots = vec![U::Slot::EMPTY; n_slots];
     let mut lanes = U::new(width);
     let mut tally = Tally::default();
     let mut pending = 0;
     for i in 0..n_rows {
         lanes.next_row();
         let row = i as u32 + 1;
-        let cols = &col_ind[row_ptr[i] as usize..row_ptr[i + 1] as usize];
+        let mut e = row_ptr[i] as usize;
+        let cols = &col_ind[e..row_ptr[i + 1] as usize];
         for chunk in cols.chunks(U::BATCH) {
             if pending + chunk.len() > U::BATCH {
                 lanes.drain(&mut tally);
@@ -231,8 +319,9 @@ fn lane_pass<T: Scalar, U: Lanes>(
             }
             pending += chunk.len();
             for &j in chunk {
-                let slot = &mut slots[key(i, j)];
-                *slot = lanes.step(*slot, row);
+                let s = &mut slots[slot(e, i, j)];
+                *s = lanes.step(*s, row);
+                e += 1;
             }
         }
     }
@@ -266,7 +355,7 @@ trait Slot: Copy {
 }
 
 /// The 8-byte slot: the row in the high half, the counts of up to four
-/// lanes (or the one `u32` count of [`Scan`]) in the low half.
+/// lanes in the low half.
 type Narrow = u64;
 
 /// The 16-byte slot of an eight-lane pass: the row, then the counts.
@@ -305,6 +394,7 @@ struct Tally {
     over: [usize; LANES],
 }
 
+#[cfg(any(test, not(target_arch = "x86_64")))]
 impl Tally {
     fn add(&mut self, other: &Tally) {
         for lane in 0..LANES {
@@ -329,46 +419,6 @@ trait Lanes {
     fn step(&mut self, slot: Self::Slot, row: u32) -> Self::Slot;
     /// Adds the steps since the last drain to `tally`.
     fn drain(&mut self, tally: &mut Tally);
-}
-
-/// The one-lane update, a stamp-and-count scan: blocks one row tall open
-/// whenever the row changes. The count is the whole low half of its
-/// [`Narrow`] slot, so an entry in the key's open block adds one to the
-/// slot.
-struct Scan {
-    full: u32,
-    tally: Tally,
-}
-
-impl Lanes for Scan {
-    type Slot = Narrow;
-    // The tally counts in `usize`.
-    const BATCH: usize = usize::MAX;
-
-    fn new(width: usize) -> Self {
-        Scan {
-            full: width as u32,
-            tally: Tally::default(),
-        }
-    }
-
-    fn next_row(&mut self) {}
-
-    #[inline(always)]
-    fn step(&mut self, slot: Narrow, row: u32) -> Narrow {
-        let stamp = Narrow::new(row, 0);
-        let open = slot < stamp;
-        let slot = if open { stamp } else { slot } + 1;
-        let count = slot as u32;
-        self.tally.opened[0] += usize::from(open);
-        self.tally.full[0] += usize::from(count == self.full);
-        self.tally.over[0] += usize::from(count == self.full + 1);
-        slot
-    }
-
-    fn drain(&mut self, tally: &mut Tally) {
-        tally.add(&core::mem::take(&mut self.tally));
-    }
 }
 
 /// The eight-lane update on plain integers, one lane after the other:

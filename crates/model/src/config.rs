@@ -8,7 +8,7 @@ use spmv_formats::{
     sell_sigmas, Bcsd, BcsdDec, Bcsr, BcsrDec, FormatKind, SellCSigma, SELL_SIGMA_FULL,
 };
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, SELL_HEIGHTS};
+use spmv_kernels::{BlockShape, KernelImpl, BCSD_SIZES, MAX_BLOCK_ELEMS, SELL_HEIGHTS};
 use spmv_parallel::{bcsd_unit_weights, bcsr_unit_weights, csr_unit_weights, sell_unit_weights};
 use spmv_telemetry::residual::ResidualKey;
 
@@ -255,21 +255,22 @@ pub fn residual_key_for(config: Config, model: Model) -> ResidualKey {
 /// Per-matrix memo of the structural passes behind [`Config::substats`].
 ///
 /// A configuration's statistics depend on its block geometry, not on its
-/// kernel implementation or decomposition, and one lane pass counts many
+/// kernel implementation or decomposition, and one pass counts many
 /// geometries at once. An `ArenaStats` runs each structural pass the
 /// first time a configuration needs it and keeps the result for every
-/// other configuration it covers: one pass per BCSR block width
-/// ([`stats::bcsr_lane_counts`], every block height of that width), one
-/// pass over the diagonals ([`stats::bcsd_lane_counts`], every BCSD size)
-/// and one row-length sort per effective SELL window. Ranking the
-/// 129-configuration extended space then costs nine block passes and at
-/// most six sorts instead of a pass per configuration. The statistics
-/// are the same bit for bit as a fresh pass's, whatever order the
-/// configurations are asked in.
+/// other configuration it covers: one lane pass per BCSR block width up
+/// to 4 ([`stats::bcsr_lane_counts`], every block height of that width),
+/// one run pass for the one-row widths 5 to 8
+/// ([`stats::bcsr_run_counts`]), one pass over the diagonals
+/// ([`stats::bcsd_lane_counts`], every BCSD size) and one row-length sort
+/// per effective SELL window. Ranking the 129-configuration extended
+/// space then costs six block passes and at most six sorts instead of a
+/// pass per configuration. The statistics are the same bit for bit as a
+/// fresh pass's, whatever order the configurations are asked in.
 ///
 /// Each pass runs inside a span named after what it fills:
-/// `model.stats.bcsr` (argument: block width), `model.stats.bcsd` and
-/// `model.stats.sell` (argument: sorting window).
+/// `model.stats.bcsr` (argument: block width), `model.stats.runs`,
+/// `model.stats.bcsd` and `model.stats.sell` (argument: sorting window).
 ///
 /// [`rank`](crate::rank) and [`rank_multi`](crate::rank_multi) fill one
 /// per call; a caller ranking several models over one matrix can keep
@@ -288,7 +289,8 @@ pub fn residual_key_for(config: Config, model: Model) -> ResidualKey {
 #[derive(Debug)]
 pub struct ArenaStats<'a, T> {
     csr: &'a Csr<T>,
-    bcsr: Vec<(usize, LaneCounts)>,
+    /// The counts of each BCSR block width, `bcsr[c - 1]`.
+    bcsr: [Option<LaneCounts>; MAX_BLOCK_ELEMS],
     bcsd: Option<LaneCounts>,
     sell: Vec<(usize, Vec<usize>)>,
 }
@@ -298,7 +300,7 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
     pub fn new(csr: &'a Csr<T>) -> Self {
         ArenaStats {
             csr,
-            bcsr: Vec::new(),
+            bcsr: [None; MAX_BLOCK_ELEMS],
             bcsd: None,
             sell: Vec::new(),
         }
@@ -366,11 +368,20 @@ impl<'a, T: Scalar> ArenaStats<'a, T> {
 
     fn bcsr_counts(&mut self, shape: BlockShape) -> BlockCounts {
         let (csr, c) = (self.csr, shape.cols());
-        memo(&mut self.bcsr, c, || {
-            let _span = spmv_telemetry::span_with("model.stats.bcsr", c as u64);
-            stats::bcsr_lane_counts(csr, c)
-        })
-        .height(shape.rows())
+        if self.bcsr[c - 1].is_none() {
+            if stats::RUN_WIDTHS.contains(&c) {
+                let _span = spmv_telemetry::span("model.stats.runs");
+                for (w, counts) in stats::RUN_WIDTHS.zip(stats::bcsr_run_counts(csr)) {
+                    self.bcsr[w - 1] = Some(counts);
+                }
+            } else {
+                let _span = spmv_telemetry::span_with("model.stats.bcsr", c as u64);
+                self.bcsr[c - 1] = Some(stats::bcsr_lane_counts(csr, c));
+            }
+        }
+        self.bcsr[c - 1]
+            .expect("the pass for this width ran")
+            .height(shape.rows())
     }
 
     fn bcsd_counts(&mut self, b: usize) -> BlockCounts {
@@ -643,10 +654,9 @@ mod tests {
         for (config, want) in configs.iter().zip(&fresh).rev() {
             assert_eq!(&arena.substats(*config), want, "{config}");
         }
-        // One pass per block width and one over the diagonals.
-        let mut widths: Vec<usize> = arena.bcsr.iter().map(|(c, _)| *c).collect();
-        widths.sort_unstable();
-        assert_eq!(widths, [1, 2, 3, 4, 5, 6, 7, 8]);
+        // Every block width counted (widths 5 to 8 by one run pass) and
+        // one pass over the diagonals.
+        assert!(arena.bcsr.iter().all(Option::is_some));
         assert!(arena.bcsd.is_some());
         // σ ∈ {1, 2, 4, 8, 64, n} on 29 rows: 64 and n are both the
         // global sort.

@@ -17,9 +17,9 @@
 use crate::machine::MachineProfile;
 use crate::timing::measure_spmv;
 use spmv_core::{Csr, DenseMatrix, Scalar};
-use spmv_formats::{bcsr_lane_counts, Bcsr, LaneCounts};
+use spmv_formats::{bcsr_lane_counts, bcsr_run_counts, Bcsr, LaneCounts, RUN_WIDTHS};
 use spmv_kernels::simd::SimdScalar;
-use spmv_kernels::{BlockShape, KernelImpl, MAX_BLOCK_ELEMS};
+use spmv_kernels::{BlockShape, KernelImpl};
 use std::collections::HashMap;
 
 /// Measured dense-matrix SpMV rates per (shape, implementation), in
@@ -88,10 +88,12 @@ pub fn select_bcsr_shape<T: Scalar>(
 ) -> (BlockShape, KernelImpl, f64) {
     assert!(!dense.is_empty(), "dense profile required");
     let nnz = csr.nnz().max(1) as f64;
-    // One lane pass per block width counts every height of that width.
-    let widths: Vec<LaneCounts> = (1..=MAX_BLOCK_ELEMS)
+    // One lane pass per block width up to 4 counts every height of that
+    // width, and one run pass every wider width.
+    let mut widths: Vec<LaneCounts> = (1..*RUN_WIDTHS.start())
         .map(|c| bcsr_lane_counts(csr, c))
         .collect();
+    widths.extend(bcsr_run_counts(csr));
     let mut best: Option<(BlockShape, KernelImpl, f64)> = None;
     for shape in BlockShape::search_space() {
         let counts = widths[shape.cols() - 1].height(shape.rows());

@@ -98,9 +98,10 @@ impl<T: SimdScalar> PreparedMatrix<T> {
     ///
     /// This is the serving-side entry point to the paper's pipeline:
     /// `select_extended` ranks every (format, block, kernel) candidate
-    /// from nine `O(nnz)` structural passes (one per block width and one
-    /// over the diagonals, each counting every block height it covers)
-    /// and the winner alone is built. The whole call is one
+    /// from six `O(nnz)` structural passes (one per block width up to 4,
+    /// one for the one-row widths 5 to 8 and one over the diagonals, each
+    /// counting every block height it covers) and the winner alone is
+    /// built. The whole call is one
     /// `serve.prepare` span (argument: nonzeros) around the `model.rank`
     /// span, which holds one `model.stats.*` span per pass, and the
     /// `formats.build` span.

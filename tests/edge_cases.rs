@@ -2,13 +2,16 @@
 //! multi-vector: empty matrices, single-row / single-column matrices, a
 //! fully dense row, the 1D-VBL `u8` run-length boundary (a dense row
 //! wider than 255 columns must split into multiple runs), rows whose
-//! column gaps pass 255, rows whose column gaps pass `u16::MAX`, and
-//! unchecked rows that repeat a column.
+//! column gaps pass 255, rows whose column gaps pass `u16::MAX`, a block
+//! on the largest BCSD key, stored zeros under a non-finite `x`, and the
+//! hostile inputs: unchecked rows that repeat a column, and a matrix
+//! four billion columns wide.
 
 use blocked_spmv::core::{Coo, Csr, MatrixShape, SpMv, SpMvMulti};
 use blocked_spmv::formats::{Bcsd, BcsdDec, Bcsr, BcsrDec, Vbl};
 use blocked_spmv::kernels::{BlockShape, KernelImpl, BCSD_SIZES};
-use blocked_spmv::model::Config;
+use blocked_spmv::model::{BlockConfig, Config, KernelProfile, MachineProfile, Model};
+use blocked_spmv::serve::PreparedMatrix;
 
 const K: usize = 4;
 
@@ -234,5 +237,97 @@ fn repeated_columns_add_up_in_every_configuration() {
             assert_eq!((bcsr.n_blocks(), bcsr.nnz_orig()), (1, 3));
             assert_eq!((bcsr.padding(), bcsr.fill_ratio()), (0, 1.0));
         }
+    }
+}
+
+/// Equal bits, or NaN on both sides: which NaN a product yields is not
+/// part of the contract.
+fn same(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+#[test]
+fn a_block_on_the_largest_bcsd_key_is_gathered() {
+    // Column 12 on row 0 (and row 8), the first row of a b = 8 band, lies
+    // on the diagonal whose biased key is `n_cols - 1 + 8`, the largest a
+    // BCSD gather can meet. Small integers keep every sum exact.
+    let (n, m) = (16, 13);
+    let mut coo = Coo::new(n, m);
+    for i in 0..n {
+        coo.push(i, i % m, 1.0 + (i % 3) as f64).unwrap();
+        coo.push(i, (i + 5) % m, 2.0).unwrap();
+    }
+    coo.push(0, m - 1, 3.0).unwrap();
+    coo.push(8, m - 1, -1.0).unwrap();
+    let csr = Csr::from_coo(&coo);
+    let x: Vec<f64> = (0..m * K).map(|i| (i % 5) as f64 - 1.0).collect();
+    let (want, want_multi) = (csr.spmv(&x[..m]), csr.spmv_multi(&x, K));
+    for config in Config::enumerate_extended(true) {
+        let built = config.build(&csr);
+        assert_eq!(built.spmv(&x[..m]), want, "{config}");
+        assert_eq!(built.spmv_multi(&x, K), want_multi, "{config} k={K}");
+    }
+}
+
+#[test]
+fn stored_zeros_multiply_like_csr_in_every_unpadded_format() {
+    // Row 0 stores a zero in column 3, where `x` is infinite: CSR gives
+    // 0 * inf = NaN. The decomposed forms leave that entry to their CSR
+    // rest, which must keep it rather than drop it. Padded BCSR and BCSD
+    // also multiply the zeros they pad with, so row 1's 1x2 block
+    // {2, 3} gives NaN there where CSR gives 1 (docs/TESTING.md); they are
+    // left out.
+    let csr = Csr::from_raw(
+        2,
+        4,
+        vec![0, 3, 4],
+        vec![0, 1, 3, 2],
+        vec![1.0, 2.0, 0.0, 1.0],
+    )
+    .unwrap();
+    let x = [1.0, 1.0, 1.0, f64::INFINITY];
+    let xk: Vec<f64> = x.iter().copied().cycle().take(4 * K).collect();
+    let (want, want_multi) = (csr.spmv(&x), csr.spmv_multi(&xk, K));
+    assert!(want[0].is_nan() && want[1] == 1.0);
+    for config in Config::enumerate_extended(true) {
+        if matches!(config.block, BlockConfig::Bcsr(_) | BlockConfig::Bcsd(_)) {
+            continue;
+        }
+        let built = config.build(&csr);
+        assert!(same(&built.spmv(&x), &want), "{config}");
+        assert!(
+            same(&built.spmv_multi(&xk, K), &want_multi),
+            "{config} k={K}"
+        );
+    }
+}
+
+#[test]
+fn a_matrix_four_billion_columns_wide_selects_and_builds() {
+    // Two nonzeros in 4·10⁹ columns: a table with a row per block column
+    // or diagonal would take tens of gigabytes. The entry in the last
+    // column of row 0 also lies on the largest BCSD key. `x` would take
+    // 32 GB, so nothing multiplies.
+    let n_cols = 4_000_000_000;
+    let csr = Csr::from_raw(
+        2,
+        n_cols,
+        vec![0, 1, 2],
+        vec![n_cols as u32 - 1, 7],
+        vec![1.0, 2.0],
+    )
+    .unwrap();
+    let (machine, profile) = (
+        MachineProfile::paper_testbed(),
+        KernelProfile::uniform(1e-9, 0.5),
+    );
+    let prepared = PreparedMatrix::prepare(&csr, Model::Overlap, &machine, &profile, true);
+    assert_eq!((prepared.n_rows(), prepared.n_cols()), (2, n_cols));
+    for config in Config::enumerate_extended(true) {
+        let built = config.build(&csr);
+        assert_eq!((built.n_rows(), built.n_cols()), (2, n_cols), "{config}");
     }
 }

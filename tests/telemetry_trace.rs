@@ -224,10 +224,11 @@ fn prepare_runs_each_structural_pass_once_inside_its_ranking() {
     let rank = spans("model.rank");
     assert_eq!(rank.len(), 1);
     let rank = rank[0];
-    // One lane pass per block width (argument: the width), one over the
-    // diagonals, and one sort per effective SELL window (argument: the
-    // window; σ = 900 is the whole 900-row matrix), each once and inside
-    // the ranking, on its thread.
+    // One lane pass per block width up to 4 (argument: the width), one
+    // run pass for widths 5 to 8, one pass over the diagonals, and one
+    // sort per effective SELL window (argument: the window; σ = 900 is
+    // the whole 900-row matrix), each once and inside the ranking, on its
+    // thread.
     let args = |name: &str| -> Vec<u64> {
         let passes = spans(name);
         for pass in &passes {
@@ -241,7 +242,8 @@ fn prepare_runs_each_structural_pass_once_inside_its_ranking() {
         args.sort_unstable();
         args
     };
-    assert_eq!(args("model.stats.bcsr"), [1, 2, 3, 4, 5, 6, 7, 8]);
+    assert_eq!(args("model.stats.bcsr"), [1, 2, 3, 4]);
+    assert_eq!(args("model.stats.runs").len(), 1);
     assert_eq!(args("model.stats.bcsd").len(), 1);
     assert_eq!(args("model.stats.sell"), [1, 2, 4, 8, 64, 900]);
 }
